@@ -55,19 +55,19 @@ from .bloch import (
     SOURCE_TAGS,
     BandStructure,
     BlochVector,
-    CouplingTable,
     GapScaling,
     NearResonance,
     OutOfValidity,
     ReciprocalVector,
     SingularMass,
     bloch_vector,
-    coupling_coefficients,
     cylinder_limit_energies,
     effective_mass,
     first_order_u,
     gap_scaling,
     near_boundary_expansion,
+    origin_fit,
+    ray_amplitude,
     two_band_energies,
     two_band_gap,
     two_band_hessian,
@@ -99,12 +99,12 @@ __all__ = [
     "effective_params", "laplace_beltrami_expanded", "normalize",
     "random_band_limited", "spectral_derivative", "v1_apply",
     "v1_multiplicative", "v_eff", "v_kin", "wave_field", "wavefield_norm",
-    "K1", "SOURCE_TAGS", "BandStructure", "BlochVector", "CouplingTable",
-    "GapScaling", "NearResonance", "OutOfValidity", "ReciprocalVector",
-    "SingularMass", "bloch_vector", "coupling_coefficients",
-    "cylinder_limit_energies", "effective_mass", "first_order_u",
-    "gap_scaling", "near_boundary_expansion", "two_band_energies",
-    "two_band_gap", "two_band_hessian", "zone_boundary_k",
+    "K1", "SOURCE_TAGS", "BandStructure", "BlochVector", "GapScaling",
+    "NearResonance", "OutOfValidity", "ReciprocalVector", "SingularMass",
+    "bloch_vector", "cylinder_limit_energies", "effective_mass",
+    "first_order_u", "gap_scaling", "near_boundary_expansion", "origin_fit",
+    "ray_amplitude", "two_band_energies", "two_band_gap", "two_band_hessian",
+    "zone_boundary_k",
     "GRID_2D", "PLANE_WAVE_RAY", "ConvergenceFailure",
     "DiscretizedHamiltonian", "SpectrumResult", "assemble_full",
     "assemble_perturbed", "band_sweep", "eigensolve", "gap_perturbed",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -108,31 +108,13 @@ def _kvec(spec: HelixSpec, k) -> np.ndarray:
 # coupling amplitudes
 
 
-@dataclass(frozen=True)
-class CouplingTable:
-    """Ray harmonics of the first-order potential for one source wavenumber.
-
-    entries maps the ray multiple j in {-3..3} \\ {0} to the amplitude of the
-    e^{i j (tau s - varphi/rho0)} response; diagonal is the j = 0 shift.
-    """
-
-    epsilon: float
-    q_s: float
-    diagonal: float
-    entries: dict = field(default_factory=dict)
-
-    def amplitude(self, j: int) -> complex:
-        if j == 0:
-            return self.diagonal
-        return self.entries.get(j, 0.0)
-
-
-def _ray_amplitude(spec: HelixSpec, j: int, q_s: float) -> complex:
+def ray_amplitude(spec: HelixSpec, j: int, q_s: float) -> complex:
     """Amplitude of the j-th ray harmonic acting on a plane wave exp(i q_s s).
 
-    Closed forms come from writing cos x, cos^2 x, cos^3 x as exponentials
-    (x is the helical phase) and replacing d/ds by i q_s in the derivative
-    part.  An s0 offset only rotates the j-th harmonic by exp(-i j tau s0).
+    j = 0 is the constant shift eps kappa^2/4; |j| > 3 gives 0.  Closed forms
+    come from writing cos x, cos^2 x, cos^3 x as exponentials (x is the
+    helical phase) and replacing d/ds by i q_s in the derivative part.  An
+    s0 offset only rotates the j-th harmonic by exp(-i j tau s0).
     """
     eps = spec.epsilon
     k2 = spec.kappa**2
@@ -150,19 +132,6 @@ def _ray_amplitude(spec: HelixSpec, j: int, q_s: float) -> complex:
     if spec.s0 == 0.0:
         return base
     return base * cmath.exp(-1j * j * spec.tau * spec.s0)
-
-
-def coupling_coefficients(spec: HelixSpec, q_s: float) -> CouplingTable:
-    """Resolve the first-order potential's action on exp(i q_s s) into ray harmonics."""
-    entries = {
-        j: _ray_amplitude(spec, j, q_s) for j in (-3, -2, -1, 1, 2, 3)
-    }
-    return CouplingTable(
-        epsilon=spec.epsilon,
-        q_s=q_s,
-        diagonal=spec.epsilon * spec.kappa**2 / 4,
-        entries=entries,
-    )
 
 
 def first_order_u(
@@ -186,7 +155,7 @@ def first_order_u(
         )
     if not m.on_ray:
         return 0.0
-    return _ray_amplitude(spec, m.m_s, kv[0]) / denom
+    return ray_amplitude(spec, m.m_s, kv[0]) / denom
 
 
 # --------------------------------------------------------------------------
@@ -196,8 +165,8 @@ def first_order_u(
 def _u_squared(spec: HelixSpec, kv: np.ndarray, m: ReciprocalVector) -> float:
     """U^2 pairing the forward amplitude at q0 = k_s with the reverse one at q1."""
     j = m.m_s
-    a_fwd = _ray_amplitude(spec, j, kv[0])
-    a_rev = _ray_amplitude(spec, -j, kv[0] + j * spec.tau)
+    a_fwd = ray_amplitude(spec, j, kv[0])
+    a_rev = ray_amplitude(spec, -j, kv[0] + j * spec.tau)
     return float(np.real(a_fwd * a_rev))
 
 
@@ -268,6 +237,22 @@ class GapScaling:
     gaps: np.ndarray
 
 
+def origin_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares slope of y = slope * x, a line through the origin.
+
+    Returns (slope, ss_res, r_squared).  The slope is 0 when every x is 0,
+    and r_squared is 1 when y is constant.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    sxx = float(x @ x)
+    slope = float(x @ y) / sxx if sxx > 0 else 0.0
+    ss_res = float(np.sum((y - slope * x) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return slope, ss_res, r_squared
+
+
 def gap_scaling(spec_family: Sequence[HelixSpec]) -> GapScaling:
     """Fit gap(eps) = slope * (eps kappa^2/4) over a family of tube shapes."""
     if len(spec_family) < 4:
@@ -277,12 +262,7 @@ def gap_scaling(spec_family: Sequence[HelixSpec]) -> GapScaling:
         raise ValueError("family must stay in the thin-tube window eps <= 0.1")
     gaps = np.array([two_band_gap(s) for s in spec_family])
     x = eps * np.array([s.kappa**2 for s in spec_family]) / 4
-    sxx = float(x @ x)
-    slope = float(x @ gaps) / sxx if sxx > 0 else 0.0
-    resid = gaps - slope * x
-    ss_res = float(resid @ resid)
-    ss_tot = float(np.sum((gaps - gaps.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, ss_res, r_squared = origin_fit(x, gaps)
     return GapScaling(
         slope=slope,
         residual=math.sqrt(ss_res),
@@ -302,44 +282,6 @@ def _invert_hessian(hess: np.ndarray, tau: float) -> np.ndarray:
     if abs(det) < 1e-12 * tau**4:
         raise SingularMass(f"band Hessian determinant {det:.3e} below cutoff")
     return 2.0 * np.linalg.inv(hess)
-
-
-def effective_mass(
-    spec: HelixSpec,
-    k,
-    band: int,
-    m: ReciprocalVector = K1,
-    step: float | None = None,
-) -> np.ndarray:
-    """Mass tensor 2 [d2E/dk dk]^{-1} of a two-band branch, in units of mu.
-
-    Central finite differences of the band energy with one Richardson
-    extrapolation; band 0 is the lower branch, band 1 the upper.
-    """
-    if band not in (0, 1):
-        raise ValueError("band must be 0 (lower) or 1 (upper)")
-    kv = _kvec(spec, k)
-    if step is None:
-        if spec.tau == 0.0:
-            raise ValueError("default step needs tau != 0; pass step explicitly")
-        step = 1e-4 * abs(spec.tau)
-
-    def energy(dk_s: float, dk_v: float) -> float:
-        return two_band_energies(spec, (kv[0] + dk_s, kv[1] + dk_v), m)[band]
-
-    def second_differences(h: float) -> np.ndarray:
-        e0 = energy(0.0, 0.0)
-        d = np.empty((2, 2))
-        d[0, 0] = (energy(h, 0.0) - 2 * e0 + energy(-h, 0.0)) / h**2
-        d[1, 1] = (energy(0.0, h) - 2 * e0 + energy(0.0, -h)) / h**2
-        mixed = (
-            energy(h, h) - energy(h, -h) - energy(-h, h) + energy(-h, -h)
-        ) / (4 * h**2)
-        d[0, 1] = d[1, 0] = mixed
-        return d
-
-    hess = (4.0 * second_differences(step / 2) - second_differences(step)) / 3.0
-    return _invert_hessian(hess, spec.tau)
 
 
 def _u_squared_polynomial(spec: HelixSpec, m: ReciprocalVector) -> Polynomial:
@@ -389,6 +331,17 @@ def two_band_hessian(
     f_hess = curv / f - np.outer(grad, grad) / f**3
     sign = -1.0 if band == 0 else 1.0
     return 2.0 * np.eye(2) + sign * f_hess
+
+
+def effective_mass(
+    spec: HelixSpec, k, band: int, m: ReciprocalVector = K1
+) -> np.ndarray:
+    """Mass tensor 2 [d2E/dk dk]^{-1} of a two-band branch, in units of mu.
+
+    Inverts the closed-form two_band_hessian; band 0 is the lower branch,
+    band 1 the upper.
+    """
+    return _invert_hessian(two_band_hessian(spec, k, band, m), spec.tau)
 
 
 # --------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .bloch import (
     BlochVector,
     _u_squared,
     cylinder_limit_energies,
+    origin_fit,
     two_band_gap,
 )
 from .oracle import (
@@ -50,6 +51,7 @@ from .oracle import (
     band_sweep,
     eigensolve,
     gap_perturbed,
+    thread_count,
 )
 from . import verify as _verify
 
@@ -114,6 +116,10 @@ class RunConfig:
                 raise ConfigError(f"sweep epsilon {eps} outside [0, 1)")
         if not np.isfinite(self.vkin_offset):
             raise ConfigError("vkin_offset must be finite")
+        try:
+            thread_count()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def spec(self) -> HelixSpec:
         return HelixSpec(
@@ -290,6 +296,19 @@ def write_json(path: Path, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _cell_mesh(spec: HelixSpec, cfg: RunConfig):
+    """(s, phi) at every node of the configured unit-cell grid, s-major."""
+    s, varphi = grid_nodes(spec, cfg.n_s, cfg.n_phi)
+    S, V = np.meshgrid(s, varphi, indexing="ij")
+    return S, V / spec.rho0
+
+
+def _node_rows(*columns) -> list[list[str]]:
+    """One formatted row per grid node, in the nodes' s-major order."""
+    flat = (np.ravel(c).tolist() for c in columns)
+    return [list(map(fmt, vals)) for vals in zip(*flat)]
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -297,21 +316,13 @@ def write_json(path: Path, obj) -> None:
 def cmd_geometry(cfg: RunConfig) -> int:
     spec = cfg.spec()
     out = Path(cfg.out_dir)
-    s_nodes, varphi_nodes = grid_nodes(spec, cfg.n_s, cfg.n_phi)
-    rows = []
-    for s in s_nodes:
-        for varphi in varphi_nodes:
-            phi = varphi / spec.rho0
-            p = surface_point(spec, s, phi)
-            k1, k2, m, gauss = principal_curvatures(spec, s, phi)
-            rows.append(
-                [
-                    fmt(s), fmt(phi),
-                    fmt(p[0]), fmt(p[1]), fmt(p[2]),
-                    fmt(metric_h(spec, s, phi)),
-                    fmt(k1), fmt(k2), fmt(m), fmt(gauss),
-                ]
-            )
+    S, P = _cell_mesh(spec, cfg)
+    x = surface_point(spec, S, P)
+    k1, k2, m, gauss = principal_curvatures(spec, S, P)
+    rows = _node_rows(
+        S, P, x[..., 0], x[..., 1], x[..., 2], metric_h(spec, S, P),
+        k1, k2, m, gauss,
+    )
     write_csv(out / "geometry.csv", "s,phi,x,y,z,h,kappa1,kappa2,M,K", rows)
     print(f"wrote {out / 'geometry.csv'} ({len(rows)} rows)")
     return 0
@@ -321,22 +332,11 @@ def cmd_potential(cfg: RunConfig) -> int:
     spec = cfg.spec()
     out = Path(cfg.out_dir)
     scale = cfg.energy_scale()
-    s_nodes, varphi_nodes = grid_nodes(spec, cfg.n_s, cfg.n_phi)
-    S = s_nodes[:, None]
-    P = (varphi_nodes / spec.rho0)[None, :]
-    vc = np.broadcast_to(v_curv(spec, S, P), (cfg.n_s, cfg.n_phi))
-    vk = np.broadcast_to(v_kin(spec, S, P), (cfg.n_s, cfg.n_phi))
-    ve = np.broadcast_to(v_eff(spec, S, P), (cfg.n_s, cfg.n_phi))
-    rows = []
-    for i, s in enumerate(s_nodes):
-        for j, varphi in enumerate(varphi_nodes):
-            rows.append(
-                [
-                    fmt(s), fmt(varphi / spec.rho0),
-                    fmt(scale * vc[i, j]), fmt(scale * vk[i, j]),
-                    fmt(scale * ve[i, j]),
-                ]
-            )
+    S, P = _cell_mesh(spec, cfg)
+    rows = _node_rows(
+        S, P, scale * v_curv(spec, S, P), scale * v_kin(spec, S, P),
+        scale * v_eff(spec, S, P),
+    )
     write_csv(out / "potential.csv", "s,phi,v_curv,v_kin,v_eff", rows)
     print(f"wrote {out / 'potential.csv'} ({len(rows)} rows)")
     return 0
@@ -400,15 +400,6 @@ def cmd_bands(cfg: RunConfig) -> int:
     return 0
 
 
-def _origin_fit(xs: np.ndarray, gs: np.ndarray) -> tuple[float, float]:
-    sxx = float(xs @ xs)
-    slope = float(xs @ gs) / sxx if sxx > 0 else 0.0
-    ss_res = float(np.sum((gs - slope * xs) ** 2))
-    ss_tot = float(np.sum((gs - gs.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return slope, r2
-
-
 def cmd_gap_scan(cfg: RunConfig) -> int:
     if not cfg.eps_sweep:
         raise ConfigError("gap-scan needs a non-empty epsilon sweep")
@@ -441,8 +432,8 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
         rows,
     )
     xs = np.asarray(cfg.eps_sweep, dtype=float)
-    slope_tb, r2_tb = _origin_fit(xs, np.asarray(gaps_tb))
-    slope_or, r2_or = _origin_fit(xs, np.asarray(gaps_or))
+    slope_tb, _, r2_tb = origin_fit(xs, gaps_tb)
+    slope_or, _, r2_or = origin_fit(xs, gaps_or)
     write_json(
         out / "gapscan.json",
         {

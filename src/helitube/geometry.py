@@ -43,6 +43,7 @@ __all__ = [
     "principal_curvatures",
     "v_curv",
     "surface_sample",
+    "grid_nodes",
     "sample_field",
 ]
 
@@ -164,8 +165,9 @@ class SurfaceSample:
 class ScalarField2D:
     """Real samples of a quantity over one periodic (s, varphi) unit cell.
 
-    Node (i, j) sits at (i*period_s/n_s, -pi*rho0 + j*period_varphi/n_phi);
-    both directions are half-open so no periodic edge is duplicated.
+    Node (i, j) sits at (i*period_s/n_s, -pi*rho0 + j*period_varphi/n_phi),
+    as built by grid_nodes; both directions are half-open so no periodic
+    edge is duplicated.
     """
 
     n_s: int
@@ -184,15 +186,6 @@ class ScalarField2D:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
-
-    def s_nodes(self) -> np.ndarray:
-        return np.arange(self.n_s) * (self.period_s / self.n_s)
-
-    def varphi_nodes(self) -> np.ndarray:
-        return (
-            -0.5 * self.period_varphi
-            + np.arange(self.n_phi) * (self.period_varphi / self.n_phi)
-        )
 
 
 def rotation_angle(spec: HelixSpec, s):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HelixSpec, ScalarField2D, rotation_angle, v_curv
+from .geometry import HelixSpec, grid_nodes, metric_h, rotation_angle, v_curv
 
 __all__ = [
     "GaugeMismatch",
@@ -57,8 +57,8 @@ class WaveField:
     """Complex samples of a wavefunction over one periodic unit cell.
 
     gauge is PSI for the surface wavefunction (weighted norm with h) or PHI
-    for sqrt(h)-rescaled values (flat norm).  Node layout matches
-    ScalarField2D.
+    for sqrt(h)-rescaled values (flat norm).  Nodes are those of
+    geometry.grid_nodes.
     """
 
     values: np.ndarray
@@ -80,18 +80,6 @@ class WaveField:
     @property
     def n_phi(self) -> int:
         return self.values.shape[1]
-
-    def real_field(self) -> ScalarField2D:
-        return ScalarField2D(
-            self.n_s, self.n_phi, self.period_s, self.period_varphi,
-            self.values.real.copy(),
-        )
-
-    def imag_field(self) -> ScalarField2D:
-        return ScalarField2D(
-            self.n_s, self.n_phi, self.period_s, self.period_varphi,
-            self.values.imag.copy(),
-        )
 
     def like(self, values: np.ndarray, gauge: str | None = None) -> "WaveField":
         return WaveField(values, self.period_s, self.period_varphi,
@@ -129,23 +117,18 @@ def wave_field(
     return WaveField(values, float(s_period), spec.varphi_period, gauge)
 
 
-def _grid(spec: HelixSpec, n_s: int, n_phi: int, period_s: float):
-    s = np.arange(n_s) * (period_s / n_s)
-    varphi = -0.5 * spec.varphi_period + np.arange(n_phi) * (spec.varphi_period / n_phi)
-    return np.meshgrid(s, varphi, indexing="ij")
-
-
-def _h_grid(spec: HelixSpec, field: WaveField) -> np.ndarray:
-    S, V = _grid(spec, field.n_s, field.n_phi, field.period_s)
-    th = rotation_angle(spec, S)
-    return 1.0 + spec.epsilon * np.cos(th + V / spec.rho0)
+def _grid(spec: HelixSpec, field: WaveField):
+    """(s, phi) at every node of the field's unit cell."""
+    nodes = grid_nodes(spec, field.n_s, field.n_phi, field.period_s)
+    S, V = np.meshgrid(*nodes, indexing="ij")
+    return S, V / spec.rho0
 
 
 def wavefield_norm(spec: HelixSpec, field: WaveField) -> float:
     """L2 norm in the field's own gauge (h-weighted for PSI, flat for PHI)."""
     w = np.abs(field.values) ** 2
     if field.gauge == PSI:
-        w = w * _h_grid(spec, field)
+        w = w * metric_h(spec, *_grid(spec, field))
     cell = (field.period_s / field.n_s) * (field.period_varphi / field.n_phi)
     return float(np.sqrt(np.sum(w) * cell))
 
@@ -185,7 +168,7 @@ def apply_laplace_beltrami(spec: HelixSpec, psi: WaveField) -> WaveField:
     """
     if psi.gauge != PSI:
         raise GaugeMismatch(f"expected PSI-gauge input, got {psi.gauge}")
-    h = _h_grid(spec, psi)
+    h = metric_h(spec, *_grid(spec, psi))
     ds = lambda v: spectral_derivative(v, 0, psi.period_s)
     dv = lambda v: spectral_derivative(v, 1, psi.period_varphi)
     out = -ds(ds(psi.values) / h) / h - dv(h * dv(psi.values)) / h
@@ -213,8 +196,7 @@ def laplace_beltrami_expanded(spec: HelixSpec, psi: WaveField) -> WaveField:
     """
     if psi.gauge != PSI:
         raise GaugeMismatch(f"expected PSI-gauge input, got {psi.gauge}")
-    S, V = _grid(spec, psi.n_s, psi.n_phi, psi.period_s)
-    h, h_s, _, h_v, _ = _h_derivatives(spec, S, V / spec.rho0)
+    h, h_s, _, h_v, _ = _h_derivatives(spec, *_grid(spec, psi))
     f = psi.values
     f_s = spectral_derivative(f, 0, psi.period_s)
     f_ss = spectral_derivative(f, 0, psi.period_s, 2)
@@ -253,13 +235,13 @@ def apply_transformed_operator(spec: HelixSpec, phi_field: WaveField) -> WaveFie
     """
     if phi_field.gauge != PHI:
         raise GaugeMismatch(f"expected PHI-gauge input, got {phi_field.gauge}")
-    h = _h_grid(spec, phi_field)
-    S, V = _grid(spec, phi_field.n_s, phi_field.n_phi, phi_field.period_s)
+    S, P = _grid(spec, phi_field)
+    h = metric_h(spec, S, P)
     f = phi_field.values
     ds = lambda v: spectral_derivative(v, 0, phi_field.period_s)
     flux = -ds(ds(f) / h**2)
     f_vv = spectral_derivative(f, 1, phi_field.period_varphi, 2)
-    pot = v_eff(spec, S, V / spec.rho0)
+    pot = v_eff(spec, S, P)
     return phi_field.like(flux - f_vv + pot * f)
 
 
@@ -289,12 +271,12 @@ def v1_apply(spec: HelixSpec, phi_field: WaveField) -> WaveField:
     """
     if phi_field.gauge != PHI:
         raise GaugeMismatch(f"expected PHI-gauge input, got {phi_field.gauge}")
-    S, V = _grid(spec, phi_field.n_s, phi_field.n_phi, phi_field.period_s)
-    x = _phase_x(spec, S, V / spec.rho0)
+    S, P = _grid(spec, phi_field)
+    x = _phase_x(spec, S, P)
     f = phi_field.values
     f_s = spectral_derivative(f, 0, phi_field.period_s)
     f_ss = spectral_derivative(f, 0, phi_field.period_s, 2)
-    mult = v1_multiplicative(spec, S, V / spec.rho0)
+    mult = v1_multiplicative(spec, S, P)
     out = mult * f + spec.epsilon * (
         np.cos(x) * f_ss - spec.tau * np.sin(x) * f_s
     )

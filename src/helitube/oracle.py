@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HelixSpec, metric_h
+from .geometry import HelixSpec, grid_nodes, metric_h
 from .operators import effective_params, v_eff
 from .bloch import (
     K1,
@@ -39,8 +39,8 @@ from .bloch import (
     NearResonance,
     ReciprocalVector,
     _kvec,
-    _ray_amplitude,
     _u_squared,
+    ray_amplitude,
     two_band_energies,
     zone_boundary_k,
 )
@@ -79,7 +79,6 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
     residual_norms: np.ndarray | None = None
-    iterations: int = 1
 
 
 def _seam_phase(k_s: float, period: float) -> complex:
@@ -122,8 +121,7 @@ def assemble_full(
         )
     ds = spec.s_period / n_s
     dv = spec.varphi_period / n_phi
-    s = np.arange(n_s) * ds
-    varphi = -0.5 * spec.varphi_period + np.arange(n_phi) * dv
+    s, varphi = grid_nodes(spec, n_s, n_phi)
     phi = varphi / spec.rho0
     pot = v_eff(spec, s[:, None], phi[None, :])
     flux = metric_h(spec, (s + 0.5 * ds)[:, None], phi[None, :]) ** -2.0
@@ -191,7 +189,7 @@ def assemble_perturbed(
     H[np.arange(dim), np.arange(dim)] = free + shift
     for dj in (1, 2, 3):
         for col in range(dim - dj):
-            amp = _ray_amplitude(spec, dj, q[col])
+            amp = ray_amplitude(spec, dj, q[col])
             if dtype == np.float64:
                 amp = amp.real if isinstance(amp, complex) else amp
             H[col + dj, col] = amp
@@ -271,6 +269,17 @@ def _sweep_one(spec, k, source, n_bands, n_s, n_phi, n_harmonics):
     return eigensolve(H, n_bands).eigenvalues
 
 
+def thread_count() -> int:
+    """Worker threads for band_sweep: HELITUBE_THREADS, default 1.
+
+    Raises ValueError unless the variable holds an integer >= 1.
+    """
+    raw = os.environ.get("HELITUBE_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"HELITUBE_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
+
+
 def band_sweep(
     spec: HelixSpec,
     kpath,
@@ -298,7 +307,7 @@ def band_sweep(
     def run(k):
         return _sweep_one(spec, k, source, n_bands, n_s, n_phi, n_harmonics)
 
-    workers = int(os.environ.get("HELITUBE_THREADS", "1"))
+    workers = thread_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run, kpath))

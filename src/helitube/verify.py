@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .geometry import HelixSpec, metric_h
+from .geometry import HelixSpec, grid_nodes, metric_h
 from .operators import (
     PHI,
     PSI,
@@ -58,12 +58,7 @@ def check_operator_identity(cfg) -> dict:
     spec = cfg.spec()
     n_s, n_phi = cfg.n_s, cfg.n_phi
     rng = np.random.default_rng(_IDENTITY_SEED)
-    S, V = np.meshgrid(
-        np.arange(n_s) * (spec.s_period / n_s),
-        -0.5 * spec.varphi_period
-        + np.arange(n_phi) * (spec.varphi_period / n_phi),
-        indexing="ij",
-    )
+    S, V = np.meshgrid(*grid_nodes(spec, n_s, n_phi), indexing="ij")
     h = metric_h(spec, S, V / spec.rho0)
     vk = v_kin(spec, S, V / spec.rho0) + cfg.vkin_offset
     worst = 0.0
@@ -127,8 +122,7 @@ def check_ray_selection(cfg) -> dict:
     """Multiplicative first-order term has Fourier support on one ray only."""
     spec = cfg.spec()
     n = 64
-    s = np.arange(n) * (spec.s_period / n)
-    varphi = -0.5 * spec.varphi_period + np.arange(n) * (spec.varphi_period / n)
+    s, varphi = grid_nodes(spec, n, n)
     grid = v1_multiplicative(spec, s[:, None], (varphi / spec.rho0)[None, :])
     coef = np.fft.fft2(np.broadcast_to(grid, (n, n))) / n**2
     ms = np.fft.fftfreq(n, 1.0 / n).astype(int)

@@ -14,12 +14,12 @@ from helitube.bloch import (
     ReciprocalVector,
     SingularMass,
     bloch_vector,
-    coupling_coefficients,
     cylinder_limit_energies,
     effective_mass,
     first_order_u,
     gap_scaling,
     near_boundary_expansion,
+    ray_amplitude,
     two_band_energies,
     two_band_gap,
     two_band_hessian,
@@ -68,30 +68,30 @@ def test_zone_boundary_is_half_reciprocal_vector():
 
 def test_coupling_table_zero_curvature():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)
-    table = coupling_coefficients(spec, q_s=0.7)
-    assert table.diagonal == 0.0
-    assert all(v == 0.0 for v in table.entries.values())
+    assert all(ray_amplitude(spec, j, q_s=0.7) == 0.0 for j in range(-3, 4))
 
 
 @pytest.mark.parametrize("q_s", [-1.3, 0.0, 0.5, 2.0])
 def test_coupling_table_fixed_harmonics(q_s):
-    table = coupling_coefficients(FIG3, q_s)
+    def amplitude(j):
+        return ray_amplitude(FIG3, j, q_s)
+
     eps, k2 = FIG3.epsilon, FIG3.kappa**2
-    assert table.diagonal == pytest.approx(eps * k2 / 4, rel=1e-15)
-    assert table.amplitude(3) == pytest.approx(-eps * k2 / 16, rel=1e-15)
-    assert table.amplitude(-3) == pytest.approx(-eps * k2 / 16, rel=1e-15)
-    assert table.amplitude(2) == pytest.approx(eps * k2 / 8, rel=1e-15)
-    assert table.amplitude(-2) == pytest.approx(eps * k2 / 8, rel=1e-15)
-    assert table.amplitude(5) == 0.0
-    assert table.amplitude(0) == table.diagonal
+    assert amplitude(0) == pytest.approx(eps * k2 / 4, rel=1e-15)
+    assert amplitude(3) == pytest.approx(-eps * k2 / 16, rel=1e-15)
+    assert amplitude(-3) == pytest.approx(-eps * k2 / 16, rel=1e-15)
+    assert amplitude(2) == pytest.approx(eps * k2 / 8, rel=1e-15)
+    assert amplitude(-2) == pytest.approx(eps * k2 / 8, rel=1e-15)
+    assert amplitude(5) == 0.0
+    # the j = 0 harmonic is the constant shift the two-band model adds
+    assert amplitude(0) == FIG3.epsilon * FIG3.kappa**2 / 4
 
 
 def test_coupling_table_linear_in_eps():
-    t1 = coupling_coefficients(HelixSpec(1.0, 1.0, 0.02), 0.4)
-    t2 = coupling_coefficients(HelixSpec(1.0, 1.0, 0.04), 0.4)
-    for j in t1.entries:
-        assert t2.amplitude(j) == pytest.approx(2 * t1.amplitude(j), rel=1e-14)
-    assert t2.diagonal == pytest.approx(2 * t1.diagonal, rel=1e-14)
+    s1, s2 = HelixSpec(1.0, 1.0, 0.02), HelixSpec(1.0, 1.0, 0.04)
+    for j in (-3, -2, -1, 0, 1, 2, 3):
+        a1, a2 = ray_amplitude(s1, j, 0.4), ray_amplitude(s2, j, 0.4)
+        assert a2 == pytest.approx(2 * a1, rel=1e-14)
 
 
 def test_coupling_table_against_fourier_transform_of_v1():
@@ -107,11 +107,10 @@ def test_coupling_table_against_fourier_transform_of_v1():
         q_s = m_src * spec.tau
         src = np.exp(1j * (q_s * S + n_src * V / spec.rho0))
         out = v1_apply(spec, wave_field(spec, src, PHI)).values
-        table = coupling_coefficients(spec, q_s)
         for j in (-3, -2, -1, 0, 1, 2, 3):
             harm = src * np.exp(1j * j * (spec.tau * S - V / spec.rho0))
             got = np.vdot(harm, out) / np.vdot(harm, harm)
-            want = table.amplitude(j)
+            want = ray_amplitude(spec, j, q_s)
             assert abs(got - want) <= 1e-10 * max(abs(want), 1e-6)
 
 
@@ -124,8 +123,8 @@ def test_coupling_symmetry_makes_u2_nonnegative():
         )
         q = rng.uniform(-3, 3)
         for j in (1, -1, 2, -2, 3, -3):
-            a1 = coupling_coefficients(spec, q).amplitude(j)
-            a2 = coupling_coefficients(spec, q + j * spec.tau).amplitude(-j)
+            a1 = ray_amplitude(spec, j, q)
+            a2 = ray_amplitude(spec, -j, q + j * spec.tau)
             assert a2 == pytest.approx(np.conj(a1), rel=1e-12, abs=1e-15)
             u2 = (a1 * a2).real
             assert u2 >= -1e-30
@@ -208,8 +207,8 @@ def test_two_band_vs_first_order_away_from_boundary():
     kv = -0.3 * K
     Q = float(kv @ kv) - a
     P = float((kv + K) @ (kv + K)) - a
-    t1 = coupling_coefficients(spec, kv[0]).amplitude(1)
-    t2 = coupling_coefficients(spec, kv[0] + spec.tau).amplitude(-1)
+    t1 = ray_amplitude(spec, 1, kv[0])
+    t2 = ray_amplitude(spec, -1, kv[0] + spec.tau)
     u2 = (t1 * t2).real
     K2G2 = float(K @ K) * float((kv - zone_boundary_k(spec)) @ (kv - zone_boundary_k(spec)))
     assert K2G2 > 10 * u2
@@ -244,8 +243,8 @@ def test_near_boundary_matches_two_band_within_bound():
     G = 0.01 * spec.tau
     K = K1.components(spec)
     K2 = float(K @ K)
-    t1 = coupling_coefficients(spec, -spec.tau / 2).amplitude(1)
-    t2 = coupling_coefficients(spec, spec.tau / 2).amplitude(-1)
+    t1 = ray_amplitude(spec, 1, -spec.tau / 2)
+    t2 = ray_amplitude(spec, -1, spec.tau / 2)
     u2 = (t1 * t2).real
     assert K2 * G**2 < 0.1 * u2
     nb = near_boundary_expansion(spec, G, K1)
@@ -307,7 +306,7 @@ def test_effective_mass_free_particle_identity():
         np.testing.assert_allclose(m, np.eye(2), atol=1e-6)
 
 
-def test_effective_mass_fd_matches_analytic():
+def test_effective_mass_fd_matches_analytic(fd_hessian):
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
     rng = np.random.default_rng(31)
     points = [tuple(zone_boundary_k(spec))]
@@ -319,9 +318,12 @@ def test_effective_mass_fd_matches_analytic():
         )
     for kv in points:
         for band in (0, 1):
-            h_fd = np.linalg.inv(effective_mass(spec, kv, band)) * 2.0
+            h_fd = fd_hessian(spec, kv, band)
             h_an = two_band_hessian(spec, kv, band)
             err = np.linalg.norm(h_fd - h_an) / np.linalg.norm(h_an)
+            assert err <= 1e-4
+            h_mass = np.linalg.inv(effective_mass(spec, kv, band)) * 2.0
+            err = np.linalg.norm(h_fd - h_mass) / np.linalg.norm(h_mass)
             assert err <= 1e-4
 
 

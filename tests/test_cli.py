@@ -6,8 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from helitube.cli import ConfigError, RunConfig, build_config, main
-from helitube.oracle import ConvergenceFailure
+from helitube.bloch import BlochVector
+from helitube.cli import ConfigError, RunConfig, build_config, fmt, main
+from helitube.geometry import (
+    HelixSpec,
+    grid_nodes,
+    metric_h,
+    principal_curvatures,
+    surface_point,
+    v_curv,
+)
+from helitube.operators import v_eff, v_kin
+from helitube.oracle import ConvergenceFailure, band_sweep
 
 HBAR = 1.054571817e-34
 
@@ -96,6 +106,32 @@ def test_potential_physical_units_scale(tmp_path):
     nat = col(tmp_path / "nat" / "potential.csv", "v_eff")
     phys = col(tmp_path / "phys" / "potential.csv", "v_eff")
     np.testing.assert_allclose(phys, nat * HBAR**2 / (2 * mu), rtol=1e-12)
+
+
+def test_rows_match_pointwise_library_calls(tmp_path):
+    # the tables are written from whole-grid arrays; each row must equal,
+    # as text, the scalar library calls at its own node, so a transposed or
+    # reordered grid fails (the grid is not square and s0 != 0)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("kappa = 1.7\ntau = -1.3\nrho0 = 0.07\ns0 = 0.37\n")
+    spec = HelixSpec(kappa=1.7, tau=-1.3, rho0=0.07, s0=0.37)
+    n_s, n_phi = 10, 6
+    for cmd in ("geometry", "potential"):
+        rc = main([cmd, "--config", str(cfgfile), "--grid", f"{n_s}x{n_phi}",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+    geo = (tmp_path / "geometry.csv").read_text().splitlines()[1:]
+    pot = (tmp_path / "potential.csv").read_text().splitlines()[1:]
+    assert len(geo) == len(pot) == n_s * n_phi
+    s_nodes, varphi_nodes = grid_nodes(spec, n_s, n_phi)
+    for i, j in ((0, 0), (0, n_phi - 1), (1, 0), (3, 2), (7, 5), (n_s - 1, 1)):
+        s, phi = s_nodes[i], varphi_nodes[j] / spec.rho0
+        want = [s, phi, *surface_point(spec, s, phi), metric_h(spec, s, phi),
+                *principal_curvatures(spec, s, phi)]
+        assert geo[i * n_phi + j] == ",".join(map(fmt, want))
+        want = [s, phi, v_curv(spec, s, phi), v_kin(spec, s, phi),
+                v_eff(spec, s, phi)]
+        assert pot[i * n_phi + j] == ",".join(map(fmt, want))
 
 
 # --------------------------------------------------------------------- bands
@@ -279,3 +315,13 @@ def test_build_config_validation_direct():
         RunConfig(units="physical:-3").validate()
     scale = RunConfig(units="physical:2.0").energy_scale()
     assert scale == pytest.approx(HBAR**2 / 4.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-1"])
+def test_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("HELITUBE_THREADS", value)
+    assert main(["geometry", "--grid", "4x4", "--out", str(tmp_path)]) == 2
+    assert "HELITUBE_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "geometry.csv").exists()
+    with pytest.raises(ValueError, match="HELITUBE_THREADS"):
+        band_sweep(HelixSpec(1.0, 1.0, 0.1), [BlochVector(0.0)], "TWO_BAND")

@@ -1,0 +1,28 @@
+"""Advertised names resolve, and removed names stay removed."""
+
+import pytest
+
+import helitube
+from helitube import bloch, geometry, operators
+
+
+@pytest.mark.parametrize("module", [helitube, geometry, operators],
+                         ids=lambda m: m.__name__)
+def test_all_names_resolve(module):
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("module", [geometry, operators], ids=lambda m: m.__name__)
+def test_package_exports_are_listed_by_their_module(module):
+    own = [
+        n for n in helitube.__all__
+        if getattr(getattr(helitube, n), "__module__", None) == module.__name__
+    ]
+    assert [n for n in own if n not in module.__all__] == []
+
+
+@pytest.mark.parametrize("name", ["CouplingTable", "coupling_coefficients"])
+def test_removed_names_are_gone(name):
+    assert name not in helitube.__all__
+    assert not hasattr(helitube, name)
+    assert not hasattr(bloch, name)

@@ -11,6 +11,7 @@ from helitube.geometry import (
     EmbeddingViolation,
     HelixSpec,
     frenet_frame,
+    grid_nodes,
     metric_h,
     principal_curvatures,
     rotated_frame,
@@ -313,8 +314,7 @@ def test_sample_field_h_straight_tube_is_one():
 
 def test_sample_field_nodes_and_reflection_symmetry():
     f = sample_field(FIG3, "h", 16, 12)
-    s = f.s_nodes()
-    varphi = f.varphi_nodes()
+    s, varphi = grid_nodes(FIG3, 16, 12)
     assert s[0] == 0.0 and len(s) == 16
     assert varphi[0] == pytest.approx(-math.pi * 0.1)
     assert s[1] - s[0] == pytest.approx(f.period_s / 16)
@@ -329,8 +329,7 @@ def test_sample_field_nodes_and_reflection_symmetry():
 
 def test_sample_field_values_match_pointwise_ops():
     f = sample_field(FIG3, "v_curv", 8, 10)
-    s = f.s_nodes()
-    varphi = f.varphi_nodes()
+    s, varphi = grid_nodes(FIG3, 8, 10)
     direct = v_curv(FIG3, s[:, None], varphi[None, :] / FIG3.rho0)
     np.testing.assert_allclose(f.values, direct, rtol=1e-15)
 
@@ -350,6 +349,6 @@ def test_sample_field_veff_argmin_on_outside():
     spec = HelixSpec(kappa=0.1, tau=1.0, rho0=1.0)
     f = sample_field(spec, "v_eff", 16, 64)
     row = f.values[0]
-    varphi = f.varphi_nodes()
+    _, varphi = grid_nodes(spec, 16, 64)
     jmin = int(np.argmin(row))
     assert abs(varphi[jmin]) < 1e-12
