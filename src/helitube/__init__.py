@@ -5,7 +5,8 @@ Modules
 geometry   helix frames, tube embedding, metric factor, curvatures
 operators  surface Laplacian, gauge transform, effective potential
 bloch      folded zone, ray couplings, two-band model, effective mass
-oracle     dense finite-difference and plane-wave-ray eigensolvers
+oracle     finite-difference (dense and screw-block) and plane-wave-ray
+           eigensolvers
 cli        deterministic CSV/JSON artifact generation
 verify     self-check suite behind `helitube verify`
 """
@@ -84,6 +85,8 @@ from .oracle import (
     band_sweep,
     eigensolve,
     gap_perturbed,
+    screw_blocks,
+    screw_eigenvalues,
 )
 
 __version__ = "0.1.0"
@@ -108,5 +111,6 @@ __all__ = [
     "GRID_2D", "PLANE_WAVE_RAY", "ConvergenceFailure",
     "DiscretizedHamiltonian", "SpectrumResult", "assemble_full",
     "assemble_perturbed", "band_sweep", "eigensolve", "gap_perturbed",
+    "screw_blocks", "screw_eigenvalues",
     "__version__",
 ]

@@ -47,10 +47,10 @@ from .bloch import (
 )
 from .oracle import (
     ConvergenceFailure,
-    assemble_full,
     band_sweep,
-    eigensolve,
     gap_perturbed,
+    screw_blocks,
+    screw_eigenvalues,
     thread_count,
 )
 from . import verify as _verify
@@ -347,12 +347,15 @@ def cmd_bands(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     scale = cfg.energy_scale()
     path = cfg.kpath_points()
+    try:
+        full = band_sweep(
+            spec, path, "ORACLE_FULL", n_s=cfg.n_s, n_phi=cfg.n_phi
+        )
+    except ValueError as exc:  # the grid exceeds the oracle's storage cap
+        raise ConfigError(str(exc)) from exc
     tb = band_sweep(spec, path, "TWO_BAND")
     pert = band_sweep(
         spec, path, "ORACLE_PERTURBED", n_harmonics=cfg.n_harmonics
-    )
-    full = band_sweep(
-        spec, path, "ORACLE_FULL", n_s=cfg.n_s, n_phi=cfg.n_phi
     )
     rows = []
     for i, k in enumerate(path):
@@ -371,11 +374,13 @@ def cmd_bands(cfg: RunConfig) -> int:
     u2_negative = any(
         _u_squared(spec, k.components(spec), K1) < 0.0 for k in path
     )
+    blocks, block_dim = screw_blocks(cfg.n_s, cfg.n_phi)
     summary = {
         "a": effective_params(spec).a,
         "epsilon": spec.epsilon,
         "units": cfg.units,
         "grid": [cfg.n_s, cfg.n_phi],
+        "oracle_full": {"blocks": blocks, "block_dim": block_dim},
         "n_harmonics": cfg.n_harmonics,
         "kpath": {
             "start": cfg.kpath_start,
@@ -456,14 +461,16 @@ def cmd_cylinder_check(cfg: RunConfig) -> int:
     spec0 = HelixSpec(kappa=0.0, tau=cfg.tau, rho0=cfg.rho0, s0=cfg.s0)
     if cfg.n_s < 8 or cfg.n_phi < 8:
         raise ConfigError("cylinder-check needs a grid of at least 8x8")
+    if cfg.n_s % 2 or cfg.n_phi % 2:
+        # the 2:1 Richardson step needs the coarse grid to be exactly half
+        raise ConfigError("cylinder-check needs an even number of nodes per side")
     n_lowest = 7
-    coarse = eigensolve(
-        assemble_full(spec0, BlochVector(0.0, 0), cfg.n_s // 2, cfg.n_phi // 2),
-        n_lowest,
-    ).eigenvalues
-    fine = eigensolve(
-        assemble_full(spec0, BlochVector(0.0, 0), cfg.n_s, cfg.n_phi), n_lowest
-    ).eigenvalues
+    k = BlochVector(0.0, 0)
+    try:
+        coarse = screw_eigenvalues(spec0, k, cfg.n_s // 2, cfg.n_phi // 2, n_lowest)
+        fine = screw_eigenvalues(spec0, k, cfg.n_s, cfg.n_phi, n_lowest)
+    except ValueError as exc:  # the grid exceeds the oracle's storage cap
+        raise ConfigError(str(exc)) from exc
     rich = (4.0 * fine - coarse) / 3.0
     period = spec0.s_period
     exact = []

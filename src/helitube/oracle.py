@@ -14,6 +14,11 @@ The s cell is the minimal period 2 pi/|tau|.  Band structure computed on
 any multiple of the cell folds onto the same spectrum, so nothing is lost
 by the minimal choice.
 
+Every coefficient of the grid operator depends on (s, phi) only through
+theta(s) + phi, so the grid matrix commutes with a discrete screw shift
+and splits into gcd(n_s, n_phi) independent blocks (screw_eigenvalues).
+assemble_full keeps the dense matrix as the reference.
+
 Everything here is dense and deterministic: assembly is vectorized numpy,
 eigensolves use the LAPACK symmetric/Hermitian drivers, and matrices are
 capped at desk scale.
@@ -81,9 +86,8 @@ class SpectrumResult:
     residual_norms: np.ndarray | None = None
 
 
-def _seam_phase(k_s: float, period: float) -> complex:
-    """Bloch factor across the s seam; exactly +-1 at center and boundary."""
-    x = k_s * period
+def _unit_phase(x: float) -> complex:
+    """exp(i x), exactly +-1 when x is a multiple of pi."""
     r = x / math.pi
     if abs(r - round(r)) < 1e-12:
         return complex((-1.0) ** (round(r) % 2))
@@ -126,7 +130,7 @@ def assemble_full(
     pot = v_eff(spec, s[:, None], phi[None, :])
     flux = metric_h(spec, (s + 0.5 * ds)[:, None], phi[None, :]) ** -2.0
 
-    phase = _seam_phase(_k_s_of(k), spec.s_period)
+    phase = _unit_phase(_k_s_of(k) * spec.s_period)
     dtype = np.float64 if phase.imag == 0.0 else np.complex128
     ph = phase.real if dtype == np.float64 else phase
 
@@ -166,6 +170,81 @@ def assemble_full(
     return DiscretizedHamiltonian(H, GRID_2D, k, n_s=n_s, n_phi=n_phi)
 
 
+def screw_blocks(n_s: int, n_phi: int) -> tuple[int, int]:
+    """(g, d): the n_s x n_phi grid matrix splits into g = gcd(n_s, n_phi)
+    screw blocks of dimension d = n_s n_phi/g."""
+    g = math.gcd(n_s, n_phi)
+    return g, n_s * n_phi // g
+
+
+def _screw_twist(spec: HelixSpec, n_phi: int, g: int) -> int:
+    """phi-node shift dj = sign(tau) n_phi/g that goes with n_s/g s-nodes.
+
+    Shifting s by n_s/g nodes moves theta(s) by -sign(tau) 2 pi/g, which
+    dj phi-nodes undo, so theta + phi and every coefficient is unchanged.
+    """
+    return int(math.copysign(n_phi // g, spec.tau))
+
+
+def screw_eigenvalues(
+    spec: HelixSpec, k, n_s: int, n_phi: int, n_lowest: int
+) -> np.ndarray:
+    """Lowest eigenvalues of the assemble_full grid matrix, block by block.
+
+    The grid operator commutes with the screw shift T: (i, j) -> (i + r,
+    j + dj) of _screw_twist, and T^g is the Bloch factor exp(i k_s L), so
+    the matrix splits exactly into one block per screw phase
+    lambda_mu = exp(i (k_s L + 2 pi mu)/g), mu = 0..g-1.  Each block lives
+    on an r x n_phi strip of nodes; its s hop out of the strip from
+    (r-1, j) lands on (0, j - dj) times lambda_mu.  The blocks are built
+    straight from the node coefficients, never from the dense matrix, and
+    solved in one stacked eigvalsh.  Storage is capped as for the dense
+    matrix: g d^2 <= DEFAULT_MAX_DIMENSION^2 with d = n_s n_phi/g.
+    """
+    if n_s < 4 or n_phi < 4:
+        raise ValueError("need at least 4 points per direction")
+    g, d = screw_blocks(n_s, n_phi)
+    r, dj = n_s // g, _screw_twist(spec, n_phi, g)
+    if g * d * d > DEFAULT_MAX_DIMENSION**2:
+        raise ValueError(
+            f"{g} screw blocks of dimension {d} exceed the desk-scale cap "
+            f"of {DEFAULT_MAX_DIMENSION}^2 stored entries"
+        )
+    ds = spec.s_period / n_s
+    dv = spec.varphi_period / n_phi
+    s, varphi = grid_nodes(spec, n_s, n_phi)
+    s, phi = s[:r, None], (varphi / spec.rho0)[None, :]
+    pot = v_eff(spec, s, phi)
+    flux = metric_h(spec, s + 0.5 * ds, phi) ** -2.0
+    # the bond into row 0 comes from row -1, the screw image of (r-1, j+dj)
+    flux_in = np.vstack([np.roll(flux[-1], -dj)[None, :], flux[:-1]])
+    diag = (flux + flux_in) / ds**2 + 2.0 / dv**2 + pot
+
+    x = _k_s_of(k) * spec.s_period
+    lam = np.array([_unit_phase((x + 2.0 * math.pi * mu) / g) for mu in range(g)])
+    if np.all(lam.imag == 0.0):
+        lam = lam.real
+    dtype = lam.dtype
+
+    # strip node (i, j) is row i*n_phi + j of every block; each statement
+    # below writes distinct entries, and coinciding entries of different
+    # statements (r = 1, |dj| = 1) add up as in the dense matrix
+    idx = np.arange(d).reshape(r, n_phi)
+    up = np.vstack([idx[1:], np.roll(idx[0], dj)[None, :]])
+    phase = np.ones((g, r, n_phi), dtype=dtype)
+    phase[:, -1, :] = lam[:, None]
+    hop_s = -flux / ds**2
+    blocks = np.zeros((g, d, d), dtype=dtype)
+    blocks[:, idx, idx] = diag
+    blocks[:, idx, up] += phase * hop_s
+    blocks[:, up, idx] += np.conj(phase) * hop_s
+    right = np.roll(idx, -1, axis=1)
+    blocks[:, idx, right] += -1.0 / dv**2
+    blocks[:, right, idx] += -1.0 / dv**2
+    w, _ = _dense_eigh(blocks, n_lowest)
+    return np.sort(w, axis=None)[:n_lowest]
+
+
 def assemble_perturbed(
     spec: HelixSpec, k, n_harmonics: int
 ) -> DiscretizedHamiltonian:
@@ -197,23 +276,32 @@ def assemble_perturbed(
     return DiscretizedHamiltonian(H, PLANE_WAVE_RAY, k, n_harmonics=n_harmonics)
 
 
-def eigensolve(
-    H: DiscretizedHamiltonian, n_lowest: int, with_vectors: bool = False
-) -> SpectrumResult:
-    """Lowest eigenvalues of a Hermitian matrix, deterministic dense solve."""
-    dim = H.dimension
-    if not 1 <= n_lowest <= dim:
-        raise ValueError(f"n_lowest must be in [1, {dim}], got {n_lowest}")
+def _dense_eigh(entries: np.ndarray, n_lowest: int, with_vectors: bool = False):
+    """LAPACK eigh/eigvalsh of one Hermitian matrix or a stack of them.
+
+    n_lowest is checked against the total count of eigenvalues; a LAPACK
+    failure or a non-finite eigenvalue raises ConvergenceFailure.
+    """
+    count = entries.size // entries.shape[-1]
+    if not 1 <= n_lowest <= count:
+        raise ValueError(f"n_lowest must be in [1, {count}], got {n_lowest}")
     try:
         if with_vectors:
-            w, v = np.linalg.eigh(H.entries)
+            w, v = np.linalg.eigh(entries)
         else:
-            w = np.linalg.eigvalsh(H.entries)
-            v = None
+            w, v = np.linalg.eigvalsh(entries), None
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolve failed: {exc}") from exc
     if not np.all(np.isfinite(w)):
         raise ConvergenceFailure("eigensolve produced non-finite eigenvalues")
+    return w, v
+
+
+def eigensolve(
+    H: DiscretizedHamiltonian, n_lowest: int, with_vectors: bool = False
+) -> SpectrumResult:
+    """Lowest eigenvalues of a Hermitian matrix, deterministic dense solve."""
+    w, v = _dense_eigh(H.entries, n_lowest, with_vectors)
     w = w[:n_lowest]
     if v is None:
         return SpectrumResult(eigenvalues=w)
@@ -265,8 +353,7 @@ def _sweep_one(spec, k, source, n_bands, n_s, n_phi, n_harmonics):
     if source == "ORACLE_PERTURBED":
         H = assemble_perturbed(spec, k, n_harmonics)
         return eigensolve(H, n_bands).eigenvalues
-    H = assemble_full(spec, k, n_s, n_phi)
-    return eigensolve(H, n_bands).eigenvalues
+    return screw_eigenvalues(spec, k, n_s, n_phi, n_bands)
 
 
 def thread_count() -> int:

@@ -30,7 +30,7 @@ from .operators import (
     v1_multiplicative,
 )
 from .bloch import BlochVector, cylinder_limit_energies
-from .oracle import assemble_full, assemble_perturbed, eigensolve
+from .oracle import assemble_full, assemble_perturbed, eigensolve, screw_eigenvalues
 
 _IDENTITY_FIELDS = 5
 _IDENTITY_SEED = 2024
@@ -86,6 +86,22 @@ def check_hermiticity_full(cfg) -> dict:
     scale = _l2(H)
     measured = _l2(H - H.conj().T) / scale if scale > 0 else 0.0
     return _check("hermiticity_full", "max", 1e-12, measured, grid=[16, 16])
+
+
+def check_screw_reduction(cfg) -> dict:
+    """Screw-block spectrum vs the dense grid matrix, whole spectrum.
+
+    16x12 has gcd 4: four blocks on 4-row strips with a nonzero twist, at
+    a generic interior k on the configured helix.
+    """
+    spec = cfg.spec()
+    k = BlochVector(-0.3 * abs(spec.tau), 0)
+    n_s, n_phi = 16, 12
+    dim = n_s * n_phi
+    dense = eigensolve(assemble_full(spec, k, n_s, n_phi), dim).eigenvalues
+    blocks = screw_eigenvalues(spec, k, n_s, n_phi, dim)
+    measured = float(np.max(np.abs(blocks - dense)) / np.max(np.abs(dense)))
+    return _check("screw_reduction", "max", 1e-10, measured, grid=[n_s, n_phi])
 
 
 def check_hermiticity_perturbed(cfg) -> dict:
@@ -178,6 +194,7 @@ def check_refinement_order(cfg) -> dict:
 _CHECKS = (
     check_operator_identity,
     check_hermiticity_full,
+    check_screw_reduction,
     check_hermiticity_perturbed,
     check_potential_symmetry,
     check_ray_selection,

@@ -39,9 +39,8 @@ from helitube.bloch import (
     zone_boundary_k,
 )
 from helitube.oracle import (
-    assemble_full,
-    eigensolve,
     gap_perturbed,
+    screw_eigenvalues,
 )
 from helitube.bloch import BlochVector
 from helitube.cli import main as cli_main
@@ -64,10 +63,7 @@ def test_criterion_01_cylinder_limit():
     exact = np.sort([n * n - 0.25 for n in range(-3, 4)])
     grids = (16, 32, 48, 64)
     levels = {
-        g: eigensolve(
-            assemble_full(spec, BlochVector(0.0, 0), g, g), 7
-        ).eigenvalues
-        for g in grids
+        g: screw_eigenvalues(spec, BlochVector(0.0, 0), g, g, 7) for g in grids
     }
     # the error is polynomial in dv^2, so Lagrange-extrapolate to dv = 0
     xs = np.array([(2 * math.pi / g) ** 2 for g in grids])
@@ -187,9 +183,7 @@ def test_criterion_05_gap_existence_and_scaling():
 
 def test_criterion_06_curvature_energy_advantage():
     helix = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)  # epsilon = 0.05
-    ground = eigensolve(
-        assemble_full(helix, BlochVector(0.0, 0), 64, 64), 1
-    ).eigenvalues[0]
+    ground = screw_eigenvalues(helix, BlochVector(0.0, 0), 64, 64, 1)[0]
     cylinder = -0.25 / helix.rho0**2
     deficit = cylinder - ground
     dev = abs(deficit - 0.25) / 0.25

@@ -177,6 +177,35 @@ def test_bands_summary_a_and_positive_gaps(tmp_path):
     }
 
 
+def test_bands_summary_names_the_screw_blocks(tmp_path):
+    rc = main(BANDS_SMALL + ["--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["oracle_full"] == {"blocks": 4, "block_dim": 48}  # gcd(16, 12)
+
+
+def test_bands_oversized_grid_is_config_error(tmp_path, capsys):
+    # coprime: one screw block of 4288^2 entries, above the 4096^2 cap
+    rc = main(["bands", "--grid", "67x64", "--kpath", "0:-0.5:2",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "cap" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # the cap belongs to the oracle: the per-node tables take any grid
+    assert main(["geometry", "--grid", "67x64", "--out", str(tmp_path)]) == 0
+    assert main(["potential", "--grid", "67x64", "--out", str(tmp_path)]) == 0
+
+
+def test_bands_large_grid_splits_into_small_blocks(tmp_path):
+    rc = main(["bands", "--grid", "128x128", "--kpath", "0:-0.5:2",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["oracle_full"] == {"blocks": 128, "block_dim": 128}
+    full = col(tmp_path / "bands.csv", "E_oracle_full_1")
+    assert np.all(np.isfinite(full))
+
+
 def test_bands_byte_identical_reruns(tmp_path, monkeypatch):
     monkeypatch.setenv("HELITUBE_THREADS", "2")
     assert main(BANDS_SMALL + ["--out", str(tmp_path / "r1")]) == 0
@@ -239,6 +268,23 @@ def test_cylinder_check_prints_error(tmp_path, capsys):
     assert err < 1e-2
 
 
+@pytest.mark.parametrize("grid", ["9x8", "8x9"])
+def test_cylinder_check_odd_grid_is_config_error(tmp_path, capsys, grid):
+    # the coarse grid would not be half the fine one, so the 2:1 step is wrong
+    rc = main(["cylinder-check", "--grid", grid, "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "even" in captured.err
+    assert captured.out == ""
+
+
+def test_cylinder_check_oversized_grid_is_config_error(tmp_path, capsys):
+    # coarse 67x64 is one screw block of 4288^2 entries, above the cap
+    rc = main(["cylinder-check", "--grid", "134x128", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "cap" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- verify
 
 
@@ -249,9 +295,9 @@ def test_verify_defaults_pass(tmp_path):
     assert report["passed"] is True
     names = {c["name"] for c in report["checks"]}
     assert names == {
-        "operator_identity", "hermiticity_full", "hermiticity_perturbed",
-        "potential_symmetry", "ray_selection", "cylinder_limit",
-        "refinement_order",
+        "operator_identity", "hermiticity_full", "screw_reduction",
+        "hermiticity_perturbed", "potential_symmetry", "ray_selection",
+        "cylinder_limit", "refinement_order",
     }
     for c in report["checks"]:
         assert c["passed"] is True

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from helitube import oracle as oracle_module
+from helitube import verify
 from helitube.bloch import (
     K1,
     BlochVector,
@@ -13,6 +17,7 @@ from helitube.bloch import (
     two_band_energies,
     zone_boundary_k,
 )
+from helitube.cli import RunConfig
 from helitube.geometry import HelixSpec
 from helitube.operators import effective_params
 from helitube.oracle import (
@@ -26,6 +31,7 @@ from helitube.oracle import (
     band_sweep,
     eigensolve,
     gap_perturbed,
+    screw_eigenvalues,
 )
 
 FIG3 = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
@@ -130,6 +136,85 @@ def test_full_transverse_restriction_matches_cylinder():
         # every restricted eigenvalue appears in the full spectrum
         for e in sub:
             assert np.min(np.abs(full - e)) <= 1e-9
+
+
+# ------------------------------------------------------------ screw blocks
+
+
+def _dense_spectrum(spec, k, n_s, n_phi):
+    H = assemble_full(spec, BlochVector(k, 0), n_s, n_phi)
+    return np.linalg.eigvalsh(H.entries)
+
+
+@st.composite
+def _grids(draw):
+    """(n_s, n_phi) in 4..24 with gcd 1, gcd n_s, or strictly between."""
+    kind = draw(st.sampled_from(("coprime", "gcd_is_n_s", "gcd_between")))
+    if kind == "coprime":
+        n_s = draw(st.integers(4, 24))
+        n_phi = draw(st.integers(4, 24).filter(lambda m: math.gcd(m, n_s) == 1))
+    elif kind == "gcd_is_n_s":
+        n_s = draw(st.integers(4, 12))
+        n_phi = n_s * draw(st.integers(1, 24 // n_s))
+    else:
+        composite = [n for n in range(4, 25) if any(n % p == 0 for p in range(2, n))]
+        n_s = draw(st.sampled_from(composite))
+        n_phi = draw(st.integers(4, 24).filter(lambda m: 1 < math.gcd(m, n_s) < n_s))
+    return n_s, n_phi
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(
+    rho0=st.floats(0.05, 1.5),
+    eps=st.one_of(st.just(0.0), st.floats(0.0, 0.9, exclude_max=True)),
+    tau=st.floats(0.3, 3.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    s0=st.floats(-3.0, 3.0),
+    k_frac=st.floats(-1.0, 1.0),
+    grid=_grids(),
+)
+def test_screw_blocks_match_dense_spectrum(rho0, eps, tau, sign, s0, k_frac, grid):
+    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0, s0=s0)
+    k = k_frac * tau / 2
+    n_s, n_phi = grid
+    dense = _dense_spectrum(spec, k, n_s, n_phi)
+    blocks = screw_eigenvalues(spec, BlochVector(k, 0), n_s, n_phi, n_s * n_phi)
+    assert np.max(np.abs(blocks - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+def test_screw_lowest_levels_and_real_blocks():
+    # gcd 2 at the zone centre gives phases +1 and -1: both blocks are real
+    spec = HelixSpec(kappa=1.0, tau=-1.0, rho0=0.1, s0=0.37)
+    want = _dense_spectrum(spec, 0.0, 10, 8)[:5]
+    got = screw_eigenvalues(spec, (0.0, 0.0), 10, 8, 5)
+    assert got.shape == (5,) and got.dtype == np.float64
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_screw_guards():
+    # 67x64 is coprime: one block of 4288^2 entries, more than 4096^2
+    with pytest.raises(ValueError, match="cap"):
+        screw_eigenvalues(FIG3, BlochVector(0.0, 0), 67, 64, 2)
+    with pytest.raises(ValueError):
+        screw_eigenvalues(FIG3, BlochVector(0.0, 0), 2, 8, 1)
+    with pytest.raises(ValueError):
+        screw_eigenvalues(FIG3, BlochVector(0.0, 0), 8, 8, 65)
+    with pytest.raises(ValueError):
+        screw_eigenvalues(FIG3, BlochVector(0.0, 0), 8, 8, 0)
+
+
+def test_screw_reduction_check_catches_a_wrong_twist(monkeypatch):
+    cfg = RunConfig()  # the FIG3 helix
+    assert verify.check_screw_reduction(cfg)["passed"] is True
+    right = oracle_module._screw_twist
+    monkeypatch.setattr(
+        oracle_module, "_screw_twist", lambda spec, n_phi, g: right(spec, n_phi, g) + 1
+    )
+    check = verify.check_screw_reduction(cfg)
+    assert check["passed"] is False
+    assert check["measured"] > 1e3 * check["tolerance"]
 
 
 def test_perturbed_free_diagonal():
