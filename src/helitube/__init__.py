@@ -64,14 +64,17 @@ from .bloch import (
     bloch_vector,
     cylinder_limit_energies,
     effective_mass,
+    first_order_energies,
     first_order_u,
     gap_scaling,
+    k_components,
     near_boundary_expansion,
     origin_fit,
     ray_amplitude,
     two_band_energies,
     two_band_gap,
     two_band_hessian,
+    u_squared,
     zone_boundary_k,
 )
 from .oracle import (
@@ -105,8 +108,9 @@ __all__ = [
     "K1", "SOURCE_TAGS", "BandStructure", "BlochVector", "GapScaling",
     "NearResonance", "OutOfValidity", "ReciprocalVector", "SingularMass",
     "bloch_vector", "cylinder_limit_energies", "effective_mass",
-    "first_order_u", "gap_scaling", "near_boundary_expansion", "origin_fit",
-    "ray_amplitude", "two_band_energies", "two_band_gap", "two_band_hessian",
+    "first_order_energies", "first_order_u", "gap_scaling", "k_components",
+    "near_boundary_expansion", "origin_fit", "ray_amplitude",
+    "two_band_energies", "two_band_gap", "two_band_hessian", "u_squared",
     "zone_boundary_k",
     "GRID_2D", "PLANE_WAVE_RAY", "ConvergenceFailure",
     "DiscretizedHamiltonian", "SpectrumResult", "assemble_full",

@@ -95,7 +95,8 @@ def zone_boundary_k(spec: HelixSpec, m: ReciprocalVector = K1) -> np.ndarray:
     return -0.5 * m.components(spec)
 
 
-def _kvec(spec: HelixSpec, k) -> np.ndarray:
+def k_components(spec: HelixSpec, k) -> np.ndarray:
+    """(k_s, k_varphi) of a BlochVector or of a raw pair on the continuous ray."""
     if isinstance(k, BlochVector):
         return k.components(spec)
     kv = np.asarray(k, dtype=float)
@@ -142,7 +143,7 @@ def first_order_u(
     delta: float | None = None,
 ) -> complex:
     """Leading mixing coefficient of the k+K_m component into the k state."""
-    kv = _kvec(spec, k)
+    kv = k_components(spec, k)
     K = m.components(spec)
     k_eff_sq = effective_params(spec).k_eff_sq(energy)
     denom = k_eff_sq - float((kv + K) @ (kv + K))
@@ -162,7 +163,7 @@ def first_order_u(
 # two-band secular problem
 
 
-def _u_squared(spec: HelixSpec, kv: np.ndarray, m: ReciprocalVector) -> float:
+def u_squared(spec: HelixSpec, kv: np.ndarray, m: ReciprocalVector) -> float:
     """U^2 pairing the forward amplitude at q0 = k_s with the reverse one at q1."""
     j = m.m_s
     a_fwd = ray_amplitude(spec, j, kv[0])
@@ -179,16 +180,42 @@ def two_band_energies(spec: HelixSpec, k, m: ReciprocalVector = K1):
     """
     if not m.on_ray:
         raise ValueError("coupling vector must be a nonzero multiple of (1, -1)")
-    kv = _kvec(spec, k)
+    kv = k_components(spec, k)
     K = m.components(spec)
     a = effective_params(spec).a
     lower = float(kv @ kv) - a
     upper = float((kv + K) @ (kv + K)) - a
-    u2 = _u_squared(spec, kv, m)
+    u2 = u_squared(spec, kv, m)
     shift = spec.epsilon * spec.kappa**2 / 4
     mid = shift + 0.5 * (lower + upper)
     disc = math.sqrt(max(0.25 * (upper - lower) ** 2 + u2, 0.0))
     return mid - disc, mid + disc
+
+
+def first_order_energies(spec: HelixSpec, k, n_bands: int) -> np.ndarray:
+    """Second-order perturbative energies of the ray-shifted free states."""
+    kv = k_components(spec, k)
+    a = effective_params(spec).a
+    shift = spec.epsilon * spec.kappa**2 / 4
+    delta = 1e-6 * spec.tau**2
+
+    def free(j: int) -> float:
+        return (kv[0] + j * spec.tau) ** 2 + (kv[1] - j / spec.rho0) ** 2 - a
+
+    energies = []
+    for j in range(-4, 5):
+        e0 = free(j)
+        kv_j = kv + j * K1.components(spec)
+        corr = 0.0
+        for dj in (-3, -2, -1, 1, 2, 3):
+            denom = e0 - free(j + dj)
+            if abs(denom) <= delta:
+                raise NearResonance(
+                    f"states j={j} and j={j + dj} degenerate at this k"
+                )
+            corr += u_squared(spec, kv_j, ReciprocalVector(dj, -dj)) / denom
+        energies.append(e0 + shift + corr)
+    return np.sort(energies)[:n_bands]
 
 
 def two_band_gap(spec: HelixSpec, m: ReciprocalVector = K1) -> float:
@@ -208,7 +235,7 @@ def near_boundary_expansion(spec: HelixSpec, G: float, m: ReciprocalVector = K1)
     K = m.components(spec)
     K2 = float(K @ K)
     kb = -0.5 * K
-    u2 = _u_squared(spec, kb, m)
+    u2 = u_squared(spec, kb, m)
     if not K2 * G**2 < 0.1 * u2:
         raise OutOfValidity(
             f"K^2 G^2 = {K2 * G**2:.3e} not small against U^2 = {u2:.3e}"
@@ -313,7 +340,7 @@ def two_band_hessian(
         raise ValueError("band must be 0 (lower) or 1 (upper)")
     if not m.on_ray:
         raise ValueError("coupling vector must be a nonzero multiple of (1, -1)")
-    kv = _kvec(spec, k)
+    kv = k_components(spec, k)
     K = m.components(spec)
     D = float(K @ kv) + 0.5 * float(K @ K)
     w_poly = _u_squared_polynomial(spec, m)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -37,20 +36,13 @@ from .geometry import (
     v_curv,
 )
 from .operators import effective_params, v_eff, v_kin
-from .bloch import (
-    K1,
-    BlochVector,
-    _u_squared,
-    cylinder_limit_energies,
-    origin_fit,
-    two_band_gap,
-)
+from .bloch import K1, BlochVector, origin_fit, two_band_gap, u_squared
 from .oracle import (
+    DEFAULT_MAX_DIMENSION,
     ConvergenceFailure,
     band_sweep,
     gap_perturbed,
     screw_blocks,
-    screw_eigenvalues,
     thread_count,
 )
 from . import verify as _verify
@@ -93,6 +85,11 @@ class RunConfig:
             raise ConfigError("grid must be at least 4x4")
         if self.n_harmonics < 3:
             raise ConfigError("n_harmonics must be >= 3")
+        if 2 * self.n_harmonics + 1 > DEFAULT_MAX_DIMENSION:
+            raise ConfigError(
+                f"n_harmonics must be <= {(DEFAULT_MAX_DIMENSION - 1) // 2}: its "
+                f"2n+1 ray rows are capped at {DEFAULT_MAX_DIMENSION}"
+            )
         if self.kpath_count < 1:
             raise ConfigError("k-path needs at least one point")
         if self.tau == 0.0:
@@ -372,7 +369,7 @@ def cmd_bands(cfg: RunConfig) -> int:
         rows,
     )
     u2_negative = any(
-        _u_squared(spec, k.components(spec), K1) < 0.0 for k in path
+        u_squared(spec, k.components(spec), K1) < 0.0 for k in path
     )
     blocks, block_dim = screw_blocks(cfg.n_s, cfg.n_phi)
     summary = {
@@ -465,27 +462,10 @@ def cmd_cylinder_check(cfg: RunConfig) -> int:
         # the 2:1 Richardson step needs the coarse grid to be exactly half
         raise ConfigError("cylinder-check needs an even number of nodes per side")
     n_lowest = 7
-    k = BlochVector(0.0, 0)
     try:
-        coarse = screw_eigenvalues(spec0, k, cfg.n_s // 2, cfg.n_phi // 2, n_lowest)
-        fine = screw_eigenvalues(spec0, k, cfg.n_s, cfg.n_phi, n_lowest)
+        err = _verify.cylinder_error(spec0, cfg.n_s, cfg.n_phi, n_lowest)
     except ValueError as exc:  # the grid exceeds the oracle's storage cap
         raise ConfigError(str(exc)) from exc
-    rich = (4.0 * fine - coarse) / 3.0
-    period = spec0.s_period
-    exact = []
-    for n in range(0, 5):
-        for m in range(0, 5):
-            if m == 0:
-                e = cylinder_limit_energies(spec0, n, 1, math.inf)
-            else:
-                e = cylinder_limit_energies(spec0, n, 2 * m, period)
-            mult = (2 if n > 0 else 1) * (2 if m > 0 else 1)
-            exact.extend([e] * mult)
-    exact = np.sort(exact)[:n_lowest]
-    err = float(
-        np.max(np.abs(rich - exact) / np.maximum(np.abs(exact), 1e-12))
-    )
     print(
         f"cylinder check: max relative error {err:.3e} over {n_lowest} levels "
         f"(grids {cfg.n_s // 2}x{cfg.n_phi // 2} and {cfg.n_s}x{cfg.n_phi}, "

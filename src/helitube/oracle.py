@@ -40,11 +40,9 @@ from .bloch import (
     K1,
     SOURCE_TAGS,
     BandStructure,
-    BlochVector,
-    NearResonance,
     ReciprocalVector,
-    _kvec,
-    _u_squared,
+    first_order_energies,
+    k_components,
     ray_amplitude,
     two_band_energies,
     zone_boundary_k,
@@ -62,15 +60,11 @@ class ConvergenceFailure(RuntimeError):
 
 @dataclass
 class DiscretizedHamiltonian:
-    """Dense Hermitian matrix plus the metadata needed to interpret it."""
+    """Dense Hermitian matrix plus the basis it is written in."""
 
     entries: np.ndarray
     basis: str
-    k: object
-    n_s: int = 0
-    n_phi: int = 0
-    n_harmonics: int = 0
-    transverse_n: int | None = None
+    transverse_n: int | None = None  # always None; perfbench/tracer.py reads it
 
     @property
     def dimension(self) -> int:
@@ -94,35 +88,26 @@ def _unit_phase(x: float) -> complex:
     return cmath.exp(1j * x)
 
 
-def _k_s_of(k) -> float:
-    if isinstance(k, BlochVector):
-        return k.k_s
-    return float(np.asarray(k, dtype=float)[0])
+def _check_storage(blocks: int, dim: int) -> None:
+    """Desk-scale cap on stored entries: blocks * dim^2 <= DEFAULT_MAX_DIMENSION^2."""
+    if blocks * dim * dim > DEFAULT_MAX_DIMENSION**2:
+        raise ValueError(
+            f"{blocks} x {dim}^2 matrix entries exceed the desk-scale cap "
+            f"of {DEFAULT_MAX_DIMENSION}^2"
+        )
 
 
-def assemble_full(
-    spec: HelixSpec,
-    k,
-    n_s: int,
-    n_phi: int,
-    max_dimension: int = DEFAULT_MAX_DIMENSION,
-    transverse_n: int | None = None,
-) -> DiscretizedHamiltonian:
+def assemble_full(spec: HelixSpec, k, n_s: int, n_phi: int) -> DiscretizedHamiltonian:
     """Flux-form finite differences for the full transformed operator.
 
     -d_s(h^-2 d_s) - d2_varphi + v_eff on the unit cell, second-order
     centered, with h^-2 sampled at s midpoints so the matrix is Hermitian
-    by construction.  With transverse_n set, the operator is projected
-    onto the single varphi mode exp(i n varphi/rho0); the projection is a
-    genuine subspace restriction and is exact only for a straight tube.
+    by construction.
     """
     if n_s < 4 or n_phi < 4:
         raise ValueError("need at least 4 points per direction")
-    dim = n_s if transverse_n is not None else n_s * n_phi
-    if dim > max_dimension:
-        raise ValueError(
-            f"matrix dimension {dim} exceeds the desk-scale cap {max_dimension}"
-        )
+    dim = n_s * n_phi
+    _check_storage(1, dim)
     ds = spec.s_period / n_s
     dv = spec.varphi_period / n_phi
     s, varphi = grid_nodes(spec, n_s, n_phi)
@@ -130,27 +115,9 @@ def assemble_full(
     pot = v_eff(spec, s[:, None], phi[None, :])
     flux = metric_h(spec, (s + 0.5 * ds)[:, None], phi[None, :]) ** -2.0
 
-    phase = _unit_phase(_k_s_of(k) * spec.s_period)
+    phase = _unit_phase(k_components(spec, k)[0] * spec.s_period)
     dtype = np.float64 if phase.imag == 0.0 else np.complex128
     ph = phase.real if dtype == np.float64 else phase
-
-    if transverse_n is not None:
-        # project onto exp(i n varphi/rho0): coefficients average over
-        # varphi, the transverse stencil contributes its discrete symbol
-        sym = (2.0 - 2.0 * math.cos(2.0 * math.pi * transverse_n / n_phi)) / dv**2
-        flux1 = flux.mean(axis=1)
-        diag = (flux1 + np.roll(flux1, 1)) / ds**2 + sym + pot.mean(axis=1)
-        H = np.zeros((n_s, n_s), dtype=dtype)
-        H[np.arange(n_s), np.arange(n_s)] = diag
-        hop = -(flux1 / ds**2).astype(dtype)
-        hop[-1] *= ph
-        rows = np.arange(n_s)
-        cols = np.roll(rows, -1)
-        H[rows, cols] = hop
-        H[cols, rows] = np.conj(hop)
-        return DiscretizedHamiltonian(
-            H, GRID_2D, k, n_s=n_s, n_phi=n_phi, transverse_n=transverse_n
-        )
 
     idx = np.arange(n_s)[:, None] * n_phi + np.arange(n_phi)[None, :]
     H = np.zeros((dim, dim), dtype=dtype)
@@ -167,7 +134,7 @@ def assemble_full(
     cols_v = np.roll(idx, -1, axis=1)
     H[idx.ravel(), cols_v.ravel()] = hop_v
     H[cols_v.ravel(), idx.ravel()] = hop_v
-    return DiscretizedHamiltonian(H, GRID_2D, k, n_s=n_s, n_phi=n_phi)
+    return DiscretizedHamiltonian(H, GRID_2D)
 
 
 def screw_blocks(n_s: int, n_phi: int) -> tuple[int, int]:
@@ -205,11 +172,7 @@ def screw_eigenvalues(
         raise ValueError("need at least 4 points per direction")
     g, d = screw_blocks(n_s, n_phi)
     r, dj = n_s // g, _screw_twist(spec, n_phi, g)
-    if g * d * d > DEFAULT_MAX_DIMENSION**2:
-        raise ValueError(
-            f"{g} screw blocks of dimension {d} exceed the desk-scale cap "
-            f"of {DEFAULT_MAX_DIMENSION}^2 stored entries"
-        )
+    _check_storage(g, d)
     ds = spec.s_period / n_s
     dv = spec.varphi_period / n_phi
     s, varphi = grid_nodes(spec, n_s, n_phi)
@@ -220,7 +183,7 @@ def screw_eigenvalues(
     flux_in = np.vstack([np.roll(flux[-1], -dj)[None, :], flux[:-1]])
     diag = (flux + flux_in) / ds**2 + 2.0 / dv**2 + pot
 
-    x = _k_s_of(k) * spec.s_period
+    x = k_components(spec, k)[0] * spec.s_period
     lam = np.array([_unit_phase((x + 2.0 * math.pi * mu) / g) for mu in range(g)])
     if np.all(lam.imag == 0.0):
         lam = lam.real
@@ -256,7 +219,8 @@ def assemble_perturbed(
     """
     if n_harmonics < 3:
         raise ValueError("need n_harmonics >= 3 to cover all couplings")
-    kv = _kvec(spec, k)
+    _check_storage(1, 2 * n_harmonics + 1)
+    kv = k_components(spec, k)
     a = effective_params(spec).a
     js = np.arange(-n_harmonics, n_harmonics + 1)
     q = kv[0] + js * spec.tau
@@ -273,7 +237,7 @@ def assemble_perturbed(
                 amp = amp.real if isinstance(amp, complex) else amp
             H[col + dj, col] = amp
             H[col, col + dj] = np.conj(amp)
-    return DiscretizedHamiltonian(H, PLANE_WAVE_RAY, k, n_harmonics=n_harmonics)
+    return DiscretizedHamiltonian(H, PLANE_WAVE_RAY)
 
 
 def _dense_eigh(entries: np.ndarray, n_lowest: int, with_vectors: bool = False):
@@ -319,37 +283,11 @@ def eigensolve(
 # band sweeps
 
 
-def _first_order_energies(spec: HelixSpec, k, n_bands: int) -> np.ndarray:
-    """Second-order perturbative energies of the ray-shifted free states."""
-    kv = _kvec(spec, k)
-    a = effective_params(spec).a
-    shift = spec.epsilon * spec.kappa**2 / 4
-    delta = 1e-6 * spec.tau**2
-
-    def free(j: int) -> float:
-        return (kv[0] + j * spec.tau) ** 2 + (kv[1] - j / spec.rho0) ** 2 - a
-
-    energies = []
-    for j in range(-4, 5):
-        e0 = free(j)
-        kv_j = kv + j * K1.components(spec)
-        corr = 0.0
-        for dj in (-3, -2, -1, 1, 2, 3):
-            denom = e0 - free(j + dj)
-            if abs(denom) <= delta:
-                raise NearResonance(
-                    f"states j={j} and j={j + dj} degenerate at this k"
-                )
-            corr += _u_squared(spec, kv_j, ReciprocalVector(dj, -dj)) / denom
-        energies.append(e0 + shift + corr)
-    return np.sort(energies)[:n_bands]
-
-
 def _sweep_one(spec, k, source, n_bands, n_s, n_phi, n_harmonics):
     if source == "TWO_BAND":
         return np.asarray(two_band_energies(spec, k))[:n_bands]
     if source == "FIRST_ORDER":
-        return _first_order_energies(spec, k, n_bands)
+        return first_order_energies(spec, k, n_bands)
     if source == "ORACLE_PERTURBED":
         H = assemble_perturbed(spec, k, n_harmonics)
         return eigensolve(H, n_bands).eigenvalues
@@ -388,8 +326,9 @@ def band_sweep(
         raise ValueError("the two-band model has exactly 2 bands")
     half = abs(spec.tau) / 2
     for k in kpath:
-        if abs(_k_s_of(k)) > half * (1 + 1e-12):
-            raise ValueError(f"k_s = {_k_s_of(k)} outside the first zone")
+        k_s = k_components(spec, k)[0]
+        if abs(k_s) > half * (1 + 1e-12):
+            raise ValueError(f"k_s = {k_s} outside the first zone")
 
     def run(k):
         return _sweep_one(spec, k, source, n_bands, n_s, n_phi, n_harmonics)

@@ -13,6 +13,7 @@ import pytest
 
 from helitube.geometry import (
     HelixSpec,
+    grid_nodes,
     metric_h,
     principal_curvatures,
     surface_point,
@@ -103,11 +104,7 @@ def test_criterion_03_operator_identity():
     spec = FIG3
     n = 64
     rng = np.random.default_rng(123)
-    S, V = np.meshgrid(
-        np.arange(n) * (spec.s_period / n),
-        -0.5 * spec.varphi_period + np.arange(n) * (spec.varphi_period / n),
-        indexing="ij",
-    )
+    S, V = np.meshgrid(*grid_nodes(spec, n, n), indexing="ij")
     h = metric_h(spec, S, V / spec.rho0)
     vk = v_kin(spec, S, V / spec.rho0)
     worst = 0.0
@@ -129,10 +126,7 @@ def test_criterion_03_operator_identity():
 def test_criterion_04_ray_selection():
     spec = FIG3
     n = 64
-    s = np.arange(n) * (spec.s_period / n)
-    varphi = -0.5 * spec.varphi_period + np.arange(n) * (
-        spec.varphi_period / n
-    )
+    s, varphi = grid_nodes(spec, n, n)
     grid = v1_multiplicative(spec, s[:, None], (varphi / spec.rho0)[None, :])
     coef = np.fft.fft2(np.broadcast_to(grid, (n, n))) / n**2
     ms = np.fft.fftfreq(n, 1.0 / n).astype(int)

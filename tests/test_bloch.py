@@ -26,7 +26,7 @@ from helitube.bloch import (
     zone_boundary_k,
     _invert_hessian,
 )
-from helitube.geometry import HelixSpec
+from helitube.geometry import HelixSpec, grid_nodes
 from helitube.operators import PHI, effective_params, v1_apply, wave_field
 
 FIG3 = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
@@ -100,9 +100,7 @@ def test_coupling_table_against_fourier_transform_of_v1():
     # with the grid phases written out)
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
     n = 32
-    s = np.arange(n) * (spec.s_period / n)
-    varphi = -0.5 * spec.varphi_period + np.arange(n) * (spec.varphi_period / n)
-    S, V = np.meshgrid(s, varphi, indexing="ij")
+    S, V = np.meshgrid(*grid_nodes(spec, n, n), indexing="ij")
     for m_src, n_src in ((0, 0), (2, 0), (-1, 1)):
         q_s = m_src * spec.tau
         src = np.exp(1j * (q_s * S + n_src * V / spec.rho0))

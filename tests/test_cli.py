@@ -256,6 +256,14 @@ def test_gap_scan_default_sweep_fit_and_ratio(tmp_path):
     assert fit["slope_twoband"] == pytest.approx(0.375, rel=1e-12)
 
 
+def test_gap_scan_too_many_harmonics_is_config_error(tmp_path, capsys):
+    # 2*2048 + 1 ray rows pass the oracle's 4096 cap
+    rc = main(["gap-scan", "--harmonics", "2048", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "cap" in capsys.readouterr().err
+    assert not (tmp_path / "gapscan.csv").exists()
+
+
 # ------------------------------------------------------------ cylinder check
 
 

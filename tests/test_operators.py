@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helitube.geometry import HelixSpec, metric_h, v_curv
+from helitube.geometry import HelixSpec, grid_nodes, metric_h, v_curv
 from helitube.operators import (
     PHI,
     PSI,
@@ -100,9 +100,7 @@ def test_laplacian_constant_straight_tube():
 def test_laplacian_cylinder_eigenfunction():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.5)
     n_s, n_phi = 8, 16
-    varphi = -0.5 * spec.varphi_period + np.arange(n_phi) * (
-        spec.varphi_period / n_phi
-    )
+    _, varphi = grid_nodes(spec, n_s, n_phi)
     for n in (1, 2, -3):
         vals = np.ones((n_s, 1)) * np.exp(1j * n * varphi / spec.rho0)[None, :]
         out = apply_laplace_beltrami(spec, wave_field(spec, vals, PSI))
@@ -160,11 +158,7 @@ def test_gauge_identity_on_random_fields():
     spec = FIG3
     rng = np.random.default_rng(123)
     n = 64
-    S, V = np.meshgrid(
-        np.arange(n) * (spec.s_period / n),
-        -0.5 * spec.varphi_period + np.arange(n) * (spec.varphi_period / n),
-        indexing="ij",
-    )
+    S, V = np.meshgrid(*grid_nodes(spec, n, n), indexing="ij")
     h = metric_h(spec, S, V / spec.rho0)
     vk = v_kin(spec, S, V / spec.rho0)
     for _ in range(20):
@@ -214,10 +208,7 @@ def test_v_eff_ridge_minimum_torsion_dominated():
 def test_transformed_operator_cylinder_closed_form():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.5)
     n_s, n_phi = 16, 16
-    s = np.arange(n_s) * (spec.s_period / n_s)
-    varphi = -0.5 * spec.varphi_period + np.arange(n_phi) * (
-        spec.varphi_period / n_phi
-    )
+    s, varphi = grid_nodes(spec, n_s, n_phi)
     for n, m in ((0, 0), (1, 2), (-2, 1)):
         k = m * spec.tau  # on-grid longitudinal mode
         vals = np.exp(1j * (n * varphi / spec.rho0)[None, :] + 1j * (k * s)[:, None])
@@ -245,11 +236,7 @@ def test_gauge_equivalence_of_operators():
     spec = FIG3
     rng = np.random.default_rng(77)
     n = 64
-    S, V = np.meshgrid(
-        np.arange(n) * (spec.s_period / n),
-        -0.5 * spec.varphi_period + np.arange(n) * (spec.varphi_period / n),
-        indexing="ij",
-    )
+    S, V = np.meshgrid(*grid_nodes(spec, n, n), indexing="ij")
     h = metric_h(spec, S, V / spec.rho0)
     vc = v_curv(spec, S, V / spec.rho0)
     for _ in range(5):
@@ -278,11 +265,7 @@ def test_v1_constant_field_is_pure_multiplication():
     n = 32
     fld = wave_field(spec, np.ones((n, n), dtype=complex), PHI)
     out = v1_apply(spec, fld)
-    S, V = np.meshgrid(
-        np.arange(n) * (spec.s_period / n),
-        -0.5 * spec.varphi_period + np.arange(n) * (spec.varphi_period / n),
-        indexing="ij",
-    )
+    S, V = np.meshgrid(*grid_nodes(spec, n, n), indexing="ij")
     expect = v1_multiplicative(spec, S, V / spec.rho0)
     np.testing.assert_allclose(out.values, expect, atol=1e-12)
 
@@ -291,11 +274,7 @@ def test_v1_multiplicative_supported_on_single_ray():
     # 2-d Fourier coefficients vanish off the (j, -j) ray
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
     n = 32
-    S, V = np.meshgrid(
-        np.arange(n) * (spec.s_period / n),
-        -0.5 * spec.varphi_period + np.arange(n) * (spec.varphi_period / n),
-        indexing="ij",
-    )
+    S, V = np.meshgrid(*grid_nodes(spec, n, n), indexing="ij")
     vals = v1_multiplicative(spec, S, V / spec.rho0)
     coef = np.fft.fft2(vals) / vals.size
     ms = np.fft.fftfreq(n, 1.0 / n).astype(int)
@@ -320,11 +299,7 @@ def _v1_true_action(spec, fld):
     from helitube.geometry import rotation_angle
 
     n_s, n_phi = fld.values.shape
-    S, V = np.meshgrid(
-        np.arange(n_s) * (fld.period_s / n_s),
-        -0.5 * fld.period_varphi + np.arange(n_phi) * (fld.period_varphi / n_phi),
-        indexing="ij",
-    )
+    S, V = np.meshgrid(*grid_nodes(spec, n_s, n_phi, fld.period_s), indexing="ij")
     xb = rotation_angle(spec, S) + V / spec.rho0
     f_s = spectral_derivative(fld.values, 0, fld.period_s)
     f_ss = spectral_derivative(fld.values, 0, fld.period_s, 2)

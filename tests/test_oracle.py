@@ -59,8 +59,6 @@ def test_full_dimension_guard():
     with pytest.raises(ValueError):
         assemble_full(FIG3, BlochVector(0.0, 0), 96, 48)
     with pytest.raises(ValueError):
-        assemble_full(FIG3, BlochVector(0.0, 0), 20, 16, max_dimension=256)
-    with pytest.raises(ValueError):
         assemble_full(FIG3, BlochVector(0.0, 0), 2, 8)
 
 
@@ -107,7 +105,7 @@ def test_full_refinement_order():
     k = BlochVector(0.0, 0)
     lowest = {}
     for n_s in (32, 64, 128):
-        lowest[n_s] = eigensolve(assemble_full(spec, k, n_s, 24), 1).eigenvalues[0]
+        lowest[n_s] = screw_eigenvalues(spec, k, n_s, 24, 1)[0]
     d1 = abs(lowest[32] - lowest[64])
     d2 = abs(lowest[64] - lowest[128])
     order = math.log2(d1 / d2)
@@ -118,24 +116,9 @@ def test_full_refinement_order():
 def test_full_time_reversal_pair():
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
     k_s = 0.37 * spec.tau
-    up = eigensolve(assemble_full(spec, BlochVector(k_s, 0), 32, 24), 6)
-    dn = eigensolve(assemble_full(spec, BlochVector(-k_s, 0), 32, 24), 6)
-    np.testing.assert_allclose(up.eigenvalues, dn.eigenvalues, atol=1e-9)
-
-
-def test_full_transverse_restriction_matches_cylinder():
-    spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.5)
-    n_s, n_phi = 16, 12
-    full = np.linalg.eigvalsh(
-        assemble_full(spec, BlochVector(0.0, 0), n_s, n_phi).entries
-    )
-    for n in (0, 1, 2):
-        H1 = assemble_full(spec, BlochVector(0.0, 0), n_s, n_phi, transverse_n=n)
-        assert H1.dimension == n_s
-        sub = np.linalg.eigvalsh(H1.entries)
-        # every restricted eigenvalue appears in the full spectrum
-        for e in sub:
-            assert np.min(np.abs(full - e)) <= 1e-9
+    up = screw_eigenvalues(spec, BlochVector(k_s, 0), 32, 24, 6)
+    dn = screw_eigenvalues(spec, BlochVector(-k_s, 0), 32, 24, 6)
+    np.testing.assert_allclose(up, dn, atol=1e-9)
 
 
 # ------------------------------------------------------------ screw blocks
@@ -239,6 +222,12 @@ def test_perturbed_hermitian_and_minimum_size():
         assemble_perturbed(spec, (0.1, 0.0), 2)
 
 
+def test_perturbed_storage_cap():
+    # 2*2048 + 1 = 4097 rows: refused before the matrix is allocated
+    with pytest.raises(ValueError, match="cap"):
+        assemble_perturbed(FIG3, (0.0, 0.0), 2048)
+
+
 def test_perturbed_truncation_stability():
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
     kb = tuple(zone_boundary_k(spec))
@@ -266,14 +255,14 @@ def test_perturbed_vs_two_band_second_order():
 
 
 def test_eigensolve_trivial_diag():
-    H = DiscretizedHamiltonian(np.diag([2.0, 1.0]), GRID_2D, BlochVector(0.0, 0))
+    H = DiscretizedHamiltonian(np.diag([2.0, 1.0]), GRID_2D)
     res = eigensolve(H, 2)
     np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0])
     assert res.eigenvectors is None and res.residual_norms is None
 
 
 def test_eigensolve_validates_count():
-    H = DiscretizedHamiltonian(np.eye(3), GRID_2D, BlochVector(0.0, 0))
+    H = DiscretizedHamiltonian(np.eye(3), GRID_2D)
     with pytest.raises(ValueError):
         eigensolve(H, 4)
     with pytest.raises(ValueError):
@@ -297,7 +286,7 @@ def test_eigensolve_deterministic():
 
 def test_eigensolve_convergence_failure_diagnostic():
     bad = np.full((3, 3), np.nan)
-    H = DiscretizedHamiltonian(bad, GRID_2D, BlochVector(0.0, 0))
+    H = DiscretizedHamiltonian(bad, GRID_2D)
     with pytest.raises(ConvergenceFailure):
         eigensolve(H, 2)
 
@@ -329,7 +318,7 @@ def test_eigensolve_against_characteristic_polynomial():
     rng = np.random.default_rng(7)
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     A = 0.5 * (raw + raw.conj().T)
-    H = DiscretizedHamiltonian(A, GRID_2D, BlochVector(0.0, 0))
+    H = DiscretizedHamiltonian(A, GRID_2D)
     got = eigensolve(H, 4).eigenvalues
     want = _bisection_eigenvalues(A)
     assert len(want) == 4
@@ -425,7 +414,7 @@ def test_full_vs_perturbed_lowest_band_as_stated():
 
 def test_variational_ground_state_below_cylinder():
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
-    e0 = eigensolve(assemble_full(spec, BlochVector(0.0, 0), 32, 32), 1).eigenvalues[0]
+    e0 = screw_eigenvalues(spec, BlochVector(0.0, 0), 32, 32, 1)[0]
     straight = HelixSpec(kappa=0.0, tau=1.0, rho0=0.05)
     cyl = cylinder_limit_energies(straight, 0, 1, math.inf)
     assert e0 < cyl
