@@ -17,17 +17,14 @@ from .geometry import (
     EmbeddingViolation,
     FrameSample,
     HelixSpec,
-    ScalarField2D,
-    SurfaceSample,
     frenet_frame,
     grid_nodes,
+    helical_phase,
     metric_h,
     principal_curvatures,
     rotated_frame,
     rotation_angle,
-    sample_field,
     surface_point,
-    surface_sample,
     v_curv,
     weingarten,
 )
@@ -96,10 +93,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegenerateCurve", "DegeneratePeriod", "EmbeddingViolation",
-    "FrameSample", "HelixSpec", "ScalarField2D", "SurfaceSample",
-    "frenet_frame", "grid_nodes", "metric_h", "principal_curvatures",
-    "rotated_frame", "rotation_angle", "sample_field", "surface_point",
-    "surface_sample", "v_curv", "weingarten",
+    "FrameSample", "HelixSpec", "frenet_frame", "grid_nodes",
+    "helical_phase", "metric_h", "principal_curvatures", "rotated_frame",
+    "rotation_angle", "surface_point", "v_curv", "weingarten",
     "PHI", "PSI", "EffectiveParams", "GaugeMismatch", "WaveField",
     "apply_laplace_beltrami", "apply_transformed_operator",
     "effective_params", "laplace_beltrami_expanded", "normalize",

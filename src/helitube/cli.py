@@ -54,6 +54,9 @@ PHYSICAL = "PHYSICAL"
 
 _DEFAULT_EPS_SWEEP = (0.01, 0.02, 0.03, 0.04, 0.05)
 
+# geometry/potential hold a few arrays and one text row per node
+_MAX_NODES = 2**20
+
 
 class ConfigError(ValueError):
     """Invalid configuration file, flag value, or parameter combination."""
@@ -73,7 +76,6 @@ class RunConfig:
     kpath_start: float = 0.0
     kpath_end: float | None = None  # None = zone boundary -|tau|/2
     kpath_count: int = 101
-    transverse_n: int = 0
     eps_sweep: tuple = _DEFAULT_EPS_SWEEP
     out_dir: str = "out"
     units: str = "natural"
@@ -83,6 +85,10 @@ class RunConfig:
         self.energy_scale()  # parses the units string
         if self.n_s < 4 or self.n_phi < 4:
             raise ConfigError("grid must be at least 4x4")
+        if self.n_s * self.n_phi > _MAX_NODES:
+            raise ConfigError(
+                f"grid {self.n_s}x{self.n_phi} has more than {_MAX_NODES} nodes"
+            )
         if self.n_harmonics < 3:
             raise ConfigError("n_harmonics must be >= 3")
         if 2 * self.n_harmonics + 1 > DEFAULT_MAX_DIMENSION:
@@ -132,7 +138,7 @@ class RunConfig:
         ks = np.linspace(
             self.kpath_start, self.resolved_kpath_end(), self.kpath_count
         )
-        return [BlochVector(float(k), self.transverse_n) for k in ks]
+        return [BlochVector(float(k)) for k in ks]
 
     def energy_scale(self) -> float:
         """1 in natural units; hbar^2/(2 mu) when units = physical:<mu>."""
@@ -178,7 +184,6 @@ _CONVERTERS = {
     "kpath_start": float,
     "kpath_end": float,
     "kpath_count": _parse_int,
-    "transverse_n": _parse_int,
     "eps_sweep": _parse_eps_list,
     "out_dir": str,
     "units": str,
@@ -237,7 +242,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         cfg = replace(cfg, **parse_config_file(args.config))
     updates = {}
-    for key in ("kappa", "tau", "rho0", "transverse_n"):
+    for key in ("kappa", "tau", "rho0"):
         val = getattr(args, key)
         if val is not None:
             updates[key] = val
@@ -293,13 +298,6 @@ def write_json(path: Path, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _cell_mesh(spec: HelixSpec, cfg: RunConfig):
-    """(s, phi) at every node of the configured unit-cell grid, s-major."""
-    s, varphi = grid_nodes(spec, cfg.n_s, cfg.n_phi)
-    S, V = np.meshgrid(s, varphi, indexing="ij")
-    return S, V / spec.rho0
-
-
 def _node_rows(*columns) -> list[list[str]]:
     """One formatted row per grid node, in the nodes' s-major order."""
     flat = (np.ravel(c).tolist() for c in columns)
@@ -313,7 +311,7 @@ def _node_rows(*columns) -> list[list[str]]:
 def cmd_geometry(cfg: RunConfig) -> int:
     spec = cfg.spec()
     out = Path(cfg.out_dir)
-    S, P = _cell_mesh(spec, cfg)
+    S, P = grid_nodes(spec, cfg.n_s, cfg.n_phi)
     x = surface_point(spec, S, P)
     k1, k2, m, gauss = principal_curvatures(spec, S, P)
     rows = _node_rows(
@@ -329,7 +327,7 @@ def cmd_potential(cfg: RunConfig) -> int:
     spec = cfg.spec()
     out = Path(cfg.out_dir)
     scale = cfg.energy_scale()
-    S, P = _cell_mesh(spec, cfg)
+    S, P = grid_nodes(spec, cfg.n_s, cfg.n_phi)
     rows = _node_rows(
         S, P, scale * v_curv(spec, S, P), scale * v_kin(spec, S, P),
         scale * v_eff(spec, S, P),
@@ -357,7 +355,7 @@ def cmd_bands(cfg: RunConfig) -> int:
     rows = []
     for i, k in enumerate(path):
         rows.append(
-            [fmt(k.k_s), str(cfg.transverse_n)]
+            [fmt(k.k_s), "0"]
             + [fmt(scale * e) for e in tb.energies[i]]
             + [fmt(scale * e) for e in pert.energies[i]]
             + [fmt(scale * e) for e in full.energies[i]]
@@ -383,7 +381,7 @@ def cmd_bands(cfg: RunConfig) -> int:
             "start": cfg.kpath_start,
             "end": cfg.resolved_kpath_end(),
             "count": cfg.kpath_count,
-            "transverse_n": cfg.transverse_n,
+            "transverse_n": 0,
         },
         "gap_twoband": scale * two_band_gap(spec),
         "gap_oracle_pert": scale * gap_perturbed(spec, n_harmonics=cfg.n_harmonics),
@@ -516,7 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", default=None, metavar="NxM")
         p.add_argument("--harmonics", type=int, default=None, metavar="N")
         p.add_argument("--kpath", default=None, metavar="a:b:n")
-        p.add_argument("--transverse-n", type=int, default=None, dest="transverse_n")
         p.add_argument("--eps-sweep", default=None, dest="eps_sweep",
                        metavar="v1,v2,...")
         p.add_argument("--out", default=None, metavar="DIR")

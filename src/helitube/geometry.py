@@ -14,7 +14,9 @@ is diagonal with a single nontrivial factor
     h(s, phi) = 1 + rho0 kappa cos(theta(s) + phi),
 
 and the principal curvatures, mean/Gauss curvatures and the attractive
-curvature potential all have closed forms evaluated here.
+curvature potential all have closed forms evaluated here.  Each depends on
+(s, phi) only through the helical phase xi = theta(s) + phi (helical_phase),
+the tube's screw symmetry.
 
 Energies are in natural units 2*mu*E/hbar^2 (dimension 1/length^2).
 """
@@ -22,7 +24,7 @@ Energies are in natural units 2*mu*E/hbar^2 (dimension 1/length^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +34,8 @@ __all__ = [
     "EmbeddingViolation",
     "HelixSpec",
     "FrameSample",
-    "SurfaceSample",
-    "ScalarField2D",
     "rotation_angle",
+    "helical_phase",
     "frenet_frame",
     "rotated_frame",
     "surface_point",
@@ -42,9 +43,7 @@ __all__ = [
     "weingarten",
     "principal_curvatures",
     "v_curv",
-    "surface_sample",
     "grid_nodes",
-    "sample_field",
 ]
 
 
@@ -145,52 +144,19 @@ class FrameSample:
     B: np.ndarray | None = None
 
 
-@dataclass
-class SurfaceSample:
-    """All pointwise geometric quantities at one (s, phi)."""
-
-    s: float
-    phi: float
-    varphi: float
-    point: np.ndarray
-    h: float
-    kappa1: float
-    kappa2: float
-    M: float
-    K: float
-    v_curv: float
-
-
-@dataclass
-class ScalarField2D:
-    """Real samples of a quantity over one periodic (s, varphi) unit cell.
-
-    Node (i, j) sits at (i*period_s/n_s, -pi*rho0 + j*period_varphi/n_phi),
-    as built by grid_nodes; both directions are half-open so no periodic
-    edge is duplicated.
-    """
-
-    n_s: int
-    n_phi: int
-    period_s: float
-    period_varphi: float
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.n_s < 2 or self.n_phi < 2:
-            raise ValueError("grid must be at least 2x2")
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.n_s, self.n_phi):
-            raise ValueError(
-                f"values shape {self.values.shape} != ({self.n_s}, {self.n_phi})"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
-
-
 def rotation_angle(spec: HelixSpec, s):
     """Frame rotation angle theta(s) = -tau*(s - s0)."""
     return -spec.tau * (np.asarray(s, dtype=float) - spec.s0)
+
+
+def helical_phase(spec: HelixSpec, s, phi):
+    """Helical phase xi = theta(s) + phi.
+
+    h, the curvatures, v_curv and the effective potential depend on
+    (s, phi) only through xi, so they are invariant under the screw shift
+    (s, phi) -> (s + d, phi + tau d).
+    """
+    return rotation_angle(spec, s) + np.asarray(phi, dtype=float)
 
 
 def _frame_arrays(spec: HelixSpec, s):
@@ -226,12 +192,15 @@ def rotated_frame(spec: HelixSpec, s: float) -> FrameSample:
         N = cos(theta) n + sin(theta) b,   B = -sin(theta) n + cos(theta) b.
     """
     fr = frenet_frame(spec, s)
-    th = float(rotation_angle(spec, s))
-    c, sn = math.cos(th), math.sin(th)
-    fr.theta = th
-    fr.N = c * fr.n + sn * fr.b
-    fr.B = -sn * fr.n + c * fr.b
+    fr.theta = float(rotation_angle(spec, s))
+    fr.N, fr.B = _rotate_normals(fr.n, fr.b, fr.theta)
     return fr
+
+
+def _rotate_normals(n, b, theta):
+    """(N, B): the Frenet normals n, b rotated through theta about t."""
+    c, sn = np.cos(theta), np.sin(theta)
+    return c * n + sn * b, -sn * n + c * b
 
 
 def _base_point(spec: HelixSpec, s):
@@ -250,25 +219,20 @@ def surface_point(spec: HelixSpec, s, phi) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     phi = np.asarray(phi, dtype=float)
     s, phi = np.broadcast_arrays(s, phi)
-    t, n, b = _frame_arrays(spec, s)
-    th = rotation_angle(spec, s)[..., None]
-    N = np.cos(th) * n + np.sin(th) * b
-    B = -np.sin(th) * n + np.cos(th) * b
+    _, n, b = _frame_arrays(spec, s)
+    N, B = _rotate_normals(n, b, rotation_angle(spec, s)[..., None])
     x = _base_point(spec, s)
     return x - spec.rho0 * (np.sin(phi)[..., None] * B + np.cos(phi)[..., None] * N)
 
 
 def metric_h(spec: HelixSpec, s, phi):
     """Metric factor h(s, phi) = 1 + rho0*kappa*cos(theta(s) + phi); h > 0."""
-    th = rotation_angle(spec, s)
-    return 1.0 + spec.epsilon * np.cos(th + np.asarray(phi, dtype=float))
+    return 1.0 + spec.epsilon * np.cos(helical_phase(spec, s, phi))
 
 
 def weingarten(spec: HelixSpec, s: float, phi: float) -> np.ndarray:
     """Shape operator in the (varphi, s) tangent basis: diag(1/rho0, kappa2)."""
-    k2 = spec.kappa * math.cos(float(rotation_angle(spec, s)) + phi) / float(
-        metric_h(spec, s, phi)
-    )
+    k2 = float(principal_curvatures(spec, s, phi)[1])
     return np.array([[1.0 / spec.rho0, 0.0], [0.0, k2]])
 
 
@@ -286,9 +250,8 @@ def principal_curvatures(spec: HelixSpec, s, phi):
     shape operator never matters downstream.
     """
     h = metric_h(spec, s, phi)
-    th = rotation_angle(spec, s)
     k1 = np.full_like(np.asarray(h, dtype=float), 1.0 / spec.rho0)
-    k2 = spec.kappa * np.cos(th + np.asarray(phi, dtype=float)) / h
+    k2 = spec.kappa * np.cos(helical_phase(spec, s, phi)) / h
     return k1, k2, 0.5 * (k1 + k2), k1 * k2
 
 
@@ -301,84 +264,19 @@ def v_curv(spec: HelixSpec, s, phi):
     return -1.0 / (4.0 * spec.rho0**2 * h**2)
 
 
-def surface_sample(spec: HelixSpec, s: float, phi: float) -> SurfaceSample:
-    """Bundle every pointwise geometric quantity at one (s, phi)."""
-    k1, k2, M, K = principal_curvatures(spec, s, phi)
-    return SurfaceSample(
-        s=float(s),
-        phi=float(phi),
-        varphi=spec.rho0 * float(phi),
-        point=surface_point(spec, s, phi),
-        h=float(metric_h(spec, s, phi)),
-        kappa1=float(k1),
-        kappa2=float(k2),
-        M=float(M),
-        K=float(K),
-        v_curv=float(v_curv(spec, s, phi)),
-    )
-
-
 def grid_nodes(spec: HelixSpec, n_s: int, n_phi: int, s_period: float | None = None):
-    """Uniform half-open grid nodes (s_i, varphi_j) of one unit cell."""
+    """(S, PHI): (s, phi) at every node of one unit cell, s-major.
+
+    Node (i, j) sits at s = i*s_period/n_s and varphi = rho0*phi =
+    -pi*rho0 + j*2*pi*rho0/n_phi; both directions are half-open, so no
+    periodic edge is duplicated.  s_period defaults to 2*pi/|tau| and must
+    be given when tau = 0 (DegeneratePeriod otherwise).
+    """
     if s_period is None:
         s_period = spec.s_period  # raises DegeneratePeriod for tau = 0
     if s_period <= 0.0:
         raise ValueError(f"s_period must be > 0, got {s_period!r}")
     s = np.arange(n_s) * (s_period / n_s)
     varphi = -math.pi * spec.rho0 + np.arange(n_phi) * (spec.varphi_period / n_phi)
-    return s, varphi
-
-
-def sample_field(
-    spec: HelixSpec,
-    quantity: str,
-    n_s: int,
-    n_phi: int,
-    s_period: float | None = None,
-) -> ScalarField2D:
-    """Sample a named scalar quantity over one periodic unit cell.
-
-    Parameters
-    ----------
-    quantity : {"h", "v_curv", "v_kin", "v_eff", "V1"}
-        "V1" is the multiplicative part of the first-order potential.
-    n_s, n_phi : int
-        Grid sizes, >= 2 each.
-    s_period : float, optional
-        Explicit s-period; required when tau = 0 (DegeneratePeriod otherwise).
-    """
-    if n_s < 2 or n_phi < 2:
-        raise ValueError("grid must be at least 2x2")
-    if spec.tau == 0.0 and s_period is None:
-        raise DegeneratePeriod(
-            "tau = 0: supply s_period explicitly to sample an s-dependent cell"
-        )
-    s, varphi = grid_nodes(spec, n_s, n_phi, s_period)
     S, V = np.meshgrid(s, varphi, indexing="ij")
-    PHI = V / spec.rho0
-
-    if quantity == "h":
-        vals = metric_h(spec, S, PHI)
-    elif quantity == "v_curv":
-        vals = v_curv(spec, S, PHI)
-    elif quantity in ("v_kin", "v_eff", "V1"):
-        # operators builds on geometry; import here to keep the layering acyclic
-        from . import operators
-
-        fn = {
-            "v_kin": operators.v_kin,
-            "v_eff": operators.v_eff,
-            "V1": operators.v1_multiplicative,
-        }[quantity]
-        vals = fn(spec, S, PHI)
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}")
-
-    period_s = spec.s_period if s_period is None else float(s_period)
-    return ScalarField2D(
-        n_s=n_s,
-        n_phi=n_phi,
-        period_s=period_s,
-        period_varphi=spec.varphi_period,
-        values=np.asarray(vals, dtype=float),
-    )
+    return S, V / spec.rho0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HelixSpec, grid_nodes, metric_h, rotation_angle, v_curv
+from .geometry import HelixSpec, grid_nodes, helical_phase, metric_h, v_curv
 
 __all__ = [
     "GaugeMismatch",
@@ -119,9 +119,7 @@ def wave_field(
 
 def _grid(spec: HelixSpec, field: WaveField):
     """(s, phi) at every node of the field's unit cell."""
-    nodes = grid_nodes(spec, field.n_s, field.n_phi, field.period_s)
-    S, V = np.meshgrid(*nodes, indexing="ij")
-    return S, V / spec.rho0
+    return grid_nodes(spec, field.n_s, field.n_phi, field.period_s)
 
 
 def wavefield_norm(spec: HelixSpec, field: WaveField) -> float:
@@ -177,9 +175,9 @@ def apply_laplace_beltrami(spec: HelixSpec, psi: WaveField) -> WaveField:
 
 def _h_derivatives(spec: HelixSpec, s, phi):
     """Analytic h and its first/second derivatives in s and varphi."""
-    x = rotation_angle(spec, s) + np.asarray(phi, dtype=float)
+    xi = helical_phase(spec, s, phi)
     eps, tau, rho0 = spec.epsilon, spec.tau, spec.rho0
-    c, sn = np.cos(x), np.sin(x)
+    c, sn = np.cos(xi), np.sin(xi)
     h = 1.0 + eps * c
     h_s = eps * tau * sn
     h_ss = -eps * tau**2 * c
@@ -245,40 +243,34 @@ def apply_transformed_operator(spec: HelixSpec, phi_field: WaveField) -> WaveFie
     return phi_field.like(flux - f_vv + pot * f)
 
 
-def _phase_x(spec: HelixSpec, s, phi):
-    """Ray phase x = tau(s - s0) - varphi/rho0 of the first-order potential."""
-    return spec.tau * (np.asarray(s, dtype=float) - spec.s0) - np.asarray(
-        phi, dtype=float
-    )
-
-
 def v1_multiplicative(spec: HelixSpec, s, phi):
     """Multiplicative part of the first-order potential.
 
-    eps * (kappa^2/2) [cos x + cos^2 x - cos^3 x] with x = tau(s-s0) - phi;
-    the derivative terms of the first-order operator are not included here.
+    eps * (kappa^2/2) [cos xi + cos^2 xi - cos^3 xi] with the helical phase
+    xi = phi - tau(s - s0); the derivative terms of the first-order operator
+    are not included here.
     """
-    c = np.cos(_phase_x(spec, s, phi))
+    c = np.cos(helical_phase(spec, s, phi))
     return spec.epsilon * 0.5 * spec.kappa**2 * (c + c**2 - c**3)
 
 
 def v1_apply(spec: HelixSpec, phi_field: WaveField) -> WaveField:
     """Action of the operator-valued first-order potential on a PHI field.
 
-    eps { (kappa^2/2)[cos x + cos^2 x - cos^3 x] + cos x d_s^2
-          - tau sin x d_s },  x = tau(s - s0) - varphi/rho0,
+    eps { (kappa^2/2)[cos xi + cos^2 xi - cos^3 xi] + cos xi d_s^2
+          + tau sin xi d_s },  xi = varphi/rho0 - tau(s - s0),
     with spectral derivatives.  Linear in eps by construction.
     """
     if phi_field.gauge != PHI:
         raise GaugeMismatch(f"expected PHI-gauge input, got {phi_field.gauge}")
     S, P = _grid(spec, phi_field)
-    x = _phase_x(spec, S, P)
+    xi = helical_phase(spec, S, P)
     f = phi_field.values
     f_s = spectral_derivative(f, 0, phi_field.period_s)
     f_ss = spectral_derivative(f, 0, phi_field.period_s, 2)
     mult = v1_multiplicative(spec, S, P)
     out = mult * f + spec.epsilon * (
-        np.cos(x) * f_ss - spec.tau * np.sin(x) * f_s
+        np.cos(xi) * f_ss + spec.tau * np.sin(xi) * f_s
     )
     return phi_field.like(out)
 

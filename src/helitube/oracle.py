@@ -110,10 +110,9 @@ def assemble_full(spec: HelixSpec, k, n_s: int, n_phi: int) -> DiscretizedHamilt
     _check_storage(1, dim)
     ds = spec.s_period / n_s
     dv = spec.varphi_period / n_phi
-    s, varphi = grid_nodes(spec, n_s, n_phi)
-    phi = varphi / spec.rho0
-    pot = v_eff(spec, s[:, None], phi[None, :])
-    flux = metric_h(spec, (s + 0.5 * ds)[:, None], phi[None, :]) ** -2.0
+    S, P = grid_nodes(spec, n_s, n_phi)
+    pot = v_eff(spec, S, P)
+    flux = metric_h(spec, S + 0.5 * ds, P) ** -2.0
 
     phase = _unit_phase(k_components(spec, k)[0] * spec.s_period)
     dtype = np.float64 if phase.imag == 0.0 else np.complex128
@@ -175,10 +174,9 @@ def screw_eigenvalues(
     _check_storage(g, d)
     ds = spec.s_period / n_s
     dv = spec.varphi_period / n_phi
-    s, varphi = grid_nodes(spec, n_s, n_phi)
-    s, phi = s[:r, None], (varphi / spec.rho0)[None, :]
-    pot = v_eff(spec, s, phi)
-    flux = metric_h(spec, s + 0.5 * ds, phi) ** -2.0
+    S, P = (a[:r] for a in grid_nodes(spec, n_s, n_phi))
+    pot = v_eff(spec, S, P)
+    flux = metric_h(spec, S + 0.5 * ds, P) ** -2.0
     # the bond into row 0 comes from row -1, the screw image of (r-1, j+dj)
     flux_in = np.vstack([np.roll(flux[-1], -dj)[None, :], flux[:-1]])
     diag = (flux + flux_in) / ds**2 + 2.0 / dv**2 + pot

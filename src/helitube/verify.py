@@ -58,9 +58,9 @@ def check_operator_identity(cfg) -> dict:
     spec = cfg.spec()
     n_s, n_phi = cfg.n_s, cfg.n_phi
     rng = np.random.default_rng(_IDENTITY_SEED)
-    S, V = np.meshgrid(*grid_nodes(spec, n_s, n_phi), indexing="ij")
-    h = metric_h(spec, S, V / spec.rho0)
-    vk = v_kin(spec, S, V / spec.rho0) + cfg.vkin_offset
+    S, P = grid_nodes(spec, n_s, n_phi)
+    h = metric_h(spec, S, P)
+    vk = v_kin(spec, S, P) + cfg.vkin_offset
     worst = 0.0
     for _ in range(_IDENTITY_FIELDS):
         fld = random_band_limited(spec, n_s, n_phi, rng, gauge=PHI)
@@ -138,9 +138,7 @@ def check_ray_selection(cfg) -> dict:
     """Multiplicative first-order term has Fourier support on one ray only."""
     spec = cfg.spec()
     n = 64
-    s, varphi = grid_nodes(spec, n, n)
-    grid = v1_multiplicative(spec, s[:, None], (varphi / spec.rho0)[None, :])
-    coef = np.fft.fft2(np.broadcast_to(grid, (n, n))) / n**2
+    coef = np.fft.fft2(v1_multiplicative(spec, *grid_nodes(spec, n, n))) / n**2
     ms = np.fft.fftfreq(n, 1.0 / n).astype(int)
     # the helical phase j(tau s - phi) sits at grid modes (j sgn(tau), -j)
     sgn = 1 if spec.tau > 0 else -1

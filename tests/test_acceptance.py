@@ -104,9 +104,9 @@ def test_criterion_03_operator_identity():
     spec = FIG3
     n = 64
     rng = np.random.default_rng(123)
-    S, V = np.meshgrid(*grid_nodes(spec, n, n), indexing="ij")
-    h = metric_h(spec, S, V / spec.rho0)
-    vk = v_kin(spec, S, V / spec.rho0)
+    S, P = grid_nodes(spec, n, n)
+    h = metric_h(spec, S, P)
+    vk = v_kin(spec, S, P)
     worst = 0.0
     for _ in range(20):
         fld = random_band_limited(spec, n, n, rng, gauge=PHI)
@@ -126,9 +126,7 @@ def test_criterion_03_operator_identity():
 def test_criterion_04_ray_selection():
     spec = FIG3
     n = 64
-    s, varphi = grid_nodes(spec, n, n)
-    grid = v1_multiplicative(spec, s[:, None], (varphi / spec.rho0)[None, :])
-    coef = np.fft.fft2(np.broadcast_to(grid, (n, n))) / n**2
+    coef = np.fft.fft2(v1_multiplicative(spec, *grid_nodes(spec, n, n))) / n**2
     ms = np.fft.fftfreq(n, 1.0 / n).astype(int)
     on_ray = ms[None, :] == -ms[:, None]
     off = float(np.max(np.abs(np.where(on_ray, 0.0, coef))))

@@ -100,13 +100,13 @@ def test_coupling_table_against_fourier_transform_of_v1():
     # with the grid phases written out)
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
     n = 32
-    S, V = np.meshgrid(*grid_nodes(spec, n, n), indexing="ij")
+    S, P = grid_nodes(spec, n, n)
     for m_src, n_src in ((0, 0), (2, 0), (-1, 1)):
         q_s = m_src * spec.tau
-        src = np.exp(1j * (q_s * S + n_src * V / spec.rho0))
+        src = np.exp(1j * (q_s * S + n_src * P))
         out = v1_apply(spec, wave_field(spec, src, PHI)).values
         for j in (-3, -2, -1, 0, 1, 2, 3):
-            harm = src * np.exp(1j * j * (spec.tau * S - V / spec.rho0))
+            harm = src * np.exp(1j * j * (spec.tau * S - P))
             got = np.vdot(harm, out) / np.vdot(harm, harm)
             want = ray_amplitude(spec, j, q_s)
             assert abs(got - want) <= 1e-10 * max(abs(want), 1e-6)

@@ -123,9 +123,9 @@ def test_rows_match_pointwise_library_calls(tmp_path):
     geo = (tmp_path / "geometry.csv").read_text().splitlines()[1:]
     pot = (tmp_path / "potential.csv").read_text().splitlines()[1:]
     assert len(geo) == len(pot) == n_s * n_phi
-    s_nodes, varphi_nodes = grid_nodes(spec, n_s, n_phi)
+    S, P = grid_nodes(spec, n_s, n_phi)
     for i, j in ((0, 0), (0, n_phi - 1), (1, 0), (3, 2), (7, 5), (n_s - 1, 1)):
-        s, phi = s_nodes[i], varphi_nodes[j] / spec.rho0
+        s, phi = S[i, j], P[i, j]
         want = [s, phi, *surface_point(spec, s, phi), metric_h(spec, s, phi),
                 *principal_curvatures(spec, s, phi)]
         assert geo[i * n_phi + j] == ",".join(map(fmt, want))
@@ -191,9 +191,38 @@ def test_bands_oversized_grid_is_config_error(tmp_path, capsys):
     assert rc == 2
     assert "cap" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-    # the cap belongs to the oracle: the per-node tables take any grid
+    # the oracle's cap: the per-node tables take any grid up to 2**20 nodes
     assert main(["geometry", "--grid", "67x64", "--out", str(tmp_path)]) == 0
     assert main(["potential", "--grid", "67x64", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("cmd", ["geometry", "potential"])
+def test_node_cap_is_config_error(tmp_path, capsys, cmd):
+    # 1025x1024 is one row of nodes over 2**20; refused before any allocation
+    assert main([cmd, "--grid", "1025x1024", "--out", str(tmp_path)]) == 2
+    assert "nodes" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main([cmd, "--grid", "128x128", "--out", str(tmp_path)]) == 0
+    RunConfig(n_s=1024, n_phi=1024).validate()  # exactly at the cap
+    with pytest.raises(ConfigError, match="nodes"):
+        RunConfig(n_s=2**20, n_phi=2**20).validate()
+
+
+def test_transverse_n_flag_and_key_are_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bands", "--transverse-n", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("transverse_n = 1\n")
+    assert main(["bands", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+    assert "transverse_n" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+    # the tables keep the n column and the summary key, both always 0
+    rc = main(["bands", "--grid", "8x8", "--kpath", "0:-0.5:2", "--out", str(tmp_path)])
+    assert rc == 0
+    np.testing.assert_array_equal(col(tmp_path / "bands.csv", "n"), 0.0)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["kpath"]["transverse_n"] == 0
 
 
 def test_bands_large_grid_splits_into_small_blocks(tmp_path):

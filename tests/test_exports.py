@@ -21,8 +21,19 @@ def test_package_exports_are_listed_by_their_module(module):
     assert [n for n in own if n not in module.__all__] == []
 
 
-@pytest.mark.parametrize("name", ["CouplingTable", "coupling_coefficients"])
+# removed name -> the module that used to define it
+_REMOVED = {
+    "CouplingTable": bloch,
+    "coupling_coefficients": bloch,
+    "sample_field": geometry,
+    "surface_sample": geometry,
+    "ScalarField2D": geometry,
+    "SurfaceSample": geometry,
+}
+
+
+@pytest.mark.parametrize("name", list(_REMOVED))
 def test_removed_names_are_gone(name):
     assert name not in helitube.__all__
     assert not hasattr(helitube, name)
-    assert not hasattr(bloch, name)
+    assert not hasattr(_REMOVED[name], name)

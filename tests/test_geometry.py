@@ -16,12 +16,11 @@ from helitube.geometry import (
     principal_curvatures,
     rotated_frame,
     rotation_angle,
-    sample_field,
     surface_point,
-    surface_sample,
     v_curv,
     weingarten,
 )
+from helitube.operators import v_eff
 
 FIG3 = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
 
@@ -294,13 +293,16 @@ def test_v_curv_identity_and_negativity():
 
 
 def test_surface_sample_bundle():
-    smp = surface_sample(FIG3, 0.0, 0.0)
-    assert smp.h == pytest.approx(1.1)
-    assert smp.kappa1 == pytest.approx(10.0)
-    assert smp.M == pytest.approx((smp.kappa1 + smp.kappa2) / 2)
-    assert smp.K == pytest.approx(smp.kappa1 * smp.kappa2)
-    assert smp.varphi == 0.0
-    assert smp.point.shape == (3,)
+    # every pointwise quantity at the cell node (s, phi) = (0, 0)
+    S, P = grid_nodes(FIG3, 8, 8)
+    s, phi = S[0, 4], P[0, 4]
+    assert s == 0.0 and FIG3.rho0 * phi == pytest.approx(0.0, abs=1e-15)
+    kappa1, kappa2, M, K = principal_curvatures(FIG3, s, phi)
+    assert metric_h(FIG3, s, phi) == pytest.approx(1.1)
+    assert kappa1 == pytest.approx(10.0)
+    assert M == pytest.approx((kappa1 + kappa2) / 2)
+    assert K == pytest.approx(kappa1 * kappa2)
+    assert surface_point(FIG3, s, phi).shape == (3,)
 
 
 # ------------------------------------------------------------- field sampling
@@ -308,18 +310,21 @@ def test_surface_sample_bundle():
 
 def test_sample_field_h_straight_tube_is_one():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.5)
-    f = sample_field(spec, "h", 8, 8)
-    assert np.all(f.values == 1.0)
+    h = metric_h(spec, *grid_nodes(spec, 8, 8))
+    assert h.shape == (8, 8)
+    assert np.all(h == 1.0)
 
 
 def test_sample_field_nodes_and_reflection_symmetry():
-    f = sample_field(FIG3, "h", 16, 12)
-    s, varphi = grid_nodes(FIG3, 16, 12)
-    assert s[0] == 0.0 and len(s) == 16
-    assert varphi[0] == pytest.approx(-math.pi * 0.1)
-    assert s[1] - s[0] == pytest.approx(f.period_s / 16)
+    S, P = grid_nodes(FIG3, 16, 12)
+    assert S.shape == P.shape == (16, 12)
+    # s-major mesh: s varies along axis 0 only, phi along axis 1 only
+    assert np.all(S == S[:, :1]) and np.all(P == P[:1])
+    assert S[0, 0] == 0.0
+    assert FIG3.rho0 * P[0, 0] == pytest.approx(-math.pi * 0.1)
+    assert S[1, 0] - S[0, 0] == pytest.approx(FIG3.s_period / 16)
     # h(s, phi) = h(-s, -phi): index map (i, j) -> (-i mod n, -j mod n)
-    v = f.values
+    v = metric_h(FIG3, S, P)
     i = np.arange(16)[:, None]
     j = np.arange(12)[None, :]
     refl = v[(-i) % 16, (-j) % 12]
@@ -328,27 +333,31 @@ def test_sample_field_nodes_and_reflection_symmetry():
 
 
 def test_sample_field_values_match_pointwise_ops():
-    f = sample_field(FIG3, "v_curv", 8, 10)
-    s, varphi = grid_nodes(FIG3, 8, 10)
-    direct = v_curv(FIG3, s[:, None], varphi[None, :] / FIG3.rho0)
-    np.testing.assert_allclose(f.values, direct, rtol=1e-15)
+    # the whole-mesh call equals scalar calls at the nodes written out
+    grid = v_curv(FIG3, *grid_nodes(FIG3, 8, 10))
+    L, c = FIG3.s_period, FIG3.varphi_period
+    direct = [
+        [v_curv(FIG3, i * (L / 8), (-math.pi * FIG3.rho0 + j * (c / 10)) / FIG3.rho0)
+         for j in range(10)]
+        for i in range(8)
+    ]
+    np.testing.assert_allclose(grid, direct, rtol=1e-15)
 
 
 def test_sample_field_degenerate_period():
     torus = HelixSpec(kappa=1.0, tau=0.0, rho0=0.1)
     with pytest.raises(DegeneratePeriod):
-        sample_field(torus, "h", 8, 8)
-    f = sample_field(torus, "h", 8, 8, s_period=2 * math.pi)
-    assert f.period_s == pytest.approx(2 * math.pi)
-    assert f.values.shape == (8, 8)
+        grid_nodes(torus, 8, 8)
+    S, P = grid_nodes(torus, 8, 8, s_period=2 * math.pi)
+    assert 8 * S[1, 0] == pytest.approx(2 * math.pi)
+    assert metric_h(torus, S, P).shape == (8, 8)
 
 
 def test_sample_field_veff_argmin_on_outside():
     # effective potential at s=0 is deepest at phi=0 (outer edge) in the
     # torsion-dominated regime tau^2*rho0^2 > eps^2
     spec = HelixSpec(kappa=0.1, tau=1.0, rho0=1.0)
-    f = sample_field(spec, "v_eff", 16, 64)
-    row = f.values[0]
-    _, varphi = grid_nodes(spec, 16, 64)
+    S, P = grid_nodes(spec, 16, 64)
+    row = v_eff(spec, S, P)[0]
     jmin = int(np.argmin(row))
-    assert abs(varphi[jmin]) < 1e-12
+    assert abs(spec.rho0 * P[0, jmin]) < 1e-12

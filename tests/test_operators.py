@@ -4,8 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helitube.geometry import HelixSpec, grid_nodes, metric_h, v_curv
+from helitube.geometry import (
+    HelixSpec,
+    grid_nodes,
+    helical_phase,
+    metric_h,
+    principal_curvatures,
+    v_curv,
+)
 from helitube.operators import (
     PHI,
     PSI,
@@ -100,9 +109,9 @@ def test_laplacian_constant_straight_tube():
 def test_laplacian_cylinder_eigenfunction():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.5)
     n_s, n_phi = 8, 16
-    _, varphi = grid_nodes(spec, n_s, n_phi)
+    _, P = grid_nodes(spec, n_s, n_phi)
     for n in (1, 2, -3):
-        vals = np.ones((n_s, 1)) * np.exp(1j * n * varphi / spec.rho0)[None, :]
+        vals = np.exp(1j * n * P)
         out = apply_laplace_beltrami(spec, wave_field(spec, vals, PSI))
         np.testing.assert_allclose(out.values, (n / spec.rho0) ** 2 * vals, atol=1e-10)
 
@@ -158,9 +167,9 @@ def test_gauge_identity_on_random_fields():
     spec = FIG3
     rng = np.random.default_rng(123)
     n = 64
-    S, V = np.meshgrid(*grid_nodes(spec, n, n), indexing="ij")
-    h = metric_h(spec, S, V / spec.rho0)
-    vk = v_kin(spec, S, V / spec.rho0)
+    S, P = grid_nodes(spec, n, n)
+    h = metric_h(spec, S, P)
+    vk = v_kin(spec, S, P)
     for _ in range(20):
         fld = random_band_limited(spec, n, n, rng, gauge=PHI)
         psi = WaveField(fld.values / np.sqrt(h), fld.period_s, fld.period_varphi, PSI)
@@ -193,13 +202,64 @@ def test_v_eff_ridge_minimum_torsion_dominated():
     # unit-cell argmin sits on theta(s) + phi = 0 for every s row
     spec = HelixSpec(kappa=0.1, tau=1.0, rho0=1.0)
     n = 32
-    from helitube.geometry import sample_field
-
-    f = sample_field(spec, "v_eff", n, n)
+    f = v_eff(spec, *grid_nodes(spec, n, n))
     for i in range(n):
-        jmin = int(np.argmin(f.values[i]))
+        jmin = int(np.argmin(f[i]))
         # theta + phi = 0 at varphi_j = tau*s_i (rho0 = 1): j = (i + n/2) mod n
         assert jmin == (i + n // 2) % n
+
+
+# ---------------------------------------------------------- screw symmetry
+
+_SCREW_FUNCTIONS = {
+    "h": metric_h,
+    "kappa2": lambda spec, s, phi: principal_curvatures(spec, s, phi)[1],
+    "v_curv": v_curv,
+    "v_kin": v_kin,
+    "v_eff": v_eff,
+    "v1": v1_multiplicative,
+}
+
+
+def _screw_change(spec, s, shift, twist):
+    """Largest change of each pointwise coefficient under (s, phi) ->
+    (s + shift, phi + twist), over one turn of phi, relative to its size."""
+    phi = np.linspace(-math.pi, math.pi, 9)
+    out = {}
+    for name, fn in _SCREW_FUNCTIONS.items():
+        a = fn(spec, s, phi)
+        b = fn(spec, s + shift, phi + twist)
+        scale = np.max(np.abs(a))
+        out[name] = float(np.max(np.abs(b - a)) / scale) if scale > 0 else 0.0
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rho0=st.floats(0.05, 1.5),
+    eps=st.floats(0.0, 0.9, exclude_max=True),
+    tau=st.floats(0.05, 3.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    s0=st.floats(0.01, 5.0),
+    s0_sign=st.sampled_from((1.0, -1.0)),
+    s=st.floats(-10.0, 10.0),
+    shift=st.floats(-10.0, 10.0),
+)
+def test_pointwise_coefficients_are_screw_invariant(
+    rho0, eps, tau, sign, s0, s0_sign, s, shift
+):
+    # every coefficient depends on (s, phi) only through theta(s) + phi
+    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0, s0=s0_sign * s0)
+    change = _screw_change(spec, s, shift, spec.tau * shift)
+    assert max(change.values()) <= 1e-11, change
+
+
+def test_screw_shift_with_wrong_twist_sign_changes_every_coefficient():
+    # negative control: phi + tau d undoes the shift s + d, phi - tau d does not
+    spec = HelixSpec(kappa=1.0, tau=-1.3, rho0=0.3, s0=0.37)
+    assert max(_screw_change(spec, 0.8, 0.7, spec.tau * 0.7).values()) <= 1e-11
+    wrong = _screw_change(spec, 0.8, 0.7, -spec.tau * 0.7)
+    assert min(wrong.values()) > 1e-3, wrong
 
 
 # ------------------------------------------------- transformed operator
@@ -208,10 +268,10 @@ def test_v_eff_ridge_minimum_torsion_dominated():
 def test_transformed_operator_cylinder_closed_form():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.5)
     n_s, n_phi = 16, 16
-    s, varphi = grid_nodes(spec, n_s, n_phi)
+    S, P = grid_nodes(spec, n_s, n_phi)
     for n, m in ((0, 0), (1, 2), (-2, 1)):
         k = m * spec.tau  # on-grid longitudinal mode
-        vals = np.exp(1j * (n * varphi / spec.rho0)[None, :] + 1j * (k * s)[:, None])
+        vals = np.exp(1j * n * P + 1j * k * S)
         out = apply_transformed_operator(spec, wave_field(spec, vals, PHI))
         expect = (k**2 + (n / spec.rho0) ** 2 - 0.25 / spec.rho0**2) * vals
         np.testing.assert_allclose(out.values, expect, atol=1e-10)
@@ -236,9 +296,9 @@ def test_gauge_equivalence_of_operators():
     spec = FIG3
     rng = np.random.default_rng(77)
     n = 64
-    S, V = np.meshgrid(*grid_nodes(spec, n, n), indexing="ij")
-    h = metric_h(spec, S, V / spec.rho0)
-    vc = v_curv(spec, S, V / spec.rho0)
+    S, P = grid_nodes(spec, n, n)
+    h = metric_h(spec, S, P)
+    vc = v_curv(spec, S, P)
     for _ in range(5):
         psi = random_band_limited(spec, n, n, rng, gauge=PSI)
         phi = WaveField(np.sqrt(h) * psi.values, psi.period_s, psi.period_varphi, PHI)
@@ -265,8 +325,8 @@ def test_v1_constant_field_is_pure_multiplication():
     n = 32
     fld = wave_field(spec, np.ones((n, n), dtype=complex), PHI)
     out = v1_apply(spec, fld)
-    S, V = np.meshgrid(*grid_nodes(spec, n, n), indexing="ij")
-    expect = v1_multiplicative(spec, S, V / spec.rho0)
+    S, P = grid_nodes(spec, n, n)
+    expect = v1_multiplicative(spec, S, P)
     np.testing.assert_allclose(out.values, expect, atol=1e-12)
 
 
@@ -274,8 +334,8 @@ def test_v1_multiplicative_supported_on_single_ray():
     # 2-d Fourier coefficients vanish off the (j, -j) ray
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
     n = 32
-    S, V = np.meshgrid(*grid_nodes(spec, n, n), indexing="ij")
-    vals = v1_multiplicative(spec, S, V / spec.rho0)
+    S, P = grid_nodes(spec, n, n)
+    vals = v1_multiplicative(spec, S, P)
     coef = np.fft.fft2(vals) / vals.size
     ms = np.fft.fftfreq(n, 1.0 / n).astype(int)
     bound = 1e-12 * spec.epsilon * spec.kappa**2
@@ -296,11 +356,8 @@ def _v1_true_action(spec, fld):
     eps [ (kappa^2 - tau^2)/2 cos(xb) + 2 cos(xb) d_s^2 + 2 tau sin(xb) d_s ]
     with xb = theta(s) + phi; used as the order-2 reference below.
     """
-    from helitube.geometry import rotation_angle
-
     n_s, n_phi = fld.values.shape
-    S, V = np.meshgrid(*grid_nodes(spec, n_s, n_phi, fld.period_s), indexing="ij")
-    xb = rotation_angle(spec, S) + V / spec.rho0
+    xb = helical_phase(spec, *grid_nodes(spec, n_s, n_phi, fld.period_s))
     f_s = spectral_derivative(fld.values, 0, fld.period_s)
     f_ss = spectral_derivative(fld.values, 0, fld.period_s, 2)
     return spec.epsilon * (
