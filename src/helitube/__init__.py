@@ -5,8 +5,8 @@ Modules
 geometry   helix frames, tube embedding, metric factor, curvatures
 operators  surface Laplacian, gauge transform, effective potential
 bloch      folded zone, ray couplings, two-band model, effective mass
-oracle     finite-difference (dense and screw-block) and plane-wave-ray
-           eigensolvers
+oracle     plane-wave lattice eigensolvers at fixed helical momentum
+           (exact and paper-stated), and the finite-difference grid reference
 cli        deterministic CSV/JSON artifact generation
 verify     self-check suite behind `helitube verify`
 """
@@ -68,6 +68,7 @@ from .bloch import (
     near_boundary_expansion,
     origin_fit,
     ray_amplitude,
+    stated_table,
     two_band_energies,
     two_band_gap,
     two_band_hessian,
@@ -83,9 +84,9 @@ from .oracle import (
     assemble_full,
     assemble_perturbed,
     band_sweep,
+    continuum_levels,
     eigensolve,
     gap_perturbed,
-    screw_blocks,
     screw_eigenvalues,
 )
 
@@ -105,12 +106,12 @@ __all__ = [
     "NearResonance", "OutOfValidity", "ReciprocalVector", "SingularMass",
     "bloch_vector", "cylinder_limit_energies", "effective_mass",
     "first_order_energies", "first_order_u", "gap_scaling", "k_components",
-    "near_boundary_expansion", "origin_fit", "ray_amplitude",
+    "near_boundary_expansion", "origin_fit", "ray_amplitude", "stated_table",
     "two_band_energies", "two_band_gap", "two_band_hessian", "u_squared",
     "zone_boundary_k",
     "GRID_2D", "PLANE_WAVE_RAY", "ConvergenceFailure",
     "DiscretizedHamiltonian", "SpectrumResult", "assemble_full",
-    "assemble_perturbed", "band_sweep", "eigensolve", "gap_perturbed",
-    "screw_blocks", "screw_eigenvalues",
+    "assemble_perturbed", "band_sweep", "continuum_levels", "eigensolve",
+    "gap_perturbed", "screw_eigenvalues",
     "__version__",
 ]

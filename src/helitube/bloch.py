@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -109,30 +109,31 @@ def k_components(spec: HelixSpec, k) -> np.ndarray:
 # coupling amplitudes
 
 
+def stated_table(spec: HelixSpec) -> tuple[dict, dict]:
+    """The paper's first-order Fourier coefficients, keyed by d = n' - n, of
+    h^-2 (w) and of the potential (v) in the helical phase x, from cos x,
+    cos^2 x and cos^3 x written as exponentials; v[0] is the shift
+    eps kappa^2/4 on top of the zeroth-order -a, which is left out."""
+    eps, k2 = spec.epsilon, spec.kappa**2
+    w = {0: 1.0, 1: -eps / 2, -1: -eps / 2}
+    v = {0: eps * k2 / 4}
+    for d, c in ((1, k2 / 16), (2, k2 / 8), (3, -k2 / 16)):
+        v[d] = v[-d] = eps * c
+    return w, v
+
+
 def ray_amplitude(spec: HelixSpec, j: int, q_s: float) -> complex:
     """Amplitude of the j-th ray harmonic acting on a plane wave exp(i q_s s).
 
-    j = 0 is the constant shift eps kappa^2/4; |j| > 3 gives 0.  Closed forms
-    come from writing cos x, cos^2 x, cos^3 x as exponentials (x is the
-    helical phase) and replacing d/ds by i q_s in the derivative part.  An
-    s0 offset only rotates the j-th harmonic by exp(-i j tau s0).
-    """
-    eps = spec.epsilon
-    k2 = spec.kappa**2
-    aj = abs(j)
-    if aj == 0:
-        return eps * k2 / 4
-    if aj == 1:
-        base = eps * (k2 / 16 - q_s**2 / 2 - j * spec.tau * q_s / 2)
-    elif aj == 2:
-        base = eps * k2 / 8
-    elif aj == 3:
-        base = -eps * k2 / 16
-    else:
-        return 0.0
-    if spec.s0 == 0.0:
-        return base
-    return base * cmath.exp(-1j * j * spec.tau * spec.s0)
+    It lowers n by j and raises q by j tau: v[-j] + (q_s + j tau) w[-j] q_s
+    from stated_table, or the shift v[0] at j = 0; an s0 offset rotates it
+    by exp(-i j tau s0)."""
+    w, v = stated_table(spec)
+    if j == 0:
+        return v[0]
+    base = v.get(-j, 0.0) + (q_s + j * spec.tau) * w.get(-j, 0.0) * q_s
+    phase = 1.0 if spec.s0 == 0.0 else cmath.exp(-1j * j * spec.tau * spec.s0)
+    return base * phase
 
 
 def first_order_u(
@@ -186,7 +187,7 @@ def two_band_energies(spec: HelixSpec, k, m: ReciprocalVector = K1):
     lower = float(kv @ kv) - a
     upper = float((kv + K) @ (kv + K)) - a
     u2 = u_squared(spec, kv, m)
-    shift = spec.epsilon * spec.kappa**2 / 4
+    shift = stated_table(spec)[1][0]
     mid = shift + 0.5 * (lower + upper)
     disc = math.sqrt(max(0.25 * (upper - lower) ** 2 + u2, 0.0))
     return mid - disc, mid + disc
@@ -196,7 +197,7 @@ def first_order_energies(spec: HelixSpec, k, n_bands: int) -> np.ndarray:
     """Second-order perturbative energies of the ray-shifted free states."""
     kv = k_components(spec, k)
     a = effective_params(spec).a
-    shift = spec.epsilon * spec.kappa**2 / 4
+    shift = stated_table(spec)[1][0]
     delta = 1e-6 * spec.tau**2
 
     def free(j: int) -> float:
@@ -242,7 +243,7 @@ def near_boundary_expansion(spec: HelixSpec, G: float, m: ReciprocalVector = K1)
         )
     u_abs = math.sqrt(abs(u2))
     a = effective_params(spec).a
-    shift = spec.epsilon * spec.kappa**2 / 4
+    shift = stated_table(spec)[1][0]
     base = shift - a + G**2 + K2 / 4
     corr = u_abs + K2 * G**2 / (2 * u_abs)
     return base - corr, base + corr
@@ -312,19 +313,14 @@ def _invert_hessian(hess: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _u_squared_polynomial(spec: HelixSpec, m: ReciprocalVector) -> Polynomial:
-    """U^2 as a polynomial in the longitudinal wavenumber q0 = k_s."""
+    """U^2 in q0 = k_s: the forward amplitude v + w (q0 + j tau) q0 of the
+    (even) stated_table times the reverse one at q1 = q0 + j tau."""
     j = m.m_s
-    eps = spec.epsilon
-    k2 = spec.kappa**2
-    if abs(j) == 1:
-        fwd = Polynomial([eps * k2 / 16, -eps * j * spec.tau / 2, -eps / 2])
-        rev = Polynomial([eps * k2 / 16, eps * j * spec.tau / 2, -eps / 2])
-        return fwd * rev(Polynomial([j * spec.tau, 1.0]))
-    if abs(j) == 2:
-        return Polynomial([(eps * k2 / 8) ** 2])
-    if abs(j) == 3:
-        return Polynomial([(eps * k2 / 16) ** 2])
-    return Polynomial([0.0])
+    w, v = stated_table(spec)
+    wd, vd = w.get(j, 0.0), v.get(j, 0.0)
+    fwd = Polynomial([vd, wd * j * spec.tau, wd])
+    rev = Polynomial([vd, -wd * j * spec.tau, wd])
+    return fwd * rev(Polynomial([j * spec.tau, 1.0]))
 
 
 def two_band_hessian(
@@ -397,6 +393,7 @@ class BandStructure:
     kpath: Sequence[BlochVector]
     energies: np.ndarray
     source: str
+    detail: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.energies = np.asarray(self.energies, dtype=float)

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -42,20 +43,17 @@ from .oracle import (
     ConvergenceFailure,
     band_sweep,
     gap_perturbed,
-    screw_blocks,
-    thread_count,
 )
 from . import verify as _verify
 
 HBAR = 1.054571817e-34  # J s
 
-NATURAL = "NATURAL"
-PHYSICAL = "PHYSICAL"
-
 _DEFAULT_EPS_SWEEP = (0.01, 0.02, 0.03, 0.04, 0.05)
 
-# geometry/potential hold a few arrays and one text row per node
+# geometry/potential hold a few arrays per node and write the rows as they go
 _MAX_NODES = 2**20
+# bands holds a few formatted rows per k-point
+_MAX_KPOINTS = 2**16
 
 
 class ConfigError(ValueError):
@@ -96,8 +94,8 @@ class RunConfig:
                 f"n_harmonics must be <= {(DEFAULT_MAX_DIMENSION - 1) // 2}: its "
                 f"2n+1 ray rows are capped at {DEFAULT_MAX_DIMENSION}"
             )
-        if self.kpath_count < 1:
-            raise ConfigError("k-path needs at least one point")
+        if not 1 <= self.kpath_count <= _MAX_KPOINTS:
+            raise ConfigError(f"k-path count must be in [1, {_MAX_KPOINTS}]")
         if self.tau == 0.0:
             raise ConfigError(
                 "tau = 0 has no longitudinal period; the command-line "
@@ -119,10 +117,6 @@ class RunConfig:
                 raise ConfigError(f"sweep epsilon {eps} outside [0, 1)")
         if not np.isfinite(self.vkin_offset):
             raise ConfigError("vkin_offset must be finite")
-        try:
-            thread_count()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def spec(self) -> HelixSpec:
         return HelixSpec(
@@ -216,24 +210,15 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _parse_grid_flag(v: str) -> tuple[int, int]:
-    parts = v.lower().split("x")
-    if len(parts) != 2:
-        raise ConfigError(f"--grid expects NxM, got {v!r}")
+def _parse_flag(v: str, sep: str, usage: str, *converters) -> tuple:
+    """Split a compound flag value and convert each part, or fail with usage."""
+    parts = v.lower().split(sep)
     try:
-        return _parse_int(parts[0]), _parse_int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"--grid expects NxM, got {v!r}") from exc
-
-
-def _parse_kpath_flag(v: str) -> tuple[float, float, int]:
-    parts = v.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--kpath expects start:end:count, got {v!r}")
-    try:
-        return float(parts[0]), float(parts[1]), _parse_int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"--kpath expects start:end:count, got {v!r}") from exc
+        if len(parts) == len(converters):
+            return tuple(conv(part) for conv, part in zip(converters, parts))
+    except ValueError:
+        pass
+    raise ConfigError(f"{usage}, got {v!r}")
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -241,27 +226,25 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config is not None:
         cfg = replace(cfg, **parse_config_file(args.config))
-    updates = {}
-    for key in ("kappa", "tau", "rho0"):
-        val = getattr(args, key)
-        if val is not None:
-            updates[key] = val
-    if args.harmonics is not None:
-        updates["n_harmonics"] = args.harmonics
+    plain = {"kappa": "kappa", "tau": "tau", "rho0": "rho0",
+             "harmonics": "n_harmonics", "out": "out_dir", "units": "units"}
+    updates = {key: getattr(args, flag) for flag, key in plain.items()
+               if getattr(args, flag) is not None}
     if args.grid is not None:
-        updates["n_s"], updates["n_phi"] = _parse_grid_flag(args.grid)
+        updates["n_s"], updates["n_phi"] = _parse_flag(
+            args.grid, "x", "--grid expects NxM", _parse_int, _parse_int
+        )
     if args.kpath is not None:
-        start, end, count = _parse_kpath_flag(args.kpath)
+        usage = "--kpath expects start:end:count"
+        start, end, count = _parse_flag(
+            args.kpath, ":", usage, float, float, _parse_int
+        )
         updates.update(kpath_start=start, kpath_end=end, kpath_count=count)
     if args.eps_sweep is not None:
         try:
             updates["eps_sweep"] = _parse_eps_list(args.eps_sweep)
         except ValueError as exc:
             raise ConfigError(f"bad --eps-sweep value: {exc}") from exc
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.units is not None:
-        updates["units"] = args.units
     cfg = replace(cfg, **updates)
     cfg.validate()
     return cfg
@@ -275,12 +258,13 @@ def fmt(x: float) -> str:
     return f"{float(x):.16e}"
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, lines) -> None:
+    """Write the lines, as they come, to a temporary file, then rename it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as f:
-            f.write(text)
+            f.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -288,20 +272,21 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def write_csv(path: Path, header: str, rows: list[list[str]]) -> None:
-    lines = [header]
-    lines.extend(",".join(r) for r in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+def write_csv(path: Path, header: str, rows) -> None:
+    """Header, then one line per row of strings; rows may be any iterable."""
+    body = (",".join(r) + "\n" for r in rows)
+    _atomic_write(path, itertools.chain([header + "\n"], body))
 
 
 def write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
-def _node_rows(*columns) -> list[list[str]]:
-    """One formatted row per grid node, in the nodes' s-major order."""
-    flat = (np.ravel(c).tolist() for c in columns)
-    return [list(map(fmt, vals)) for vals in zip(*flat)]
+def _node_rows(*columns):
+    """Formatted rows, one per node of the (n_s, n_phi) columns, s-major;
+    made one s-row of nodes at a time, so only that many are held as text."""
+    for chunk in zip(*columns):
+        yield from (map(fmt, vals) for vals in zip(*(c.tolist() for c in chunk)))
 
 
 # --------------------------------------------------------------------------
@@ -319,7 +304,7 @@ def cmd_geometry(cfg: RunConfig) -> int:
         k1, k2, m, gauss,
     )
     write_csv(out / "geometry.csv", "s,phi,x,y,z,h,kappa1,kappa2,M,K", rows)
-    print(f"wrote {out / 'geometry.csv'} ({len(rows)} rows)")
+    print(f"wrote {out / 'geometry.csv'} ({S.size} rows)")
     return 0
 
 
@@ -333,7 +318,7 @@ def cmd_potential(cfg: RunConfig) -> int:
         scale * v_eff(spec, S, P),
     )
     write_csv(out / "potential.csv", "s,phi,v_curv,v_kin,v_eff", rows)
-    print(f"wrote {out / 'potential.csv'} ({len(rows)} rows)")
+    print(f"wrote {out / 'potential.csv'} ({S.size} rows)")
     return 0
 
 
@@ -343,23 +328,15 @@ def cmd_bands(cfg: RunConfig) -> int:
     scale = cfg.energy_scale()
     path = cfg.kpath_points()
     try:
-        full = band_sweep(
-            spec, path, "ORACLE_FULL", n_s=cfg.n_s, n_phi=cfg.n_phi
-        )
-    except ValueError as exc:  # the grid exceeds the oracle's storage cap
+        full = band_sweep(spec, path, "ORACLE_FULL")
+    except ValueError as exc:  # n_modes exceeds the oracle's storage cap
         raise ConfigError(str(exc)) from exc
     tb = band_sweep(spec, path, "TWO_BAND")
     pert = band_sweep(
         spec, path, "ORACLE_PERTURBED", n_harmonics=cfg.n_harmonics
     )
-    rows = []
-    for i, k in enumerate(path):
-        rows.append(
-            [fmt(k.k_s), "0"]
-            + [fmt(scale * e) for e in tb.energies[i]]
-            + [fmt(scale * e) for e in pert.energies[i]]
-            + [fmt(scale * e) for e in full.energies[i]]
-        )
+    energies = scale * np.hstack([tb.energies, pert.energies, full.energies])
+    rows = [[fmt(k.k_s), "0", *map(fmt, row)] for k, row in zip(path, energies)]
     write_csv(
         out / "bands.csv",
         "k_s,n,E_twoband_1,E_twoband_2,E_oracle_pert_1,E_oracle_pert_2,"
@@ -369,13 +346,14 @@ def cmd_bands(cfg: RunConfig) -> int:
     u2_negative = any(
         u_squared(spec, k.components(spec), K1) < 0.0 for k in path
     )
-    blocks, block_dim = screw_blocks(cfg.n_s, cfg.n_phi)
     summary = {
         "a": effective_params(spec).a,
         "epsilon": spec.epsilon,
         "units": cfg.units,
-        "grid": [cfg.n_s, cfg.n_phi],
-        "oracle_full": {"blocks": blocks, "block_dim": block_dim},
+        "oracle_full": {
+            "oracle": "plane waves in helical momentum sectors p = k_s + M*tau",
+            **full.detail,
+        },
         "n_harmonics": cfg.n_harmonics,
         "kpath": {
             "start": cfg.kpath_start,
@@ -410,15 +388,9 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
     rows = []
     gaps_tb, gaps_or = [], []
     for eps in cfg.eps_sweep:
-        if eps == 0.0:
-            spec_e = HelixSpec(
-                kappa=0.0, tau=cfg.tau, rho0=cfg.rho0, s0=cfg.s0
-            )
-        else:
-            # epsilon = rho0*kappa: sweep the tube radius at fixed curve shape
-            spec_e = HelixSpec(
-                kappa=cfg.kappa, tau=cfg.tau, rho0=eps / cfg.kappa, s0=cfg.s0
-            )
+        # epsilon = rho0*kappa: sweep the tube radius at fixed curve shape
+        spec_e = (replace(cfg.spec(), kappa=0.0) if eps == 0.0
+                  else replace(cfg.spec(), rho0=eps / cfg.kappa))
         gt = two_band_gap(spec_e)
         go = gap_perturbed(spec_e, n_harmonics=cfg.n_harmonics)
         denom = eps * cfg.kappa**2 / 4

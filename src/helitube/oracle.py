@@ -1,40 +1,33 @@
-"""Brute-force spectral verification on dense matrices.
+"""Spectral oracles on dense matrices.
 
-Two independent discretizations of the transformed surface problem:
+h and v_eff depend on (s, phi) only through the helical phase
+xi = theta(s) + phi, so a plane wave exp(i(q s + n phi)) couples only to
+those of the same helical momentum p = q + tau n, through the matrix
 
-* a second-order flux-form finite-difference operator on the (s, varphi)
-  grid of one unit cell, with the Bloch phase applied on stencil entries
-  that cross the s seam and plain periodicity across the compact varphi
-  seam (a formal transverse Bloch index n would only contribute the
-  trivial phase e^{i 2 pi n});
-* the plane-wave basis restricted to the coupling ray, which is the
-  analytic treatment's own matrix form and serves as its direct check.
+    H[n', n] = q_n' w[n' - n] q_n + (n/rho0)^2 delta + v[n' - n]
 
-The s cell is the minimal period 2 pi/|tau|.  Band structure computed on
-any multiple of the cell folds onto the same spectrum, so nothing is lost
-by the minimal choice.
-
-Every coefficient of the grid operator depends on (s, phi) only through
-theta(s) + phi, so the grid matrix commutes with a discrete screw shift
-and splits into gcd(n_s, n_phi) independent blocks (screw_eigenvalues).
-assemble_full keeps the dense matrix as the reference.
-
-Everything here is dense and deterministic: assembly is vectorized numpy,
-eigensolves use the LAPACK symmetric/Hermitian drivers, and matrices are
-capped at desk scale.
+(_lattice; q_n = p - tau n, w and v the Fourier coefficients of h^-2 and
+of the potential in xi).  continuum_levels (ORACLE_FULL) feeds it the
+exact coefficients and solves the sectors p = k_s + M tau, the helical
+reduction standard for nanotube bands; assemble_perturbed feeds it the
+paper's stated first-order table on the coupling ray.  A second-order
+finite-difference grid on the (s, varphi) unit cell stays as the
+independent reference: assemble_full builds its dense matrix, and
+screw_eigenvalues solves it block by block through its discrete screw
+symmetry.  Everything is dense and deterministic (vectorized numpy, LAPACK
+symmetric/Hermitian eigensolvers) and capped at desk scale.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HelixSpec, grid_nodes, metric_h
+from .geometry import DegeneratePeriod, HelixSpec, grid_nodes, metric_h
 from .operators import effective_params, v_eff
 from .bloch import (
     K1,
@@ -43,7 +36,7 @@ from .bloch import (
     ReciprocalVector,
     first_order_energies,
     k_components,
-    ray_amplitude,
+    stated_table,
     two_band_energies,
     zone_boundary_k,
 )
@@ -136,13 +129,6 @@ def assemble_full(spec: HelixSpec, k, n_s: int, n_phi: int) -> DiscretizedHamilt
     return DiscretizedHamiltonian(H, GRID_2D)
 
 
-def screw_blocks(n_s: int, n_phi: int) -> tuple[int, int]:
-    """(g, d): the n_s x n_phi grid matrix splits into g = gcd(n_s, n_phi)
-    screw blocks of dimension d = n_s n_phi/g."""
-    g = math.gcd(n_s, n_phi)
-    return g, n_s * n_phi // g
-
-
 def _screw_twist(spec: HelixSpec, n_phi: int, g: int) -> int:
     """phi-node shift dj = sign(tau) n_phi/g that goes with n_s/g s-nodes.
 
@@ -169,7 +155,8 @@ def screw_eigenvalues(
     """
     if n_s < 4 or n_phi < 4:
         raise ValueError("need at least 4 points per direction")
-    g, d = screw_blocks(n_s, n_phi)
+    g = math.gcd(n_s, n_phi)
+    d = n_s * n_phi // g
     r, dj = n_s // g, _screw_twist(spec, n_phi, g)
     _check_storage(g, d)
     ds = spec.s_period / n_s
@@ -206,36 +193,86 @@ def screw_eigenvalues(
     return np.sort(w, axis=None)[:n_lowest]
 
 
+def _lattice(spec: HelixSpec, p, ns: np.ndarray, table) -> np.ndarray:
+    """H[n', n] = q_n' w[n' - n] q_n + (n/rho0)^2 delta + v[n' - n], with
+    q_n = p - tau n: one matrix per entry of p, over the indices ns (last
+    axis, integers up to a common offset).  table = (w, v) is in FFT order;
+    an s0 offset rotates the offset-d entries by exp(i d tau s0)."""
+    d = np.rint(ns[..., :, None] - ns[..., None, :]).astype(int)
+    W, V = (c[d] for c in table)
+    if spec.s0 != 0.0:
+        phase = np.exp(1j * d * spec.tau * spec.s0)
+        W, V = W * phase, V * phase
+    q = np.asarray(p, dtype=float)[..., None] - spec.tau * ns
+    H = W * (q[..., :, None] * q[..., None, :]) + V  # Hermitian to the last bit
+    return H + (ns[..., None] / spec.rho0) ** 2 * np.eye(ns.shape[-1])
+
+
 def assemble_perturbed(
     spec: HelixSpec, k, n_harmonics: int
 ) -> DiscretizedHamiltonian:
-    """Central-equation matrix on the coupling ray, j in [-n, n].
-
-    Diagonal entries are the a-shifted free energies plus the constant
-    harmonic; off-diagonals are ray amplitudes evaluated at the source
-    component's own longitudinal wavenumber, so the matrix is Hermitian.
-    """
+    """Central-equation matrix on the coupling ray, j in [-n, n]: component
+    j has q = k_s + j tau and n = rho0 k_phi - j, so all share one p, and the
+    matrix is _lattice fed stated_table, less a on the diagonal."""
     if n_harmonics < 3:
         raise ValueError("need n_harmonics >= 3 to cover all couplings")
     _check_storage(1, 2 * n_harmonics + 1)
     kv = k_components(spec, k)
-    a = effective_params(spec).a
-    js = np.arange(-n_harmonics, n_harmonics + 1)
-    q = kv[0] + js * spec.tau
-    free = q**2 + (kv[1] - js / spec.rho0) ** 2 - a
-    shift = spec.epsilon * spec.kappa**2 / 4
-    dtype = np.float64 if spec.s0 == 0.0 else np.complex128
-    dim = js.size
-    H = np.zeros((dim, dim), dtype=dtype)
-    H[np.arange(dim), np.arange(dim)] = free + shift
-    for dj in (1, 2, 3):
-        for col in range(dim - dj):
-            amp = ray_amplitude(spec, dj, q[col])
-            if dtype == np.float64:
-                amp = amp.real if isinstance(amp, complex) else amp
-            H[col + dj, col] = amp
-            H[col, col + dj] = np.conj(amp)
+    offsets = range(-2 * n_harmonics, 2 * n_harmonics + 1)
+    stated = stated_table(spec)
+    table = [np.fft.ifftshift([t.get(d, 0.0) for d in offsets]) for t in stated]
+    table[1][0] -= effective_params(spec).a
+    ns = kv[1] * spec.rho0 - np.arange(-n_harmonics, n_harmonics + 1)
+    H = _lattice(spec, kv[0] + spec.tau * spec.rho0 * kv[1], ns, table)
     return DiscretizedHamiltonian(H, PLANE_WAVE_RAY)
+
+
+def _n_modes(spec: HelixSpec) -> int:
+    """Modes kept each side of a sector's centre: h^-2 and v_eff fall off as
+    r^|d|, r = eps/(1 + sqrt(1 - eps^2)), and the levels as r^(2 n_modes),
+    which this puts below 1e-17; at least 8."""
+    r = spec.epsilon / (1.0 + math.sqrt(1.0 - spec.epsilon**2))
+    return max(8, math.ceil(math.log(1e-17) / (2.0 * math.log(max(r, 1e-3)))))
+
+
+def _helical_samples(spec: HelixSpec, n_xi: int):
+    """h^-2 and v_eff at n_xi equispaced helical phases xi (s = s0, phi = xi)."""
+    xi = np.arange(n_xi) * (2.0 * math.pi / n_xi)
+    return metric_h(spec, spec.s0, xi) ** -2.0, v_eff(spec, spec.s0, xi)
+
+
+def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dict]:
+    """Lowest n_bands levels at each Bloch k_s, and what the solve took.
+
+    Sector p = k_s + M tau is _lattice fed the FFT of h^-2 and v_eff, on the
+    2 n_modes + 1 indices around its kinetic minimum n = p tau/(tau^2 + B).
+    As h^-2 >= A = (1+eps)^-2, its levels lie above c p^2 + min v_eff with
+    c = A B/(A tau^2 + B), B = rho0^-2: the pairs M = +-j are solved outward
+    until the nearer one's bound is above the n_bands-th level found.
+    """
+    if spec.tau == 0.0:
+        raise DegeneratePeriod("tau = 0: no helical momentum sectors")
+    n_modes = _n_modes(spec)
+    _check_storage(2, 2 * n_modes + 1)
+    samples = _helical_samples(spec, 8 * n_modes)
+    table = [np.fft.fft(f).real / (8 * n_modes) for f in samples]
+    A, B = (1.0 + spec.epsilon) ** -2, spec.rho0**-2
+    c, floor = A * B / (A * spec.tau**2 + B), np.min(samples[1])
+    rows, sectors = [], []
+    for k_s in ks:
+        levels = np.full(n_bands, np.inf)
+        for j in itertools.count():
+            p = k_s + spec.tau * np.unique([-j, j])
+            if c * np.min(p * p) + floor > levels[-1]:
+                break
+            centre = np.rint(p * spec.tau / (spec.tau**2 + B))
+            ns = centre[:, None] + np.arange(-n_modes, n_modes + 1)
+            w, _ = _dense_eigh(_lattice(spec, p, ns, table), 1)
+            levels = np.sort(np.append(levels, w[:, :n_bands]))[:n_bands]
+        rows.append(levels)
+        sectors.append(2 * j - 1)
+    detail = {"n_modes": n_modes, "sectors_per_kpoint": [min(sectors), max(sectors)]}
+    return np.array(rows), detail
 
 
 def _dense_eigh(entries: np.ndarray, n_lowest: int, with_vectors: bool = False):
@@ -281,62 +318,33 @@ def eigensolve(
 # band sweeps
 
 
-def _sweep_one(spec, k, source, n_bands, n_s, n_phi, n_harmonics):
-    if source == "TWO_BAND":
-        return np.asarray(two_band_energies(spec, k))[:n_bands]
-    if source == "FIRST_ORDER":
-        return first_order_energies(spec, k, n_bands)
-    if source == "ORACLE_PERTURBED":
-        H = assemble_perturbed(spec, k, n_harmonics)
-        return eigensolve(H, n_bands).eigenvalues
-    return screw_eigenvalues(spec, k, n_s, n_phi, n_bands)
-
-
-def thread_count() -> int:
-    """Worker threads for band_sweep: HELITUBE_THREADS, default 1.
-
-    Raises ValueError unless the variable holds an integer >= 1.
-    """
-    raw = os.environ.get("HELITUBE_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"HELITUBE_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
-
-
 def band_sweep(
     spec: HelixSpec,
     kpath,
     source: str,
     n_bands: int = 2,
-    n_s: int = 64,
-    n_phi: int = 64,
     n_harmonics: int = 7,
 ) -> BandStructure:
-    """Lowest bands along a k-path with the requested method.
-
-    k-point evaluations are independent; HELITUBE_THREADS > 1 runs them in
-    a thread pool (the dense solver releases the interpreter lock).
-    Output follows the input path order either way.
-    """
+    """Lowest bands along a k-path with the requested method; ORACLE_FULL
+    keeps what continuum_levels reports about its truncation in `detail`."""
     if source not in SOURCE_TAGS:
         raise ValueError(f"unknown source tag {source!r}")
     if source == "TWO_BAND" and n_bands > 2:
         raise ValueError("the two-band model has exactly 2 bands")
-    half = abs(spec.tau) / 2
-    for k in kpath:
-        k_s = k_components(spec, k)[0]
-        if abs(k_s) > half * (1 + 1e-12):
+    ks = [k_components(spec, k)[0] for k in kpath]
+    for k_s in ks:
+        if abs(k_s) > abs(spec.tau) / 2 * (1 + 1e-12):
             raise ValueError(f"k_s = {k_s} outside the first zone")
-
-    def run(k):
-        return _sweep_one(spec, k, source, n_bands, n_s, n_phi, n_harmonics)
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, kpath))
+    if source == "ORACLE_FULL":
+        levels, detail = continuum_levels(spec, ks, n_bands)
+        return BandStructure(list(kpath), levels, source, detail)
+    if source == "TWO_BAND":
+        rows = [two_band_energies(spec, k)[:n_bands] for k in kpath]
+    elif source == "FIRST_ORDER":
+        rows = [first_order_energies(spec, k, n_bands) for k in kpath]
     else:
-        rows = [run(k) for k in kpath]
+        H = (assemble_perturbed(spec, k, n_harmonics) for k in kpath)
+        rows = [eigensolve(h, n_bands).eigenvalues for h in H]
     return BandStructure(list(kpath), np.vstack(rows), source)
 
 

@@ -2,9 +2,9 @@
 
 Each check measures one library invariant and reports the measured value
 against its tolerance.  Checks that probe the discretization machinery
-(cylinder limit, refinement order) run on fixed internal parameters so
-they stay meaningful whatever the configured geometry; the operator and
-symmetry checks run on the configured helix.
+(cylinder limit, refinement order, continuum oracle) run on fixed internal
+parameters so they stay meaningful whatever the configured geometry; the
+operator and symmetry checks run on the configured helix.
 
 The vkin_offset configuration key is a negative-control hook: a nonzero
 value is added to the gauge potential on one side of the operator
@@ -14,6 +14,7 @@ identity only, so any corruption there is caught by the first check.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,7 +31,13 @@ from .operators import (
     v1_multiplicative,
 )
 from .bloch import BlochVector, cylinder_limit_energies
-from .oracle import assemble_full, assemble_perturbed, eigensolve, screw_eigenvalues
+from .oracle import (
+    assemble_full,
+    assemble_perturbed,
+    continuum_levels,
+    eigensolve,
+    screw_eigenvalues,
+)
 
 _IDENTITY_FIELDS = 5
 _IDENTITY_SEED = 2024
@@ -104,12 +111,25 @@ def check_screw_reduction(cfg) -> dict:
     return _check("screw_reduction", "max", 1e-10, measured, grid=[n_s, n_phi])
 
 
+def check_continuum_oracle(cfg) -> dict:
+    """ORACLE_FULL vs the grid's Richardson (4 E_64 - E_32)/3, lowest 4
+    levels of FIG3 at k_s = -0.3."""
+    probe = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
+    k = BlochVector(-0.3, 0)
+    exact = continuum_levels(probe, [k.k_s], 4)[0][0]
+    coarse, fine = (screw_eigenvalues(probe, k, n, n, 4) for n in (32, 64))
+    rich = (4.0 * fine - coarse) / 3.0
+    measured = float(np.max(np.abs(exact - rich) / np.abs(exact)))
+    return _check(
+        "continuum_oracle", "max", 1e-5, measured,
+        grids=[[32, 32], [64, 64]], probe_k_s=-0.3, levels=4,
+    )
+
+
 def check_hermiticity_perturbed(cfg) -> dict:
     """Ray matrix with a probe s0 offset, which makes the entries complex."""
     spec = cfg.spec()
-    probe = HelixSpec(
-        kappa=spec.kappa, tau=spec.tau, rho0=spec.rho0, s0=0.37
-    )
+    probe = replace(spec, s0=0.37)
     H = assemble_perturbed(
         probe, (0.21 * abs(spec.tau), 0.0), cfg.n_harmonics
     ).entries
@@ -208,6 +228,7 @@ _CHECKS = (
     check_operator_identity,
     check_hermiticity_full,
     check_screw_reduction,
+    check_continuum_oracle,
     check_hermiticity_perturbed,
     check_potential_symmetry,
     check_ray_selection,

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from helitube.bloch import BlochVector
 from helitube.cli import ConfigError, RunConfig, build_config, fmt, main
 from helitube.geometry import (
     HelixSpec,
@@ -17,7 +16,7 @@ from helitube.geometry import (
     v_curv,
 )
 from helitube.operators import v_eff, v_kin
-from helitube.oracle import ConvergenceFailure, band_sweep
+from helitube.oracle import ConvergenceFailure
 
 HBAR = 1.054571817e-34
 
@@ -178,20 +177,25 @@ def test_bands_summary_a_and_positive_gaps(tmp_path):
 
 
 def test_bands_summary_names_the_screw_blocks(tmp_path):
-    rc = main(BANDS_SMALL + ["--out", str(tmp_path)])
-    assert rc == 0
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["oracle_full"] == {"blocks": 4, "block_dim": 48}  # gcd(16, 12)
+    # the blocks of the continuum screw symmetry are the helical momentum
+    # sectors; bands reads no grid, so --grid changes no byte
+    for grid in ("16x12", "67x64"):
+        argv = ["bands", "--grid", grid, "--harmonics", "3", "--kpath", "0:-0.5:5"]
+        assert main(argv + ["--out", str(tmp_path / grid)]) == 0
+    summary = json.loads((tmp_path / "16x12" / "summary.json").read_text())
+    assert "grid" not in summary
+    full = summary["oracle_full"]
+    assert full["n_modes"] == 8  # the floor: eps = 0.1 converges sooner
+    assert full["sectors_per_kpoint"] == [3, 3]  # p = k_s and the pair M = +-1
+    assert "helical momentum" in full["oracle"]
+    for name in ("bands.csv", "summary.json"):
+        b1 = (tmp_path / "16x12" / name).read_bytes()
+        assert b1 == (tmp_path / "67x64" / name).read_bytes()
 
 
-def test_bands_oversized_grid_is_config_error(tmp_path, capsys):
-    # coprime: one screw block of 4288^2 entries, above the 4096^2 cap
-    rc = main(["bands", "--grid", "67x64", "--kpath", "0:-0.5:2",
-               "--out", str(tmp_path)])
-    assert rc == 2
-    assert "cap" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-    # the oracle's cap: the per-node tables take any grid up to 2**20 nodes
+def test_bands_oversized_grid_is_config_error(tmp_path):
+    # the grid oracle's cap belongs to verify and cylinder-check (see the
+    # 134x128 test); the per-node tables take any grid up to 2**20 nodes
     assert main(["geometry", "--grid", "67x64", "--out", str(tmp_path)]) == 0
     assert main(["potential", "--grid", "67x64", "--out", str(tmp_path)]) == 0
 
@@ -225,20 +229,28 @@ def test_transverse_n_flag_and_key_are_gone(tmp_path, capsys):
     assert summary["kpath"]["transverse_n"] == 0
 
 
-def test_bands_large_grid_splits_into_small_blocks(tmp_path):
-    rc = main(["bands", "--grid", "128x128", "--kpath", "0:-0.5:2",
+def test_bands_huge_kpath_count_is_config_error(tmp_path, capsys):
+    # refused before the path is built: linspace would ask for 72.8 TiB
+    rc = main(["bands", "--kpath", "0:-0.5:10000000000000", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "k-path count" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    RunConfig(kpath_count=2**16).validate()  # exactly at the cap
+    with pytest.raises(ConfigError, match="k-path count"):
+        RunConfig(kpath_count=2**16 + 1).validate()
+
+
+def test_bands_oracle_storage_cap_is_config_error(tmp_path, capsys):
+    # eps = 0.999999 needs more transverse modes than the 4096^2 cap holds
+    rc = main(["bands", "--kappa", "0.999999", "--rho0", "1", "--kpath", "0:-0.5:2",
                "--out", str(tmp_path)])
-    assert rc == 0
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["oracle_full"] == {"blocks": 128, "block_dim": 128}
-    full = col(tmp_path / "bands.csv", "E_oracle_full_1")
-    assert np.all(np.isfinite(full))
+    assert rc == 2
+    assert "cap" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_bands_byte_identical_reruns(tmp_path, monkeypatch):
-    monkeypatch.setenv("HELITUBE_THREADS", "2")
+def test_bands_byte_identical_reruns(tmp_path):
     assert main(BANDS_SMALL + ["--out", str(tmp_path / "r1")]) == 0
-    monkeypatch.delenv("HELITUBE_THREADS")
     assert main(BANDS_SMALL + ["--out", str(tmp_path / "r2")]) == 0
     for name in ("bands.csv", "summary.json"):
         b1 = (tmp_path / "r1" / name).read_bytes()
@@ -333,8 +345,8 @@ def test_verify_defaults_pass(tmp_path):
     names = {c["name"] for c in report["checks"]}
     assert names == {
         "operator_identity", "hermiticity_full", "screw_reduction",
-        "hermiticity_perturbed", "potential_symmetry", "ray_selection",
-        "cylinder_limit", "refinement_order",
+        "continuum_oracle", "hermiticity_perturbed", "potential_symmetry",
+        "ray_selection", "cylinder_limit", "refinement_order",
     }
     for c in report["checks"]:
         assert c["passed"] is True
@@ -398,13 +410,3 @@ def test_build_config_validation_direct():
         RunConfig(units="physical:-3").validate()
     scale = RunConfig(units="physical:2.0").energy_scale()
     assert scale == pytest.approx(HBAR**2 / 4.0, rel=1e-15)
-
-
-@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-1"])
-def test_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("HELITUBE_THREADS", value)
-    assert main(["geometry", "--grid", "4x4", "--out", str(tmp_path)]) == 2
-    assert "HELITUBE_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "geometry.csv").exists()
-    with pytest.raises(ValueError, match="HELITUBE_THREADS"):
-        band_sweep(HelixSpec(1.0, 1.0, 0.1), [BlochVector(0.0)], "TWO_BAND")

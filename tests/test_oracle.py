@@ -1,6 +1,7 @@
-"""Dense-grid and ray-basis eigensolvers: assembly, spectra, cross-checks."""
+"""Grid, helical-momentum and ray-basis eigensolvers: assembly and spectra."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from helitube.bloch import (
     BlochVector,
     NearResonance,
     cylinder_limit_energies,
+    ray_amplitude,
     two_band_energies,
     zone_boundary_k,
 )
 from helitube.cli import RunConfig
-from helitube.geometry import HelixSpec
+from helitube.geometry import DegeneratePeriod, HelixSpec, v_curv
 from helitube.operators import effective_params
 from helitube.oracle import (
     GRID_2D,
@@ -198,6 +200,155 @@ def test_screw_reduction_check_catches_a_wrong_twist(monkeypatch):
     check = verify.check_screw_reduction(cfg)
     assert check["passed"] is False
     assert check["measured"] > 1e3 * check["tolerance"]
+
+
+# ------------------------------------------------------- continuum oracle
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench/reference/fig3_bands.csv"
+
+
+def _richardson(spec, k_s, n_lowest):
+    """(4 E_64 - E_32)/3 on the screw-block grid: the independent 2-d route."""
+    k = BlochVector(k_s, 0)
+    coarse, fine = (screw_eigenvalues(spec, k, n, n, n_lowest) for n in (32, 64))
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _continuum(spec, k_s, n_bands=4):
+    return band_sweep(spec, [BlochVector(k_s, 0)], "ORACLE_FULL", n_bands).energies[0]
+
+
+def test_continuum_matches_the_fig3_reference_table():
+    ref = np.loadtxt(REFERENCE, delimiter=",", skiprows=1)
+    path = [BlochVector(float(k), 0) for k in ref[:, 1]]
+    got = band_sweep(FIG3, path, "ORACLE_FULL").energies
+    # the table is Richardson 16^2/32^2; the exact levels sit 6.9e-7 from it
+    assert np.max(np.abs(got - ref[:, 2:4]) / np.abs(ref[:, 2:4])) <= 1e-6
+
+
+def test_continuum_matches_the_grid_on_a_mirror_helix_with_offset():
+    spec = HelixSpec(kappa=1.3, tau=-0.8, rho0=0.3, s0=0.7)
+    exact, rich = _continuum(spec, 0.27), _richardson(spec, 0.27, 4)
+    # measured 1.4e-5: what the grid's O(h^4) remainder leaves at 32/64
+    assert np.max(np.abs(exact - rich) / np.abs(exact)) <= 5e-5
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rho0=st.floats(0.05, 1.0),
+    eps=st.floats(0.0, 0.5),
+    tau=st.floats(0.5, 2.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    s0=st.floats(0.1, 3.0),
+    k_frac=st.floats(-1.0, 1.0),
+)
+def test_continuum_matches_the_grid_richardson_limit(rho0, eps, tau, sign, s0, k_frac):
+    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0, s0=s0)
+    k_s = k_frac * tau / 2
+    exact, rich = _continuum(spec, k_s), _richardson(spec, k_s, 4)
+    # worst of 300 seeded draws over these ranges: 2.2e-4, at rho0 = 1 and
+    # tau = 0.63, where the 64-node s grid is coarsest
+    assert np.max(np.abs(exact - rich)) <= 5e-4 * np.max(np.abs(exact))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rho0=st.floats(0.05, 1.0),
+    eps=st.floats(0.0, 0.9),
+    tau=st.floats(0.3, 3.0),
+    s0=st.floats(-3.0, 3.0),
+    shift=st.floats(-5.0, 5.0),
+    k_frac=st.floats(-1.0, 1.0),
+)
+def test_continuum_symmetries(rho0, eps, tau, s0, shift, k_frac):
+    # mirror helix, time reversal and a moved reference point: one spectrum
+    def levels(tau, s0, k_frac):
+        spec = HelixSpec(kappa=eps / rho0, tau=tau, rho0=rho0, s0=s0)
+        return _continuum(spec, k_frac * tau / 2)
+
+    base = levels(tau, s0, k_frac)
+    # rounding only: the worst of 400 seeded draws was 1.5e-12 of the
+    # largest level, at eps near 0.9 where n_modes and |H| are largest
+    scale = np.max(np.abs(base))
+    for other in (levels(-tau, s0, k_frac), levels(tau, s0, -k_frac),
+                  levels(tau, s0 + shift, k_frac)):
+        assert np.max(np.abs(other - base)) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("spec", [
+    FIG3,
+    HelixSpec(kappa=1.3, tau=-0.8, rho0=0.3, s0=0.7),
+    HelixSpec(kappa=1.0, tau=2.0, rho0=0.5, s0=-1.1),  # eps = 0.5
+    HelixSpec(kappa=3.0, tau=1.0, rho0=0.3),  # eps = 0.9, n_modes = 42
+], ids=["fig3", "mirror", "fat", "eps0.9"])
+def test_continuum_truncation_is_stable(spec, monkeypatch):
+    k_s, n_bands = -0.3 * abs(spec.tau), 6
+    base = _continuum(spec, k_s, n_bands)
+    # relative to the largest kept level: a level near 0 is known only to
+    # the eigensolver's eps_mach |H|, and doubling n_modes quadruples |H|
+    scale = np.max(np.abs(base))
+    # every sector the stopping rule skips lies above the kept levels: the
+    # union of |M| <= 150, each sector on the oracle's own modes and table
+    n = oracle_module._n_modes(spec)
+    samples = oracle_module._helical_samples(spec, 8 * n)
+    table = [np.fft.fft(f).real / (8 * n) for f in samples]
+    ps = k_s + spec.tau * np.arange(-150, 151)
+    centre = np.rint(ps * spec.tau / (spec.tau**2 + spec.rho0**-2))
+    ns = centre[:, None] + np.arange(-n, n + 1)
+    every = np.linalg.eigvalsh(oracle_module._lattice(spec, ps, ns, table))
+    wider = np.sort(every, axis=None)[:n_bands]
+    assert np.max(np.abs(wider - base)) <= 1e-12 * scale
+    right = oracle_module._n_modes
+    monkeypatch.setattr(oracle_module, "_n_modes", lambda spec: 2 * right(spec))
+    doubled = _continuum(spec, k_s, n_bands)
+    assert np.max(np.abs(doubled - base)) <= 1e-12 * scale
+
+
+def test_continuum_guards():
+    with pytest.raises(DegeneratePeriod):
+        band_sweep(HelixSpec(1.0, 0.0, 0.1), [BlochVector(0.0, 0)], "ORACLE_FULL")
+    # eps -> 1 needs more transverse modes than the storage cap allows
+    nearly_flat = HelixSpec(kappa=0.999999, tau=1.0, rho0=1.0)
+    with pytest.raises(ValueError, match="cap"):
+        band_sweep(nearly_flat, [BlochVector(0.0, 0)], "ORACLE_FULL")
+
+
+@pytest.mark.parametrize("wrong", ["h^-1 for h^-2", "v_kin dropped"])
+def test_continuum_oracle_check_catches_a_wrong_table(monkeypatch, wrong):
+    cfg = RunConfig()
+    assert verify.check_continuum_oracle(cfg)["passed"] is True
+    right = oracle_module._helical_samples
+
+    def corrupted(spec, n_xi):
+        h2, pot = right(spec, n_xi)
+        xi = np.arange(n_xi) * (2.0 * np.pi / n_xi)
+        if wrong == "h^-1 for h^-2":
+            return np.sqrt(h2), pot
+        return h2, v_curv(spec, spec.s0, xi)
+
+    monkeypatch.setattr(oracle_module, "_helical_samples", corrupted)
+    check = verify.check_continuum_oracle(cfg)
+    assert check["passed"] is False
+    assert check["measured"] > 100 * 1.1e-6  # the correct table's value
+
+
+def test_perturbed_is_the_lattice_fed_the_stated_table():
+    # rebuild the ray matrix entry by entry from ray_amplitude, on the
+    # continuous ray (half-integer n) with an s0 phase
+    spec = HelixSpec(kappa=1.0, tau=-1.0, rho0=0.1, s0=0.37)
+    kv = zone_boundary_k(spec)
+    n = 5
+    js = np.arange(-n, n + 1)
+    q = kv[0] + js * spec.tau
+    want = np.diag(q**2 + (kv[1] - js / spec.rho0) ** 2
+                   - effective_params(spec).a + ray_amplitude(spec, 0, 0.0))
+    want = want.astype(complex)
+    for dj in (1, 2, 3):
+        for col in range(2 * n + 1 - dj):
+            want[col + dj, col] = ray_amplitude(spec, dj, q[col])
+            want[col, col + dj] = np.conj(want[col + dj, col])
+    got = assemble_perturbed(spec, tuple(kv), n).entries
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_perturbed_free_diagonal():
@@ -389,7 +540,7 @@ def test_full_vs_perturbed_lowest_band_offset():
     # that constant up to O(eps^2)
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
     path = [BlochVector(k, 0) for k in (-0.4, -0.2, 0.0, 0.2, 0.4)]
-    full = band_sweep(spec, path, "ORACLE_FULL", n_s=40, n_phi=40)
+    full = band_sweep(spec, path, "ORACLE_FULL")
     pert = band_sweep(spec, path, "ORACLE_PERTURBED")
     diff = pert.energies[:, 0] - full.energies[:, 0]
     shift = spec.epsilon * spec.kappa**2 / 4
@@ -406,7 +557,7 @@ def test_full_vs_perturbed_lowest_band_offset():
 def test_full_vs_perturbed_lowest_band_as_stated():
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
     path = [BlochVector(k, 0) for k in (-0.4, -0.2, 0.0, 0.2, 0.4)]
-    full = band_sweep(spec, path, "ORACLE_FULL", n_s=40, n_phi=40)
+    full = band_sweep(spec, path, "ORACLE_FULL")
     pert = band_sweep(spec, path, "ORACLE_PERTURBED")
     diff = np.max(np.abs(full.energies[:, 0] - pert.energies[:, 0]))
     assert diff <= 5 * spec.epsilon**2
