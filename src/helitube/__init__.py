@@ -78,6 +78,7 @@ from .bloch import (
 from .oracle import (
     GRID_2D,
     PLANE_WAVE_RAY,
+    CapExceeded,
     ConvergenceFailure,
     DiscretizedHamiltonian,
     SpectrumResult,
@@ -109,7 +110,7 @@ __all__ = [
     "near_boundary_expansion", "origin_fit", "ray_amplitude", "stated_table",
     "two_band_energies", "two_band_gap", "two_band_hessian", "u_squared",
     "zone_boundary_k",
-    "GRID_2D", "PLANE_WAVE_RAY", "ConvergenceFailure",
+    "GRID_2D", "PLANE_WAVE_RAY", "CapExceeded", "ConvergenceFailure",
     "DiscretizedHamiltonian", "SpectrumResult", "assemble_full",
     "assemble_perturbed", "band_sweep", "continuum_levels", "eigensolve",
     "gap_perturbed", "screw_eigenvalues",

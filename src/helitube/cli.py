@@ -11,8 +11,9 @@ significant digits, files are written atomically (temp file + rename),
 and repeated runs with the same configuration produce byte-identical
 output.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 eigensolver failure.
+Exit codes: 0 success, 1 verification failure, 2 configuration error
+(a request over one of the oracle's desk-scale caps included), 3
+eigensolver failure.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -38,12 +40,7 @@ from .geometry import (
 )
 from .operators import effective_params, v_eff, v_kin
 from .bloch import K1, BlochVector, origin_fit, two_band_gap, u_squared
-from .oracle import (
-    DEFAULT_MAX_DIMENSION,
-    ConvergenceFailure,
-    band_sweep,
-    gap_perturbed,
-)
+from .oracle import CapExceeded, ConvergenceFailure, band_sweep, gap_perturbed
 from . import verify as _verify
 
 HBAR = 1.054571817e-34  # J s
@@ -70,7 +67,6 @@ class RunConfig:
     s0: float = 0.0
     n_s: int = 64
     n_phi: int = 64
-    n_harmonics: int = 7
     kpath_start: float = 0.0
     kpath_end: float | None = None  # None = zone boundary -|tau|/2
     kpath_count: int = 101
@@ -87,13 +83,6 @@ class RunConfig:
             raise ConfigError(
                 f"grid {self.n_s}x{self.n_phi} has more than {_MAX_NODES} nodes"
             )
-        if self.n_harmonics < 3:
-            raise ConfigError("n_harmonics must be >= 3")
-        if 2 * self.n_harmonics + 1 > DEFAULT_MAX_DIMENSION:
-            raise ConfigError(
-                f"n_harmonics must be <= {(DEFAULT_MAX_DIMENSION - 1) // 2}: its "
-                f"2n+1 ray rows are capped at {DEFAULT_MAX_DIMENSION}"
-            )
         if not 1 <= self.kpath_count <= _MAX_KPOINTS:
             raise ConfigError(f"k-path count must be in [1, {_MAX_KPOINTS}]")
         if self.tau == 0.0:
@@ -102,12 +91,17 @@ class RunConfig:
                 "workflows require tau != 0"
             )
         try:
-            self.spec()
+            spec = self.spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if not math.isfinite(spec.s_period * spec.s_period):
+            raise ConfigError(
+                f"tau = {self.tau!r} is too small: the squared period "
+                f"(2 pi/|tau|)^2 overflows"
+            )
         half = abs(self.tau) / 2 * (1 + 1e-12)
         for k in (self.kpath_start, self.resolved_kpath_end()):
-            if abs(k) > half:
+            if not abs(k) <= half:  # also a NaN endpoint
                 raise ConfigError(
                     f"k-path endpoint {k} lies outside the zone "
                     f"[-{abs(self.tau) / 2}, {abs(self.tau) / 2})"
@@ -174,7 +168,6 @@ _CONVERTERS = {
     "s0": float,
     "n_s": _parse_int,
     "n_phi": _parse_int,
-    "n_harmonics": _parse_int,
     "kpath_start": float,
     "kpath_end": float,
     "kpath_count": _parse_int,
@@ -227,7 +220,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         cfg = replace(cfg, **parse_config_file(args.config))
     plain = {"kappa": "kappa", "tau": "tau", "rho0": "rho0",
-             "harmonics": "n_harmonics", "out": "out_dir", "units": "units"}
+             "out": "out_dir", "units": "units"}
     updates = {key: getattr(args, flag) for flag, key in plain.items()
                if getattr(args, flag) is not None}
     if args.grid is not None:
@@ -327,14 +320,9 @@ def cmd_bands(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     scale = cfg.energy_scale()
     path = cfg.kpath_points()
-    try:
-        full = band_sweep(spec, path, "ORACLE_FULL")
-    except ValueError as exc:  # n_modes exceeds the oracle's storage cap
-        raise ConfigError(str(exc)) from exc
+    full = band_sweep(spec, path, "ORACLE_FULL")
     tb = band_sweep(spec, path, "TWO_BAND")
-    pert = band_sweep(
-        spec, path, "ORACLE_PERTURBED", n_harmonics=cfg.n_harmonics
-    )
+    pert = band_sweep(spec, path, "ORACLE_PERTURBED")
     energies = scale * np.hstack([tb.energies, pert.energies, full.energies])
     rows = [[fmt(k.k_s), "0", *map(fmt, row)] for k, row in zip(path, energies)]
     write_csv(
@@ -354,7 +342,7 @@ def cmd_bands(cfg: RunConfig) -> int:
             "oracle": "plane waves in helical momentum sectors p = k_s + M*tau",
             **full.detail,
         },
-        "n_harmonics": cfg.n_harmonics,
+        "n_harmonics": full.detail["n_modes"],
         "kpath": {
             "start": cfg.kpath_start,
             "end": cfg.resolved_kpath_end(),
@@ -362,7 +350,7 @@ def cmd_bands(cfg: RunConfig) -> int:
             "transverse_n": 0,
         },
         "gap_twoband": scale * two_band_gap(spec),
-        "gap_oracle_pert": scale * gap_perturbed(spec, n_harmonics=cfg.n_harmonics),
+        "gap_oracle_pert": scale * gap_perturbed(spec),
         "agreement": {
             "max_abs_diff_twoband_vs_pert": scale
             * float(np.max(np.abs(tb.energies - pert.energies[:, :2]))),
@@ -392,7 +380,7 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
         spec_e = (replace(cfg.spec(), kappa=0.0) if eps == 0.0
                   else replace(cfg.spec(), rho0=eps / cfg.kappa))
         gt = two_band_gap(spec_e)
-        go = gap_perturbed(spec_e, n_harmonics=cfg.n_harmonics)
+        go = gap_perturbed(spec_e)
         denom = eps * cfg.kappa**2 / 4
         ratio = go / denom if denom > 0 else 0.0
         gaps_tb.append(gt)
@@ -432,10 +420,7 @@ def cmd_cylinder_check(cfg: RunConfig) -> int:
         # the 2:1 Richardson step needs the coarse grid to be exactly half
         raise ConfigError("cylinder-check needs an even number of nodes per side")
     n_lowest = 7
-    try:
-        err = _verify.cylinder_error(spec0, cfg.n_s, cfg.n_phi, n_lowest)
-    except ValueError as exc:  # the grid exceeds the oracle's storage cap
-        raise ConfigError(str(exc)) from exc
+    err = _verify.cylinder_error(spec0, cfg.n_s, cfg.n_phi, n_lowest)
     print(
         f"cylinder check: max relative error {err:.3e} over {n_lowest} levels "
         f"(grids {cfg.n_s // 2}x{cfg.n_phi // 2} and {cfg.n_s}x{cfg.n_phi}, "
@@ -484,7 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=float, default=None)
         p.add_argument("--rho0", type=float, default=None)
         p.add_argument("--grid", default=None, metavar="NxM")
-        p.add_argument("--harmonics", type=int, default=None, metavar="N")
         p.add_argument("--kpath", default=None, metavar="a:b:n")
         p.add_argument("--eps-sweep", default=None, dest="eps_sweep",
                        metavar="v1,v2,...")
@@ -502,7 +486,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, CapExceeded) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceFailure as exc:

@@ -10,12 +10,15 @@ those of the same helical momentum p = q + tau n, through the matrix
 of the potential in xi).  continuum_levels (ORACLE_FULL) feeds it the
 exact coefficients and solves the sectors p = k_s + M tau, the helical
 reduction standard for nanotube bands; assemble_perturbed feeds it the
-paper's stated first-order table on the coupling ray.  A second-order
+paper's stated first-order table on the coupling ray.  Both keep the
+window of _n_modes(spec) modes each side, so the truncation follows the
+spec and is set in one place.  A second-order
 finite-difference grid on the (s, varphi) unit cell stays as the
 independent reference: assemble_full builds its dense matrix, and
 screw_eigenvalues solves it block by block through its discrete screw
 symmetry.  Everything is dense and deterministic (vectorized numpy, LAPACK
-symmetric/Hermitian eigensolvers) and capped at desk scale.
+symmetric/Hermitian eigensolvers) and capped at desk scale: a request
+over a cap raises CapExceeded.
 """
 
 from __future__ import annotations
@@ -45,10 +48,16 @@ GRID_2D = "GRID_2D"
 PLANE_WAVE_RAY = "PLANE_WAVE_RAY"
 
 DEFAULT_MAX_DIMENSION = 4096
+# continuum_levels solves at most this many sector pairs M = +-j per k-point
+_MAX_SECTOR_PAIRS = 2**16
 
 
 class ConvergenceFailure(RuntimeError):
     """Eigensolver failed to meet the residual target."""
+
+
+class CapExceeded(ValueError):
+    """The request needs more storage or more sectors than the desk-scale caps."""
 
 
 @dataclass
@@ -84,7 +93,7 @@ def _unit_phase(x: float) -> complex:
 def _check_storage(blocks: int, dim: int) -> None:
     """Desk-scale cap on stored entries: blocks * dim^2 <= DEFAULT_MAX_DIMENSION^2."""
     if blocks * dim * dim > DEFAULT_MAX_DIMENSION**2:
-        raise ValueError(
+        raise CapExceeded(
             f"{blocks} x {dim}^2 matrix entries exceed the desk-scale cap "
             f"of {DEFAULT_MAX_DIMENSION}^2"
         )
@@ -208,21 +217,19 @@ def _lattice(spec: HelixSpec, p, ns: np.ndarray, table) -> np.ndarray:
     return H + (ns[..., None] / spec.rho0) ** 2 * np.eye(ns.shape[-1])
 
 
-def assemble_perturbed(
-    spec: HelixSpec, k, n_harmonics: int
-) -> DiscretizedHamiltonian:
-    """Central-equation matrix on the coupling ray, j in [-n, n]: component
-    j has q = k_s + j tau and n = rho0 k_phi - j, so all share one p, and the
-    matrix is _lattice fed stated_table, less a on the diagonal."""
-    if n_harmonics < 3:
-        raise ValueError("need n_harmonics >= 3 to cover all couplings")
-    _check_storage(1, 2 * n_harmonics + 1)
+def assemble_perturbed(spec: HelixSpec, k) -> DiscretizedHamiltonian:
+    """Central-equation matrix on the coupling ray, j in [-n, n] with
+    n = _n_modes(spec): component j has q = k_s + j tau and n = rho0 k_phi - j,
+    so all share one p, and the matrix is _lattice fed stated_table, less a
+    on the diagonal."""
+    n = _n_modes(spec)
+    _check_storage(1, 2 * n + 1)
     kv = k_components(spec, k)
-    offsets = range(-2 * n_harmonics, 2 * n_harmonics + 1)
+    offsets = range(-2 * n, 2 * n + 1)
     stated = stated_table(spec)
     table = [np.fft.ifftshift([t.get(d, 0.0) for d in offsets]) for t in stated]
     table[1][0] -= effective_params(spec).a
-    ns = kv[1] * spec.rho0 - np.arange(-n_harmonics, n_harmonics + 1)
+    ns = kv[1] * spec.rho0 - np.arange(-n, n + 1)
     H = _lattice(spec, kv[0] + spec.tau * spec.rho0 * kv[1], ns, table)
     return DiscretizedHamiltonian(H, PLANE_WAVE_RAY)
 
@@ -248,7 +255,9 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
     2 n_modes + 1 indices around its kinetic minimum n = p tau/(tau^2 + B).
     As h^-2 >= A = (1+eps)^-2, its levels lie above c p^2 + min v_eff with
     c = A B/(A tau^2 + B), B = rho0^-2: the pairs M = +-j are solved outward
-    until the nearer one's bound is above the n_bands-th level found.
+    until the nearer one's bound is above the n_bands-th level found.  When,
+    after the first pair, that bound cannot stop the loop within
+    _MAX_SECTOR_PAIRS pairs (tiny tau), CapExceeded is raised at once.
     """
     if spec.tau == 0.0:
         raise DegeneratePeriod("tau = 0: no helical momentum sectors")
@@ -258,6 +267,8 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
     table = [np.fft.fft(f).real / (8 * n_modes) for f in samples]
     A, B = (1.0 + spec.epsilon) ** -2, spec.rho0**-2
     c, floor = A * B / (A * spec.tau**2 + B), np.min(samples[1])
+    # as |k_s| <= |tau|/2, every pair beyond _MAX_SECTOR_PAIRS lies above this
+    far = c * ((_MAX_SECTOR_PAIRS - 0.5) * spec.tau) ** 2 + floor
     rows, sectors = [], []
     for k_s in ks:
         levels = np.full(n_bands, np.inf)
@@ -269,6 +280,13 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
             ns = centre[:, None] + np.arange(-n_modes, n_modes + 1)
             w, _ = _dense_eigh(_lattice(spec, p, ns, table), 1)
             levels = np.sort(np.append(levels, w[:, :n_bands]))[:n_bands]
+            # from the first pair on: M = 0 alone leaves the n_bands-th level
+            # a transverse step too high, and the count far too large
+            if j and far <= levels[-1] < np.inf:
+                raise CapExceeded(
+                    f"tau = {spec.tau!r} needs more than {_MAX_SECTOR_PAIRS} "
+                    "sector pairs per k-point, over the desk-scale cap"
+                )
         rows.append(levels)
         sectors.append(2 * j - 1)
     detail = {"n_modes": n_modes, "sectors_per_kpoint": [min(sectors), max(sectors)]}
@@ -323,7 +341,6 @@ def band_sweep(
     kpath,
     source: str,
     n_bands: int = 2,
-    n_harmonics: int = 7,
 ) -> BandStructure:
     """Lowest bands along a k-path with the requested method; ORACLE_FULL
     keeps what continuum_levels reports about its truncation in `detail`."""
@@ -343,19 +360,17 @@ def band_sweep(
     elif source == "FIRST_ORDER":
         rows = [first_order_energies(spec, k, n_bands) for k in kpath]
     else:
-        H = (assemble_perturbed(spec, k, n_harmonics) for k in kpath)
+        H = (assemble_perturbed(spec, k) for k in kpath)
         rows = [eigensolve(h, n_bands).eigenvalues for h in H]
     return BandStructure(list(kpath), np.vstack(rows), source)
 
 
-def gap_perturbed(
-    spec: HelixSpec, m: ReciprocalVector = K1, n_harmonics: int = 7
-) -> float:
+def gap_perturbed(spec: HelixSpec, m: ReciprocalVector = K1) -> float:
     """Splitting of the lowest pair at the crossing point -K_m/2 of the ray.
 
     The crossing sits at half-integer transverse wavenumber, so this is
     evaluated on the continuous ray rather than at an integer-n BlochVector.
     """
     kb = tuple(zone_boundary_k(spec, m))
-    e = eigensolve(assemble_perturbed(spec, kb, n_harmonics), 2).eigenvalues
+    e = eigensolve(assemble_perturbed(spec, kb), 2).eigenvalues
     return float(e[1] - e[0])

@@ -309,8 +309,7 @@ def test_criterion_09_geometry_suite():
 
 def test_criterion_10_determinism(tmp_path):
     args = [
-        "bands", "--grid", "16x12", "--harmonics", "3",
-        "--kpath", "0:-0.5:5",
+        "bands", "--grid", "16x12", "--kpath", "0:-0.5:5",
     ]
     assert cli_main(args + ["--out", str(tmp_path / "r1")]) == 0
     assert cli_main(args + ["--out", str(tmp_path / "r2")]) == 0

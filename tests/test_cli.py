@@ -136,12 +136,12 @@ def test_rows_match_pointwise_library_calls(tmp_path):
 # --------------------------------------------------------------------- bands
 
 
-BANDS_SMALL = ["bands", "--grid", "16x12", "--harmonics", "3", "--kpath", "0:-0.5:5"]
+BANDS_SMALL = ["bands", "--grid", "16x12", "--kpath", "0:-0.5:5"]
 
 
 def test_bands_free_columns_and_summary(tmp_path):
-    rc = main(["bands", "--kappa", "0", "--grid", "16x12", "--harmonics", "3",
-               "--kpath", "0:-0.5:5", "--out", str(tmp_path)])
+    rc = main(["bands", "--kappa", "0", "--grid", "16x12", "--kpath", "0:-0.5:5",
+               "--out", str(tmp_path)])
     assert rc == 0
     header, body = read_csv(tmp_path / "bands.csv")
     assert header == [
@@ -180,12 +180,13 @@ def test_bands_summary_names_the_screw_blocks(tmp_path):
     # the blocks of the continuum screw symmetry are the helical momentum
     # sectors; bands reads no grid, so --grid changes no byte
     for grid in ("16x12", "67x64"):
-        argv = ["bands", "--grid", grid, "--harmonics", "3", "--kpath", "0:-0.5:5"]
+        argv = ["bands", "--grid", grid, "--kpath", "0:-0.5:5"]
         assert main(argv + ["--out", str(tmp_path / grid)]) == 0
     summary = json.loads((tmp_path / "16x12" / "summary.json").read_text())
     assert "grid" not in summary
     full = summary["oracle_full"]
     assert full["n_modes"] == 8  # the floor: eps = 0.1 converges sooner
+    assert summary["n_harmonics"] == 8  # the ray matrix keeps the same window
     assert full["sectors_per_kpoint"] == [3, 3]  # p = k_s and the pair M = +-1
     assert "helical momentum" in full["oracle"]
     for name in ("bands.csv", "summary.json"):
@@ -249,6 +250,39 @@ def test_bands_oracle_storage_cap_is_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("source", ["--kpath 0:nan:3", "--kpath nan:-0.5:3",
+                                    "kpath_end = nan"])
+def test_nan_kpath_endpoint_is_config_error(tmp_path, capsys, source):
+    if source.startswith("--"):
+        argv = ["bands", *source.split()]
+    else:
+        (tmp_path / "run.cfg").write_text(source + "\n")
+        argv = ["bands", "--config", str(tmp_path / "run.cfg")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "k-path endpoint nan" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bands_sector_cap_is_config_error(tmp_path, capsys):
+    # tau = 1e-7 would take about 2.6 million sector pairs per k-point
+    rc = main(["bands", "--tau", "1e-7", "--kpath", "0:-1e-8:2", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "sector pairs" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["verify", "--tau", "1e-160"],
+                                  ["cylinder-check", "--tau", "1e-300"]],
+                         ids=["verify", "cylinder-check"])
+def test_tau_with_overflowing_period_is_config_error(tmp_path, capsys, argv):
+    # (2 pi/|tau|)^2 overflows: refused before any grid is built
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "too small" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+    RunConfig(tau=1e-150).validate()
+
+
 def test_bands_byte_identical_reruns(tmp_path):
     assert main(BANDS_SMALL + ["--out", str(tmp_path / "r1")]) == 0
     assert main(BANDS_SMALL + ["--out", str(tmp_path / "r2")]) == 0
@@ -297,12 +331,24 @@ def test_gap_scan_default_sweep_fit_and_ratio(tmp_path):
     assert fit["slope_twoband"] == pytest.approx(0.375, rel=1e-12)
 
 
-def test_gap_scan_too_many_harmonics_is_config_error(tmp_path, capsys):
-    # 2*2048 + 1 ray rows pass the oracle's 4096 cap
-    rc = main(["gap-scan", "--harmonics", "2048", "--out", str(tmp_path)])
+def test_harmonics_flag_and_key_are_gone(tmp_path, capsys):
+    # the ray window follows the spec, as the exact oracle's does
+    with pytest.raises(SystemExit) as exc:
+        main(["gap-scan", "--harmonics", "2048", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("n_harmonics = 7\n")
+    assert main(["gap-scan", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+    assert "n_harmonics" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_gap_scan_window_storage_cap_is_config_error(tmp_path, capsys):
+    # eps = 0.99999 needs a ray window of 2*4377 + 1 rows, over the 4096 cap
+    rc = main(["gap-scan", "--eps-sweep", "0.99999", "--out", str(tmp_path)])
     assert rc == 2
     assert "cap" in capsys.readouterr().err
-    assert not (tmp_path / "gapscan.csv").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------ cylinder check
@@ -351,6 +397,10 @@ def test_verify_defaults_pass(tmp_path):
     for c in report["checks"]:
         assert c["passed"] is True
         assert {"name", "kind", "tolerance", "measured", "passed"} <= set(c)
+    # the ray window is derived from the spec, so the config no longer has one
+    assert "n_harmonics" not in report["config"]
+    ray = next(c for c in report["checks"] if c["name"] == "hermiticity_perturbed")
+    assert ray["n_harmonics"] == 8
 
 
 def test_verify_corrupted_gauge_potential_fails(tmp_path):
@@ -404,8 +454,6 @@ def test_build_config_validation_direct():
     cfg.validate()
     with pytest.raises(ConfigError):
         RunConfig(eps_sweep=(1.5,)).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(n_harmonics=2).validate()
     with pytest.raises(ConfigError):
         RunConfig(units="physical:-3").validate()
     scale = RunConfig(units="physical:2.0").energy_scale()

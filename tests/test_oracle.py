@@ -25,12 +25,14 @@ from helitube.operators import effective_params
 from helitube.oracle import (
     GRID_2D,
     PLANE_WAVE_RAY,
+    CapExceeded,
     ConvergenceFailure,
     DiscretizedHamiltonian,
     SpectrumResult,
     assemble_full,
     assemble_perturbed,
     band_sweep,
+    continuum_levels,
     eigensolve,
     gap_perturbed,
     screw_eigenvalues,
@@ -207,10 +209,10 @@ def test_screw_reduction_check_catches_a_wrong_twist(monkeypatch):
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench/reference/fig3_bands.csv"
 
 
-def _richardson(spec, k_s, n_lowest):
-    """(4 E_64 - E_32)/3 on the screw-block grid: the independent 2-d route."""
+def _richardson(spec, k_s, n_lowest, grids=(32, 64)):
+    """(4 E_fine - E_coarse)/3 on the screw-block grid: the independent 2-d route."""
     k = BlochVector(k_s, 0)
-    coarse, fine = (screw_eigenvalues(spec, k, n, n, n_lowest) for n in (32, 64))
+    coarse, fine = (screw_eigenvalues(spec, k, n, n, n_lowest) for n in grids)
     return (4.0 * fine - coarse) / 3.0
 
 
@@ -245,9 +247,11 @@ def test_continuum_matches_the_grid_on_a_mirror_helix_with_offset():
 def test_continuum_matches_the_grid_richardson_limit(rho0, eps, tau, sign, s0, k_frac):
     spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0, s0=s0)
     k_s = k_frac * tau / 2
-    exact, rich = _continuum(spec, k_s), _richardson(spec, k_s, 4)
-    # worst of 300 seeded draws over these ranges: 2.2e-4, at rho0 = 1 and
-    # tau = 0.63, where the 64-node s grid is coarsest
+    # on 64/128: the 32-node grid is not yet in its h^2 regime for every
+    # level (at rho0 = 1/3, eps = 0.5, tau = 1.934, k_s = tau/4 its 4th level
+    # moves 0.038 then 0.0056 under refinement, and 32/64 misses by 8.1e-4,
+    # 64/128 by 1.6e-7); worst of 177 seeded draws 1.5e-6
+    exact, rich = _continuum(spec, k_s), _richardson(spec, k_s, 4, (64, 128))
     assert np.max(np.abs(exact - rich)) <= 5e-4 * np.max(np.abs(exact))
 
 
@@ -313,6 +317,111 @@ def test_continuum_guards():
         band_sweep(nearly_flat, [BlochVector(0.0, 0)], "ORACLE_FULL")
 
 
+def test_continuum_sector_cap_raises_at_once(monkeypatch):
+    # tau = 1e-7 would take about 2.6 million sector pairs per k-point; the
+    # bound after the first pair refuses it before a third solve
+    solves = []
+    right = oracle_module._dense_eigh
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return right(*args, **kwargs)
+
+    monkeypatch.setattr(oracle_module, "_dense_eigh", counted)
+    with pytest.raises(CapExceeded, match="sector pairs"):
+        continuum_levels(HelixSpec(kappa=1.0, tau=1e-7, rho0=0.1), [0.0], 2)
+    assert len(solves) == 2
+    # tau = 1e-3 needs 258 pairs, well inside the cap
+    levels, detail = continuum_levels(HelixSpec(1.0, 1e-3, 0.1), [0.0], 2)
+    assert detail["sectors_per_kpoint"] == [515, 515]
+
+
+def _exact_sector_matrices(spec, k_s):
+    """The oracle's own sectors M = -2..2 at k_s, with the FFT table."""
+    n = oracle_module._n_modes(spec)
+    samples = oracle_module._helical_samples(spec, 8 * n)
+    table = [np.fft.fft(f).real / (8 * n) for f in samples]
+    ps = k_s + spec.tau * np.arange(-2, 3)
+    ns = np.rint(ps * spec.tau / (spec.tau**2 + spec.rho0**-2))[:, None]
+    return table, ps, ns + np.arange(-n, n + 1)
+
+
+def _asymmetry(H):
+    return np.max(np.abs(H - np.swapaxes(H, -1, -2).conj())) / np.max(np.abs(H))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rho0=st.floats(0.05, 1.0),
+    eps=st.floats(0.0, 0.9),
+    tau=st.floats(0.3, 3.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    s0=st.floats(-3.0, 3.0),
+    k_frac=st.floats(-1.0, 1.0),
+    k_phi=st.floats(-30.0, 30.0),
+)
+def test_hermiticity_over_random_specs(rho0, eps, tau, sign, s0, k_frac, k_phi):
+    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0, s0=s0)
+    k_s = k_frac * tau / 2
+    # the ray matrix is Hermitian to the last bit, at any k on or off the path
+    H = assemble_perturbed(spec, (k_s, k_phi)).entries
+    assert np.array_equal(H, H.conj().T)
+    # the exact sectors only up to rounding: the FFT's .real is even to
+    # eps_mach (worst of 400 seeded draws 2.8e-16 of the largest entry)
+    table, ps, ns = _exact_sector_matrices(spec, k_s)
+    assert _asymmetry(oracle_module._lattice(spec, ps, ns, table)) <= 1e-15
+
+
+def test_hermiticity_check_catches_an_uneven_table():
+    spec = HelixSpec(kappa=1.3, tau=-0.8, rho0=0.3, s0=0.7)
+    table, ps, ns = _exact_sector_matrices(spec, 0.27)
+    table[0] = table[0].copy()
+    table[0][1] += 1e-3 * abs(table[0][1])  # w[1] != w[-1]
+    assert _asymmetry(oracle_module._lattice(spec, ps, ns, table)) > 1e-5  # 3.4e-5
+
+
+def _cylinder_closed_form(spec, k_s, n_bands, quarter=0.25):
+    m, n = np.meshgrid(np.arange(-60, 61), np.arange(-12, 13))
+    levels = (k_s + m * spec.tau) ** 2 + (n**2 - quarter) / spec.rho0**2
+    return np.sort(levels, axis=None)[:n_bands]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rho0=st.floats(0.05, 1.0),
+    tau=st.floats(0.3, 3.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    s0=st.floats(-3.0, 3.0),
+    k_frac=st.floats(-1.0, 1.0),
+)
+def test_continuum_cylinder_limit(rho0, tau, sign, s0, k_frac):
+    # kappa = 0: (k_s + m tau)^2 + (n^2 - 1/4)/rho0^2, to rounding (worst of
+    # 2,000 seeded draws 6.6e-16 of the largest level)
+    spec = HelixSpec(kappa=0.0, tau=sign * tau, rho0=rho0, s0=s0)
+    k_s = k_frac * tau / 2
+    got = _continuum(spec, k_s, 6)
+    want = _cylinder_closed_form(spec, k_s, 6)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_continuum_approaches_the_cylinder_as_eps_squared():
+    # FIG3's shape at k_s = -0.3: the distance falls 100-fold per decade of
+    # eps (measured 9.9e-5, 9.9e-7, 9.9e-9 relative at eps = 1e-2, 1e-3, 1e-4)
+    shape = HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)
+    want = _cylinder_closed_form(shape, -0.3, 4)
+    dist = []
+    for eps in (1e-2, 1e-3, 1e-4):
+        got = _continuum(HelixSpec(kappa=eps / 0.1, tau=1.0, rho0=0.1), -0.3)
+        dist.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    assert 5e-5 <= dist[0] <= 2e-4
+    assert all(50.0 <= a / b <= 200.0 for a, b in zip(dist, dist[1:]))
+    # negative control: the closed form without the -1/4 misses by 8.7 times
+    # its largest level
+    wrong = _cylinder_closed_form(shape, -0.3, 4, quarter=0.0)
+    exact = _continuum(shape, -0.3)
+    assert np.max(np.abs(exact - wrong)) / np.max(np.abs(wrong)) > 1e-2
+
+
 @pytest.mark.parametrize("wrong", ["h^-1 for h^-2", "v_kin dropped"])
 def test_continuum_oracle_check_catches_a_wrong_table(monkeypatch, wrong):
     cfg = RunConfig()
@@ -337,7 +446,7 @@ def test_perturbed_is_the_lattice_fed_the_stated_table():
     # continuous ray (half-integer n) with an s0 phase
     spec = HelixSpec(kappa=1.0, tau=-1.0, rho0=0.1, s0=0.37)
     kv = zone_boundary_k(spec)
-    n = 5
+    n = oracle_module._n_modes(spec)
     js = np.arange(-n, n + 1)
     q = kv[0] + js * spec.tau
     want = np.diag(q**2 + (kv[1] - js / spec.rho0) ** 2
@@ -347,18 +456,18 @@ def test_perturbed_is_the_lattice_fed_the_stated_table():
         for col in range(2 * n + 1 - dj):
             want[col + dj, col] = ray_amplitude(spec, dj, q[col])
             want[col, col + dj] = np.conj(want[col + dj, col])
-    got = assemble_perturbed(spec, tuple(kv), n).entries
+    got = assemble_perturbed(spec, tuple(kv)).entries
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_perturbed_free_diagonal():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)
     kv = (0.2, 0.0)
-    H = assemble_perturbed(spec, kv, 3)
+    H = assemble_perturbed(spec, kv)
     assert H.basis == PLANE_WAVE_RAY
-    assert H.dimension == 7
+    assert H.dimension == 17  # the window floor of 8 modes each side
     a = effective_params(spec).a
-    js = np.arange(-3, 4)
+    js = np.arange(-8, 9)
     want = (0.2 + js * spec.tau) ** 2 + (js * 10.0) ** 2 - a
     np.testing.assert_allclose(np.diag(H.entries), want, rtol=1e-14)
     off = H.entries - np.diag(np.diag(H.entries))
@@ -367,24 +476,42 @@ def test_perturbed_free_diagonal():
 
 def test_perturbed_hermitian_and_minimum_size():
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05, s0=0.3)
-    H = assemble_perturbed(spec, (0.1, 0.0), 5).entries
+    H = assemble_perturbed(spec, (0.1, 0.0)).entries
     assert np.linalg.norm(H - H.conj().T) <= 1e-12 * np.linalg.norm(H)
-    with pytest.raises(ValueError):
-        assemble_perturbed(spec, (0.1, 0.0), 2)
 
 
 def test_perturbed_storage_cap():
-    # 2*2048 + 1 = 4097 rows: refused before the matrix is allocated
-    with pytest.raises(ValueError, match="cap"):
-        assemble_perturbed(FIG3, (0.0, 0.0), 2048)
+    # eps = 0.999999 needs a window of 2*13900 + 1 rows, over the 4096 cap:
+    # refused before the matrix is allocated
+    nearly_flat = HelixSpec(kappa=0.999999, tau=1.0, rho0=1.0)
+    with pytest.raises(CapExceeded, match="cap"):
+        assemble_perturbed(nearly_flat, (0.0, 0.0))
 
 
-def test_perturbed_truncation_stability():
-    spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
-    kb = tuple(zone_boundary_k(spec))
-    e5 = eigensolve(assemble_perturbed(spec, kb, 5), 4).eigenvalues
-    e9 = eigensolve(assemble_perturbed(spec, kb, 9), 4).eigenvalues
-    np.testing.assert_allclose(e5, e9, atol=1e-8)
+def test_perturbed_truncation_stability(monkeypatch):
+    # the derived window is converged: doubling it moves none of the lowest
+    # four levels by more than 1e-13 of the matrix's largest |eigenvalue|
+    specs = [
+        FIG3,
+        HelixSpec(kappa=0.7, tau=-1.3, rho0=0.3, s0=0.4),
+        HelixSpec(kappa=0.9, tau=2.0, rho0=1.0),  # a fixed window of 7 is off
+        HelixSpec(kappa=9.0, tau=1.0, rho0=0.1),
+        HelixSpec(kappa=1.0, tau=1.0, rho0=0.01),
+    ]
+
+    def lowest(spec):
+        ks = [(f * abs(spec.tau), 0.0) for f in (0.0, -0.3)]
+        ks.append(tuple(zone_boundary_k(spec)))
+        Hs = [assemble_perturbed(spec, k).entries for k in ks]
+        every = [np.linalg.eigvalsh(H) for H in Hs]
+        return np.array([w[:4] for w in every]), max(np.abs(w).max() for w in every)
+
+    base = {spec: lowest(spec) for spec in specs}
+    right = oracle_module._n_modes
+    monkeypatch.setattr(oracle_module, "_n_modes", lambda spec: 2 * right(spec))
+    for spec in specs:
+        (levels, scale), (doubled, _) = base[spec], lowest(spec)
+        assert np.max(np.abs(doubled - levels)) <= 1e-13 * scale
 
 
 def test_perturbed_vs_two_band_second_order():
@@ -394,7 +521,7 @@ def test_perturbed_vs_two_band_second_order():
     for eps in (0.04, 0.02):
         spec = HelixSpec(kappa=eps / rho0, tau=1.0, rho0=rho0)
         kb = tuple(zone_boundary_k(spec))
-        pert = eigensolve(assemble_perturbed(spec, kb, 7), 2).eigenvalues
+        pert = eigensolve(assemble_perturbed(spec, kb), 2).eigenvalues
         tb = two_band_energies(spec, kb)
         errs[eps] = max(abs(pert[0] - tb[0]), abs(pert[1] - tb[1]))
     ratio = errs[0.04] / errs[0.02]
@@ -485,7 +612,7 @@ def test_band_sweep_free_folded_parabolas():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)
     path = [BlochVector(k, 0) for k in (-0.4, -0.3, -0.2, 0.0)]
     tb = band_sweep(spec, path, "TWO_BAND")
-    pert = band_sweep(spec, path, "ORACLE_PERTURBED", n_harmonics=3)
+    pert = band_sweep(spec, path, "ORACLE_PERTURBED")
     a = effective_params(spec).a
     for i, k in enumerate(path):
         assert tb.energies[i, 0] == pytest.approx(k.k_s**2 - a, rel=1e-12)
@@ -579,9 +706,9 @@ def test_first_order_u_oracle_eigenvector_component():
     rho0, kv = 0.1, (0.2, 0.0)
     for eps in (0.04, 0.02):
         spec = HelixSpec(kappa=eps / rho0, tau=1.0, rho0=rho0)
-        res = eigensolve(assemble_perturbed(spec, kv, 5), 1, with_vectors=True)
+        res = eigensolve(assemble_perturbed(spec, kv), 1, with_vectors=True)
         vec = res.eigenvectors[:, 0]
-        mid = 5  # j = 0 entry of the 11-component basis
+        mid = oracle_module._n_modes(spec)  # j = 0 entry of the ray basis
         ratio = vec[mid + 1] / vec[mid]
         u = first_order_u(spec, kv, K1, res.eigenvalues[0])
         err = abs(ratio - u)
