@@ -9,11 +9,15 @@ key has a default and command-line flags override file values.  All
 numbers are written in lower-case scientific notation with 17
 significant digits, files are written atomically (temp file + rename),
 and repeated runs with the same configuration produce byte-identical
-output.
+output.  ``geometry`` and ``potential`` stream their rows a block of
+s-rows at a time and format each distinct value of a column once per
+block: the tables depend on ``(s, phi)`` through the helical phase, so
+most columns repeat a few hundred values.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
-(a request over one of the oracle's desk-scale caps included), 3
-eigensolver failure.
+(a request over one of the oracle's desk-scale caps included, and a
+``tau``, ``kappa`` or ``1/rho0`` whose square overflows), 3 eigensolver
+failure.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ _DEFAULT_EPS_SWEEP = (0.01, 0.02, 0.03, 0.04, 0.05)
 
 # geometry/potential hold a few arrays per node and write the rows as they go
 _MAX_NODES = 2**20
+# geometry/potential format this many s-rows of nodes at a time
+_BLOCK_ROWS = 16
 # bands holds a few formatted rows per k-point
 _MAX_KPOINTS = 2**16
 
@@ -94,6 +100,13 @@ class RunConfig:
             spec = self.spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # `*` gives inf where the library's `**` would raise OverflowError
+        for name, scale in (("tau", self.tau), ("kappa", self.kappa),
+                            ("1/rho0", 1.0 / self.rho0)):
+            if not math.isfinite(scale * scale):
+                raise ConfigError(
+                    f"{name} = {scale!r} is too large: its square overflows"
+                )
         if not math.isfinite(spec.s_period * spec.s_period):
             raise ConfigError(
                 f"tau = {self.tau!r} is too small: the squared period "
@@ -276,10 +289,23 @@ def write_json(path: Path, obj) -> None:
 
 
 def _node_rows(*columns):
-    """Formatted rows, one per node of the (n_s, n_phi) columns, s-major;
-    made one s-row of nodes at a time, so only that many are held as text."""
-    for chunk in zip(*columns):
-        yield from (map(fmt, vals) for vals in zip(*(c.tolist() for c in chunk)))
+    """Formatted rows, one per node of the (n_s, n_phi) columns, s-major.
+
+    Made ``_BLOCK_ROWS`` s-rows of nodes at a time, so only that many are
+    held as text.  Within a block each column's distinct values are
+    formatted once and the text is indexed back to the nodes.  Values are
+    keyed by their bits, not compared as floats: ``-0.0 == 0.0`` but the
+    two print differently, and the tables hold both.
+    """
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        text = []
+        for c in columns:
+            bits = c[start:start + _BLOCK_ROWS].view(np.int64)
+            keys, inverse = np.unique(bits, return_inverse=True)
+            distinct = np.array([fmt(v) for v in keys.view(np.float64).tolist()],
+                                dtype=object)
+            text.append(distinct[inverse.ravel()].tolist())
+        yield from zip(*text)
 
 
 # --------------------------------------------------------------------------

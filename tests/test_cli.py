@@ -5,7 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from helitube import cli
 from helitube.cli import ConfigError, RunConfig, build_config, fmt, main
 from helitube.geometry import (
     HelixSpec,
@@ -131,6 +135,73 @@ def test_rows_match_pointwise_library_calls(tmp_path):
         want = [s, phi, v_curv(spec, s, phi), v_kin(spec, s, phi),
                 v_eff(spec, s, phi)]
         assert pot[i * n_phi + j] == ",".join(map(fmt, want))
+
+
+def _pointwise_rows(*columns):
+    return [tuple(map(fmt, vals)) for vals in zip(*(c.ravel().tolist() for c in columns))]
+
+
+def _value_keyed_rows(*columns):
+    """_node_rows keyed by float value instead of bits (a negative control)."""
+    for start in range(0, len(columns[0]), cli._BLOCK_ROWS):
+        text = []
+        for c in columns:
+            keys, inverse = np.unique(c[start:start + cli._BLOCK_ROWS],
+                                      return_inverse=True)
+            distinct = [fmt(v) for v in keys.tolist()]
+            text.append([distinct[i] for i in inverse.ravel()])
+        yield from zip(*text)
+
+
+# few values per column, so they repeat; both zeros, subnormals, infinities
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, 1.0]
+
+
+@st.composite
+def node_columns(draw):
+    n_s = draw(st.integers(1, 3 * cli._BLOCK_ROWS + 3))
+    n_phi = draw(st.integers(4, 9))
+    pool = _SPECIAL + draw(st.lists(st.floats(allow_nan=False), max_size=6))
+    column = hnp.arrays(np.float64, (n_s, n_phi), elements=st.sampled_from(pool))
+    return draw(st.lists(column, min_size=1, max_size=4))
+
+
+def _signed_zero_columns(n_s):
+    # -0.0 and +0.0 in one column, and each alone in a column of its own
+    mixed = np.where(np.arange(n_s * 5).reshape(n_s, 5) % 3, 0.0, -0.0)
+    return [mixed, np.full((n_s, 5), 0.0), np.full((n_s, 5), -0.0)]
+
+
+def _writes_pointwise(writer):
+    """The property: a writer gives exactly fmt of each node, node by node."""
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(node_columns())
+    @example(_signed_zero_columns(3))                      # fewer rows than a block
+    @example(_signed_zero_columns(cli._BLOCK_ROWS + 5))    # not a multiple of it
+    def check(columns):
+        assert [tuple(r) for r in writer(*columns)] == _pointwise_rows(*columns)
+    return check
+
+
+def test_node_rows_match_fmt_node_by_node():
+    _writes_pointwise(cli._node_rows)()
+
+
+def test_value_keyed_dedup_fails_the_node_rows_property():
+    # -0.0 == 0.0, so keying by value prints one zero for both
+    with pytest.raises(AssertionError):
+        _writes_pointwise(_value_keyed_rows)()
+
+
+@pytest.mark.parametrize("cmd, n_columns, share", [("potential", 5, 8),
+                                                   ("geometry", 10, 2)])
+def test_tables_format_each_distinct_value_once(tmp_path, monkeypatch, cmd,
+                                                n_columns, share):
+    # at FIG3 and 64x64 a node-by-node writer calls fmt 64*64*n_columns times
+    calls = []
+    monkeypatch.setattr(cli, "fmt", lambda x: calls.append(x) or fmt(x))
+    assert main([cmd, "--grid", "64x64", "--out", str(tmp_path)]) == 0
+    assert len(calls) <= 64 * 64 * n_columns // share
 
 
 # --------------------------------------------------------------------- bands
@@ -281,6 +352,20 @@ def test_tau_with_overflowing_period_is_config_error(tmp_path, capsys, argv):
     assert "too small" in captured.err and captured.out == ""
     assert list(tmp_path.iterdir()) == []
     RunConfig(tau=1e-150).validate()
+
+
+@pytest.mark.parametrize("argv", [
+    "bands --tau 1e200", "bands --kappa 1e200 --rho0 1e-300",
+    "bands --rho0 1e-160 --kappa 0", "geometry --kappa 1e200 --rho0 1e-300",
+    "potential --tau 1e200", "verify --tau 1e200", "cylinder-check --tau 1e200",
+    "gap-scan --tau 1e200",
+])
+def test_overflowing_scale_is_config_error(tmp_path, capsys, argv):
+    # tau^2, kappa^2 or (1/rho0)^2 overflows: refused before anything is written
+    assert main(argv.split() + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "too large" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bands_byte_identical_reruns(tmp_path):
