@@ -45,18 +45,15 @@ from .operators import (
     v1_multiplicative,
     v_eff,
     v_kin,
-    wave_field,
     wavefield_norm,
 )
 from .bloch import (
-    K1,
     SOURCE_TAGS,
     BandStructure,
     BlochVector,
     GapScaling,
     NearResonance,
     OutOfValidity,
-    ReciprocalVector,
     SingularMass,
     bloch_vector,
     cylinder_limit_energies,
@@ -68,6 +65,7 @@ from .bloch import (
     near_boundary_expansion,
     origin_fit,
     ray_amplitude,
+    ray_vector,
     stated_table,
     two_band_energies,
     two_band_gap,
@@ -102,14 +100,14 @@ __all__ = [
     "apply_laplace_beltrami", "apply_transformed_operator",
     "effective_params", "laplace_beltrami_expanded", "normalize",
     "random_band_limited", "spectral_derivative", "v1_apply",
-    "v1_multiplicative", "v_eff", "v_kin", "wave_field", "wavefield_norm",
-    "K1", "SOURCE_TAGS", "BandStructure", "BlochVector", "GapScaling",
-    "NearResonance", "OutOfValidity", "ReciprocalVector", "SingularMass",
+    "v1_multiplicative", "v_eff", "v_kin", "wavefield_norm",
+    "SOURCE_TAGS", "BandStructure", "BlochVector", "GapScaling",
+    "NearResonance", "OutOfValidity", "SingularMass",
     "bloch_vector", "cylinder_limit_energies", "effective_mass",
     "first_order_energies", "first_order_u", "gap_scaling", "k_components",
-    "near_boundary_expansion", "origin_fit", "ray_amplitude", "stated_table",
-    "two_band_energies", "two_band_gap", "two_band_hessian", "u_squared",
-    "zone_boundary_k",
+    "near_boundary_expansion", "origin_fit", "ray_amplitude", "ray_vector",
+    "stated_table", "two_band_energies", "two_band_gap", "two_band_hessian",
+    "u_squared", "zone_boundary_k",
     "GRID_2D", "PLANE_WAVE_RAY", "CapExceeded", "ConvergenceFailure",
     "DiscretizedHamiltonian", "SpectrumResult", "assemble_full",
     "assemble_perturbed", "band_sweep", "continuum_levels", "eigensolve",

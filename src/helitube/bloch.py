@@ -1,12 +1,13 @@
 """Plane-wave analysis of the periodic first-order potential.
 
 The potential on the tube surface is periodic in (s, varphi) and all of its
-Fourier weight sits on integer multiples of the single reciprocal vector
-K1 = (tau, -1/rho0).  This module builds the coupling amplitudes between
-plane-wave components, solves the resulting two-component secular problem
-near a zone boundary, and derives the quantities that follow from it: the
-band gap, its scaling with the bending parameter, the effective-mass tensor,
-and the straight-tube reference spectrum.
+Fourier weight sits on integer multiples j K1 of the single reciprocal
+vector K1 = ray_vector(spec) = (tau, -1/rho0), the tube's helical symmetry.
+This module builds the coupling amplitudes between plane-wave components,
+solves the two-component secular problem that K1 couples near the zone
+boundary -K1/2, and derives the quantities that follow from it: the band
+gap, its scaling with the bending parameter, the effective-mass tensor, and
+the straight-tube reference spectrum.
 
 Because the first-order potential contains s-derivatives, a coupling
 amplitude depends on the longitudinal wavenumber of the component it acts
@@ -47,28 +48,6 @@ SOURCE_TAGS = frozenset(
 
 
 @dataclass(frozen=True)
-class ReciprocalVector:
-    """Integer lattice point (m_s, m_phi) with components (m_s tau, m_phi/rho0)."""
-
-    m_s: int
-    m_phi: int
-
-    def components(self, spec: HelixSpec) -> np.ndarray:
-        return np.array([self.m_s * spec.tau, self.m_phi / spec.rho0])
-
-    @property
-    def on_ray(self) -> bool:
-        """True when the vector is a nonzero multiple of K1 = (tau, -1/rho0)."""
-        return self.m_phi == -self.m_s and self.m_s != 0
-
-    def __neg__(self) -> "ReciprocalVector":
-        return ReciprocalVector(-self.m_s, -self.m_phi)
-
-
-K1 = ReciprocalVector(1, -1)
-
-
-@dataclass(frozen=True)
 class BlochVector:
     """Quasi-momentum k_s in the first zone plus an exact transverse integer n."""
 
@@ -90,9 +69,14 @@ def bloch_vector(spec: HelixSpec, k_s: float, n_transverse: int = 0) -> BlochVec
     return BlochVector(k, n_transverse)
 
 
-def zone_boundary_k(spec: HelixSpec, m: ReciprocalVector = K1) -> np.ndarray:
-    """The k-point -K_m/2 where the free bands connected by K_m cross."""
-    return -0.5 * m.components(spec)
+def ray_vector(spec: HelixSpec) -> np.ndarray:
+    """K1 = (tau, -1/rho0): the potential's Fourier weight sits on its multiples."""
+    return np.array([spec.tau, -1.0 / spec.rho0])
+
+
+def zone_boundary_k(spec: HelixSpec) -> np.ndarray:
+    """The k-point -K1/2 where the free bands connected by K1 cross."""
+    return -0.5 * ray_vector(spec)
 
 
 def k_components(spec: HelixSpec, k) -> np.ndarray:
@@ -136,57 +120,46 @@ def ray_amplitude(spec: HelixSpec, j: int, q_s: float) -> complex:
     return base * phase
 
 
-def first_order_u(
-    spec: HelixSpec,
-    k,
-    m: ReciprocalVector,
-    energy: float,
-    delta: float | None = None,
-) -> complex:
-    """Leading mixing coefficient of the k+K_m component into the k state."""
+def first_order_u(spec: HelixSpec, k, energy: float) -> complex:
+    """Leading mixing coefficient of the k+K1 component into the k state."""
     kv = k_components(spec, k)
-    K = m.components(spec)
+    K = ray_vector(spec)
     k_eff_sq = effective_params(spec).k_eff_sq(energy)
     denom = k_eff_sq - float((kv + K) @ (kv + K))
-    if delta is None:
-        delta = 1e-6 * spec.tau**2
+    delta = 1e-6 * spec.tau**2
     if abs(denom) <= delta:
         raise NearResonance(
             f"denominator {denom:.3e} within {delta:.3e} of zero; "
             "the state is degenerate with its shifted partner"
         )
-    if not m.on_ray:
-        return 0.0
-    return ray_amplitude(spec, m.m_s, kv[0]) / denom
+    return ray_amplitude(spec, 1, kv[0]) / denom
 
 
 # --------------------------------------------------------------------------
 # two-band secular problem
 
 
-def u_squared(spec: HelixSpec, kv: np.ndarray, m: ReciprocalVector) -> float:
-    """U^2 pairing the forward amplitude at q0 = k_s with the reverse one at q1."""
-    j = m.m_s
+def u_squared(spec: HelixSpec, kv: np.ndarray, j: int) -> float:
+    """U^2 of the j-th ray harmonic, coupling kv and kv + j K1: the forward
+    amplitude at q0 = k_s paired with the reverse one at q1 = q0 + j tau."""
     a_fwd = ray_amplitude(spec, j, kv[0])
     a_rev = ray_amplitude(spec, -j, kv[0] + j * spec.tau)
     return float(np.real(a_fwd * a_rev))
 
 
-def two_band_energies(spec: HelixSpec, k, m: ReciprocalVector = K1):
-    """Both roots of the 2x2 secular problem coupling k and k+K_m.
+def two_band_energies(spec: HelixSpec, k):
+    """Both roots of the 2x2 secular problem coupling k and k+K1.
 
     Returns (E1, E2) with E1 <= E2.  At epsilon = 0 the roots are the free
-    values k^2 - a and (k+K_m)^2 - a; the j = 0 harmonic adds a constant
+    values k^2 - a and (k+K1)^2 - a; the j = 0 harmonic adds a constant
     shift eps kappa^2/4 to both roots.
     """
-    if not m.on_ray:
-        raise ValueError("coupling vector must be a nonzero multiple of (1, -1)")
     kv = k_components(spec, k)
-    K = m.components(spec)
+    K = ray_vector(spec)
     a = effective_params(spec).a
     lower = float(kv @ kv) - a
     upper = float((kv + K) @ (kv + K)) - a
-    u2 = u_squared(spec, kv, m)
+    u2 = u_squared(spec, kv, 1)
     shift = stated_table(spec)[1][0]
     mid = shift + 0.5 * (lower + upper)
     disc = math.sqrt(max(0.25 * (upper - lower) ** 2 + u2, 0.0))
@@ -199,6 +172,7 @@ def first_order_energies(spec: HelixSpec, k, n_bands: int) -> np.ndarray:
     a = effective_params(spec).a
     shift = stated_table(spec)[1][0]
     delta = 1e-6 * spec.tau**2
+    K = ray_vector(spec)
 
     def free(j: int) -> float:
         return (kv[0] + j * spec.tau) ** 2 + (kv[1] - j / spec.rho0) ** 2 - a
@@ -206,7 +180,7 @@ def first_order_energies(spec: HelixSpec, k, n_bands: int) -> np.ndarray:
     energies = []
     for j in range(-4, 5):
         e0 = free(j)
-        kv_j = kv + j * K1.components(spec)
+        kv_j = kv + j * K
         corr = 0.0
         for dj in (-3, -2, -1, 1, 2, 3):
             denom = e0 - free(j + dj)
@@ -214,29 +188,27 @@ def first_order_energies(spec: HelixSpec, k, n_bands: int) -> np.ndarray:
                 raise NearResonance(
                     f"states j={j} and j={j + dj} degenerate at this k"
                 )
-            corr += u_squared(spec, kv_j, ReciprocalVector(dj, -dj)) / denom
+            corr += u_squared(spec, kv_j, dj) / denom
         energies.append(e0 + shift + corr)
     return np.sort(energies)[:n_bands]
 
 
-def two_band_gap(spec: HelixSpec, m: ReciprocalVector = K1) -> float:
-    """Band gap 2|U| opened at the zone boundary -K_m/2."""
-    e1, e2 = two_band_energies(spec, tuple(zone_boundary_k(spec, m)), m)
+def two_band_gap(spec: HelixSpec) -> float:
+    """Band gap 2|U| opened at the zone boundary -K1/2."""
+    e1, e2 = two_band_energies(spec, tuple(zone_boundary_k(spec)))
     return e2 - e1
 
 
-def near_boundary_expansion(spec: HelixSpec, G: float, m: ReciprocalVector = K1):
+def near_boundary_expansion(spec: HelixSpec, G: float):
     """Quadratic expansion of the two bands at displacement G along the ray.
 
-    Valid while K_m^2 G^2 < 0.1 U^2; at G = 0 it reproduces the two-band
+    Valid while K1^2 G^2 < 0.1 U^2; at G = 0 it reproduces the two-band
     roots, and the gap, exactly.
     """
-    if not m.on_ray:
-        raise ValueError("coupling vector must be a nonzero multiple of (1, -1)")
-    K = m.components(spec)
+    K = ray_vector(spec)
     K2 = float(K @ K)
     kb = -0.5 * K
-    u2 = u_squared(spec, kb, m)
+    u2 = u_squared(spec, kb, 1)
     if not K2 * G**2 < 0.1 * u2:
         raise OutOfValidity(
             f"K^2 G^2 = {K2 * G**2:.3e} not small against U^2 = {u2:.3e}"
@@ -312,20 +284,16 @@ def _invert_hessian(hess: np.ndarray, tau: float) -> np.ndarray:
     return 2.0 * np.linalg.inv(hess)
 
 
-def _u_squared_polynomial(spec: HelixSpec, m: ReciprocalVector) -> Polynomial:
-    """U^2 in q0 = k_s: the forward amplitude v + w (q0 + j tau) q0 of the
-    (even) stated_table times the reverse one at q1 = q0 + j tau."""
-    j = m.m_s
+def _u_squared_polynomial(spec: HelixSpec) -> Polynomial:
+    """U^2 in q0 = k_s: the forward amplitude v + w (q0 + tau) q0 of the
+    (even) stated_table times the reverse one at q1 = q0 + tau."""
     w, v = stated_table(spec)
-    wd, vd = w.get(j, 0.0), v.get(j, 0.0)
-    fwd = Polynomial([vd, wd * j * spec.tau, wd])
-    rev = Polynomial([vd, -wd * j * spec.tau, wd])
-    return fwd * rev(Polynomial([j * spec.tau, 1.0]))
+    fwd = Polynomial([v[1], w[1] * spec.tau, w[1]])
+    rev = Polynomial([v[1], -w[1] * spec.tau, w[1]])
+    return fwd * rev(Polynomial([spec.tau, 1.0]))
 
 
-def two_band_hessian(
-    spec: HelixSpec, k, band: int, m: ReciprocalVector = K1
-) -> np.ndarray:
+def two_band_hessian(spec: HelixSpec, k, band: int) -> np.ndarray:
     """Closed-form Hessian d2E/dk dk of a two-band branch.
 
     The branch is shift + |k|^2 + K.k + K^2/2 - a -+ f with
@@ -334,12 +302,10 @@ def two_band_hessian(
     """
     if band not in (0, 1):
         raise ValueError("band must be 0 (lower) or 1 (upper)")
-    if not m.on_ray:
-        raise ValueError("coupling vector must be a nonzero multiple of (1, -1)")
     kv = k_components(spec, k)
-    K = m.components(spec)
+    K = ray_vector(spec)
     D = float(K @ kv) + 0.5 * float(K @ K)
-    w_poly = _u_squared_polynomial(spec, m)
+    w_poly = _u_squared_polynomial(spec)
     q0 = kv[0]
     w = float(w_poly(q0))
     wp = float(w_poly.deriv(1)(q0))
@@ -356,15 +322,13 @@ def two_band_hessian(
     return 2.0 * np.eye(2) + sign * f_hess
 
 
-def effective_mass(
-    spec: HelixSpec, k, band: int, m: ReciprocalVector = K1
-) -> np.ndarray:
+def effective_mass(spec: HelixSpec, k, band: int) -> np.ndarray:
     """Mass tensor 2 [d2E/dk dk]^{-1} of a two-band branch, in units of mu.
 
     Inverts the closed-form two_band_hessian; band 0 is the lower branch,
     band 1 the upper.
     """
-    return _invert_hessian(two_band_hessian(spec, k, band, m), spec.tau)
+    return _invert_hessian(two_band_hessian(spec, k, band), spec.tau)
 
 
 # --------------------------------------------------------------------------

@@ -16,8 +16,8 @@ most columns repeat a few hundred values.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (a request over one of the oracle's desk-scale caps included, and a
-``tau``, ``kappa`` or ``1/rho0`` whose square overflows), 3 eigensolver
-failure.
+``tau``, ``kappa`` or ``1/rho0`` whose fourth power overflows: energies
+scale as its square and are squared again), 3 eigensolver failure.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .geometry import (
     v_curv,
 )
 from .operators import effective_params, v_eff, v_kin
-from .bloch import K1, BlochVector, origin_fit, two_band_gap, u_squared
+from .bloch import BlochVector, origin_fit, two_band_gap, u_squared
 from .oracle import CapExceeded, ConvergenceFailure, band_sweep, gap_perturbed
 from . import verify as _verify
 
@@ -100,12 +100,15 @@ class RunConfig:
             spec = self.spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # `*` gives inf where the library's `**` would raise OverflowError
+        # energies go as the square of these scales and are squared again
+        # (matrix norms, the least-squares fit); `*` gives inf where the
+        # library's `**` would raise OverflowError
         for name, scale in (("tau", self.tau), ("kappa", self.kappa),
                             ("1/rho0", 1.0 / self.rho0)):
-            if not math.isfinite(scale * scale):
+            if not math.isfinite((scale * scale) * (scale * scale)):
                 raise ConfigError(
-                    f"{name} = {scale!r} is too large: its square overflows"
+                    f"{name} = {scale!r} is too large: its fourth power, "
+                    "the scale of a squared energy, overflows"
                 )
         if not math.isfinite(spec.s_period * spec.s_period):
             raise ConfigError(
@@ -357,9 +360,7 @@ def cmd_bands(cfg: RunConfig) -> int:
         "E_oracle_full_1,E_oracle_full_2",
         rows,
     )
-    u2_negative = any(
-        u_squared(spec, k.components(spec), K1) < 0.0 for k in path
-    )
+    u2_negative = any(u_squared(spec, k.components(spec), 1) < 0.0 for k in path)
     summary = {
         "a": effective_params(spec).a,
         "epsilon": spec.epsilon,

@@ -264,19 +264,14 @@ def v_curv(spec: HelixSpec, s, phi):
     return -1.0 / (4.0 * spec.rho0**2 * h**2)
 
 
-def grid_nodes(spec: HelixSpec, n_s: int, n_phi: int, s_period: float | None = None):
+def grid_nodes(spec: HelixSpec, n_s: int, n_phi: int):
     """(S, PHI): (s, phi) at every node of one unit cell, s-major.
 
     Node (i, j) sits at s = i*s_period/n_s and varphi = rho0*phi =
     -pi*rho0 + j*2*pi*rho0/n_phi; both directions are half-open, so no
-    periodic edge is duplicated.  s_period defaults to 2*pi/|tau| and must
-    be given when tau = 0 (DegeneratePeriod otherwise).
+    periodic edge is duplicated.  tau = 0 has no cell: DegeneratePeriod.
     """
-    if s_period is None:
-        s_period = spec.s_period  # raises DegeneratePeriod for tau = 0
-    if s_period <= 0.0:
-        raise ValueError(f"s_period must be > 0, got {s_period!r}")
-    s = np.arange(n_s) * (s_period / n_s)
+    s = np.arange(n_s) * (spec.s_period / n_s)
     varphi = -math.pi * spec.rho0 + np.arange(n_phi) * (spec.varphi_period / n_phi)
     S, V = np.meshgrid(s, varphi, indexing="ij")
     return S, V / spec.rho0

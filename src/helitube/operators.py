@@ -30,7 +30,6 @@ __all__ = [
     "WaveField",
     "EffectiveParams",
     "effective_params",
-    "wave_field",
     "wavefield_norm",
     "normalize",
     "random_band_limited",
@@ -54,16 +53,15 @@ class GaugeMismatch(ValueError):
 
 @dataclass
 class WaveField:
-    """Complex samples of a wavefunction over one periodic unit cell.
+    """Complex samples of a wavefunction over the spec's periodic unit cell.
 
     gauge is PSI for the surface wavefunction (weighted norm with h) or PHI
     for sqrt(h)-rescaled values (flat norm).  Nodes are those of
-    geometry.grid_nodes.
+    geometry.grid_nodes, and the cell is spec.s_period x spec.varphi_period
+    of whichever spec the field is handed to.
     """
 
     values: np.ndarray
-    period_s: float
-    period_varphi: float
     gauge: str
 
     def __post_init__(self):
@@ -81,9 +79,8 @@ class WaveField:
     def n_phi(self) -> int:
         return self.values.shape[1]
 
-    def like(self, values: np.ndarray, gauge: str | None = None) -> "WaveField":
-        return WaveField(values, self.period_s, self.period_varphi,
-                         gauge if gauge is not None else self.gauge)
+    def like(self, values: np.ndarray) -> "WaveField":
+        return WaveField(values, self.gauge)
 
 
 @dataclass(frozen=True)
@@ -105,21 +102,9 @@ def effective_params(spec: HelixSpec) -> EffectiveParams:
     )
 
 
-def wave_field(
-    spec: HelixSpec,
-    values: np.ndarray,
-    gauge: str,
-    s_period: float | None = None,
-) -> WaveField:
-    """Wrap raw values with the cell periods of spec."""
-    if s_period is None:
-        s_period = spec.s_period
-    return WaveField(values, float(s_period), spec.varphi_period, gauge)
-
-
 def _grid(spec: HelixSpec, field: WaveField):
     """(s, phi) at every node of the field's unit cell."""
-    return grid_nodes(spec, field.n_s, field.n_phi, field.period_s)
+    return grid_nodes(spec, field.n_s, field.n_phi)
 
 
 def wavefield_norm(spec: HelixSpec, field: WaveField) -> float:
@@ -127,7 +112,7 @@ def wavefield_norm(spec: HelixSpec, field: WaveField) -> float:
     w = np.abs(field.values) ** 2
     if field.gauge == PSI:
         w = w * metric_h(spec, *_grid(spec, field))
-    cell = (field.period_s / field.n_s) * (field.period_varphi / field.n_phi)
+    cell = (spec.s_period / field.n_s) * (spec.varphi_period / field.n_phi)
     return float(np.sqrt(np.sum(w) * cell))
 
 
@@ -167,8 +152,8 @@ def apply_laplace_beltrami(spec: HelixSpec, psi: WaveField) -> WaveField:
     if psi.gauge != PSI:
         raise GaugeMismatch(f"expected PSI-gauge input, got {psi.gauge}")
     h = metric_h(spec, *_grid(spec, psi))
-    ds = lambda v: spectral_derivative(v, 0, psi.period_s)
-    dv = lambda v: spectral_derivative(v, 1, psi.period_varphi)
+    ds = lambda v: spectral_derivative(v, 0, spec.s_period)
+    dv = lambda v: spectral_derivative(v, 1, spec.varphi_period)
     out = -ds(ds(psi.values) / h) / h - dv(h * dv(psi.values)) / h
     return psi.like(out)
 
@@ -196,10 +181,10 @@ def laplace_beltrami_expanded(spec: HelixSpec, psi: WaveField) -> WaveField:
         raise GaugeMismatch(f"expected PSI-gauge input, got {psi.gauge}")
     h, h_s, _, h_v, _ = _h_derivatives(spec, *_grid(spec, psi))
     f = psi.values
-    f_s = spectral_derivative(f, 0, psi.period_s)
-    f_ss = spectral_derivative(f, 0, psi.period_s, 2)
-    f_v = spectral_derivative(f, 1, psi.period_varphi)
-    f_vv = spectral_derivative(f, 1, psi.period_varphi, 2)
+    f_s = spectral_derivative(f, 0, spec.s_period)
+    f_ss = spectral_derivative(f, 0, spec.s_period, 2)
+    f_v = spectral_derivative(f, 1, spec.varphi_period)
+    f_vv = spectral_derivative(f, 1, spec.varphi_period, 2)
     out = -f_ss / h**2 + (h_s / h**3) * f_s - f_vv - (h_v / h) * f_v
     return psi.like(out)
 
@@ -236,9 +221,9 @@ def apply_transformed_operator(spec: HelixSpec, phi_field: WaveField) -> WaveFie
     S, P = _grid(spec, phi_field)
     h = metric_h(spec, S, P)
     f = phi_field.values
-    ds = lambda v: spectral_derivative(v, 0, phi_field.period_s)
+    ds = lambda v: spectral_derivative(v, 0, spec.s_period)
     flux = -ds(ds(f) / h**2)
-    f_vv = spectral_derivative(f, 1, phi_field.period_varphi, 2)
+    f_vv = spectral_derivative(f, 1, spec.varphi_period, 2)
     pot = v_eff(spec, S, P)
     return phi_field.like(flux - f_vv + pot * f)
 
@@ -266,8 +251,8 @@ def v1_apply(spec: HelixSpec, phi_field: WaveField) -> WaveField:
     S, P = _grid(spec, phi_field)
     xi = helical_phase(spec, S, P)
     f = phi_field.values
-    f_s = spectral_derivative(f, 0, phi_field.period_s)
-    f_ss = spectral_derivative(f, 0, phi_field.period_s, 2)
+    f_s = spectral_derivative(f, 0, spec.s_period)
+    f_ss = spectral_derivative(f, 0, spec.s_period, 2)
     mult = v1_multiplicative(spec, S, P)
     out = mult * f + spec.epsilon * (
         np.cos(xi) * f_ss + spec.tau * np.sin(xi) * f_s
@@ -281,27 +266,17 @@ def random_band_limited(
     n_phi: int,
     rng: np.random.Generator,
     gauge: str = PHI,
-    max_mode_s: int | None = None,
-    max_mode_phi: int | None = None,
-    s_period: float | None = None,
 ) -> WaveField:
     """Random complex field with spectral support on low modes only.
 
-    Modes up to n/4 by default, so products with smooth metric factors stay
-    alias-free at the working grid.  Unit flat norm.
+    Modes up to max(1, n/4) per direction, so products with smooth metric
+    factors stay alias-free at the working grid.  Unit norm in its gauge.
     """
-    if max_mode_s is None:
-        max_mode_s = max(1, n_s // 4)
-    if max_mode_phi is None:
-        max_mode_phi = max(1, n_phi // 4)
-    if s_period is None:
-        s_period = spec.s_period
+    max_mode_s, max_mode_phi = max(1, n_s // 4), max(1, n_phi // 4)
     coef = np.zeros((n_s, n_phi), dtype=complex)
     ms = np.fft.fftfreq(n_s, 1.0 / n_s).astype(int)
     mp = np.fft.fftfreq(n_phi, 1.0 / n_phi).astype(int)
     keep = (np.abs(ms)[:, None] <= max_mode_s) & (np.abs(mp)[None, :] <= max_mode_phi)
     amp = rng.standard_normal((n_s, n_phi)) + 1j * rng.standard_normal((n_s, n_phi))
     coef[keep] = amp[keep]
-    values = np.fft.ifft2(coef)
-    fld = WaveField(values, float(s_period), spec.varphi_period, gauge)
-    return normalize(spec, fld)
+    return normalize(spec, WaveField(np.fft.ifft2(coef), gauge))

@@ -33,10 +33,8 @@ import numpy as np
 from .geometry import DegeneratePeriod, HelixSpec, grid_nodes, metric_h
 from .operators import effective_params, v_eff
 from .bloch import (
-    K1,
     SOURCE_TAGS,
     BandStructure,
-    ReciprocalVector,
     first_order_energies,
     k_components,
     stated_table,
@@ -365,12 +363,12 @@ def band_sweep(
     return BandStructure(list(kpath), np.vstack(rows), source)
 
 
-def gap_perturbed(spec: HelixSpec, m: ReciprocalVector = K1) -> float:
-    """Splitting of the lowest pair at the crossing point -K_m/2 of the ray.
+def gap_perturbed(spec: HelixSpec) -> float:
+    """Splitting of the lowest pair at the crossing point -K1/2 of the ray.
 
     The crossing sits at half-integer transverse wavenumber, so this is
     evaluated on the continuous ray rather than at an integer-n BlochVector.
     """
-    kb = tuple(zone_boundary_k(spec, m))
+    kb = tuple(zone_boundary_k(spec))
     e = eigensolve(assemble_perturbed(spec, kb), 2).eigenvalues
     return float(e[1] - e[0])

@@ -71,13 +71,11 @@ def check_operator_identity(cfg) -> dict:
     worst = 0.0
     for _ in range(_IDENTITY_FIELDS):
         fld = random_band_limited(spec, n_s, n_phi, rng, gauge=PHI)
-        psi = WaveField(
-            fld.values / np.sqrt(h), fld.period_s, fld.period_varphi, PSI
-        )
+        psi = WaveField(fld.values / np.sqrt(h), PSI)
         lhs = np.sqrt(h) * apply_laplace_beltrami(spec, psi).values
-        d_s = spectral_derivative(fld.values, 0, fld.period_s)
-        flux = -spectral_derivative(d_s / h**2, 0, fld.period_s)
-        vv = spectral_derivative(fld.values, 1, fld.period_varphi, 2)
+        d_s = spectral_derivative(fld.values, 0, spec.s_period)
+        flux = -spectral_derivative(d_s / h**2, 0, spec.s_period)
+        vv = spectral_derivative(fld.values, 1, spec.varphi_period, 2)
         rhs = flux - vv + vk * fld.values
         worst = max(worst, _l2(lhs - rhs) / _l2(fld.values))
     return _check(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helitube.bloch import K1, two_band_energies
+from helitube.bloch import two_band_energies
 
 
 def _fd_hessian(spec, k, band):
@@ -17,7 +17,7 @@ def _fd_hessian(spec, k, band):
     step = 1e-4 * abs(spec.tau)
 
     def energy(dk_s, dk_v):
-        return two_band_energies(spec, (kv[0] + dk_s, kv[1] + dk_v), K1)[band]
+        return two_band_energies(spec, (kv[0] + dk_s, kv[1] + dk_v))[band]
 
     def second_differences(h):
         e0 = energy(0.0, 0.0)

@@ -31,10 +31,10 @@ from helitube.operators import (
     v1_multiplicative,
 )
 from helitube.bloch import (
-    K1,
     effective_mass,
     near_boundary_expansion,
     ray_amplitude,
+    ray_vector,
     two_band_energies,
     two_band_gap,
     zone_boundary_k,
@@ -110,13 +110,11 @@ def test_criterion_03_operator_identity():
     worst = 0.0
     for _ in range(20):
         fld = random_band_limited(spec, n, n, rng, gauge=PHI)
-        psi = WaveField(
-            fld.values / np.sqrt(h), fld.period_s, fld.period_varphi, PSI
-        )
+        psi = WaveField(fld.values / np.sqrt(h), PSI)
         lhs = np.sqrt(h) * apply_laplace_beltrami(spec, psi).values
-        d_s = spectral_derivative(fld.values, 0, fld.period_s)
-        flux = -spectral_derivative(d_s / h**2, 0, fld.period_s)
-        vv = spectral_derivative(fld.values, 1, fld.period_varphi, 2)
+        d_s = spectral_derivative(fld.values, 0, spec.s_period)
+        flux = -spectral_derivative(d_s / h**2, 0, spec.s_period)
+        vv = spectral_derivative(fld.values, 1, spec.varphi_period, 2)
         rhs = flux - vv + vk * fld.values
         worst = max(worst, l2(lhs - rhs) / l2(fld.values))
     ok = worst <= 1e-8
@@ -193,22 +191,22 @@ def test_criterion_07_two_band_consistency():
     worst = 0.0
     for k_s in (-0.5, -0.3, 0.0, 0.2):
         kv = np.array([k_s, 0.0])
-        kk = kv + K1.components(free)
+        kk = kv + ray_vector(free)
         want = np.sort([kv @ kv - a, kk @ kk - a])
         got = np.asarray(two_band_energies(free, tuple(kv)))
         worst = max(worst, float(np.max(np.abs(got - want))))
     # near-boundary expansion against the closed roots, inside its window
     spec = HelixSpec(kappa=1.0, tau=0.004, rho0=0.05)
     G = 0.01 * spec.tau
-    K = K1.components(spec)
+    K = ray_vector(spec)
     K2 = float(K @ K)
     t1 = ray_amplitude(spec, 1, -spec.tau / 2)
     t2 = ray_amplitude(spec, -1, spec.tau / 2)
     u2 = (t1 * t2).real
     bound = K2 * G**2 / u2
-    nb = near_boundary_expansion(spec, G, K1)
+    nb = near_boundary_expansion(spec, G)
     kv = zone_boundary_k(spec) + G * K / np.linalg.norm(K)
-    tbv = two_band_energies(spec, tuple(kv), K1)
+    tbv = two_band_energies(spec, tuple(kv))
     nb_ok = all(
         abs(e_nb - e_tb) <= bound * abs(e_tb) for e_nb, e_tb in zip(nb, tbv)
     )

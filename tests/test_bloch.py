@@ -1,4 +1,4 @@
-"""Reciprocal lattice, ray couplings, two-band roots, gap, mass, cylinder."""
+"""Ray vector, ray couplings, two-band roots, gap, mass, cylinder."""
 
 import math
 
@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from helitube.bloch import (
-    K1,
     BandStructure,
     BlochVector,
     NearResonance,
     OutOfValidity,
-    ReciprocalVector,
     SingularMass,
     bloch_vector,
     cylinder_limit_energies,
@@ -20,6 +18,7 @@ from helitube.bloch import (
     gap_scaling,
     near_boundary_expansion,
     ray_amplitude,
+    ray_vector,
     two_band_energies,
     two_band_gap,
     two_band_hessian,
@@ -27,7 +26,7 @@ from helitube.bloch import (
     _invert_hessian,
 )
 from helitube.geometry import HelixSpec, grid_nodes
-from helitube.operators import PHI, effective_params, v1_apply, wave_field
+from helitube.operators import PHI, WaveField, effective_params, v1_apply
 
 FIG3 = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
 
@@ -35,14 +34,13 @@ FIG3 = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
 # ------------------------------------------------------------- lattice types
 
 
-def test_reciprocal_vector_components():
-    m = ReciprocalVector(1, -1)
-    np.testing.assert_allclose(m.components(FIG3), [1.0, -10.0])
-    assert m.on_ray
-    assert not ReciprocalVector(1, 0).on_ray
-    assert (-m).m_s == -1 and (-m).m_phi == 1
-    np.testing.assert_allclose((-m).components(FIG3), -m.components(FIG3))
-    assert K1 == ReciprocalVector(1, -1)
+def test_ray_vector_components():
+    np.testing.assert_allclose(ray_vector(FIG3), [1.0, -10.0])
+    spec = HelixSpec(kappa=0.7, tau=-1.3, rho0=0.3)
+    K = ray_vector(spec)
+    assert K.tolist() == [-1.3, -1.0 / 0.3]
+    # the zone boundary is exactly half of it, with the sign flipped
+    assert (-2.0 * zone_boundary_k(spec)).tolist() == K.tolist()
 
 
 def test_bloch_vector_reduction():
@@ -104,7 +102,7 @@ def test_coupling_table_against_fourier_transform_of_v1():
     for m_src, n_src in ((0, 0), (2, 0), (-1, 1)):
         q_s = m_src * spec.tau
         src = np.exp(1j * (q_s * S + n_src * P))
-        out = v1_apply(spec, wave_field(spec, src, PHI)).values
+        out = v1_apply(spec, WaveField(src, PHI)).values
         for j in (-3, -2, -1, 0, 1, 2, 3):
             harm = src * np.exp(1j * j * (spec.tau * S - P))
             got = np.vdot(harm, out) / np.vdot(harm, harm)
@@ -135,7 +133,7 @@ def test_first_order_u_zero_curvature():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)
     k = BlochVector(0.0, 0)
     e_free = -effective_params(spec).a
-    assert first_order_u(spec, k, K1, e_free) == 0.0
+    assert first_order_u(spec, k, e_free) == 0.0
 
 
 def test_first_order_u_zone_center_magnitude():
@@ -143,7 +141,7 @@ def test_first_order_u_zone_center_magnitude():
     spec = FIG3
     a = effective_params(spec).a
     k = BlochVector(0.0, 0)
-    u = first_order_u(spec, k, K1, -a)
+    u = first_order_u(spec, k, -a)
     K2 = spec.tau**2 + 1.0 / spec.rho0**2
     expect = -(spec.epsilon * spec.kappa**2 / 16) / K2
     assert u == pytest.approx(expect, rel=1e-12)
@@ -156,7 +154,7 @@ def test_first_order_u_near_resonance():
     kb = zone_boundary_k(spec)
     e_free = float(kb @ kb) - a
     with pytest.raises(NearResonance):
-        first_order_u(spec, tuple(kb), K1, e_free)
+        first_order_u(spec, tuple(kb), e_free)
 
 
 # ----------------------------------------------------------------- two band
@@ -166,9 +164,9 @@ def test_two_band_free_limit_exact():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)
     a = effective_params(spec).a
     for kv in ((0.0, 0.0), (0.3, 10.0), (-0.5, 5.0)):
-        e1, e2 = two_band_energies(spec, kv, K1)
+        e1, e2 = two_band_energies(spec, kv)
         kv = np.asarray(kv)
-        K = K1.components(spec)
+        K = ray_vector(spec)
         free = sorted([float(kv @ kv) - a, float((kv + K) @ (kv + K)) - a])
         assert e1 == pytest.approx(free[0], rel=1e-13, abs=1e-13)
         assert e2 == pytest.approx(free[1], rel=1e-13, abs=1e-13)
@@ -177,13 +175,8 @@ def test_two_band_free_limit_exact():
 def test_two_band_free_boundary_degenerate():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)
     kb = zone_boundary_k(spec)
-    e1, e2 = two_band_energies(spec, tuple(kb), K1)
+    e1, e2 = two_band_energies(spec, tuple(kb))
     assert e1 == pytest.approx(e2, abs=1e-12)
-
-
-def test_two_band_requires_ray_vector():
-    with pytest.raises(ValueError):
-        two_band_energies(FIG3, (0.0, 0.0), ReciprocalVector(1, 0))
 
 
 def test_two_band_boundary_gap_value():
@@ -192,7 +185,7 @@ def test_two_band_boundary_gap_value():
     gap = two_band_gap(spec)
     expect = 2 * spec.epsilon * (1.0 / 16 + 1.0 / 8)
     assert gap == pytest.approx(expect, rel=1e-12)
-    e1, e2 = two_band_energies(spec, tuple(zone_boundary_k(spec)), K1)
+    e1, e2 = two_band_energies(spec, tuple(zone_boundary_k(spec)))
     assert e2 - e1 == pytest.approx(gap, rel=1e-12)
 
 
@@ -201,7 +194,7 @@ def test_two_band_vs_first_order_away_from_boundary():
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
     a = effective_params(spec).a
     v0 = spec.epsilon * spec.kappa**2 / 4
-    K = K1.components(spec)
+    K = ray_vector(spec)
     kv = -0.3 * K
     Q = float(kv @ kv) - a
     P = float((kv + K) @ (kv + K)) - a
@@ -210,7 +203,7 @@ def test_two_band_vs_first_order_away_from_boundary():
     u2 = (t1 * t2).real
     K2G2 = float(K @ K) * float((kv - zone_boundary_k(spec)) @ (kv - zone_boundary_k(spec)))
     assert K2G2 > 10 * u2
-    e1, _ = two_band_energies(spec, tuple(kv), K1)
+    e1, _ = two_band_energies(spec, tuple(kv))
     correction = u2 / (Q - P)
     assert (e1 - v0 - Q) == pytest.approx(correction, rel=0.05)
 
@@ -218,8 +211,8 @@ def test_two_band_vs_first_order_away_from_boundary():
 def test_two_band_continuous_and_bloch_inputs_agree():
     spec = FIG3
     kv = (0.2, 10.0)  # n = 1 transverse
-    via_tuple = two_band_energies(spec, kv, K1)
-    via_bloch = two_band_energies(spec, BlochVector(0.2, 1), K1)
+    via_tuple = two_band_energies(spec, kv)
+    via_bloch = two_band_energies(spec, BlochVector(0.2, 1))
     assert via_tuple == pytest.approx(via_bloch, rel=1e-15)
 
 
@@ -228,8 +221,8 @@ def test_two_band_continuous_and_bloch_inputs_agree():
 
 def test_near_boundary_gap_at_zero_detuning():
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
-    e1, e2 = near_boundary_expansion(spec, 0.0, K1)
-    tb1, tb2 = two_band_energies(spec, tuple(zone_boundary_k(spec)), K1)
+    e1, e2 = near_boundary_expansion(spec, 0.0)
+    tb1, tb2 = two_band_energies(spec, tuple(zone_boundary_k(spec)))
     assert e2 - e1 == pytest.approx(2 * spec.epsilon * (1.0 / 16 + 1.0 / 8), rel=1e-12)
     assert e1 == pytest.approx(tb1, rel=1e-12)
     assert e2 == pytest.approx(tb2, rel=1e-12)
@@ -239,16 +232,16 @@ def test_near_boundary_matches_two_band_within_bound():
     # validity window demands K^2 G^2 < 0.1 U^2, which needs tau << kappa
     spec = HelixSpec(kappa=1.0, tau=0.004, rho0=0.05)
     G = 0.01 * spec.tau
-    K = K1.components(spec)
+    K = ray_vector(spec)
     K2 = float(K @ K)
     t1 = ray_amplitude(spec, 1, -spec.tau / 2)
     t2 = ray_amplitude(spec, -1, spec.tau / 2)
     u2 = (t1 * t2).real
     assert K2 * G**2 < 0.1 * u2
-    nb = near_boundary_expansion(spec, G, K1)
+    nb = near_boundary_expansion(spec, G)
     khat = K / np.linalg.norm(K)
     kv = zone_boundary_k(spec) + G * khat
-    tb = two_band_energies(spec, tuple(kv), K1)
+    tb = two_band_energies(spec, tuple(kv))
     bound = K2 * G**2 / u2
     for e_nb, e_tb in zip(nb, tb):
         assert abs(e_nb - e_tb) <= bound * abs(e_tb)
@@ -257,10 +250,10 @@ def test_near_boundary_matches_two_band_within_bound():
 def test_near_boundary_out_of_validity():
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
     with pytest.raises(OutOfValidity):
-        near_boundary_expansion(spec, 0.5 * spec.tau, K1)
+        near_boundary_expansion(spec, 0.5 * spec.tau)
     straight = HelixSpec(kappa=0.0, tau=1.0, rho0=0.05)
     with pytest.raises(OutOfValidity):
-        near_boundary_expansion(straight, 0.01, K1)
+        near_boundary_expansion(straight, 0.01)
 
 
 # ------------------------------------------------------------- gap scaling
@@ -329,7 +322,7 @@ def test_effective_mass_boundary_anisotropic():
     # gap flattens the band along the ray: mass component along K1 exceeds mu
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
     m = effective_mass(spec, tuple(zone_boundary_k(spec)), 1)
-    K = K1.components(spec)
+    K = ray_vector(spec)
     khat = K / np.linalg.norm(K)
     along = float(khat @ m @ khat)
     assert 0.0 < along < 1.0  # upper band curves upward more steeply

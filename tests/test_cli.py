@@ -359,9 +359,13 @@ def test_tau_with_overflowing_period_is_config_error(tmp_path, capsys, argv):
     "bands --rho0 1e-160 --kappa 0", "geometry --kappa 1e200 --rho0 1e-300",
     "potential --tau 1e200", "verify --tau 1e200", "cylinder-check --tau 1e200",
     "gap-scan --tau 1e200",
+    # the square is finite, the fourth power (a squared energy) is not
+    "bands --tau 1e150 --kpath 0:-1:3", "bands --tau 1e154",
+    "bands --rho0 1e-154 --kappa 0 --kpath 0:-0.5:3", "verify --tau 1e150",
+    "gap-scan --tau 1e150",
 ])
 def test_overflowing_scale_is_config_error(tmp_path, capsys, argv):
-    # tau^2, kappa^2 or (1/rho0)^2 overflows: refused before anything is written
+    # tau^4, kappa^4 or (1/rho0)^4 overflows: refused before anything is written
     assert main(argv.split() + ["--out", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert "too large" in captured.err and captured.out == ""

@@ -31,6 +31,9 @@ _REMOVED = {
     "SurfaceSample": geometry,
     "screw_blocks": oracle,
     "thread_count": oracle,
+    "ReciprocalVector": bloch,
+    "K1": bloch,
+    "wave_field": operators,
 }
 
 

@@ -348,9 +348,6 @@ def test_sample_field_degenerate_period():
     torus = HelixSpec(kappa=1.0, tau=0.0, rho0=0.1)
     with pytest.raises(DegeneratePeriod):
         grid_nodes(torus, 8, 8)
-    S, P = grid_nodes(torus, 8, 8, s_period=2 * math.pi)
-    assert 8 * S[1, 0] == pytest.approx(2 * math.pi)
-    assert metric_h(torus, S, P).shape == (8, 8)
 
 
 def test_sample_field_veff_argmin_on_outside():

@@ -31,7 +31,6 @@ from helitube.operators import (
     v1_multiplicative,
     v_eff,
     v_kin,
-    wave_field,
     wavefield_norm,
 )
 
@@ -71,15 +70,15 @@ def test_gauge_validation_and_norms():
     with pytest.raises(GaugeMismatch):
         v1_apply(spec, psi)
     with pytest.raises(ValueError):
-        WaveField(np.ones((4, 4)), 1.0, 1.0, "XXX")
+        WaveField(np.ones((4, 4)), "XXX")
 
 
 def test_normalize_weighted_vs_flat():
     # PSI norm carries the h weight; h > 1 on the outer rim changes the norm
     spec = FIG3
     vals = np.ones((12, 12), dtype=complex)
-    psi = normalize(spec, wave_field(spec, vals, PSI))
-    phi = normalize(spec, wave_field(spec, vals, PHI))
+    psi = normalize(spec, WaveField(vals, PSI))
+    phi = normalize(spec, WaveField(vals, PHI))
     assert wavefield_norm(spec, psi) == pytest.approx(1.0, abs=1e-12)
     assert wavefield_norm(spec, phi) == pytest.approx(1.0, abs=1e-12)
     # cell average of h is 1, so the constant field has identical norms
@@ -101,7 +100,7 @@ def test_spectral_derivative_exact_on_modes():
 
 def test_laplacian_constant_straight_tube():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=1.0)
-    psi = wave_field(spec, np.ones((8, 8), dtype=complex), PSI)
+    psi = WaveField(np.ones((8, 8), dtype=complex), PSI)
     out = apply_laplace_beltrami(spec, psi)
     np.testing.assert_allclose(out.values, 0.0, atol=1e-13)
 
@@ -112,7 +111,7 @@ def test_laplacian_cylinder_eigenfunction():
     _, P = grid_nodes(spec, n_s, n_phi)
     for n in (1, 2, -3):
         vals = np.exp(1j * n * P)
-        out = apply_laplace_beltrami(spec, wave_field(spec, vals, PSI))
+        out = apply_laplace_beltrami(spec, WaveField(vals, PSI))
         np.testing.assert_allclose(out.values, (n / spec.rho0) ** 2 * vals, atol=1e-10)
 
 
@@ -172,11 +171,11 @@ def test_gauge_identity_on_random_fields():
     vk = v_kin(spec, S, P)
     for _ in range(20):
         fld = random_band_limited(spec, n, n, rng, gauge=PHI)
-        psi = WaveField(fld.values / np.sqrt(h), fld.period_s, fld.period_varphi, PSI)
+        psi = WaveField(fld.values / np.sqrt(h), PSI)
         lhs = np.sqrt(h) * apply_laplace_beltrami(spec, psi).values
-        ds = lambda v, o=1: spectral_derivative(v, 0, fld.period_s, o)
+        ds = lambda v, o=1: spectral_derivative(v, 0, spec.s_period, o)
         flux = -ds(ds(fld.values) / h**2)
-        vv = spectral_derivative(fld.values, 1, fld.period_varphi, 2)
+        vv = spectral_derivative(fld.values, 1, spec.varphi_period, 2)
         rhs = flux - vv + vk * fld.values
         assert l2(lhs - rhs) <= 1e-8 * l2(fld.values)
 
@@ -272,7 +271,7 @@ def test_transformed_operator_cylinder_closed_form():
     for n, m in ((0, 0), (1, 2), (-2, 1)):
         k = m * spec.tau  # on-grid longitudinal mode
         vals = np.exp(1j * n * P + 1j * k * S)
-        out = apply_transformed_operator(spec, wave_field(spec, vals, PHI))
+        out = apply_transformed_operator(spec, WaveField(vals, PHI))
         expect = (k**2 + (n / spec.rho0) ** 2 - 0.25 / spec.rho0**2) * vals
         np.testing.assert_allclose(out.values, expect, atol=1e-10)
 
@@ -301,7 +300,7 @@ def test_gauge_equivalence_of_operators():
     vc = v_curv(spec, S, P)
     for _ in range(5):
         psi = random_band_limited(spec, n, n, rng, gauge=PSI)
-        phi = WaveField(np.sqrt(h) * psi.values, psi.period_s, psi.period_varphi, PHI)
+        phi = WaveField(np.sqrt(h) * psi.values, PHI)
         lhs = apply_transformed_operator(spec, phi).values
         rhs = np.sqrt(h) * (
             apply_laplace_beltrami(spec, psi).values + vc * psi.values
@@ -323,7 +322,7 @@ def test_v1_zero_curvature_vanishes():
 def test_v1_constant_field_is_pure_multiplication():
     spec = FIG3
     n = 32
-    fld = wave_field(spec, np.ones((n, n), dtype=complex), PHI)
+    fld = WaveField(np.ones((n, n), dtype=complex), PHI)
     out = v1_apply(spec, fld)
     S, P = grid_nodes(spec, n, n)
     expect = v1_multiplicative(spec, S, P)
@@ -357,9 +356,9 @@ def _v1_true_action(spec, fld):
     with xb = theta(s) + phi; used as the order-2 reference below.
     """
     n_s, n_phi = fld.values.shape
-    xb = helical_phase(spec, *grid_nodes(spec, n_s, n_phi, fld.period_s))
-    f_s = spectral_derivative(fld.values, 0, fld.period_s)
-    f_ss = spectral_derivative(fld.values, 0, fld.period_s, 2)
+    xb = helical_phase(spec, *grid_nodes(spec, n_s, n_phi))
+    f_s = spectral_derivative(fld.values, 0, spec.s_period)
+    f_ss = spectral_derivative(fld.values, 0, spec.s_period, 2)
     return spec.epsilon * (
         0.5 * (spec.kappa**2 - spec.tau**2) * np.cos(xb) * fld.values
         + 2.0 * np.cos(xb) * f_ss
@@ -371,11 +370,11 @@ def _first_order_residual(v1_fn, eps, values):
     """L2 norm of (full operator - flat Laplacian + a) Phi - v1_fn(Phi)."""
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=eps)
     a = effective_params(spec).a
-    fld = wave_field(spec, values, PHI)
+    fld = WaveField(values, PHI)
     full = apply_transformed_operator(spec, fld).values
     flat = (
-        -spectral_derivative(values, 0, fld.period_s, 2)
-        - spectral_derivative(values, 1, fld.period_varphi, 2)
+        -spectral_derivative(values, 0, spec.s_period, 2)
+        - spectral_derivative(values, 1, spec.varphi_period, 2)
     )
     first = v1_fn(spec, fld)
     return l2(full - flat + a * values - first) / l2(values)
@@ -425,6 +424,6 @@ def test_v1_linear_in_eps():
     outs = {}
     for eps in (0.02, 0.04):
         spec = HelixSpec(kappa=1.0, tau=1.0, rho0=eps)
-        fld = wave_field(spec, values, PHI)
+        fld = WaveField(values, PHI)
         outs[eps] = v1_apply(spec, fld).values
     np.testing.assert_allclose(outs[0.04], 2.0 * outs[0.02], rtol=1e-12)
