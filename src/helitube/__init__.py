@@ -31,16 +31,15 @@ from .geometry import (
 from .operators import (
     PHI,
     PSI,
-    EffectiveParams,
     GaugeMismatch,
     WaveField,
     apply_laplace_beltrami,
     apply_transformed_operator,
-    effective_params,
     laplace_beltrami_expanded,
     normalize,
     random_band_limited,
     spectral_derivative,
+    spectral_offset,
     v1_apply,
     v1_multiplicative,
     v_eff,
@@ -75,7 +74,6 @@ from .bloch import (
 )
 from .oracle import (
     GRID_2D,
-    PLANE_WAVE_RAY,
     CapExceeded,
     ConvergenceFailure,
     DiscretizedHamiltonian,
@@ -96,10 +94,10 @@ __all__ = [
     "FrameSample", "HelixSpec", "frenet_frame", "grid_nodes",
     "helical_phase", "metric_h", "principal_curvatures", "rotated_frame",
     "rotation_angle", "surface_point", "v_curv", "weingarten",
-    "PHI", "PSI", "EffectiveParams", "GaugeMismatch", "WaveField",
+    "PHI", "PSI", "GaugeMismatch", "WaveField",
     "apply_laplace_beltrami", "apply_transformed_operator",
-    "effective_params", "laplace_beltrami_expanded", "normalize",
-    "random_band_limited", "spectral_derivative", "v1_apply",
+    "laplace_beltrami_expanded", "normalize", "random_band_limited",
+    "spectral_derivative", "spectral_offset", "v1_apply",
     "v1_multiplicative", "v_eff", "v_kin", "wavefield_norm",
     "SOURCE_TAGS", "BandStructure", "BlochVector", "GapScaling",
     "NearResonance", "OutOfValidity", "SingularMass",
@@ -108,7 +106,7 @@ __all__ = [
     "near_boundary_expansion", "origin_fit", "ray_amplitude", "ray_vector",
     "stated_table", "two_band_energies", "two_band_gap", "two_band_hessian",
     "u_squared", "zone_boundary_k",
-    "GRID_2D", "PLANE_WAVE_RAY", "CapExceeded", "ConvergenceFailure",
+    "GRID_2D", "CapExceeded", "ConvergenceFailure",
     "DiscretizedHamiltonian", "SpectrumResult", "assemble_full",
     "assemble_perturbed", "band_sweep", "continuum_levels", "eigensolve",
     "gap_perturbed", "screw_eigenvalues",

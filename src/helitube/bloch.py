@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .geometry import DegeneratePeriod, HelixSpec
-from .operators import effective_params
+from .operators import spectral_offset
 
 
 class NearResonance(ValueError):
@@ -124,8 +124,7 @@ def first_order_u(spec: HelixSpec, k, energy: float) -> complex:
     """Leading mixing coefficient of the k+K1 component into the k state."""
     kv = k_components(spec, k)
     K = ray_vector(spec)
-    k_eff_sq = effective_params(spec).k_eff_sq(energy)
-    denom = k_eff_sq - float((kv + K) @ (kv + K))
+    denom = spectral_offset(spec) + energy - float((kv + K) @ (kv + K))
     delta = 1e-6 * spec.tau**2
     if abs(denom) <= delta:
         raise NearResonance(
@@ -156,7 +155,7 @@ def two_band_energies(spec: HelixSpec, k):
     """
     kv = k_components(spec, k)
     K = ray_vector(spec)
-    a = effective_params(spec).a
+    a = spectral_offset(spec)
     lower = float(kv @ kv) - a
     upper = float((kv + K) @ (kv + K)) - a
     u2 = u_squared(spec, kv, 1)
@@ -169,7 +168,7 @@ def two_band_energies(spec: HelixSpec, k):
 def first_order_energies(spec: HelixSpec, k, n_bands: int) -> np.ndarray:
     """Second-order perturbative energies of the ray-shifted free states."""
     kv = k_components(spec, k)
-    a = effective_params(spec).a
+    a = spectral_offset(spec)
     shift = stated_table(spec)[1][0]
     delta = 1e-6 * spec.tau**2
     K = ray_vector(spec)
@@ -214,7 +213,7 @@ def near_boundary_expansion(spec: HelixSpec, G: float):
             f"K^2 G^2 = {K2 * G**2:.3e} not small against U^2 = {u2:.3e}"
         )
     u_abs = math.sqrt(abs(u2))
-    a = effective_params(spec).a
+    a = spectral_offset(spec)
     shift = stated_table(spec)[1][0]
     base = shift - a + G**2 + K2 / 4
     corr = u_abs + K2 * G**2 / (2 * u_abs)

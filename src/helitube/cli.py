@@ -42,7 +42,7 @@ from .geometry import (
     surface_point,
     v_curv,
 )
-from .operators import effective_params, v_eff, v_kin
+from .operators import spectral_offset, v_eff, v_kin
 from .bloch import BlochVector, origin_fit, two_band_gap, u_squared
 from .oracle import CapExceeded, ConvergenceFailure, band_sweep, gap_perturbed
 from . import verify as _verify
@@ -362,7 +362,7 @@ def cmd_bands(cfg: RunConfig) -> int:
     )
     u2_negative = any(u_squared(spec, k.components(spec), 1) < 0.0 for k in path)
     summary = {
-        "a": effective_params(spec).a,
+        "a": spectral_offset(spec),
         "epsilon": spec.epsilon,
         "units": cfg.units,
         "oracle_full": {

@@ -28,8 +28,7 @@ __all__ = [
     "PSI",
     "PHI",
     "WaveField",
-    "EffectiveParams",
-    "effective_params",
+    "spectral_offset",
     "wavefield_norm",
     "normalize",
     "random_band_limited",
@@ -57,8 +56,10 @@ class WaveField:
 
     gauge is PSI for the surface wavefunction (weighted norm with h) or PHI
     for sqrt(h)-rescaled values (flat norm).  Nodes are those of
-    geometry.grid_nodes, and the cell is spec.s_period x spec.varphi_period
-    of whichever spec the field is handed to.
+    geometry.grid_nodes on the last two axes, and the cell is
+    spec.s_period x spec.varphi_period of whichever spec the field is
+    handed to.  Leading axes stack fields on one cell: each operator acts
+    on every field, and a norm is that of the whole stack.
     """
 
     values: np.ndarray
@@ -66,40 +67,28 @@ class WaveField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.values.ndim != 2:
-            raise ValueError("values must be a 2-d array")
+        if self.values.ndim < 2:
+            raise ValueError("values must have at least 2 dimensions")
         if self.gauge not in (PSI, PHI):
             raise ValueError(f"gauge must be PSI or PHI, got {self.gauge!r}")
 
     @property
     def n_s(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def n_phi(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     def like(self, values: np.ndarray) -> "WaveField":
         return WaveField(values, self.gauge)
 
 
-@dataclass(frozen=True)
-class EffectiveParams:
-    """Spectral offset a and expansion parameter of one problem instance."""
-
-    a: float
-    epsilon: float
-
-    def k_eff_sq(self, energy: float) -> float:
-        """Effective squared wavenumber a + E (natural units)."""
-        return self.a + energy
-
-
-def effective_params(spec: HelixSpec) -> EffectiveParams:
+def spectral_offset(spec: HelixSpec) -> float:
+    """Offset a of the ray basis: a free plane wave k sits at k^2 - a, so
+    a + E is its effective squared wavenumber (natural units)."""
     # a = (1/rho0^2 + kappa^2)/4; (1/rho0)**2 keeps round decimals exact
-    return EffectiveParams(
-        a=((1.0 / spec.rho0) ** 2 + spec.kappa**2) / 4.0, epsilon=spec.epsilon
-    )
+    return ((1.0 / spec.rho0) ** 2 + spec.kappa**2) / 4.0
 
 
 def _grid(spec: HelixSpec, field: WaveField):
@@ -137,7 +126,7 @@ def spectral_derivative(
     if order % 2 == 1 and n % 2 == 0:
         k = k.copy()
         k[n // 2] = 0.0  # Nyquist has no odd-order spectral image
-    shape = [1, 1]
+    shape = [1] * values.ndim
     shape[axis] = n
     mult = (1j * k.reshape(shape)) ** order
     return np.fft.ifft(np.fft.fft(values, axis=axis) * mult, axis=axis)
@@ -152,8 +141,8 @@ def apply_laplace_beltrami(spec: HelixSpec, psi: WaveField) -> WaveField:
     if psi.gauge != PSI:
         raise GaugeMismatch(f"expected PSI-gauge input, got {psi.gauge}")
     h = metric_h(spec, *_grid(spec, psi))
-    ds = lambda v: spectral_derivative(v, 0, spec.s_period)
-    dv = lambda v: spectral_derivative(v, 1, spec.varphi_period)
+    ds = lambda v: spectral_derivative(v, -2, spec.s_period)
+    dv = lambda v: spectral_derivative(v, -1, spec.varphi_period)
     out = -ds(ds(psi.values) / h) / h - dv(h * dv(psi.values)) / h
     return psi.like(out)
 
@@ -181,10 +170,10 @@ def laplace_beltrami_expanded(spec: HelixSpec, psi: WaveField) -> WaveField:
         raise GaugeMismatch(f"expected PSI-gauge input, got {psi.gauge}")
     h, h_s, _, h_v, _ = _h_derivatives(spec, *_grid(spec, psi))
     f = psi.values
-    f_s = spectral_derivative(f, 0, spec.s_period)
-    f_ss = spectral_derivative(f, 0, spec.s_period, 2)
-    f_v = spectral_derivative(f, 1, spec.varphi_period)
-    f_vv = spectral_derivative(f, 1, spec.varphi_period, 2)
+    f_s = spectral_derivative(f, -2, spec.s_period)
+    f_ss = spectral_derivative(f, -2, spec.s_period, 2)
+    f_v = spectral_derivative(f, -1, spec.varphi_period)
+    f_vv = spectral_derivative(f, -1, spec.varphi_period, 2)
     out = -f_ss / h**2 + (h_s / h**3) * f_s - f_vv - (h_v / h) * f_v
     return psi.like(out)
 
@@ -221,9 +210,9 @@ def apply_transformed_operator(spec: HelixSpec, phi_field: WaveField) -> WaveFie
     S, P = _grid(spec, phi_field)
     h = metric_h(spec, S, P)
     f = phi_field.values
-    ds = lambda v: spectral_derivative(v, 0, spec.s_period)
+    ds = lambda v: spectral_derivative(v, -2, spec.s_period)
     flux = -ds(ds(f) / h**2)
-    f_vv = spectral_derivative(f, 1, spec.varphi_period, 2)
+    f_vv = spectral_derivative(f, -1, spec.varphi_period, 2)
     pot = v_eff(spec, S, P)
     return phi_field.like(flux - f_vv + pot * f)
 
@@ -251,8 +240,8 @@ def v1_apply(spec: HelixSpec, phi_field: WaveField) -> WaveField:
     S, P = _grid(spec, phi_field)
     xi = helical_phase(spec, S, P)
     f = phi_field.values
-    f_s = spectral_derivative(f, 0, spec.s_period)
-    f_ss = spectral_derivative(f, 0, spec.s_period, 2)
+    f_s = spectral_derivative(f, -2, spec.s_period)
+    f_ss = spectral_derivative(f, -2, spec.s_period, 2)
     mult = v1_multiplicative(spec, S, P)
     out = mult * f + spec.epsilon * (
         np.cos(xi) * f_ss + spec.tau * np.sin(xi) * f_s

@@ -14,11 +14,13 @@ paper's stated first-order table on the coupling ray.  Both keep the
 window of _n_modes(spec) modes each side, so the truncation follows the
 spec and is set in one place.  A second-order
 finite-difference grid on the (s, varphi) unit cell stays as the
-independent reference: assemble_full builds its dense matrix, and
-screw_eigenvalues solves it block by block through its discrete screw
-symmetry.  Everything is dense and deterministic (vectorized numpy, LAPACK
-symmetric/Hermitian eigensolvers) and capped at desk scale: a request
-over a cap raises CapExceeded.
+independent reference.  Its node coefficients (diagonal, h^-2 hop at the
+s midpoint, varphi hop) come from one _stencil; assemble_full scatters
+them into the dense matrix, and screw_eigenvalues into the blocks of its
+discrete screw symmetry, so the dense matrix checks the reduction.
+Everything is dense and deterministic (vectorized numpy, LAPACK
+eigenvalue-only symmetric/Hermitian solvers) and capped at desk scale: a
+request over a cap raises CapExceeded.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DegeneratePeriod, HelixSpec, grid_nodes, metric_h
-from .operators import effective_params, v_eff
+from .operators import spectral_offset, v_eff
 from .bloch import (
     SOURCE_TAGS,
     BandStructure,
@@ -43,7 +45,6 @@ from .bloch import (
 )
 
 GRID_2D = "GRID_2D"
-PLANE_WAVE_RAY = "PLANE_WAVE_RAY"
 
 DEFAULT_MAX_DIMENSION = 4096
 # continuum_levels solves at most this many sector pairs M = +-j per k-point
@@ -51,7 +52,7 @@ _MAX_SECTOR_PAIRS = 2**16
 
 
 class ConvergenceFailure(RuntimeError):
-    """Eigensolver failed to meet the residual target."""
+    """LAPACK failed, or returned a non-finite eigenvalue."""
 
 
 class CapExceeded(ValueError):
@@ -73,11 +74,9 @@ class DiscretizedHamiltonian:
 
 @dataclass
 class SpectrumResult:
-    """Ascending eigenvalues with optional vectors and their residuals."""
+    """Ascending eigenvalues of one dense solve."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
-    residual_norms: np.ndarray | None = None
 
 
 def _unit_phase(x: float) -> complex:
@@ -97,42 +96,53 @@ def _check_storage(blocks: int, dim: int) -> None:
         )
 
 
-def assemble_full(spec: HelixSpec, k, n_s: int, n_phi: int) -> DiscretizedHamiltonian:
-    """Flux-form finite differences for the full transformed operator.
+def _stencil(spec: HelixSpec, n_s: int, n_phi: int, r: int, dj: int):
+    """Node coefficients of the grid operator on the first r s-rows.
 
-    -d_s(h^-2 d_s) - d2_varphi + v_eff on the unit cell, second-order
-    centered, with h^-2 sampled at s midpoints so the matrix is Hermitian
-    by construction.
+    -d_s(h^-2 d_s) - d2_varphi + v_eff on the n_s x n_phi unit cell,
+    second-order centered, with h^-2 sampled at s midpoints so the matrix
+    is Hermitian by construction.  Returns the diagonal, the s-hop
+    magnitude h^-2/ds^2 from each node to the next row, and the varphi-hop
+    magnitude 1/dv^2.  The bond into row 0 comes from row r-1 shifted by
+    dj varphi-nodes (its screw image); r = n_s, dj = 0 is the cell's seam.
     """
     if n_s < 4 or n_phi < 4:
         raise ValueError("need at least 4 points per direction")
-    dim = n_s * n_phi
-    _check_storage(1, dim)
     ds = spec.s_period / n_s
     dv = spec.varphi_period / n_phi
-    S, P = grid_nodes(spec, n_s, n_phi)
-    pot = v_eff(spec, S, P)
+    S, P = (a[:r] for a in grid_nodes(spec, n_s, n_phi))
     flux = metric_h(spec, S + 0.5 * ds, P) ** -2.0
+    flux_in = np.vstack([np.roll(flux[-1], -dj)[None, :], flux[:-1]])
+    diag = (flux + flux_in) / ds**2 + 2.0 / dv**2 + v_eff(spec, S, P)
+    return diag, flux / ds**2, 1.0 / dv**2
 
+
+def assemble_full(spec: HelixSpec, k, n_s: int, n_phi: int) -> DiscretizedHamiltonian:
+    """Dense matrix of the _stencil grid operator at Bloch k.
+
+    Every node is scattered on its own, with the Bloch phase on the s bond
+    across the seam, so this stays the independent reference for the
+    screw reduction.
+    """
+    _check_storage(1, n_s * n_phi)
+    diag, hop_s, hop_v = _stencil(spec, n_s, n_phi, n_s, 0)
     phase = _unit_phase(k_components(spec, k)[0] * spec.s_period)
     dtype = np.float64 if phase.imag == 0.0 else np.complex128
     ph = phase.real if dtype == np.float64 else phase
 
     idx = np.arange(n_s)[:, None] * n_phi + np.arange(n_phi)[None, :]
-    H = np.zeros((dim, dim), dtype=dtype)
-    diag = (flux + np.roll(flux, 1, axis=0)) / ds**2 + 2.0 / dv**2 + pot
-    H[idx.ravel(), idx.ravel()] = diag.ravel()
+    H = np.zeros((idx.size, idx.size), dtype=dtype)
+    H[idx, idx] = diag
 
-    hop_s = -(flux / ds**2).astype(dtype)
+    hop_s = -hop_s.astype(dtype)
     hop_s[-1, :] *= ph
     cols_s = np.roll(idx, -1, axis=0)
-    H[idx.ravel(), cols_s.ravel()] = hop_s.ravel()
-    H[cols_s.ravel(), idx.ravel()] = np.conj(hop_s).ravel()
+    H[idx, cols_s] = hop_s
+    H[cols_s, idx] = np.conj(hop_s)
 
-    hop_v = -1.0 / dv**2
     cols_v = np.roll(idx, -1, axis=1)
-    H[idx.ravel(), cols_v.ravel()] = hop_v
-    H[cols_v.ravel(), idx.ravel()] = hop_v
+    H[idx, cols_v] = -hop_v
+    H[cols_v, idx] = -hop_v
     return DiscretizedHamiltonian(H, GRID_2D)
 
 
@@ -160,20 +170,11 @@ def screw_eigenvalues(
     solved in one stacked eigvalsh.  Storage is capped as for the dense
     matrix: g d^2 <= DEFAULT_MAX_DIMENSION^2 with d = n_s n_phi/g.
     """
-    if n_s < 4 or n_phi < 4:
-        raise ValueError("need at least 4 points per direction")
     g = math.gcd(n_s, n_phi)
     d = n_s * n_phi // g
     r, dj = n_s // g, _screw_twist(spec, n_phi, g)
     _check_storage(g, d)
-    ds = spec.s_period / n_s
-    dv = spec.varphi_period / n_phi
-    S, P = (a[:r] for a in grid_nodes(spec, n_s, n_phi))
-    pot = v_eff(spec, S, P)
-    flux = metric_h(spec, S + 0.5 * ds, P) ** -2.0
-    # the bond into row 0 comes from row -1, the screw image of (r-1, j+dj)
-    flux_in = np.vstack([np.roll(flux[-1], -dj)[None, :], flux[:-1]])
-    diag = (flux + flux_in) / ds**2 + 2.0 / dv**2 + pot
+    diag, hop_s, hop_v = _stencil(spec, n_s, n_phi, r, dj)
 
     x = k_components(spec, k)[0] * spec.s_period
     lam = np.array([_unit_phase((x + 2.0 * math.pi * mu) / g) for mu in range(g)])
@@ -188,15 +189,14 @@ def screw_eigenvalues(
     up = np.vstack([idx[1:], np.roll(idx[0], dj)[None, :]])
     phase = np.ones((g, r, n_phi), dtype=dtype)
     phase[:, -1, :] = lam[:, None]
-    hop_s = -flux / ds**2
     blocks = np.zeros((g, d, d), dtype=dtype)
     blocks[:, idx, idx] = diag
-    blocks[:, idx, up] += phase * hop_s
-    blocks[:, up, idx] += np.conj(phase) * hop_s
+    blocks[:, idx, up] += phase * -hop_s
+    blocks[:, up, idx] += np.conj(phase) * -hop_s
     right = np.roll(idx, -1, axis=1)
-    blocks[:, idx, right] += -1.0 / dv**2
-    blocks[:, right, idx] += -1.0 / dv**2
-    w, _ = _dense_eigh(blocks, n_lowest)
+    blocks[:, idx, right] += -hop_v
+    blocks[:, right, idx] += -hop_v
+    w = _dense_eigh(blocks, n_lowest)
     return np.sort(w, axis=None)[:n_lowest]
 
 
@@ -226,17 +226,22 @@ def assemble_perturbed(spec: HelixSpec, k) -> DiscretizedHamiltonian:
     offsets = range(-2 * n, 2 * n + 1)
     stated = stated_table(spec)
     table = [np.fft.ifftshift([t.get(d, 0.0) for d in offsets]) for t in stated]
-    table[1][0] -= effective_params(spec).a
+    table[1][0] -= spectral_offset(spec)
     ns = kv[1] * spec.rho0 - np.arange(-n, n + 1)
     H = _lattice(spec, kv[0] + spec.tau * spec.rho0 * kv[1], ns, table)
-    return DiscretizedHamiltonian(H, PLANE_WAVE_RAY)
+    return DiscretizedHamiltonian(H, "ORACLE_PERTURBED")
+
+
+def _decay_rate(spec: HelixSpec) -> float:
+    """r = eps/(1 + sqrt(1 - eps^2)): the Fourier coefficients of h^-2 and
+    v_eff in the helical phase fall off as r^|d|."""
+    return spec.epsilon / (1.0 + math.sqrt(1.0 - spec.epsilon**2))
 
 
 def _n_modes(spec: HelixSpec) -> int:
-    """Modes kept each side of a sector's centre: h^-2 and v_eff fall off as
-    r^|d|, r = eps/(1 + sqrt(1 - eps^2)), and the levels as r^(2 n_modes),
-    which this puts below 1e-17; at least 8."""
-    r = spec.epsilon / (1.0 + math.sqrt(1.0 - spec.epsilon**2))
+    """Modes kept each side of a sector's centre: the levels fall off as
+    r^(2 n_modes) (_decay_rate), which this puts below 1e-17; at least 8."""
+    r = _decay_rate(spec)
     return max(8, math.ceil(math.log(1e-17) / (2.0 * math.log(max(r, 1e-3)))))
 
 
@@ -276,7 +281,7 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
                 break
             centre = np.rint(p * spec.tau / (spec.tau**2 + B))
             ns = centre[:, None] + np.arange(-n_modes, n_modes + 1)
-            w, _ = _dense_eigh(_lattice(spec, p, ns, table), 1)
+            w = _dense_eigh(_lattice(spec, p, ns, table), 1)
             levels = np.sort(np.append(levels, w[:, :n_bands]))[:n_bands]
             # from the first pair on: M = 0 alone leaves the n_bands-th level
             # a transverse step too high, and the count far too large
@@ -291,8 +296,8 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
     return np.array(rows), detail
 
 
-def _dense_eigh(entries: np.ndarray, n_lowest: int, with_vectors: bool = False):
-    """LAPACK eigh/eigvalsh of one Hermitian matrix or a stack of them.
+def _dense_eigh(entries: np.ndarray, n_lowest: int) -> np.ndarray:
+    """LAPACK eigvalsh of one Hermitian matrix or a stack of them.
 
     n_lowest is checked against the total count of eigenvalues; a LAPACK
     failure or a non-finite eigenvalue raises ConvergenceFailure.
@@ -301,33 +306,17 @@ def _dense_eigh(entries: np.ndarray, n_lowest: int, with_vectors: bool = False):
     if not 1 <= n_lowest <= count:
         raise ValueError(f"n_lowest must be in [1, {count}], got {n_lowest}")
     try:
-        if with_vectors:
-            w, v = np.linalg.eigh(entries)
-        else:
-            w, v = np.linalg.eigvalsh(entries), None
+        w = np.linalg.eigvalsh(entries)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolve failed: {exc}") from exc
     if not np.all(np.isfinite(w)):
         raise ConvergenceFailure("eigensolve produced non-finite eigenvalues")
-    return w, v
+    return w
 
 
-def eigensolve(
-    H: DiscretizedHamiltonian, n_lowest: int, with_vectors: bool = False
-) -> SpectrumResult:
+def eigensolve(H: DiscretizedHamiltonian, n_lowest: int) -> SpectrumResult:
     """Lowest eigenvalues of a Hermitian matrix, deterministic dense solve."""
-    w, v = _dense_eigh(H.entries, n_lowest, with_vectors)
-    w = w[:n_lowest]
-    if v is None:
-        return SpectrumResult(eigenvalues=w)
-    v = v[:, :n_lowest]
-    scale = float(np.linalg.norm(H.entries))
-    residuals = np.linalg.norm(H.entries @ v - v * w[None, :], axis=0)
-    if np.any(residuals > 1e-9 * scale):
-        raise ConvergenceFailure(
-            f"worst residual {residuals.max():.3e} exceeds 1e-9*|H| = {1e-9 * scale:.3e}"
-        )
-    return SpectrumResult(eigenvalues=w, eigenvectors=v, residual_norms=residuals)
+    return SpectrumResult(_dense_eigh(H.entries, n_lowest)[:n_lowest])
 
 
 # --------------------------------------------------------------------------

@@ -7,8 +7,9 @@ parameters so they stay meaningful whatever the configured geometry; the
 operator and symmetry checks run on the configured helix.
 
 The vkin_offset configuration key is a negative-control hook: a nonzero
-value is added to the gauge potential on one side of the operator
-identity only, so any corruption there is caught by the first check.
+value shifts the potential on one side of the operator identity only, as
+a wrong gauge potential would, so any corruption there is caught by the
+first check.
 """
 
 from __future__ import annotations
@@ -18,20 +19,21 @@ from dataclasses import replace
 
 import numpy as np
 
-from .geometry import HelixSpec, grid_nodes, metric_h
+from .geometry import HelixSpec, grid_nodes, metric_h, v_curv
 from .operators import (
     PHI,
     PSI,
     WaveField,
     apply_laplace_beltrami,
+    apply_transformed_operator,
     random_band_limited,
-    spectral_derivative,
     v_eff,
-    v_kin,
     v1_multiplicative,
 )
 from .bloch import BlochVector, cylinder_limit_energies
 from .oracle import (
+    CapExceeded,
+    _decay_rate,
     assemble_full,
     assemble_perturbed,
     continuum_levels,
@@ -41,6 +43,9 @@ from .oracle import (
 
 _IDENTITY_FIELDS = 5
 _IDENTITY_SEED = 2024
+# the operator identity's grid: 512x512 keeps its stack of fields and their
+# temporaries near 200 MB, and covers eps up to about 0.96
+_IDENTITY_MAX_NODES = 2**18
 
 
 def _check(name, kind, tolerance, measured, **detail) -> dict:
@@ -61,26 +66,38 @@ def _l2(v: np.ndarray) -> float:
 
 
 def check_operator_identity(cfg) -> dict:
-    """sqrt(h)(-Lap)(Phi/sqrt(h)) vs flux form + gauge potential."""
+    """sqrt(h)(-Lap)(Phi/sqrt(h)) + v_curv Phi vs apply_transformed_operator.
+
+    The random fields keep modes up to n/4 of the n x n grid, which
+    leaves n/4 modes above them for the products with powers of h, whose
+    Fourier tail falls off as r^|d| (oracle._decay_rate).  n is sized from
+    the spec so that r^(n/4) <= 1e-15: every product is resolved.  Both
+    operators act on the stack of fields at once; the error of each field
+    is measured against its |rhs|, the operator's own scale, so rounding
+    does not grow with tau^2.
+    """
     spec = cfg.spec()
-    n_s, n_phi = cfg.n_s, cfg.n_phi
+    r = max(_decay_rate(spec), 1e-3)
+    n = 4 * math.ceil(math.log(1e-15) / math.log(r))
+    if n * n > _IDENTITY_MAX_NODES:
+        raise CapExceeded(
+            f"eps = {spec.epsilon!r} needs a {n}x{n} grid for the operator "
+            f"identity, more than the desk-scale cap of {_IDENTITY_MAX_NODES} nodes"
+        )
     rng = np.random.default_rng(_IDENTITY_SEED)
-    S, P = grid_nodes(spec, n_s, n_phi)
-    h = metric_h(spec, S, P)
-    vk = v_kin(spec, S, P) + cfg.vkin_offset
-    worst = 0.0
-    for _ in range(_IDENTITY_FIELDS):
-        fld = random_band_limited(spec, n_s, n_phi, rng, gauge=PHI)
-        psi = WaveField(fld.values / np.sqrt(h), PSI)
-        lhs = np.sqrt(h) * apply_laplace_beltrami(spec, psi).values
-        d_s = spectral_derivative(fld.values, 0, spec.s_period)
-        flux = -spectral_derivative(d_s / h**2, 0, spec.s_period)
-        vv = spectral_derivative(fld.values, 1, spec.varphi_period, 2)
-        rhs = flux - vv + vk * fld.values
-        worst = max(worst, _l2(lhs - rhs) / _l2(fld.values))
+    S, P = grid_nodes(spec, n, n)
+    root_h = np.sqrt(metric_h(spec, S, P))
+    pot = v_curv(spec, S, P) - cfg.vkin_offset
+    fields = np.stack([
+        random_band_limited(spec, n, n, rng).values for _ in range(_IDENTITY_FIELDS)
+    ])
+    psi = WaveField(fields / root_h, PSI)
+    lhs = root_h * apply_laplace_beltrami(spec, psi).values + pot * fields
+    rhs = apply_transformed_operator(spec, WaveField(fields, PHI)).values
+    err = np.linalg.norm(lhs - rhs, axis=(1, 2)) / np.linalg.norm(rhs, axis=(1, 2))
     return _check(
-        "operator_identity", "max", 1e-8, worst,
-        grid=[n_s, n_phi], fields=_IDENTITY_FIELDS,
+        "operator_identity", "max", 1e-13, float(np.max(err)),
+        grid=[n, n], fields=_IDENTITY_FIELDS,
     )
 
 

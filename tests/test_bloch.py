@@ -26,7 +26,7 @@ from helitube.bloch import (
     _invert_hessian,
 )
 from helitube.geometry import HelixSpec, grid_nodes
-from helitube.operators import PHI, WaveField, effective_params, v1_apply
+from helitube.operators import PHI, WaveField, spectral_offset, v1_apply
 
 FIG3 = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
 
@@ -132,14 +132,14 @@ def test_coupling_symmetry_makes_u2_nonnegative():
 def test_first_order_u_zero_curvature():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)
     k = BlochVector(0.0, 0)
-    e_free = -effective_params(spec).a
+    e_free = -spectral_offset(spec)
     assert first_order_u(spec, k, e_free) == 0.0
 
 
 def test_first_order_u_zone_center_magnitude():
     # |u| = eps*kappa^2/16 / K1^2 for the unperturbed zone-center state
     spec = FIG3
-    a = effective_params(spec).a
+    a = spectral_offset(spec)
     k = BlochVector(0.0, 0)
     u = first_order_u(spec, k, -a)
     K2 = spec.tau**2 + 1.0 / spec.rho0**2
@@ -150,7 +150,7 @@ def test_first_order_u_zone_center_magnitude():
 
 def test_first_order_u_near_resonance():
     spec = FIG3
-    a = effective_params(spec).a
+    a = spectral_offset(spec)
     kb = zone_boundary_k(spec)
     e_free = float(kb @ kb) - a
     with pytest.raises(NearResonance):
@@ -162,7 +162,7 @@ def test_first_order_u_near_resonance():
 
 def test_two_band_free_limit_exact():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)
-    a = effective_params(spec).a
+    a = spectral_offset(spec)
     for kv in ((0.0, 0.0), (0.3, 10.0), (-0.5, 5.0)):
         e1, e2 = two_band_energies(spec, kv)
         kv = np.asarray(kv)
@@ -192,7 +192,7 @@ def test_two_band_boundary_gap_value():
 def test_two_band_vs_first_order_away_from_boundary():
     # lower root approaches free + U^2/(Q - P) once K^2 G^2 >> U^2
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
-    a = effective_params(spec).a
+    a = spectral_offset(spec)
     v0 = spec.epsilon * spec.kappa**2 / 4
     K = ray_vector(spec)
     kv = -0.3 * K

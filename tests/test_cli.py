@@ -342,6 +342,14 @@ def test_bands_sector_cap_is_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_verify_identity_grid_cap_is_config_error(tmp_path, capsys):
+    # eps = 0.97 needs a 560x560 grid to resolve the products with h
+    rc = main(["verify", "--kappa", "9.7", "--rho0", "0.1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "operator identity" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [["verify", "--tau", "1e-160"],
                                   ["cylinder-check", "--tau", "1e-300"]],
                          ids=["verify", "cylinder-check"])

@@ -34,6 +34,9 @@ _REMOVED = {
     "ReciprocalVector": bloch,
     "K1": bloch,
     "wave_field": operators,
+    "EffectiveParams": operators,
+    "effective_params": operators,
+    "PLANE_WAVE_RAY": oracle,
 }
 
 

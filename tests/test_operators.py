@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helitube import verify
+from helitube.cli import RunConfig
 from helitube.geometry import (
     HelixSpec,
     grid_nodes,
@@ -22,11 +24,11 @@ from helitube.operators import (
     WaveField,
     apply_laplace_beltrami,
     apply_transformed_operator,
-    effective_params,
     laplace_beltrami_expanded,
     normalize,
     random_band_limited,
     spectral_derivative,
+    spectral_offset,
     v1_apply,
     v1_multiplicative,
     v_eff,
@@ -45,12 +47,12 @@ def l2(values):
 
 
 def test_effective_params():
-    p = effective_params(HelixSpec(kappa=1.0, tau=1.0, rho0=0.1))
-    assert p.a == (100.0 + 1.0) / 4.0
-    assert p.epsilon == pytest.approx(0.1)
-    assert p.k_eff_sq(2.0) == pytest.approx(p.a + 2.0)
-    cyl = effective_params(HelixSpec(kappa=0.0, tau=1.0, rho0=2.0))
-    assert cyl.a == pytest.approx(1.0 / 16.0)
+    # the offset a is the one effective parameter left; eps is spec.epsilon
+    a = spectral_offset(HelixSpec(kappa=1.0, tau=1.0, rho0=0.1))
+    assert type(a) is float
+    assert a == (100.0 + 1.0) / 4.0
+    cyl = spectral_offset(HelixSpec(kappa=0.0, tau=1.0, rho0=2.0))
+    assert cyl == pytest.approx(1.0 / 16.0)
 
 
 # ----------------------------------------------------------- wavefield admin
@@ -178,6 +180,43 @@ def test_gauge_identity_on_random_fields():
         vv = spectral_derivative(fld.values, 1, spec.varphi_period, 2)
         rhs = flux - vv + vk * fld.values
         assert l2(lhs - rhs) <= 1e-8 * l2(fld.values)
+
+
+def test_operators_act_on_each_field_of_a_stack():
+    spec = HelixSpec(kappa=2.0, tau=-1.3, rho0=0.3, s0=0.37)
+    rng = np.random.default_rng(5)
+    single = [random_band_limited(spec, 24, 20, rng).values for _ in range(3)]
+    for op, gauge in ((apply_laplace_beltrami, PSI), (laplace_beltrami_expanded, PSI),
+                      (apply_transformed_operator, PHI), (v1_apply, PHI)):
+        stacked = op(spec, WaveField(np.stack(single), gauge)).values
+        for f, got in zip(single, stacked):
+            np.testing.assert_allclose(
+                got, op(spec, WaveField(f, gauge)).values, rtol=0, atol=1e-12
+            )
+
+
+# verify's check on helices where a fixed 64x64 grid aliased the products
+# with powers of h (eps >= 0.4), or an error measured against |Phi| grew
+# as tau^2 (|tau| >= 300)
+_IDENTITY_HELICES = {
+    "eps0.4": dict(kappa=2.0, rho0=0.2),
+    "eps0.5": dict(kappa=5.0, rho0=0.1),
+    "eps0.9": dict(kappa=9.0, rho0=0.1),
+    "tau300": dict(tau=300.0),
+    "tau1000": dict(tau=1000.0),
+}
+
+
+@pytest.mark.parametrize("helix", _IDENTITY_HELICES.values(), ids=_IDENTITY_HELICES)
+def test_operator_identity_check_passes_on_the_operator(helix):
+    check = verify.check_operator_identity(RunConfig(**helix))
+    assert check["passed"] is True, check
+
+
+@pytest.mark.parametrize("helix", _IDENTITY_HELICES.values(), ids=_IDENTITY_HELICES)
+def test_operator_identity_check_catches_a_gauge_offset(helix):
+    check = verify.check_operator_identity(RunConfig(vkin_offset=0.5, **helix))
+    assert check["passed"] is False, check
 
 
 # -------------------------------------------------------------------- v_eff
@@ -369,7 +408,7 @@ def _v1_true_action(spec, fld):
 def _first_order_residual(v1_fn, eps, values):
     """L2 norm of (full operator - flat Laplacian + a) Phi - v1_fn(Phi)."""
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=eps)
-    a = effective_params(spec).a
+    a = spectral_offset(spec)
     fld = WaveField(values, PHI)
     full = apply_transformed_operator(spec, fld).values
     flat = (
