@@ -1,8 +1,10 @@
 """Deterministic command-line front end.
 
 Subcommands compute geometry tables, potential grids, band structures,
-gap scans, the straight-tube cross-check, and the self-verification
-suite, writing CSV/JSON artifacts into an output directory.
+gap scans, the straight-tube cross-check (the exact oracle against the
+closed form), and the self-verification suite, writing CSV/JSON
+artifacts into an output directory.  Only ``geometry`` and ``potential``
+read the grid.
 
 Configuration is a flat ``key = value`` file with ``#`` comments; every
 key has a default and command-line flags override file values.  All
@@ -439,19 +441,13 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
 
 
 def cmd_cylinder_check(cfg: RunConfig) -> int:
-    """Straight-tube oracle vs the separable closed form, one Richardson step."""
+    """Straight-tube exact oracle vs the separable closed form."""
     spec0 = HelixSpec(kappa=0.0, tau=cfg.tau, rho0=cfg.rho0, s0=cfg.s0)
-    if cfg.n_s < 8 or cfg.n_phi < 8:
-        raise ConfigError("cylinder-check needs a grid of at least 8x8")
-    if cfg.n_s % 2 or cfg.n_phi % 2:
-        # the 2:1 Richardson step needs the coarse grid to be exactly half
-        raise ConfigError("cylinder-check needs an even number of nodes per side")
     n_lowest = 7
-    err = _verify.cylinder_error(spec0, cfg.n_s, cfg.n_phi, n_lowest)
+    err = _verify.cylinder_error(spec0, n_lowest)
     print(
         f"cylinder check: max relative error {err:.3e} over {n_lowest} levels "
-        f"(grids {cfg.n_s // 2}x{cfg.n_phi // 2} and {cfg.n_s}x{cfg.n_phi}, "
-        f"one Richardson step)"
+        f"(exact helical-momentum oracle at k_s = 0)"
     )
     return 0
 

@@ -14,10 +14,10 @@ paper's stated first-order table on the coupling ray.  Both keep the
 window of _n_modes(spec) modes each side, so the truncation follows the
 spec and is set in one place.  A second-order
 finite-difference grid on the (s, varphi) unit cell stays as the
-independent reference.  Its node coefficients (diagonal, h^-2 hop at the
-s midpoint, varphi hop) come from one _stencil; assemble_full scatters
-them into the dense matrix, and screw_eigenvalues into the blocks of its
-discrete screw symmetry, so the dense matrix checks the reduction.
+independent reference, written by one builder, _grid_blocks, as the Bloch
+blocks of its discrete screw symmetry: screw_eigenvalues solves the
+gcd(n_s, n_phi) blocks, and assemble_full is the one-block case (the
+dense matrix, no screw twist), which checks the reduction.
 Everything is dense and deterministic (vectorized numpy, LAPACK
 eigenvalue-only symmetric/Hermitian solvers) and capped at desk scale: a
 request over a cap raises CapExceeded.
@@ -96,16 +96,20 @@ def _check_storage(blocks: int, dim: int) -> None:
         )
 
 
-def _stencil(spec: HelixSpec, n_s: int, n_phi: int, r: int, dj: int):
-    """Node coefficients of the grid operator on the first r s-rows.
+def _grid_blocks(spec: HelixSpec, k, n_s: int, n_phi: int, g: int, dj: int):
+    """Bloch blocks of the grid operator on an n_s x n_phi unit cell.
 
-    -d_s(h^-2 d_s) - d2_varphi + v_eff on the n_s x n_phi unit cell,
-    second-order centered, with h^-2 sampled at s midpoints so the matrix
-    is Hermitian by construction.  Returns the diagonal, the s-hop
-    magnitude h^-2/ds^2 from each node to the next row, and the varphi-hop
-    magnitude 1/dv^2.  The bond into row 0 comes from row r-1 shifted by
-    dj varphi-nodes (its screw image); r = n_s, dj = 0 is the cell's seam.
+    -d_s(h^-2 d_s) - d2_varphi + v_eff, second-order centered, with h^-2
+    sampled at s midpoints so every block is Hermitian by construction.
+    The g blocks (shape (g, d, d), d = n_s n_phi/g) live on the strip of
+    the first r = n_s/g s-rows: node (i, j) is row i*n_phi + j, and in
+    block mu the s hop out of the strip from (r-1, j) lands on (0, j - dj)
+    times lambda_mu = exp(i (k_s L + 2 pi mu)/g).  g = 1, dj = 0 is the dense
+    matrix with the Bloch phase on the seam.  Storage is capped:
+    g d^2 <= DEFAULT_MAX_DIMENSION^2.
     """
+    d, r = n_s * n_phi // g, n_s // g
+    _check_storage(g, d)
     if n_s < 4 or n_phi < 4:
         raise ValueError("need at least 4 points per direction")
     ds = spec.s_period / n_s
@@ -114,36 +118,34 @@ def _stencil(spec: HelixSpec, n_s: int, n_phi: int, r: int, dj: int):
     flux = metric_h(spec, S + 0.5 * ds, P) ** -2.0
     flux_in = np.vstack([np.roll(flux[-1], -dj)[None, :], flux[:-1]])
     diag = (flux + flux_in) / ds**2 + 2.0 / dv**2 + v_eff(spec, S, P)
-    return diag, flux / ds**2, 1.0 / dv**2
+    hop_s, hop_v = flux / ds**2, 1.0 / dv**2
+
+    x = k_components(spec, k)[0] * spec.s_period
+    lam = np.array([_unit_phase((x + 2.0 * math.pi * mu) / g) for mu in range(g)])
+    if np.all(lam.imag == 0.0):
+        lam = lam.real
+    dtype = lam.dtype
+
+    # each statement below writes distinct entries, and coinciding entries
+    # of different statements (r = 1, |dj| = 1) add up as the hops do
+    idx = np.arange(d).reshape(r, n_phi)
+    up = np.vstack([idx[1:], np.roll(idx[0], dj)[None, :]])
+    phase = np.ones((g, r, n_phi), dtype=dtype)
+    phase[:, -1, :] = lam[:, None]
+    blocks = np.zeros((g, d, d), dtype=dtype)
+    blocks[:, idx, idx] = diag
+    blocks[:, idx, up] += phase * -hop_s
+    blocks[:, up, idx] += np.conj(phase) * -hop_s
+    right = np.roll(idx, -1, axis=1)
+    blocks[:, idx, right] += -hop_v
+    blocks[:, right, idx] += -hop_v
+    return blocks
 
 
 def assemble_full(spec: HelixSpec, k, n_s: int, n_phi: int) -> DiscretizedHamiltonian:
-    """Dense matrix of the _stencil grid operator at Bloch k.
-
-    Every node is scattered on its own, with the Bloch phase on the s bond
-    across the seam, so this stays the independent reference for the
-    screw reduction.
-    """
-    _check_storage(1, n_s * n_phi)
-    diag, hop_s, hop_v = _stencil(spec, n_s, n_phi, n_s, 0)
-    phase = _unit_phase(k_components(spec, k)[0] * spec.s_period)
-    dtype = np.float64 if phase.imag == 0.0 else np.complex128
-    ph = phase.real if dtype == np.float64 else phase
-
-    idx = np.arange(n_s)[:, None] * n_phi + np.arange(n_phi)[None, :]
-    H = np.zeros((idx.size, idx.size), dtype=dtype)
-    H[idx, idx] = diag
-
-    hop_s = -hop_s.astype(dtype)
-    hop_s[-1, :] *= ph
-    cols_s = np.roll(idx, -1, axis=0)
-    H[idx, cols_s] = hop_s
-    H[cols_s, idx] = np.conj(hop_s)
-
-    cols_v = np.roll(idx, -1, axis=1)
-    H[idx, cols_v] = -hop_v
-    H[cols_v, idx] = -hop_v
-    return DiscretizedHamiltonian(H, GRID_2D)
+    """Dense matrix of the grid operator at Bloch k: the one block of
+    _grid_blocks with g = 1 and no twist, so it checks the screw reduction."""
+    return DiscretizedHamiltonian(_grid_blocks(spec, k, n_s, n_phi, 1, 0)[0], GRID_2D)
 
 
 def _screw_twist(spec: HelixSpec, n_phi: int, g: int) -> int:
@@ -162,40 +164,13 @@ def screw_eigenvalues(
 
     The grid operator commutes with the screw shift T: (i, j) -> (i + r,
     j + dj) of _screw_twist, and T^g is the Bloch factor exp(i k_s L), so
-    the matrix splits exactly into one block per screw phase
-    lambda_mu = exp(i (k_s L + 2 pi mu)/g), mu = 0..g-1.  Each block lives
-    on an r x n_phi strip of nodes; its s hop out of the strip from
-    (r-1, j) lands on (0, j - dj) times lambda_mu.  The blocks are built
-    straight from the node coefficients, never from the dense matrix, and
-    solved in one stacked eigvalsh.  Storage is capped as for the dense
-    matrix: g d^2 <= DEFAULT_MAX_DIMENSION^2 with d = n_s n_phi/g.
+    the matrix splits exactly into the g = gcd(n_s, n_phi) blocks of
+    _grid_blocks, one per screw phase; they are built straight from the
+    node coefficients, never from the dense matrix, and solved in one
+    stacked eigvalsh.
     """
     g = math.gcd(n_s, n_phi)
-    d = n_s * n_phi // g
-    r, dj = n_s // g, _screw_twist(spec, n_phi, g)
-    _check_storage(g, d)
-    diag, hop_s, hop_v = _stencil(spec, n_s, n_phi, r, dj)
-
-    x = k_components(spec, k)[0] * spec.s_period
-    lam = np.array([_unit_phase((x + 2.0 * math.pi * mu) / g) for mu in range(g)])
-    if np.all(lam.imag == 0.0):
-        lam = lam.real
-    dtype = lam.dtype
-
-    # strip node (i, j) is row i*n_phi + j of every block; each statement
-    # below writes distinct entries, and coinciding entries of different
-    # statements (r = 1, |dj| = 1) add up as in the dense matrix
-    idx = np.arange(d).reshape(r, n_phi)
-    up = np.vstack([idx[1:], np.roll(idx[0], dj)[None, :]])
-    phase = np.ones((g, r, n_phi), dtype=dtype)
-    phase[:, -1, :] = lam[:, None]
-    blocks = np.zeros((g, d, d), dtype=dtype)
-    blocks[:, idx, idx] = diag
-    blocks[:, idx, up] += phase * -hop_s
-    blocks[:, up, idx] += np.conj(phase) * -hop_s
-    right = np.roll(idx, -1, axis=1)
-    blocks[:, idx, right] += -hop_v
-    blocks[:, right, idx] += -hop_v
+    blocks = _grid_blocks(spec, k, n_s, n_phi, g, _screw_twist(spec, n_phi, g))
     w = _dense_eigh(blocks, n_lowest)
     return np.sort(w, axis=None)[:n_lowest]
 
@@ -259,8 +234,9 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
     As h^-2 >= A = (1+eps)^-2, its levels lie above c p^2 + min v_eff with
     c = A B/(A tau^2 + B), B = rho0^-2: the pairs M = +-j are solved outward
     until the nearer one's bound is above the n_bands-th level found.  When,
-    after the first pair, that bound cannot stop the loop within
-    _MAX_SECTOR_PAIRS pairs (tiny tau), CapExceeded is raised at once.
+    once the solved sectors (at least 3) number n_bands, that bound cannot
+    stop the loop within _MAX_SECTOR_PAIRS pairs (tiny tau), CapExceeded is
+    raised at once.
     """
     if spec.tau == 0.0:
         raise DegeneratePeriod("tau = 0: no helical momentum sectors")
@@ -283,9 +259,10 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
             ns = centre[:, None] + np.arange(-n_modes, n_modes + 1)
             w = _dense_eigh(_lattice(spec, p, ns, table), 1)
             levels = np.sort(np.append(levels, w[:, :n_bands]))[:n_bands]
-            # from the first pair on: M = 0 alone leaves the n_bands-th level
-            # a transverse step too high, and the count far too large
-            if j and far <= levels[-1] < np.inf:
+            # once the 2 j + 1 sectors (at least 3) number n_bands: fewer can
+            # leave the n_bands-th level a transverse step too high, and the
+            # count far too large
+            if j and 2 * j + 1 >= n_bands and far <= levels[-1] < np.inf:
                 raise CapExceeded(
                     f"tau = {spec.tau!r} needs more than {_MAX_SECTOR_PAIRS} "
                     "sector pairs per k-point, over the desk-scale cap"

@@ -1,10 +1,13 @@
 """Self-verification suite behind the `helitube verify` subcommand.
 
 Each check measures one library invariant and reports the measured value
-against its tolerance.  Checks that probe the discretization machinery
-(cylinder limit, refinement order, continuum oracle) run on fixed internal
-parameters so they stay meaningful whatever the configured geometry; the
-operator and symmetry checks run on the configured helix.
+against its tolerance.  Checks that hold an oracle to a closed form or to
+the grid (cylinder limit, refinement order, continuum oracle) run on fixed
+internal parameters so they stay meaningful whatever the configured
+geometry; the operator and symmetry checks run on the configured helix.
+No check reads the configured grid: the grid checks fix their own sizes,
+the operator identity sizes its grid from eps, and the cylinder limit
+solves the exact oracle.
 
 The vkin_offset configuration key is a negative-control hook: a nonzero
 value shifts the potential on one side of the operator identity only, as
@@ -181,18 +184,15 @@ def check_ray_selection(cfg) -> dict:
     return _check("ray_selection", "max", tol, off, grid=[n, n])
 
 
-def cylinder_error(spec0: HelixSpec, n_s: int, n_phi: int, n_lowest: int) -> float:
-    """Straight-tube grid oracle vs the separable closed form.
+def cylinder_error(spec0: HelixSpec, n_lowest: int) -> float:
+    """Straight-tube exact oracle vs the separable closed form.
 
-    One 2:1 Richardson step between the n_s x n_phi grid and its half at
-    k_s = 0; returns the largest relative error over the n_lowest levels.
-    The closed form pairs transverse modes n >= 0 with longitudinal
-    standing waves 2 pi m/L, m >= 0, each with its multiplicity.
+    continuum_levels at k_s = 0; returns the largest relative error over
+    the n_lowest levels.  The closed form pairs transverse modes n >= 0
+    with longitudinal standing waves 2 pi m/L, m >= 0, each with its
+    multiplicity.
     """
-    k = BlochVector(0.0, 0)
-    coarse = screw_eigenvalues(spec0, k, n_s // 2, n_phi // 2, n_lowest)
-    fine = screw_eigenvalues(spec0, k, n_s, n_phi, n_lowest)
-    rich = (4.0 * fine - coarse) / 3.0
+    levels = continuum_levels(spec0, [0.0], n_lowest)[0][0]
     exact = []
     for n in range(0, 5):
         for m in range(0, 5):
@@ -203,15 +203,15 @@ def cylinder_error(spec0: HelixSpec, n_s: int, n_phi: int, n_lowest: int) -> flo
             mult = (2 if n > 0 else 1) * (2 if m > 0 else 1)
             exact.extend([e] * mult)
     exact = np.sort(exact)[:n_lowest]
-    return float(np.max(np.abs(rich - exact) / np.maximum(np.abs(exact), 1e-12)))
+    return float(np.max(np.abs(levels - exact) / np.maximum(np.abs(exact), 1e-12)))
 
 
 def check_cylinder_limit(cfg) -> dict:
     """Straight-tube spectrum vs closed form on fixed probe parameters."""
     probe = HelixSpec(kappa=0.0, tau=5.0, rho0=1.0)
     return _check(
-        "cylinder_limit", "max", 1e-3, cylinder_error(probe, 32, 32, 5),
-        grids=[[16, 16], [32, 32]], probe_tau=5.0, probe_rho0=1.0,
+        "cylinder_limit", "max", 1e-12, cylinder_error(probe, 5),
+        probe_tau=5.0, probe_rho0=1.0,
     )
 
 
@@ -262,7 +262,6 @@ def run_verification(cfg) -> dict:
             "rho0": spec.rho0,
             "s0": spec.s0,
             "epsilon": spec.epsilon,
-            "grid": [cfg.n_s, cfg.n_phi],
             "vkin_offset": cfg.vkin_offset,
         },
     }

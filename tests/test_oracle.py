@@ -222,6 +222,19 @@ def test_screw_guards():
         screw_eigenvalues(FIG3, BlochVector(0.0, 0), 8, 8, 0)
 
 
+def test_dense_matrix_uses_no_screw_twist(monkeypatch):
+    # the dense matrix is the one-block case, the reference the twist is
+    # checked against, so it must not depend on the twist
+    want = assemble_full(FIG3, BlochVector(-0.3, 0), 16, 12).entries
+
+    def broken(spec, n_phi, g):
+        raise AssertionError("assemble_full asked for the screw twist")
+
+    monkeypatch.setattr(oracle_module, "_screw_twist", broken)
+    got = assemble_full(FIG3, BlochVector(-0.3, 0), 16, 12).entries
+    assert np.array_equal(got, want)
+
+
 def test_screw_reduction_check_catches_a_wrong_twist(monkeypatch):
     cfg = RunConfig()  # the FIG3 helix
     assert verify.check_screw_reduction(cfg)["passed"] is True
@@ -366,6 +379,34 @@ def test_continuum_sector_cap_raises_at_once(monkeypatch):
     assert detail["sectors_per_kpoint"] == [515, 515]
 
 
+@pytest.mark.parametrize("tau", [1e-4, 1e-5, 1e-6, 1e-7])
+@pytest.mark.parametrize("n_bands", [4, 7])
+def test_continuum_sector_cap_waits_for_n_bands_sectors(tau, n_bands):
+    # the straight tube's n_bands lowest levels sit in 5 or 7 sectors; the
+    # cap only judges the bound once that many are in, so tiny tau is solved
+    spec = HelixSpec(kappa=0.0, tau=tau, rho0=0.1)
+    levels, detail = continuum_levels(spec, [0.0], n_bands)
+    want = _cylinder_closed_form(spec, 0.0, n_bands)
+    assert np.max(np.abs(levels[0] - want)) <= 1e-15 * np.max(np.abs(want))
+    assert detail["sectors_per_kpoint"] == [n_bands + 1 - n_bands % 2] * 2
+
+
+def test_continuum_sector_cap_still_refuses_the_helix(monkeypatch):
+    # at tau = 1e-6 the helix needs far more pairs than the cap: refused as
+    # soon as the sectors number n_bands (M = 0 and three pairs for 7)
+    solves = []
+    right = oracle_module._dense_eigh
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return right(*args, **kwargs)
+
+    monkeypatch.setattr(oracle_module, "_dense_eigh", counted)
+    with pytest.raises(CapExceeded, match="sector pairs"):
+        continuum_levels(HelixSpec(kappa=1.0, tau=1e-6, rho0=0.1), [0.0], 7)
+    assert len(solves) == 4
+
+
 def _exact_sector_matrices(spec, k_s):
     """The oracle's own sectors M = -2..2 at k_s, with the FFT table."""
     n = oracle_module._n_modes(spec)
@@ -450,6 +491,18 @@ def test_continuum_approaches_the_cylinder_as_eps_squared():
     wrong = _cylinder_closed_form(shape, -0.3, 4, quarter=0.0)
     exact = _continuum(shape, -0.3)
     assert np.max(np.abs(exact - wrong)) / np.max(np.abs(wrong)) > 1e-2
+
+
+def test_cylinder_limit_check_catches_a_shifted_potential(monkeypatch):
+    # the straight tube on the exact oracle meets the closed form to rounding
+    # (0.0 at the probe); a potential 1e-3 off moves every level by 1e-3
+    cfg = RunConfig()
+    assert verify.check_cylinder_limit(cfg)["passed"] is True
+    right = oracle_module.v_eff
+    monkeypatch.setattr(oracle_module, "v_eff", lambda *a: right(*a) + 1e-3)
+    check = verify.check_cylinder_limit(cfg)
+    assert check["passed"] is False
+    assert check["measured"] > 1e6 * check["tolerance"]
 
 
 @pytest.mark.parametrize("wrong", ["h^-1 for h^-2", "v_kin dropped"])
