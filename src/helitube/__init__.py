@@ -83,6 +83,7 @@ from .oracle import (
     band_sweep,
     continuum_levels,
     eigensolve,
+    fourier_decay_rate,
     gap_perturbed,
     screw_eigenvalues,
 )
@@ -109,6 +110,6 @@ __all__ = [
     "GRID_2D", "CapExceeded", "ConvergenceFailure",
     "DiscretizedHamiltonian", "SpectrumResult", "assemble_full",
     "assemble_perturbed", "band_sweep", "continuum_levels", "eigensolve",
-    "gap_perturbed", "screw_eigenvalues",
+    "fourier_decay_rate", "gap_perturbed", "screw_eigenvalues",
     "__version__",
 ]

@@ -13,12 +13,12 @@ Because the first-order potential contains s-derivatives, a coupling
 amplitude depends on the longitudinal wavenumber of the component it acts
 on.  Every product of the form U^2 therefore pairs the amplitude evaluated
 at the source wavenumber with the reverse amplitude at the shifted
-wavenumber; the pairing makes U^2 real and non-negative on the ray.
+wavenumber.  The amplitudes are real, as the frame's origin is fixed at
+s = 0, and the two of a pair are equal, so U^2 is non-negative on the ray.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -106,21 +106,19 @@ def stated_table(spec: HelixSpec) -> tuple[dict, dict]:
     return w, v
 
 
-def ray_amplitude(spec: HelixSpec, j: int, q_s: float) -> complex:
+def ray_amplitude(spec: HelixSpec, j: int, q_s: float) -> float:
     """Amplitude of the j-th ray harmonic acting on a plane wave exp(i q_s s).
 
     It lowers n by j and raises q by j tau: v[-j] + (q_s + j tau) w[-j] q_s
-    from stated_table, or the shift v[0] at j = 0; an s0 offset rotates it
-    by exp(-i j tau s0)."""
+    from stated_table, or the shift v[0] at j = 0; real, as the frame's
+    origin is fixed at s = 0."""
     w, v = stated_table(spec)
     if j == 0:
         return v[0]
-    base = v.get(-j, 0.0) + (q_s + j * spec.tau) * w.get(-j, 0.0) * q_s
-    phase = 1.0 if spec.s0 == 0.0 else cmath.exp(-1j * j * spec.tau * spec.s0)
-    return base * phase
+    return v.get(-j, 0.0) + (q_s + j * spec.tau) * w.get(-j, 0.0) * q_s
 
 
-def first_order_u(spec: HelixSpec, k, energy: float) -> complex:
+def first_order_u(spec: HelixSpec, k, energy: float) -> float:
     """Leading mixing coefficient of the k+K1 component into the k state."""
     kv = k_components(spec, k)
     K = ray_vector(spec)
@@ -143,7 +141,7 @@ def u_squared(spec: HelixSpec, kv: np.ndarray, j: int) -> float:
     amplitude at q0 = k_s paired with the reverse one at q1 = q0 + j tau."""
     a_fwd = ray_amplitude(spec, j, kv[0])
     a_rev = ray_amplitude(spec, -j, kv[0] + j * spec.tau)
-    return float(np.real(a_fwd * a_rev))
+    return float(a_fwd * a_rev)
 
 
 def two_band_energies(spec: HelixSpec, k):

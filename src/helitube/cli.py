@@ -72,7 +72,6 @@ class RunConfig:
     kappa: float = 1.0
     tau: float = 1.0
     rho0: float = 0.1
-    s0: float = 0.0
     n_s: int = 64
     n_phi: int = 64
     kpath_start: float = 0.0
@@ -131,9 +130,7 @@ class RunConfig:
             raise ConfigError("vkin_offset must be finite")
 
     def spec(self) -> HelixSpec:
-        return HelixSpec(
-            kappa=self.kappa, tau=self.tau, rho0=self.rho0, s0=self.s0
-        )
+        return HelixSpec(kappa=self.kappa, tau=self.tau, rho0=self.rho0)
 
     def resolved_kpath_end(self) -> float:
         if self.kpath_end is None:
@@ -183,7 +180,6 @@ _CONVERTERS = {
     "kappa": float,
     "tau": float,
     "rho0": float,
-    "s0": float,
     "n_s": _parse_int,
     "n_phi": _parse_int,
     "kpath_start": float,
@@ -442,7 +438,7 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
 
 def cmd_cylinder_check(cfg: RunConfig) -> int:
     """Straight-tube exact oracle vs the separable closed form."""
-    spec0 = HelixSpec(kappa=0.0, tau=cfg.tau, rho0=cfg.rho0, s0=cfg.s0)
+    spec0 = HelixSpec(kappa=0.0, tau=cfg.tau, rho0=cfg.rho0)
     n_lowest = 7
     err = _verify.cylinder_error(spec0, n_lowest)
     print(

@@ -8,8 +8,10 @@ with R = kappa/(kappa^2 + tau^2), p = tau/(kappa^2 + tau^2) and
 alpha = sqrt(kappa^2 + tau^2), parametrized by arclength s.  The tube of
 radius rho0 is swept along x(s) using the rotation-minimizing frame (t, N, B),
 obtained from the Frenet frame (t, n, b) by a rotation through
-theta(s) = -tau (s - s0) about the tangent.  In that frame the induced metric
-is diagonal with a single nontrivial factor
+theta(s) = -tau s about the tangent.  The paper's integration constant in
+theta is fixed so that the two frames coincide at s = 0: shifting it only
+shifts phi, which no spectrum sees.  In that frame the induced metric is
+diagonal with a single nontrivial factor
 
     h(s, phi) = 1 + rho0 kappa cos(theta(s) + phi),
 
@@ -71,18 +73,14 @@ class HelixSpec:
         Torsion; any sign (handedness) [1/length].
     rho0 : float
         Tube radius, > 0 [length].
-    s0 : float
-        Reference arclength where the rotated frame coincides with the
-        Frenet frame [length].
     """
 
     kappa: float
     tau: float
     rho0: float
-    s0: float = 0.0
 
     def __post_init__(self):
-        for name in ("kappa", "tau", "rho0", "s0"):
+        for name in ("kappa", "tau", "rho0"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
@@ -145,8 +143,8 @@ class FrameSample:
 
 
 def rotation_angle(spec: HelixSpec, s):
-    """Frame rotation angle theta(s) = -tau*(s - s0)."""
-    return -spec.tau * (np.asarray(s, dtype=float) - spec.s0)
+    """Frame rotation angle theta(s) = -tau*s."""
+    return -spec.tau * np.asarray(s, dtype=float)
 
 
 def helical_phase(spec: HelixSpec, s, phi):

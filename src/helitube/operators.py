@@ -221,7 +221,7 @@ def v1_multiplicative(spec: HelixSpec, s, phi):
     """Multiplicative part of the first-order potential.
 
     eps * (kappa^2/2) [cos xi + cos^2 xi - cos^3 xi] with the helical phase
-    xi = phi - tau(s - s0); the derivative terms of the first-order operator
+    xi = phi - tau s; the derivative terms of the first-order operator
     are not included here.
     """
     c = np.cos(helical_phase(spec, s, phi))
@@ -232,7 +232,7 @@ def v1_apply(spec: HelixSpec, phi_field: WaveField) -> WaveField:
     """Action of the operator-valued first-order potential on a PHI field.
 
     eps { (kappa^2/2)[cos xi + cos^2 xi - cos^3 xi] + cos xi d_s^2
-          + tau sin xi d_s },  xi = varphi/rho0 - tau(s - s0),
+          + tau sin xi d_s },  xi = varphi/rho0 - tau s,
     with spectral derivatives.  Linear in eps by construction.
     """
     if phi_field.gauge != PHI:

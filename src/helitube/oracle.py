@@ -178,15 +178,12 @@ def screw_eigenvalues(
 def _lattice(spec: HelixSpec, p, ns: np.ndarray, table) -> np.ndarray:
     """H[n', n] = q_n' w[n' - n] q_n + (n/rho0)^2 delta + v[n' - n], with
     q_n = p - tau n: one matrix per entry of p, over the indices ns (last
-    axis, integers up to a common offset).  table = (w, v) is in FFT order;
-    an s0 offset rotates the offset-d entries by exp(i d tau s0)."""
+    axis, integers up to a common offset).  table = (w, v) is in FFT order
+    and real, as the frame's origin is fixed at s = 0: H is real symmetric."""
     d = np.rint(ns[..., :, None] - ns[..., None, :]).astype(int)
     W, V = (c[d] for c in table)
-    if spec.s0 != 0.0:
-        phase = np.exp(1j * d * spec.tau * spec.s0)
-        W, V = W * phase, V * phase
     q = np.asarray(p, dtype=float)[..., None] - spec.tau * ns
-    H = W * (q[..., :, None] * q[..., None, :]) + V  # Hermitian to the last bit
+    H = W * (q[..., :, None] * q[..., None, :]) + V  # symmetric to the last bit
     return H + (ns[..., None] / spec.rho0) ** 2 * np.eye(ns.shape[-1])
 
 
@@ -207,23 +204,23 @@ def assemble_perturbed(spec: HelixSpec, k) -> DiscretizedHamiltonian:
     return DiscretizedHamiltonian(H, "ORACLE_PERTURBED")
 
 
-def _decay_rate(spec: HelixSpec) -> float:
-    """r = eps/(1 + sqrt(1 - eps^2)): the Fourier coefficients of h^-2 and
-    v_eff in the helical phase fall off as r^|d|."""
+def fourier_decay_rate(spec: HelixSpec) -> float:
+    """r = eps/(1 + sqrt(1 - eps^2)): the Fourier coefficients of h^-2, and
+    so of v_curv and v_eff, in the helical phase fall off as r^|d|."""
     return spec.epsilon / (1.0 + math.sqrt(1.0 - spec.epsilon**2))
 
 
 def _n_modes(spec: HelixSpec) -> int:
     """Modes kept each side of a sector's centre: the levels fall off as
-    r^(2 n_modes) (_decay_rate), which this puts below 1e-17; at least 8."""
-    r = _decay_rate(spec)
+    r^(2 n_modes) (fourier_decay_rate), which this puts below 1e-17; at least 8."""
+    r = fourier_decay_rate(spec)
     return max(8, math.ceil(math.log(1e-17) / (2.0 * math.log(max(r, 1e-3)))))
 
 
 def _helical_samples(spec: HelixSpec, n_xi: int):
-    """h^-2 and v_eff at n_xi equispaced helical phases xi (s = s0, phi = xi)."""
+    """h^-2 and v_eff at n_xi equispaced helical phases xi (s = 0, phi = xi)."""
     xi = np.arange(n_xi) * (2.0 * math.pi / n_xi)
-    return metric_h(spec, spec.s0, xi) ** -2.0, v_eff(spec, spec.s0, xi)
+    return metric_h(spec, 0.0, xi) ** -2.0, v_eff(spec, 0.0, xi)
 
 
 def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dict]:
@@ -252,7 +249,7 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
     for k_s in ks:
         levels = np.full(n_bands, np.inf)
         for j in itertools.count():
-            p = k_s + spec.tau * np.unique([-j, j])
+            p = k_s + spec.tau * np.array([-j, j] if j else [0])
             if c * np.min(p * p) + floor > levels[-1]:
                 break
             centre = np.rint(p * spec.tau / (spec.tau**2 + B))

@@ -18,7 +18,6 @@ first check.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -36,11 +35,11 @@ from .operators import (
 from .bloch import BlochVector, cylinder_limit_energies
 from .oracle import (
     CapExceeded,
-    _decay_rate,
     assemble_full,
     assemble_perturbed,
     continuum_levels,
     eigensolve,
+    fourier_decay_rate,
     screw_eigenvalues,
 )
 
@@ -73,14 +72,14 @@ def check_operator_identity(cfg) -> dict:
 
     The random fields keep modes up to n/4 of the n x n grid, which
     leaves n/4 modes above them for the products with powers of h, whose
-    Fourier tail falls off as r^|d| (oracle._decay_rate).  n is sized from
+    Fourier tail falls off as r^|d| (fourier_decay_rate).  n is sized from
     the spec so that r^(n/4) <= 1e-15: every product is resolved.  Both
     operators act on the stack of fields at once; the error of each field
     is measured against its |rhs|, the operator's own scale, so rounding
     does not grow with tau^2.
     """
     spec = cfg.spec()
-    r = max(_decay_rate(spec), 1e-3)
+    r = max(fourier_decay_rate(spec), 1e-3)
     n = 4 * math.ceil(math.log(1e-15) / math.log(r))
     if n * n > _IDENTITY_MAX_NODES:
         raise CapExceeded(
@@ -145,10 +144,9 @@ def check_continuum_oracle(cfg) -> dict:
 
 
 def check_hermiticity_perturbed(cfg) -> dict:
-    """Ray matrix with a probe s0 offset, which makes the entries complex."""
+    """Ray matrix at the generic point (0.21 |tau|, 0) of the continuous ray."""
     spec = cfg.spec()
-    probe = replace(spec, s0=0.37)
-    H = assemble_perturbed(probe, (0.21 * abs(spec.tau), 0.0)).entries
+    H = assemble_perturbed(spec, (0.21 * abs(spec.tau), 0.0)).entries
     scale = _l2(H)
     measured = _l2(H - H.conj().T) / scale if scale > 0 else 0.0
     return _check(
@@ -158,13 +156,13 @@ def check_hermiticity_perturbed(cfg) -> dict:
 
 
 def check_potential_symmetry(cfg) -> dict:
-    """v_eff is even under (s - s0, phi) -> (s0 - s, -phi)."""
+    """v_eff is even under (s, phi) -> (-s, -phi), about the frame's origin."""
     spec = cfg.spec()
     n = 32
     ds = np.linspace(-2.0, 2.0, n)
     phis = np.linspace(-math.pi, math.pi, n)
-    a = v_eff(spec, spec.s0 + ds[:, None], phis[None, :])
-    b = v_eff(spec, spec.s0 - ds[:, None], -phis[None, :])
+    a = v_eff(spec, ds[:, None], phis[None, :])
+    b = v_eff(spec, -ds[:, None], -phis[None, :])
     vscale = float(np.max(np.abs(a)))
     measured = float(np.max(np.abs(a - b))) / vscale
     return _check("potential_symmetry", "max", 1e-12, measured)
@@ -187,10 +185,11 @@ def check_ray_selection(cfg) -> dict:
 def cylinder_error(spec0: HelixSpec, n_lowest: int) -> float:
     """Straight-tube exact oracle vs the separable closed form.
 
-    continuum_levels at k_s = 0; returns the largest relative error over
-    the n_lowest levels.  The closed form pairs transverse modes n >= 0
-    with longitudinal standing waves 2 pi m/L, m >= 0, each with its
-    multiplicity.
+    continuum_levels at k_s = 0; returns the largest absolute error over
+    the n_lowest levels divided by the largest |level|, so that a level of
+    exactly 0 (at tau = 1/(2 rho0)) cannot inflate it.  The closed form
+    pairs transverse modes n >= 0 with longitudinal standing waves
+    2 pi m/L, m >= 0, each with its multiplicity.
     """
     levels = continuum_levels(spec0, [0.0], n_lowest)[0][0]
     exact = []
@@ -203,7 +202,7 @@ def cylinder_error(spec0: HelixSpec, n_lowest: int) -> float:
             mult = (2 if n > 0 else 1) * (2 if m > 0 else 1)
             exact.extend([e] * mult)
     exact = np.sort(exact)[:n_lowest]
-    return float(np.max(np.abs(levels - exact) / np.maximum(np.abs(exact), 1e-12)))
+    return float(np.max(np.abs(levels - exact)) / np.max(np.abs(exact)))
 
 
 def check_cylinder_limit(cfg) -> dict:
@@ -260,7 +259,6 @@ def run_verification(cfg) -> dict:
             "kappa": spec.kappa,
             "tau": spec.tau,
             "rho0": spec.rho0,
-            "s0": spec.s0,
             "epsilon": spec.epsilon,
             "vkin_offset": cfg.vkin_offset,
         },

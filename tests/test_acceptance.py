@@ -90,12 +90,12 @@ def test_criterion_02_potential_inequality():
     for eps in eps_values:
         spec = HelixSpec(kappa=1.0, tau=1.0, rho0=eps)
         holds.append(
-            v_eff(spec, spec.s0, 0.0) < v_eff(spec, spec.s0, math.pi)
+            v_eff(spec, 0.0, 0.0) < v_eff(spec, 0.0, math.pi)
         )
     ok = all(holds)
     verdict(
         2, ok,
-        f"v_eff(s0,0) < v_eff(s0,pi) holds for {sum(holds)}/18 eps values "
+        f"v_eff(0,0) < v_eff(0,pi) holds for {sum(holds)}/18 eps values "
         "(exact predicate)",
     )
 

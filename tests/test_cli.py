@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import helitube
 from helitube import cli
+from helitube.bloch import cylinder_limit_energies
 from helitube.cli import ConfigError, RunConfig, build_config, fmt, main
 from helitube.geometry import (
     HelixSpec,
@@ -23,6 +29,14 @@ from helitube.operators import v_eff, v_kin
 from helitube.oracle import ConvergenceFailure
 
 HBAR = 1.054571817e-34
+
+
+def _fresh_python(code):
+    """Run code in a new interpreter that imports this helitube."""
+    src = str(Path(helitube.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                          capture_output=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def read_csv(path):
@@ -111,17 +125,16 @@ def test_potential_physical_units_scale(tmp_path):
     np.testing.assert_allclose(phys, nat * HBAR**2 / (2 * mu), rtol=1e-12)
 
 
-def test_rows_match_pointwise_library_calls(tmp_path):
+def _check_rows_pointwise(tmp_path):
     # the tables are written from whole-grid arrays; each row must equal,
     # as text, the scalar library calls at its own node, so a transposed or
-    # reordered grid fails (the grid is not square and s0 != 0)
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("kappa = 1.7\ntau = -1.3\nrho0 = 0.07\ns0 = 0.37\n")
-    spec = HelixSpec(kappa=1.7, tau=-1.3, rho0=0.07, s0=0.37)
+    # reordered grid fails (the grid is not square, and each row prints its
+    # own s and phi)
+    spec = HelixSpec(kappa=1.7, tau=-1.3, rho0=0.07)
     n_s, n_phi = 10, 6
     for cmd in ("geometry", "potential"):
-        rc = main([cmd, "--config", str(cfgfile), "--grid", f"{n_s}x{n_phi}",
-                   "--out", str(tmp_path)])
+        rc = main([cmd, "--kappa", "1.7", "--tau", "-1.3", "--rho0", "0.07",
+                   "--grid", f"{n_s}x{n_phi}", "--out", str(tmp_path)])
         assert rc == 0
     geo = (tmp_path / "geometry.csv").read_text().splitlines()[1:]
     pot = (tmp_path / "potential.csv").read_text().splitlines()[1:]
@@ -135,6 +148,23 @@ def test_rows_match_pointwise_library_calls(tmp_path):
         want = [s, phi, v_curv(spec, s, phi), v_kin(spec, s, phi),
                 v_eff(spec, s, phi)]
         assert pot[i * n_phi + j] == ",".join(map(fmt, want))
+
+
+def test_rows_match_pointwise_library_calls(tmp_path):
+    _check_rows_pointwise(tmp_path)
+
+
+@pytest.mark.parametrize("reorder", [
+    lambda S, P: (S[::-1], P[::-1]),                      # s-rows reversed
+    lambda S, P: (np.roll(S, 1, 1), np.roll(P, 1, 1)),    # phi rolled
+    lambda S, P: (S.T.reshape(S.shape), P.T.reshape(P.shape)),  # phi-major
+], ids=["reversed-s", "rolled-phi", "phi-major"])
+def test_rows_check_catches_a_reordered_grid(tmp_path, monkeypatch, reorder):
+    # negative control: the tables written on a reordered grid fail the check
+    right = cli.grid_nodes
+    monkeypatch.setattr(cli, "grid_nodes", lambda *a: reorder(*right(*a)))
+    with pytest.raises(AssertionError):
+        _check_rows_pointwise(tmp_path)
 
 
 def _pointwise_rows(*columns):
@@ -301,6 +331,33 @@ def test_transverse_n_flag_and_key_are_gone(tmp_path, capsys):
     assert summary["kpath"]["transverse_n"] == 0
 
 
+def test_s0_key_is_gone(tmp_path, capsys):
+    # the frame's origin is fixed at s = 0; a config file cannot move it
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("s0 = 0.7\n")
+    assert main(["bands", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+    assert "'s0'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+    assert not hasattr(RunConfig(), "s0")
+
+
+def test_bands_loads_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call; bands has no use for it
+    probe = (
+        "import sys; from helitube.cli import main; "
+        f"main(['bands', '--kpath', '0:-0.5:3', '--out', {str(tmp_path)!r}]); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert _fresh_python(probe).stdout.split()[-1] == "False"
+
+
+def test_numpy_ma_probe_sees_np_unique():
+    # negative control: the probe above does see the import it guards against
+    probe = ("import sys, numpy as np; np.unique([-1, 1]); "
+             "print('numpy.ma' in sys.modules)")
+    assert _fresh_python(probe).stdout.split()[-1] == "True"
+
+
 def test_bands_huge_kpath_count_is_config_error(tmp_path, capsys):
     # refused before the path is built: linspace would ask for 72.8 TiB
     rc = main(["bands", "--kpath", "0:-0.5:10000000000000", "--out", str(tmp_path)])
@@ -460,6 +517,16 @@ def test_cylinder_check_prints_error(tmp_path, capsys):
     assert err <= 1e-12
 
 
+def test_cylinder_check_error_is_relative_to_the_largest_level(tmp_path, capsys):
+    # at tau = 1/(2 rho0) the closed-form level (n, m) = (0, 1) is exactly 0,
+    # where an error over the level's own |level| means nothing
+    spec0 = HelixSpec(kappa=0.0, tau=5.0, rho0=0.1)
+    assert cylinder_limit_energies(spec0, 0, 2, spec0.s_period) == 0.0
+    assert main(["cylinder-check", "--tau", "5", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("max relative error")[1].split()[0]) <= 1e-12
+
+
 def test_cylinder_check_reads_no_grid(tmp_path, capsys):
     # the exact oracle needs no grid: an odd one changes no byte
     assert main(["cylinder-check", "--out", str(tmp_path)]) == 0
@@ -489,6 +556,21 @@ def test_verify_defaults_pass(tmp_path):
     assert "n_harmonics" not in report["config"]
     ray = next(c for c in report["checks"] if c["name"] == "hermiticity_perturbed")
     assert ray["n_harmonics"] == 8
+    identity = next(c for c in report["checks"] if c["name"] == "operator_identity")
+    assert identity["grid"] == [48, 48]  # sized from eps (fourier_decay_rate)
+
+
+@pytest.mark.parametrize("tau", ["1000", "-1000"])
+def test_verify_passes_a_strong_helix_at_large_tau(tmp_path, tau):
+    # eps = 0.9 at |tau| = 1000, where the phases tau*s are large: a correct
+    # build passes every check
+    argv = ["verify", "--kappa", "9", "--rho0", "0.1", "--tau", tau]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["passed"] is True
+    assert "s0" not in report["config"]
+    identity = next(c for c in report["checks"] if c["name"] == "operator_identity")
+    assert identity["grid"] == [296, 296]  # sized from eps, whatever tau is
 
 
 def test_verify_corrupted_gauge_potential_fails(tmp_path):

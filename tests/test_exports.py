@@ -1,5 +1,8 @@
 """Advertised names resolve, and removed names stay removed."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import helitube
@@ -37,6 +40,7 @@ _REMOVED = {
     "EffectiveParams": operators,
     "effective_params": operators,
     "PLANE_WAVE_RAY": oracle,
+    "_decay_rate": oracle,
 }
 
 
@@ -45,3 +49,15 @@ def test_removed_names_are_gone(name):
     assert name not in helitube.__all__
     assert not hasattr(helitube, name)
     assert not hasattr(_REMOVED[name], name)
+
+
+def test_modules_import_no_private_names_from_each_other():
+    # the modules use each other through public, documented names only
+    private = [
+        (path.name, alias.name)
+        for path in sorted(Path(helitube.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []

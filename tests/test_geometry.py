@@ -69,7 +69,7 @@ def test_straight_tube_allowed_but_has_no_frame():
 def test_rotation_angle_values():
     assert rotation_angle(HelixSpec(1.0, 1.0, 0.1), math.pi) == pytest.approx(-math.pi)
     assert rotation_angle(HelixSpec(1.0, 0.0, 0.1), 5.0) == 0.0
-    assert rotation_angle(HelixSpec(1.0, 2.0, 0.1, s0=1.0), 3.0) == pytest.approx(-4.0)
+    assert rotation_angle(HelixSpec(1.0, 2.0, 0.1), 3.0) == pytest.approx(-6.0)
 
 
 # ------------------------------------------------------------------- frames
@@ -117,7 +117,7 @@ def test_frenet_odes_by_central_differences(kappa, tau):
 
 
 def test_rotated_frame_reference_point_and_half_turn():
-    spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1, s0=0.0)
+    spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
     fr = rotated_frame(spec, 0.0)
     assert fr.theta == 0.0
     np.testing.assert_allclose(fr.N, fr.n, atol=1e-15)
@@ -153,7 +153,7 @@ def test_rotated_frame_has_no_tangential_twist(kappa, tau):
 
 
 def test_surface_point_at_reference():
-    spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1, s0=0.0)
+    spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
     fr = rotated_frame(spec, 0.0)
     x0 = surface_point(spec, 0.0, 0.0) + spec.rho0 * fr.n
     base = np.array([spec.helix_radius, 0.0, 0.0])
@@ -214,8 +214,8 @@ def test_metric_h_positive_and_stretched_outside():
         phi = np.linspace(-math.pi, math.pi, 65)
         h = metric_h(spec, s[:, None], phi[None, :])
         assert h.min() > 0.0
-        # outside of the bend (phi=0 at s=s0) is stretched, inside compressed
-        assert metric_h(spec, spec.s0, 0.0) > metric_h(spec, spec.s0, math.pi)
+        # outside of the bend (phi=0 at s=0) is stretched, inside compressed
+        assert metric_h(spec, 0.0, 0.0) > metric_h(spec, 0.0, math.pi)
 
 
 # ---------------------------------------------------------------- curvatures

@@ -183,7 +183,7 @@ def test_gauge_identity_on_random_fields():
 
 
 def test_operators_act_on_each_field_of_a_stack():
-    spec = HelixSpec(kappa=2.0, tau=-1.3, rho0=0.3, s0=0.37)
+    spec = HelixSpec(kappa=2.0, tau=-1.3, rho0=0.3)
     rng = np.random.default_rng(5)
     single = [random_band_limited(spec, 24, 20, rng).values for _ in range(3)]
     for op, gauge in ((apply_laplace_beltrami, PSI), (laplace_beltrami_expanded, PSI),
@@ -229,11 +229,11 @@ def test_v_eff_cylinder():
 
 
 def test_v_eff_outer_inner_inequality_sweep():
-    # v_eff(s0, 0) < v_eff(s0, pi) across the eps sweep, kappa = tau = 1
+    # v_eff(0, 0) < v_eff(0, pi) across the eps sweep, kappa = tau = 1
     for j in range(1, 18):
         eps = 0.05 * j
         spec = HelixSpec(kappa=1.0, tau=1.0, rho0=eps)
-        assert v_eff(spec, spec.s0, 0.0) < v_eff(spec, spec.s0, math.pi)
+        assert v_eff(spec, 0.0, 0.0) < v_eff(spec, 0.0, math.pi)
 
 
 def test_v_eff_ridge_minimum_torsion_dominated():
@@ -278,23 +278,19 @@ def _screw_change(spec, s, shift, twist):
     eps=st.floats(0.0, 0.9, exclude_max=True),
     tau=st.floats(0.05, 3.0),
     sign=st.sampled_from((1.0, -1.0)),
-    s0=st.floats(0.01, 5.0),
-    s0_sign=st.sampled_from((1.0, -1.0)),
     s=st.floats(-10.0, 10.0),
     shift=st.floats(-10.0, 10.0),
 )
-def test_pointwise_coefficients_are_screw_invariant(
-    rho0, eps, tau, sign, s0, s0_sign, s, shift
-):
+def test_pointwise_coefficients_are_screw_invariant(rho0, eps, tau, sign, s, shift):
     # every coefficient depends on (s, phi) only through theta(s) + phi
-    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0, s0=s0_sign * s0)
+    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0)
     change = _screw_change(spec, s, shift, spec.tau * shift)
     assert max(change.values()) <= 1e-11, change
 
 
 def test_screw_shift_with_wrong_twist_sign_changes_every_coefficient():
     # negative control: phi + tau d undoes the shift s + d, phi - tau d does not
-    spec = HelixSpec(kappa=1.0, tau=-1.3, rho0=0.3, s0=0.37)
+    spec = HelixSpec(kappa=1.0, tau=-1.3, rho0=0.3)
     assert max(_screw_change(spec, 0.8, 0.7, spec.tau * 0.7).values()) <= 1e-11
     wrong = _screw_change(spec, 0.8, 0.7, -spec.tau * 0.7)
     assert min(wrong.values()) > 1e-3, wrong

@@ -34,6 +34,7 @@ from helitube.oracle import (
     band_sweep,
     continuum_levels,
     eigensolve,
+    fourier_decay_rate,
     gap_perturbed,
     screw_eigenvalues,
 )
@@ -60,7 +61,7 @@ def test_full_matrix_entries_from_plain_loops(grid, tau, k_frac):
     # 5-point flux form node by node: h^-2 at the s midpoint between rows
     # i and i+1, the Bloch phase on the bond across the seam; the zone
     # centre and boundary give a real matrix, the interior a complex one
-    spec = HelixSpec(kappa=2.0, tau=tau, rho0=0.3, s0=0.37)
+    spec = HelixSpec(kappa=2.0, tau=tau, rho0=0.3)
     n_s, n_phi = grid
     k_s = k_frac * abs(tau)
     ds, dv = spec.s_period / n_s, spec.varphi_period / n_phi
@@ -188,12 +189,11 @@ def _grids(draw):
     eps=st.one_of(st.just(0.0), st.floats(0.0, 0.9, exclude_max=True)),
     tau=st.floats(0.3, 3.0),
     sign=st.sampled_from((1.0, -1.0)),
-    s0=st.floats(-3.0, 3.0),
     k_frac=st.floats(-1.0, 1.0),
     grid=_grids(),
 )
-def test_screw_blocks_match_dense_spectrum(rho0, eps, tau, sign, s0, k_frac, grid):
-    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0, s0=s0)
+def test_screw_blocks_match_dense_spectrum(rho0, eps, tau, sign, k_frac, grid):
+    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0)
     k = k_frac * tau / 2
     n_s, n_phi = grid
     dense = _dense_spectrum(spec, k, n_s, n_phi)
@@ -203,7 +203,7 @@ def test_screw_blocks_match_dense_spectrum(rho0, eps, tau, sign, s0, k_frac, gri
 
 def test_screw_lowest_levels_and_real_blocks():
     # gcd 2 at the zone centre gives phases +1 and -1: both blocks are real
-    spec = HelixSpec(kappa=1.0, tau=-1.0, rho0=0.1, s0=0.37)
+    spec = HelixSpec(kappa=1.0, tau=-1.0, rho0=0.1)
     want = _dense_spectrum(spec, 0.0, 10, 8)[:5]
     got = screw_eigenvalues(spec, (0.0, 0.0), 10, 8, 5)
     assert got.shape == (5,) and got.dtype == np.float64
@@ -271,10 +271,11 @@ def test_continuum_matches_the_fig3_reference_table():
     assert np.max(np.abs(got - ref[:, 2:4]) / np.abs(ref[:, 2:4])) <= 1e-6
 
 
-def test_continuum_matches_the_grid_on_a_mirror_helix_with_offset():
-    spec = HelixSpec(kappa=1.3, tau=-0.8, rho0=0.3, s0=0.7)
+def test_continuum_matches_the_grid_on_a_mirror_helix():
+    spec = HelixSpec(kappa=1.3, tau=-0.8, rho0=0.3)
     exact, rich = _continuum(spec, 0.27), _richardson(spec, 0.27, 4)
-    # measured 1.4e-5: what the grid's O(h^4) remainder leaves at 32/64
+    # measured 1.1e-5, at the 4th level (the lowest three 3e-9 to 1.8e-6):
+    # what the grid's O(h^4) remainder leaves at 32/64
     assert np.max(np.abs(exact - rich) / np.abs(exact)) <= 5e-5
 
 
@@ -284,11 +285,10 @@ def test_continuum_matches_the_grid_on_a_mirror_helix_with_offset():
     eps=st.floats(0.0, 0.5),
     tau=st.floats(0.5, 2.0),
     sign=st.sampled_from((1.0, -1.0)),
-    s0=st.floats(0.1, 3.0),
     k_frac=st.floats(-1.0, 1.0),
 )
-def test_continuum_matches_the_grid_richardson_limit(rho0, eps, tau, sign, s0, k_frac):
-    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0, s0=s0)
+def test_continuum_matches_the_grid_richardson_limit(rho0, eps, tau, sign, k_frac):
+    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0)
     k_s = k_frac * tau / 2
     # on 64/128: the 32-node grid is not yet in its h^2 regime for every
     # level (at rho0 = 1/3, eps = 0.5, tau = 1.934, k_s = tau/4 its 4th level
@@ -303,29 +303,26 @@ def test_continuum_matches_the_grid_richardson_limit(rho0, eps, tau, sign, s0, k
     rho0=st.floats(0.05, 1.0),
     eps=st.floats(0.0, 0.9),
     tau=st.floats(0.3, 3.0),
-    s0=st.floats(-3.0, 3.0),
-    shift=st.floats(-5.0, 5.0),
     k_frac=st.floats(-1.0, 1.0),
 )
-def test_continuum_symmetries(rho0, eps, tau, s0, shift, k_frac):
-    # mirror helix, time reversal and a moved reference point: one spectrum
-    def levels(tau, s0, k_frac):
-        spec = HelixSpec(kappa=eps / rho0, tau=tau, rho0=rho0, s0=s0)
+def test_continuum_symmetries(rho0, eps, tau, k_frac):
+    # mirror helix and time reversal: one spectrum
+    def levels(tau, k_frac):
+        spec = HelixSpec(kappa=eps / rho0, tau=tau, rho0=rho0)
         return _continuum(spec, k_frac * tau / 2)
 
-    base = levels(tau, s0, k_frac)
+    base = levels(tau, k_frac)
     # rounding only: the worst of 400 seeded draws was 1.5e-12 of the
     # largest level, at eps near 0.9 where n_modes and |H| are largest
     scale = np.max(np.abs(base))
-    for other in (levels(-tau, s0, k_frac), levels(tau, s0, -k_frac),
-                  levels(tau, s0 + shift, k_frac)):
+    for other in (levels(-tau, k_frac), levels(tau, -k_frac)):
         assert np.max(np.abs(other - base)) <= 1e-11 * scale
 
 
 @pytest.mark.parametrize("spec", [
     FIG3,
-    HelixSpec(kappa=1.3, tau=-0.8, rho0=0.3, s0=0.7),
-    HelixSpec(kappa=1.0, tau=2.0, rho0=0.5, s0=-1.1),  # eps = 0.5
+    HelixSpec(kappa=1.3, tau=-0.8, rho0=0.3),
+    HelixSpec(kappa=1.0, tau=2.0, rho0=0.5),  # eps = 0.5
     HelixSpec(kappa=3.0, tau=1.0, rho0=0.3),  # eps = 0.9, n_modes = 42
 ], ids=["fig3", "mirror", "fat", "eps0.9"])
 def test_continuum_truncation_is_stable(spec, monkeypatch):
@@ -427,12 +424,11 @@ def _asymmetry(H):
     eps=st.floats(0.0, 0.9),
     tau=st.floats(0.3, 3.0),
     sign=st.sampled_from((1.0, -1.0)),
-    s0=st.floats(-3.0, 3.0),
     k_frac=st.floats(-1.0, 1.0),
     k_phi=st.floats(-30.0, 30.0),
 )
-def test_hermiticity_over_random_specs(rho0, eps, tau, sign, s0, k_frac, k_phi):
-    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0, s0=s0)
+def test_hermiticity_over_random_specs(rho0, eps, tau, sign, k_frac, k_phi):
+    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0)
     k_s = k_frac * tau / 2
     # the ray matrix is Hermitian to the last bit, at any k on or off the path
     H = assemble_perturbed(spec, (k_s, k_phi)).entries
@@ -444,11 +440,24 @@ def test_hermiticity_over_random_specs(rho0, eps, tau, sign, s0, k_frac, k_phi):
 
 
 def test_hermiticity_check_catches_an_uneven_table():
-    spec = HelixSpec(kappa=1.3, tau=-0.8, rho0=0.3, s0=0.7)
+    spec = HelixSpec(kappa=1.3, tau=-0.8, rho0=0.3)
     table, ps, ns = _exact_sector_matrices(spec, 0.27)
     table[0] = table[0].copy()
     table[0][1] += 1e-3 * abs(table[0][1])  # w[1] != w[-1]
     assert _asymmetry(oracle_module._lattice(spec, ps, ns, table)) > 1e-5  # 3.4e-5
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 0.9])
+def test_fourier_decay_rate_is_the_ratio_of_h_harmonics(eps):
+    # 1/h = sum_d c_d exp(i d xi) with c_d proportional to (-r)^|d|, r the
+    # decay rate; h^-2 and the potentials inherit r^|d| up to a factor in d
+    spec = HelixSpec(kappa=eps / 0.1, tau=1.0, rho0=0.1)
+    n = 256
+    xi = np.arange(n) * (2.0 * math.pi / n)
+    c = np.fft.fft(1.0 / metric_h(spec, 0.0, xi)).real / n
+    r = fourier_decay_rate(spec)
+    np.testing.assert_allclose(c[1:6], c[0] * (-r) ** np.arange(1, 6),
+                               rtol=1e-12, atol=1e-15)
 
 
 def _cylinder_closed_form(spec, k_s, n_bands, quarter=0.25):
@@ -462,13 +471,12 @@ def _cylinder_closed_form(spec, k_s, n_bands, quarter=0.25):
     rho0=st.floats(0.05, 1.0),
     tau=st.floats(0.3, 3.0),
     sign=st.sampled_from((1.0, -1.0)),
-    s0=st.floats(-3.0, 3.0),
     k_frac=st.floats(-1.0, 1.0),
 )
-def test_continuum_cylinder_limit(rho0, tau, sign, s0, k_frac):
+def test_continuum_cylinder_limit(rho0, tau, sign, k_frac):
     # kappa = 0: (k_s + m tau)^2 + (n^2 - 1/4)/rho0^2, to rounding (worst of
     # 2,000 seeded draws 6.6e-16 of the largest level)
-    spec = HelixSpec(kappa=0.0, tau=sign * tau, rho0=rho0, s0=s0)
+    spec = HelixSpec(kappa=0.0, tau=sign * tau, rho0=rho0)
     k_s = k_frac * tau / 2
     got = _continuum(spec, k_s, 6)
     want = _cylinder_closed_form(spec, k_s, 6)
@@ -516,7 +524,7 @@ def test_continuum_oracle_check_catches_a_wrong_table(monkeypatch, wrong):
         xi = np.arange(n_xi) * (2.0 * np.pi / n_xi)
         if wrong == "h^-1 for h^-2":
             return np.sqrt(h2), pot
-        return h2, v_curv(spec, spec.s0, xi)
+        return h2, v_curv(spec, 0.0, xi)
 
     monkeypatch.setattr(oracle_module, "_helical_samples", corrupted)
     check = verify.check_continuum_oracle(cfg)
@@ -526,19 +534,18 @@ def test_continuum_oracle_check_catches_a_wrong_table(monkeypatch, wrong):
 
 def test_perturbed_is_the_lattice_fed_the_stated_table():
     # rebuild the ray matrix entry by entry from ray_amplitude, on the
-    # continuous ray (half-integer n) with an s0 phase
-    spec = HelixSpec(kappa=1.0, tau=-1.0, rho0=0.1, s0=0.37)
+    # continuous ray (half-integer n); the amplitudes and the matrix are real
+    spec = HelixSpec(kappa=1.0, tau=-1.0, rho0=0.1)
     kv = zone_boundary_k(spec)
     n = oracle_module._n_modes(spec)
     js = np.arange(-n, n + 1)
     q = kv[0] + js * spec.tau
     want = np.diag(q**2 + (kv[1] - js / spec.rho0) ** 2
                    - spectral_offset(spec) + ray_amplitude(spec, 0, 0.0))
-    want = want.astype(complex)
     for dj in (1, 2, 3):
         for col in range(2 * n + 1 - dj):
             want[col + dj, col] = ray_amplitude(spec, dj, q[col])
-            want[col, col + dj] = np.conj(want[col + dj, col])
+            want[col, col + dj] = want[col + dj, col]
     got = assemble_perturbed(spec, tuple(kv)).entries
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -560,17 +567,16 @@ def _ray_blocks(spec, k):
     eps=st.floats(0.0, 0.9),
     tau=st.floats(0.2, 3.0),
     sign=st.sampled_from((1.0, -1.0)),
-    s0=st.floats(0.0, 3.0),
     k_frac=st.floats(-1.0, 1.0),
     n_phi=st.integers(-3, 3),
     d_phi=st.floats(-0.5, 0.5),
 )
 def test_two_band_is_the_k1_block_of_the_ray_matrix(
-    rho0, eps, tau, sign, s0, k_frac, n_phi, d_phi
+    rho0, eps, tau, sign, k_frac, n_phi, d_phi
 ):
     # two_band_energies couples k and k + ray_vector(spec); the ray matrix
     # puts k + j ray_vector(spec) in row n + j, so the two meet in one block
-    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0, s0=s0)
+    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0)
     k = (k_frac * tau / 2, (n_phi + d_phi) / rho0)
     block, _, scale = _ray_blocks(spec, k)
     want = np.asarray(two_band_energies(spec, k))
@@ -587,14 +593,13 @@ def test_two_band_misses_the_reversed_block():
     for _ in range(200):
         rho0, eps = rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.9)
         tau = rng.uniform(0.2, 3.0) * rng.choice((1.0, -1.0))
-        spec = HelixSpec(kappa=eps / rho0, tau=tau, rho0=rho0,
-                         s0=rng.uniform(0.0, 3.0))
+        spec = HelixSpec(kappa=eps / rho0, tau=tau, rho0=rho0)
         k = (rng.uniform(-0.5, 0.5) * abs(tau),
              (rng.integers(-3, 4) + rng.uniform(-0.5, 0.5)) / rho0)
         _, reversed_block, scale = _ray_blocks(spec, k)
         want = np.asarray(two_band_energies(spec, k))
         worst = min(worst, np.max(np.abs(reversed_block - want)) / scale)
-    assert worst > 1e-6  # 2.1e-2 here, 1.0e-2 over 2,000 such draws
+    assert worst > 1e-6  # 3.2e-3 here; 8.3e-3 over 2,000 draws from seed 1
 
 
 def test_perturbed_free_diagonal():
@@ -612,7 +617,7 @@ def test_perturbed_free_diagonal():
 
 
 def test_perturbed_hermitian_and_minimum_size():
-    spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05, s0=0.3)
+    spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
     H = assemble_perturbed(spec, (0.1, 0.0)).entries
     assert np.linalg.norm(H - H.conj().T) <= 1e-12 * np.linalg.norm(H)
 
@@ -630,7 +635,7 @@ def test_perturbed_truncation_stability(monkeypatch):
     # four levels by more than 1e-13 of the matrix's largest |eigenvalue|
     specs = [
         FIG3,
-        HelixSpec(kappa=0.7, tau=-1.3, rho0=0.3, s0=0.4),
+        HelixSpec(kappa=0.7, tau=-1.3, rho0=0.3),
         HelixSpec(kappa=0.9, tau=2.0, rho0=1.0),  # a fixed window of 7 is off
         HelixSpec(kappa=9.0, tau=1.0, rho0=0.1),
         HelixSpec(kappa=1.0, tau=1.0, rho0=0.01),
