@@ -219,14 +219,14 @@ def check_refinement_order(cfg) -> dict:
 
     kappa != tau keeps the leading potential harmonic alive, so the
     longitudinal discretization error is visible above solver noise.
+    Each grid is solved through its screw blocks (gcd(n_s, 24) = 8 blocks
+    of n_s*3), the same spectrum as the dense n_s*24 matrix.
     """
     probe = HelixSpec(kappa=0.1, tau=1.0, rho0=0.5)
     k = BlochVector(0.0, 0)
     lowest = {}
     for n_s in (32, 64, 128):
-        lowest[n_s] = eigensolve(
-            assemble_full(probe, k, n_s, 24), 1
-        ).eigenvalues[0]
+        lowest[n_s] = screw_eigenvalues(probe, k, n_s, 24, 1)[0]
     d1 = abs(lowest[32] - lowest[64])
     d2 = abs(lowest[64] - lowest[128])
     order = math.log2(d1 / d2) if d2 > 0 else 2.0

@@ -558,6 +558,9 @@ def test_verify_defaults_pass(tmp_path):
     assert ray["n_harmonics"] == 8
     identity = next(c for c in report["checks"] if c["name"] == "operator_identity")
     assert identity["grid"] == [48, 48]  # sized from eps (fourier_decay_rate)
+    # the refinement probe keeps its three grids, solved as screw blocks
+    order = next(c for c in report["checks"] if c["name"] == "refinement_order")
+    assert order["grids"] == [[32, 24], [64, 24], [128, 24]]
 
 
 @pytest.mark.parametrize("tau", ["1000", "-1000"])

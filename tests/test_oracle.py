@@ -148,6 +148,46 @@ def test_full_refinement_order():
     assert order >= 1.9
 
 
+def test_refinement_probe_blocks_match_the_dense_level():
+    # verify's refinement probe on its coarsest grid: 8 screw blocks of 96
+    # against the dense 768^2 matrix (measured 1.2e-13 of |E|)
+    spec = HelixSpec(kappa=0.1, tau=1.0, rho0=0.5)
+    k = BlochVector(0.0, 0)
+    blocks = screw_eigenvalues(spec, k, 32, 24, 1)[0]
+    dense = eigensolve(assemble_full(spec, k, 32, 24), 1).eigenvalues[0]
+    assert abs(blocks - dense) <= 1e-12 * abs(dense)
+
+
+def test_refinement_order_check_catches_a_first_order_error(monkeypatch):
+    # an O(1/n_s) error in the level swamps the O(ds^2) one: order 0.986
+    cfg = RunConfig()
+    assert verify.check_refinement_order(cfg)["passed"] is True
+    right = verify.screw_eigenvalues
+
+    def first_order(spec, k, n_s, n_phi, n_lowest):
+        return right(spec, k, n_s, n_phi, n_lowest) + 1e-4 / n_s
+
+    monkeypatch.setattr(verify, "screw_eigenvalues", first_order)
+    check = verify.check_refinement_order(cfg)
+    assert check["passed"] is False
+    assert check["measured"] < 1.2
+
+
+def test_verify_solves_no_large_dense_matrix(monkeypatch):
+    # the grid checks solve screw blocks; the one dense solve left is
+    # screw_reduction's 16x12 reference
+    dims = []
+    right = verify.eigensolve
+
+    def recording(H, n_lowest):
+        dims.append(H.dimension)
+        return right(H, n_lowest)
+
+    monkeypatch.setattr(verify, "eigensolve", recording)
+    assert verify.run_verification(RunConfig())["passed"] is True
+    assert dims and max(dims) <= 16 * 16
+
+
 def test_full_time_reversal_pair():
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
     k_s = 0.37 * spec.tau
@@ -511,6 +551,42 @@ def test_cylinder_limit_check_catches_a_shifted_potential(monkeypatch):
     check = verify.check_cylinder_limit(cfg)
     assert check["passed"] is False
     assert check["measured"] > 1e6 * check["tolerance"]
+
+
+def test_hermiticity_perturbed_check_catches_an_asymmetric_entry(monkeypatch):
+    # the ray matrix is symmetric by construction (0.0 measured); one entry
+    # off by 1e-9 of the largest one measures 6.8e-10, 685 times the tolerance
+    cfg = RunConfig()
+    assert verify.check_hermiticity_perturbed(cfg)["passed"] is True
+    right = verify.assemble_perturbed
+
+    def uneven(spec, k):
+        H = right(spec, k)
+        entries = H.entries.copy()
+        entries[0, 1] += 1e-9 * np.max(np.abs(entries))
+        return dataclasses.replace(H, entries=entries)
+
+    monkeypatch.setattr(verify, "assemble_perturbed", uneven)
+    check = verify.check_hermiticity_perturbed(cfg)
+    assert check["passed"] is False
+    assert check["measured"] > 100 * check["tolerance"]
+
+
+def test_potential_symmetry_check_catches_an_odd_term(monkeypatch):
+    # v_eff(-s, -phi) takes the cosine of exactly -xi (0.0 measured); a term
+    # odd in s of 1e-9 |v| measures 2.0e-9, 2e3 times the tolerance
+    cfg = RunConfig()
+    assert verify.check_potential_symmetry(cfg)["passed"] is True
+    right = verify.v_eff
+
+    def odd(spec, s, phi):
+        v = right(spec, s, phi)
+        return v + 1e-9 * np.abs(v) * np.sin(s)
+
+    monkeypatch.setattr(verify, "v_eff", odd)
+    check = verify.check_potential_symmetry(cfg)
+    assert check["passed"] is False
+    assert check["measured"] > 100 * check["tolerance"]
 
 
 @pytest.mark.parametrize("wrong", ["h^-1 for h^-2", "v_kin dropped"])
