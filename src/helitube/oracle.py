@@ -17,7 +17,10 @@ finite-difference grid on the (s, varphi) unit cell stays as the
 independent reference, written by one builder, _grid_blocks, as the Bloch
 blocks of its discrete screw symmetry: screw_eigenvalues solves the
 gcd(n_s, n_phi) blocks, and assemble_full is the one-block case (the
-dense matrix, no screw twist), which checks the reduction.
+dense matrix, no screw twist), which checks the reduction.  The lowest
+level at k_s = 0 needs one block only: the matrix is then real with
+non-positive hops, so by Perron-Frobenius its ground state is positive
+and has screw phase 1 (screw_eigenvalues).
 Everything is dense and deterministic (vectorized numpy, LAPACK
 eigenvalue-only symmetric/Hermitian solvers) and capped at desk scale: a
 request over a cap raises CapExceeded.
@@ -96,17 +99,17 @@ def _check_storage(blocks: int, dim: int) -> None:
         )
 
 
-def _grid_blocks(spec: HelixSpec, k, n_s: int, n_phi: int, g: int, dj: int):
-    """Bloch blocks of the grid operator on an n_s x n_phi unit cell.
+def _grid_blocks(spec: HelixSpec, k, n_s: int, n_phi: int, g: int, dj: int, mus):
+    """Bloch blocks mu in mus of the grid operator on an n_s x n_phi unit cell.
 
     -d_s(h^-2 d_s) - d2_varphi + v_eff, second-order centered, with h^-2
     sampled at s midpoints so every block is Hermitian by construction.
-    The g blocks (shape (g, d, d), d = n_s n_phi/g) live on the strip of
-    the first r = n_s/g s-rows: node (i, j) is row i*n_phi + j, and in
+    The blocks (shape (len(mus), d, d), d = n_s n_phi/g) live on the strip
+    of the first r = n_s/g s-rows: node (i, j) is row i*n_phi + j, and in
     block mu the s hop out of the strip from (r-1, j) lands on (0, j - dj)
     times lambda_mu = exp(i (k_s L + 2 pi mu)/g).  g = 1, dj = 0 is the dense
-    matrix with the Bloch phase on the seam.  Storage is capped:
-    g d^2 <= DEFAULT_MAX_DIMENSION^2.
+    matrix with the Bloch phase on the seam.  Storage is capped as if all g
+    blocks were built: g d^2 <= DEFAULT_MAX_DIMENSION^2.
     """
     d, r = n_s * n_phi // g, n_s // g
     _check_storage(g, d)
@@ -121,7 +124,7 @@ def _grid_blocks(spec: HelixSpec, k, n_s: int, n_phi: int, g: int, dj: int):
     hop_s, hop_v = flux / ds**2, 1.0 / dv**2
 
     x = k_components(spec, k)[0] * spec.s_period
-    lam = np.array([_unit_phase((x + 2.0 * math.pi * mu) / g) for mu in range(g)])
+    lam = np.array([_unit_phase((x + 2.0 * math.pi * mu) / g) for mu in mus])
     if np.all(lam.imag == 0.0):
         lam = lam.real
     dtype = lam.dtype
@@ -130,9 +133,9 @@ def _grid_blocks(spec: HelixSpec, k, n_s: int, n_phi: int, g: int, dj: int):
     # of different statements (r = 1, |dj| = 1) add up as the hops do
     idx = np.arange(d).reshape(r, n_phi)
     up = np.vstack([idx[1:], np.roll(idx[0], dj)[None, :]])
-    phase = np.ones((g, r, n_phi), dtype=dtype)
+    phase = np.ones((len(mus), r, n_phi), dtype=dtype)
     phase[:, -1, :] = lam[:, None]
-    blocks = np.zeros((g, d, d), dtype=dtype)
+    blocks = np.zeros((len(mus), d, d), dtype=dtype)
     blocks[:, idx, idx] = diag
     blocks[:, idx, up] += phase * -hop_s
     blocks[:, up, idx] += np.conj(phase) * -hop_s
@@ -145,7 +148,8 @@ def _grid_blocks(spec: HelixSpec, k, n_s: int, n_phi: int, g: int, dj: int):
 def assemble_full(spec: HelixSpec, k, n_s: int, n_phi: int) -> DiscretizedHamiltonian:
     """Dense matrix of the grid operator at Bloch k: the one block of
     _grid_blocks with g = 1 and no twist, so it checks the screw reduction."""
-    return DiscretizedHamiltonian(_grid_blocks(spec, k, n_s, n_phi, 1, 0)[0], GRID_2D)
+    blocks = _grid_blocks(spec, k, n_s, n_phi, 1, 0, (0,))
+    return DiscretizedHamiltonian(blocks[0], GRID_2D)
 
 
 def _screw_twist(spec: HelixSpec, n_phi: int, g: int) -> int:
@@ -168,9 +172,21 @@ def screw_eigenvalues(
     _grid_blocks, one per screw phase; they are built straight from the
     node coefficients, never from the dense matrix, and solved in one
     stacked eigvalsh.
+
+    Ground-state rule: for n_lowest = 1 at a screw phase lambda_0 of
+    exactly 1 (k_s = 0 in the first zone), only block 0 is built, a real
+    matrix.  As exp(i k_s L) = lambda_0^g = 1, the dense matrix is real,
+    its off-diagonal entries (-hop_s, -hop_v) are <= 0 and its graph is
+    connected, so by Perron-Frobenius its lowest level is simple with a
+    positive eigenvector.  T is then a permutation that commutes with the
+    matrix, so it maps that eigenvector to a positive multiple of itself,
+    and T^g = 1 makes the multiple 1.  The storage cap and the n_lowest
+    check stay those of all g blocks.
     """
     g = math.gcd(n_s, n_phi)
-    blocks = _grid_blocks(spec, k, n_s, n_phi, g, _screw_twist(spec, n_phi, g))
+    x = k_components(spec, k)[0] * spec.s_period
+    mus = (0,) if n_lowest == 1 and _unit_phase(x / g) == 1 else range(g)
+    blocks = _grid_blocks(spec, k, n_s, n_phi, g, _screw_twist(spec, n_phi, g), mus)
     w = _dense_eigh(blocks, n_lowest)
     return np.sort(w, axis=None)[:n_lowest]
 

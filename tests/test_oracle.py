@@ -2,12 +2,13 @@
 
 import cmath
 import dataclasses
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helitube import oracle as oracle_module
@@ -20,7 +21,7 @@ from helitube.bloch import (
     two_band_energies,
     zone_boundary_k,
 )
-from helitube.cli import RunConfig
+from helitube.cli import RunConfig, main
 from helitube.geometry import DegeneratePeriod, HelixSpec, grid_nodes, metric_h, v_curv
 from helitube.operators import spectral_offset, v_eff
 from helitube.oracle import (
@@ -149,8 +150,9 @@ def test_full_refinement_order():
 
 
 def test_refinement_probe_blocks_match_the_dense_level():
-    # verify's refinement probe on its coarsest grid: 8 screw blocks of 96
-    # against the dense 768^2 matrix (measured 1.2e-13 of |E|)
+    # verify's refinement probe on its coarsest grid: one real screw block
+    # of 96 (the ground-state rule) against the dense 768^2 matrix
+    # (measured 9.2e-14 of |E|)
     spec = HelixSpec(kappa=0.1, tau=1.0, rho0=0.5)
     k = BlochVector(0.0, 0)
     blocks = screw_eigenvalues(spec, k, 32, 24, 1)[0]
@@ -171,6 +173,48 @@ def test_refinement_order_check_catches_a_first_order_error(monkeypatch):
     check = verify.check_refinement_order(cfg)
     assert check["passed"] is False
     assert check["measured"] < 1.2
+
+
+@pytest.mark.parametrize(
+    "solved_as",
+    [{32: 32, 64: 32, 128: 32}, {32: 32, 64: 32, 128: 128}],
+    ids=["constant", "coarse_levels_equal"],
+)
+def test_refinement_order_check_fails_levels_that_do_not_move(
+    monkeypatch, tmp_path, solved_as
+):
+    # levels that do not move between two grids measure no order: a failed
+    # check with order 0, not a pass (d2 = 0) or a math domain error (d1 = 0)
+    right = verify.screw_eigenvalues
+
+    def faulty(spec, k, n_s, n_phi, n_lowest):
+        if n_phi == 24:  # the refinement probe's grids
+            n_s = solved_as[n_s]
+        return right(spec, k, n_s, n_phi, n_lowest)
+
+    monkeypatch.setattr(verify, "screw_eigenvalues", faulty)
+    check = verify.check_refinement_order(RunConfig())
+    assert check["passed"] is False
+    assert check["measured"] == 0.0
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "verify.json").read_text())
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["refinement_order"]
+
+
+def test_refinement_probe_solves_one_real_block_per_grid(monkeypatch):
+    # the ground-state rule: one real block of n_s*3 per grid, not the
+    # (8, n_s*3, n_s*3) complex stack of every screw phase
+    solved = []
+    right = np.linalg.eigvalsh
+
+    def recording(a):
+        solved.append((a.shape, a.dtype))
+        return right(a)
+
+    monkeypatch.setattr(oracle_module.np.linalg, "eigvalsh", recording)
+    assert verify.check_refinement_order(RunConfig())["passed"] is True
+    assert solved == [((1, d, d), np.dtype(np.float64)) for d in (96, 192, 384)]
 
 
 def test_verify_solves_no_large_dense_matrix(monkeypatch):
@@ -241,6 +285,67 @@ def test_screw_blocks_match_dense_spectrum(rho0, eps, tau, sign, k_frac, grid):
     assert np.max(np.abs(blocks - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(
+    rho0=st.floats(0.05, 1.5),
+    eps=st.one_of(st.just(0.0), st.floats(0.0, 0.9, exclude_max=True)),
+    tau=st.floats(0.3, 3.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    k_frac=st.sampled_from((0.0, 0.37, -1.0, 2.0, 2.74)),
+    grid=_grids(),
+)
+@example(rho0=0.3, eps=0.0, tau=1.3, sign=1.0, k_frac=0.0, grid=(7, 5))
+@example(rho0=0.3, eps=0.6, tau=1.3, sign=-1.0, k_frac=0.0, grid=(12, 8))
+@example(rho0=0.3, eps=0.6, tau=1.3, sign=1.0, k_frac=0.0, grid=(6, 12))
+@example(rho0=0.3, eps=0.6, tau=1.3, sign=-1.0, k_frac=0.0, grid=(4, 4))
+@example(rho0=0.5, eps=0.05, tau=1.0, sign=1.0, k_frac=2.0, grid=(32, 24))
+@example(rho0=0.5, eps=0.05, tau=1.0, sign=-1.0, k_frac=2.0, grid=(32, 24))
+def test_screw_ground_state_matches_every_block(rho0, eps, tau, sign, k_frac, grid):
+    # at k_s = 0 one block is solved (the Perron-Frobenius rule); at a
+    # generic k_s, at the zone boundary and outside the first zone every
+    # block is, as before.  At k_s = tau the Bloch phase is 1 but block 0's
+    # screw phase is not, and block 0 alone misses the lowest level.
+    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0)
+    k = BlochVector(k_frac * tau / 2, 0)
+    n_s, n_phi = grid
+    dense = _dense_spectrum(spec, k.k_s, n_s, n_phi)
+    every = screw_eigenvalues(spec, k, n_s, n_phi, n_s * n_phi)
+    lowest = screw_eigenvalues(spec, k, n_s, n_phi, 1)
+    assert lowest.shape == (1,)
+    scale = np.max(np.abs(dense))
+    assert abs(lowest[0] - dense[0]) <= 1e-10 * scale
+    assert abs(lowest[0] - every[0]) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize(
+    "spec, grid",
+    [
+        (HelixSpec(kappa=0.1, tau=1.0, rho0=0.5), (32, 24)),  # verify's probe
+        (HelixSpec(kappa=1.0, tau=-1.0, rho0=0.1), (12, 8)),
+        (HelixSpec(kappa=0.0, tau=1.3, rho0=0.3), (4, 4)),  # one-row strips
+    ],
+)
+def test_screw_ground_state_is_missed_by_the_wrong_block(monkeypatch, spec, grid):
+    # negative control: a builder that kept block mu = 1 in place of the
+    # block of screw phase 1 misses the dense ground state
+    n_s, n_phi = grid
+    k = BlochVector(0.0, 0)
+    dense = eigensolve(assemble_full(spec, k, n_s, n_phi), 1).eigenvalues[0]
+    assert screw_eigenvalues(spec, k, n_s, n_phi, 1)[0] == pytest.approx(
+        dense, rel=1e-12
+    )
+    right = oracle_module._grid_blocks
+
+    def wrong_block(spec, k, n_s, n_phi, g, dj, mus):
+        return right(spec, k, n_s, n_phi, g, dj, [(mu + 1) % g for mu in mus])
+
+    monkeypatch.setattr(oracle_module, "_grid_blocks", wrong_block)
+    missed = screw_eigenvalues(spec, k, n_s, n_phi, 1)[0]
+    assert missed - dense > 1e-6 * abs(dense)
+
+
 def test_screw_lowest_levels_and_real_blocks():
     # gcd 2 at the zone centre gives phases +1 and -1: both blocks are real
     spec = HelixSpec(kappa=1.0, tau=-1.0, rho0=0.1)
@@ -251,9 +356,17 @@ def test_screw_lowest_levels_and_real_blocks():
 
 
 def test_screw_guards():
-    # 67x64 is coprime: one block of 4288^2 entries, more than 4096^2
-    with pytest.raises(ValueError, match="cap"):
-        screw_eigenvalues(FIG3, BlochVector(0.0, 0), 67, 64, 2)
+    # 67x64 is coprime: one block of 4288^2 entries, more than 4096^2, also
+    # under the ground-state rule (k = 0, one level); the rule leaves the
+    # n_lowest check to the full count n_s*n_phi
+    for n_lowest in (2, 1):
+        with pytest.raises(CapExceeded, match="cap"):
+            screw_eigenvalues(FIG3, BlochVector(0.0, 0), 67, 64, n_lowest)
+    # the cap counts all g blocks when the rule builds one: 256 blocks of
+    # 256 fill it exactly, 257 of 257 exceed it
+    assert screw_eigenvalues(FIG3, BlochVector(0.0, 0), 256, 256, 1).shape == (1,)
+    with pytest.raises(CapExceeded, match="cap"):
+        screw_eigenvalues(FIG3, BlochVector(0.0, 0), 257, 257, 1)
     with pytest.raises(ValueError):
         screw_eigenvalues(FIG3, BlochVector(0.0, 0), 2, 8, 1)
     with pytest.raises(ValueError):
