@@ -69,7 +69,6 @@ from .bloch import (
     two_band_energies,
     two_band_gap,
     two_band_hessian,
-    u_squared,
     zone_boundary_k,
 )
 from .oracle import (
@@ -106,7 +105,7 @@ __all__ = [
     "first_order_energies", "first_order_u", "gap_scaling", "k_components",
     "near_boundary_expansion", "origin_fit", "ray_amplitude", "ray_vector",
     "stated_table", "two_band_energies", "two_band_gap", "two_band_hessian",
-    "u_squared", "zone_boundary_k",
+    "zone_boundary_k",
     "GRID_2D", "CapExceeded", "ConvergenceFailure",
     "DiscretizedHamiltonian", "SpectrumResult", "assemble_full",
     "assemble_perturbed", "band_sweep", "continuum_levels", "eigensolve",

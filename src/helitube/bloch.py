@@ -11,10 +11,10 @@ the straight-tube reference spectrum.
 
 Because the first-order potential contains s-derivatives, a coupling
 amplitude depends on the longitudinal wavenumber of the component it acts
-on.  Every product of the form U^2 therefore pairs the amplitude evaluated
-at the source wavenumber with the reverse amplitude at the shifted
-wavenumber.  The amplitudes are real, as the frame's origin is fixed at
-s = 0, and the two of a pair are equal, so U^2 is non-negative on the ray.
+on.  The stated table is real, as the frame's origin is fixed at s = 0,
+and even in d, so the amplitude that takes q to q + j tau equals the one
+that brings it back: each coupling is the one real number ray_amplitude,
+and every U^2 is its square.
 """
 
 from __future__ import annotations
@@ -106,12 +106,12 @@ def stated_table(spec: HelixSpec) -> tuple[dict, dict]:
     return w, v
 
 
-def ray_amplitude(spec: HelixSpec, j: int, q_s: float) -> float:
+def ray_amplitude(spec: HelixSpec, j: int, q_s):
     """Amplitude of the j-th ray harmonic acting on a plane wave exp(i q_s s).
 
     It lowers n by j and raises q by j tau: v[-j] + (q_s + j tau) w[-j] q_s
     from stated_table, or the shift v[0] at j = 0; real, as the frame's
-    origin is fixed at s = 0."""
+    origin is fixed at s = 0; a Polynomial q_s gives a polynomial."""
     w, v = stated_table(spec)
     if j == 0:
         return v[0]
@@ -136,14 +136,6 @@ def first_order_u(spec: HelixSpec, k, energy: float) -> float:
 # two-band secular problem
 
 
-def u_squared(spec: HelixSpec, kv: np.ndarray, j: int) -> float:
-    """U^2 of the j-th ray harmonic, coupling kv and kv + j K1: the forward
-    amplitude at q0 = k_s paired with the reverse one at q1 = q0 + j tau."""
-    a_fwd = ray_amplitude(spec, j, kv[0])
-    a_rev = ray_amplitude(spec, -j, kv[0] + j * spec.tau)
-    return float(a_fwd * a_rev)
-
-
 def two_band_energies(spec: HelixSpec, k):
     """Both roots of the 2x2 secular problem coupling k and k+K1.
 
@@ -156,10 +148,10 @@ def two_band_energies(spec: HelixSpec, k):
     a = spectral_offset(spec)
     lower = float(kv @ kv) - a
     upper = float((kv + K) @ (kv + K)) - a
-    u2 = u_squared(spec, kv, 1)
+    u = ray_amplitude(spec, 1, kv[0])
     shift = stated_table(spec)[1][0]
     mid = shift + 0.5 * (lower + upper)
-    disc = math.sqrt(max(0.25 * (upper - lower) ** 2 + u2, 0.0))
+    disc = math.sqrt(0.25 * (upper - lower) ** 2 + u * u)
     return mid - disc, mid + disc
 
 
@@ -169,7 +161,6 @@ def first_order_energies(spec: HelixSpec, k, n_bands: int) -> np.ndarray:
     a = spectral_offset(spec)
     shift = stated_table(spec)[1][0]
     delta = 1e-6 * spec.tau**2
-    K = ray_vector(spec)
 
     def free(j: int) -> float:
         return (kv[0] + j * spec.tau) ** 2 + (kv[1] - j / spec.rho0) ** 2 - a
@@ -177,7 +168,7 @@ def first_order_energies(spec: HelixSpec, k, n_bands: int) -> np.ndarray:
     energies = []
     for j in range(-4, 5):
         e0 = free(j)
-        kv_j = kv + j * K
+        q = kv[0] + j * spec.tau
         corr = 0.0
         for dj in (-3, -2, -1, 1, 2, 3):
             denom = e0 - free(j + dj)
@@ -185,7 +176,7 @@ def first_order_energies(spec: HelixSpec, k, n_bands: int) -> np.ndarray:
                 raise NearResonance(
                     f"states j={j} and j={j + dj} degenerate at this k"
                 )
-            corr += u_squared(spec, kv_j, dj) / denom
+            corr += ray_amplitude(spec, dj, q) ** 2 / denom
         energies.append(e0 + shift + corr)
     return np.sort(energies)[:n_bands]
 
@@ -204,13 +195,11 @@ def near_boundary_expansion(spec: HelixSpec, G: float):
     """
     K = ray_vector(spec)
     K2 = float(K @ K)
-    kb = -0.5 * K
-    u2 = u_squared(spec, kb, 1)
-    if not K2 * G**2 < 0.1 * u2:
+    u_abs = abs(ray_amplitude(spec, 1, zone_boundary_k(spec)[0]))
+    if not K2 * G**2 < 0.1 * u_abs**2:
         raise OutOfValidity(
-            f"K^2 G^2 = {K2 * G**2:.3e} not small against U^2 = {u2:.3e}"
+            f"K^2 G^2 = {K2 * G**2:.3e} not small against U^2 = {u_abs**2:.3e}"
         )
-    u_abs = math.sqrt(abs(u2))
     a = spectral_offset(spec)
     shift = stated_table(spec)[1][0]
     base = shift - a + G**2 + K2 / 4
@@ -281,15 +270,6 @@ def _invert_hessian(hess: np.ndarray, tau: float) -> np.ndarray:
     return 2.0 * np.linalg.inv(hess)
 
 
-def _u_squared_polynomial(spec: HelixSpec) -> Polynomial:
-    """U^2 in q0 = k_s: the forward amplitude v + w (q0 + tau) q0 of the
-    (even) stated_table times the reverse one at q1 = q0 + tau."""
-    w, v = stated_table(spec)
-    fwd = Polynomial([v[1], w[1] * spec.tau, w[1]])
-    rev = Polynomial([v[1], -w[1] * spec.tau, w[1]])
-    return fwd * rev(Polynomial([spec.tau, 1.0]))
-
-
 def two_band_hessian(spec: HelixSpec, k, band: int) -> np.ndarray:
     """Closed-form Hessian d2E/dk dk of a two-band branch.
 
@@ -302,11 +282,11 @@ def two_band_hessian(spec: HelixSpec, k, band: int) -> np.ndarray:
     kv = k_components(spec, k)
     K = ray_vector(spec)
     D = float(K @ kv) + 0.5 * float(K @ K)
-    w_poly = _u_squared_polynomial(spec)
+    u2 = ray_amplitude(spec, 1, Polynomial([0.0, 1.0])) ** 2
     q0 = kv[0]
-    w = float(w_poly(q0))
-    wp = float(w_poly.deriv(1)(q0))
-    wpp = float(w_poly.deriv(2)(q0))
+    w = float(u2(q0))
+    wp = float(u2.deriv(1)(q0))
+    wpp = float(u2.deriv(2)(q0))
     f_sq = D * D + w
     if f_sq <= 0.0:
         raise SingularMass("bands touch at this k; Hessian undefined")

@@ -45,7 +45,7 @@ from .geometry import (
     v_curv,
 )
 from .operators import spectral_offset, v_eff, v_kin
-from .bloch import BlochVector, origin_fit, two_band_gap, u_squared
+from .bloch import BlochVector, origin_fit, two_band_gap
 from .oracle import CapExceeded, ConvergenceFailure, band_sweep, gap_perturbed
 from . import verify as _verify
 
@@ -358,7 +358,6 @@ def cmd_bands(cfg: RunConfig) -> int:
         "E_oracle_full_1,E_oracle_full_2",
         rows,
     )
-    u2_negative = any(u_squared(spec, k.components(spec), 1) < 0.0 for k in path)
     summary = {
         "a": spectral_offset(spec),
         "epsilon": spec.epsilon,
@@ -367,12 +366,10 @@ def cmd_bands(cfg: RunConfig) -> int:
             "oracle": "plane waves in helical momentum sectors p = k_s + M*tau",
             **full.detail,
         },
-        "n_harmonics": full.detail["n_modes"],
         "kpath": {
             "start": cfg.kpath_start,
             "end": cfg.resolved_kpath_end(),
             "count": cfg.kpath_count,
-            "transverse_n": 0,
         },
         "gap_twoband": scale * two_band_gap(spec),
         "gap_oracle_pert": scale * gap_perturbed(spec),
@@ -384,7 +381,6 @@ def cmd_bands(cfg: RunConfig) -> int:
             "mean_offset_pert_minus_full_lowest_band": scale
             * float(np.mean(pert.energies[:, 0] - full.energies[:, 0])),
         },
-        "u_squared_negative_on_path": bool(u2_negative),
     }
     write_json(out / "summary.json", summary)
     print(f"wrote {out / 'bands.csv'} ({len(rows)} rows) and {out / 'summary.json'}")

@@ -9,10 +9,11 @@ those of the same helical momentum p = q + tau n, through the matrix
 (_lattice; q_n = p - tau n, w and v the Fourier coefficients of h^-2 and
 of the potential in xi).  continuum_levels (ORACLE_FULL) feeds it the
 exact coefficients and solves the sectors p = k_s + M tau, the helical
-reduction standard for nanotube bands; assemble_perturbed feeds it the
-paper's stated first-order table on the coupling ray.  Both keep the
-window of _n_modes(spec) modes each side, so the truncation follows the
-spec and is set in one place.  A second-order
+reduction standard for nanotube bands; assemble_perturbed returns it, a
+plain real symmetric array, fed the paper's stated first-order table on
+the coupling ray (ORACLE_PERTURBED).  Both keep the window of
+_n_modes(spec) modes each side, so the truncation follows the spec and
+is set in one place.  A second-order
 finite-difference grid on the (s, varphi) unit cell stays as the
 independent reference, written by one builder, _grid_blocks, as the Bloch
 blocks of its discrete screw symmetry: screw_eigenvalues solves the
@@ -203,11 +204,11 @@ def _lattice(spec: HelixSpec, p, ns: np.ndarray, table) -> np.ndarray:
     return H + (ns[..., None] / spec.rho0) ** 2 * np.eye(ns.shape[-1])
 
 
-def assemble_perturbed(spec: HelixSpec, k) -> DiscretizedHamiltonian:
+def assemble_perturbed(spec: HelixSpec, k) -> np.ndarray:
     """Central-equation matrix on the coupling ray, j in [-n, n] with
     n = _n_modes(spec): component j has q = k_s + j tau and n = rho0 k_phi - j,
-    so all share one p, and the matrix is _lattice fed stated_table, less a
-    on the diagonal."""
+    so all share one p, and the matrix, a real symmetric array, is _lattice
+    fed stated_table, less a on the diagonal."""
     n = _n_modes(spec)
     _check_storage(1, 2 * n + 1)
     kv = k_components(spec, k)
@@ -216,8 +217,7 @@ def assemble_perturbed(spec: HelixSpec, k) -> DiscretizedHamiltonian:
     table = [np.fft.ifftshift([t.get(d, 0.0) for d in offsets]) for t in stated]
     table[1][0] -= spectral_offset(spec)
     ns = kv[1] * spec.rho0 - np.arange(-n, n + 1)
-    H = _lattice(spec, kv[0] + spec.tau * spec.rho0 * kv[1], ns, table)
-    return DiscretizedHamiltonian(H, "ORACLE_PERTURBED")
+    return _lattice(spec, kv[0] + spec.tau * spec.rho0 * kv[1], ns, table)
 
 
 def fourier_decay_rate(spec: HelixSpec) -> float:
@@ -337,8 +337,9 @@ def band_sweep(
     elif source == "FIRST_ORDER":
         rows = [first_order_energies(spec, k, n_bands) for k in kpath]
     else:
-        H = (assemble_perturbed(spec, k) for k in kpath)
-        rows = [eigensolve(h, n_bands).eigenvalues for h in H]
+        H = np.stack([assemble_perturbed(spec, k) for k in kpath])
+        # n_bands is checked against one matrix's dimension
+        rows = _dense_eigh(H, n_bands * len(H))[:, :n_bands]
     return BandStructure(list(kpath), np.vstack(rows), source)
 
 
@@ -349,5 +350,5 @@ def gap_perturbed(spec: HelixSpec) -> float:
     evaluated on the continuous ray rather than at an integer-n BlochVector.
     """
     kb = tuple(zone_boundary_k(spec))
-    e = eigensolve(assemble_perturbed(spec, kb), 2).eigenvalues
+    e = _dense_eigh(assemble_perturbed(spec, kb), 2)
     return float(e[1] - e[0])

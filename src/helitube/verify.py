@@ -146,7 +146,7 @@ def check_continuum_oracle(cfg) -> dict:
 def check_hermiticity_perturbed(cfg) -> dict:
     """Ray matrix at the generic point (0.21 |tau|, 0) of the continuous ray."""
     spec = cfg.spec()
-    H = assemble_perturbed(spec, (0.21 * abs(spec.tau), 0.0)).entries
+    H = assemble_perturbed(spec, (0.21 * abs(spec.tau), 0.0))
     scale = _l2(H)
     measured = _l2(H - H.conj().T) / scale if scale > 0 else 0.0
     return _check(
@@ -221,8 +221,9 @@ def check_refinement_order(cfg) -> dict:
     longitudinal discretization error is visible above solver noise.
     Each lowest level at k = 0 is one real screw block of n_s*3
     (screw_eigenvalues' ground-state rule), the ground state of the dense
-    n_s*24 matrix.  Levels that do not move between two grids measure no
-    order, so they fail with order 0.
+    n_s*24 matrix.  The check measures |order - 2|, so an order too high
+    fails as well as one too low; levels that do not move between two grids
+    measure no order, so they fail with order 0.
     """
     probe = HelixSpec(kappa=0.1, tau=1.0, rho0=0.5)
     k = BlochVector(0.0, 0)
@@ -233,8 +234,8 @@ def check_refinement_order(cfg) -> dict:
     d2 = abs(lowest[64] - lowest[128])
     order = math.log2(d1 / d2) if d1 > 0 and d2 > 0 else 0.0
     return _check(
-        "refinement_order", "min", 1.8, order,
-        grids=[[32, 24], [64, 24], [128, 24]],
+        "refinement_order", "max", 0.2, abs(order - 2.0),
+        order=order, grids=[[32, 24], [64, 24], [128, 24]],
     )
 
 

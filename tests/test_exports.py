@@ -41,6 +41,7 @@ _REMOVED = {
     "effective_params": operators,
     "PLANE_WAVE_RAY": oracle,
     "_decay_rate": oracle,
+    "u_squared": bloch,
 }
 
 

@@ -172,7 +172,7 @@ def test_refinement_order_check_catches_a_first_order_error(monkeypatch):
     monkeypatch.setattr(verify, "screw_eigenvalues", first_order)
     check = verify.check_refinement_order(cfg)
     assert check["passed"] is False
-    assert check["measured"] < 1.2
+    assert check["order"] < 1.2
 
 
 @pytest.mark.parametrize(
@@ -195,7 +195,32 @@ def test_refinement_order_check_fails_levels_that_do_not_move(
     monkeypatch.setattr(verify, "screw_eigenvalues", faulty)
     check = verify.check_refinement_order(RunConfig())
     assert check["passed"] is False
-    assert check["measured"] == 0.0
+    assert check["order"] == 0.0
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "verify.json").read_text())
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["refinement_order"]
+
+
+def test_refinement_order_check_fails_an_order_too_high(monkeypatch, tmp_path):
+    # the check measures |order - 2|: the correct probe passes, and the
+    # 128x24 level replaced by the 64x24 one plus 1e-15 measures order 24.7,
+    # which a one-sided order >= 1.8 would pass
+    ok = verify.check_refinement_order(RunConfig())
+    assert ok["passed"] is True
+    assert ok["kind"] == "max" and ok["tolerance"] == 0.2
+    assert ok["measured"] == abs(ok["order"] - 2.0)
+    right = verify.screw_eigenvalues
+
+    def too_close(spec, k, n_s, n_phi, n_lowest):
+        if n_phi == 24 and n_s == 128:  # the refinement probe's finest grid
+            return right(spec, k, 64, n_phi, n_lowest) + 1e-15
+        return right(spec, k, n_s, n_phi, n_lowest)
+
+    monkeypatch.setattr(verify, "screw_eigenvalues", too_close)
+    check = verify.check_refinement_order(RunConfig())
+    assert check["passed"] is False
+    assert check["order"] > 20
     assert main(["verify", "--out", str(tmp_path)]) == 1
     report = json.loads((tmp_path / "verify.json").read_text())
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
@@ -584,7 +609,7 @@ def test_hermiticity_over_random_specs(rho0, eps, tau, sign, k_frac, k_phi):
     spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0)
     k_s = k_frac * tau / 2
     # the ray matrix is Hermitian to the last bit, at any k on or off the path
-    H = assemble_perturbed(spec, (k_s, k_phi)).entries
+    H = assemble_perturbed(spec, (k_s, k_phi))
     assert np.array_equal(H, H.conj().T)
     # the exact sectors only up to rounding: the FFT's .real is even to
     # eps_mach (worst of 400 seeded draws 2.8e-16 of the largest entry)
@@ -675,9 +700,8 @@ def test_hermiticity_perturbed_check_catches_an_asymmetric_entry(monkeypatch):
 
     def uneven(spec, k):
         H = right(spec, k)
-        entries = H.entries.copy()
-        entries[0, 1] += 1e-9 * np.max(np.abs(entries))
-        return dataclasses.replace(H, entries=entries)
+        H[0, 1] += 1e-9 * np.max(np.abs(H))
+        return H
 
     monkeypatch.setattr(verify, "assemble_perturbed", uneven)
     check = verify.check_hermiticity_perturbed(cfg)
@@ -735,7 +759,7 @@ def test_perturbed_is_the_lattice_fed_the_stated_table():
         for col in range(2 * n + 1 - dj):
             want[col + dj, col] = ray_amplitude(spec, dj, q[col])
             want[col, col + dj] = want[col + dj, col]
-    got = assemble_perturbed(spec, tuple(kv)).entries
+    got = assemble_perturbed(spec, tuple(kv))
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -743,7 +767,7 @@ def _ray_blocks(spec, k):
     """Eigenvalues of the (j = 0, j = 1) and (j = 0, j = -1) 2x2 blocks of
     the ray matrix at k, and the rounding scale of their diagonal: its
     largest entry, or the offset a subtracted there if that is larger."""
-    H = assemble_perturbed(spec, k).entries
+    H = assemble_perturbed(spec, k)
     n = oracle_module._n_modes(spec)  # row n is j = 0
     scale = max(np.max(np.abs(np.diag(H)[n - 1:n + 2])), spectral_offset(spec))
     return (np.linalg.eigvalsh(H[n:n + 2, n:n + 2]),
@@ -795,19 +819,35 @@ def test_perturbed_free_diagonal():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)
     kv = (0.2, 0.0)
     H = assemble_perturbed(spec, kv)
-    assert H.basis == "ORACLE_PERTURBED"
-    assert H.dimension == 17  # the window floor of 8 modes each side
+    assert H.shape == (17, 17)  # the window floor of 8 modes each side
     a = spectral_offset(spec)
     js = np.arange(-8, 9)
     want = (0.2 + js * spec.tau) ** 2 + (js * 10.0) ** 2 - a
-    np.testing.assert_allclose(np.diag(H.entries), want, rtol=1e-14)
-    off = H.entries - np.diag(np.diag(H.entries))
+    np.testing.assert_allclose(np.diag(H), want, rtol=1e-14)
+    off = H - np.diag(np.diag(H))
     assert np.all(off == 0.0)
+
+
+def test_perturbed_band_sweep_is_one_solve_per_kpoint():
+    # band_sweep solves the path's ray matrices in one stacked eigvalsh; each
+    # row is exactly the lowest n_bands of its own matrix's solve
+    for spec in (FIG3, HelixSpec(kappa=0.7, tau=-1.3, rho0=0.3)):
+        path = [BlochVector(f * abs(spec.tau), 0) for f in np.linspace(0, -0.5, 7)]
+        for n_bands in (2, 5):
+            got = band_sweep(spec, path, "ORACLE_PERTURBED", n_bands).energies
+            for k, row in zip(path, got):
+                want = np.linalg.eigvalsh(assemble_perturbed(spec, k))[:n_bands]
+                assert np.array_equal(row, want)
+    # n_bands is checked against one matrix (FIG3's window is 17), not the stack
+    path = [BlochVector(0.0, 0), BlochVector(-0.25, 0)]
+    assert band_sweep(FIG3, path, "ORACLE_PERTURBED", 17).energies.shape == (2, 17)
+    with pytest.raises(ValueError, match="n_lowest"):
+        band_sweep(FIG3, path, "ORACLE_PERTURBED", 18)
 
 
 def test_perturbed_hermitian_and_minimum_size():
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
-    H = assemble_perturbed(spec, (0.1, 0.0)).entries
+    H = assemble_perturbed(spec, (0.1, 0.0))
     assert np.linalg.norm(H - H.conj().T) <= 1e-12 * np.linalg.norm(H)
 
 
@@ -833,7 +873,7 @@ def test_perturbed_truncation_stability(monkeypatch):
     def lowest(spec):
         ks = [(f * abs(spec.tau), 0.0) for f in (0.0, -0.3)]
         ks.append(tuple(zone_boundary_k(spec)))
-        Hs = [assemble_perturbed(spec, k).entries for k in ks]
+        Hs = [assemble_perturbed(spec, k) for k in ks]
         every = [np.linalg.eigvalsh(H) for H in Hs]
         return np.array([w[:4] for w in every]), max(np.abs(w).max() for w in every)
 
@@ -852,7 +892,7 @@ def test_perturbed_vs_two_band_second_order():
     for eps in (0.04, 0.02):
         spec = HelixSpec(kappa=eps / rho0, tau=1.0, rho0=rho0)
         kb = tuple(zone_boundary_k(spec))
-        pert = eigensolve(assemble_perturbed(spec, kb), 2).eigenvalues
+        pert = np.linalg.eigvalsh(assemble_perturbed(spec, kb))[:2]
         tb = two_band_energies(spec, kb)
         errs[eps] = max(abs(pert[0] - tb[0]), abs(pert[1] - tb[1]))
     ratio = errs[0.04] / errs[0.02]
@@ -1029,7 +1069,7 @@ def test_first_order_u_oracle_eigenvector_component():
     rho0, kv = 0.1, (0.2, 0.0)
     for eps in (0.04, 0.02):
         spec = HelixSpec(kappa=eps / rho0, tau=1.0, rho0=rho0)
-        w, v = np.linalg.eigh(assemble_perturbed(spec, kv).entries)
+        w, v = np.linalg.eigh(assemble_perturbed(spec, kv))
         vec = v[:, 0]
         mid = oracle_module._n_modes(spec)  # j = 0 entry of the ray basis
         ratio = vec[mid + 1] / vec[mid]
