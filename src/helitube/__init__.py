@@ -35,6 +35,7 @@ from .operators import (
     WaveField,
     apply_laplace_beltrami,
     apply_transformed_operator,
+    band_limited,
     laplace_beltrami_expanded,
     normalize,
     random_band_limited,
@@ -95,7 +96,7 @@ __all__ = [
     "helical_phase", "metric_h", "principal_curvatures", "rotated_frame",
     "rotation_angle", "surface_point", "v_curv", "weingarten",
     "PHI", "PSI", "GaugeMismatch", "WaveField",
-    "apply_laplace_beltrami", "apply_transformed_operator",
+    "apply_laplace_beltrami", "apply_transformed_operator", "band_limited",
     "laplace_beltrami_expanded", "normalize", "random_band_limited",
     "spectral_derivative", "spectral_offset", "v1_apply",
     "v1_multiplicative", "v_eff", "v_kin", "wavefield_norm",

@@ -31,6 +31,7 @@ __all__ = [
     "spectral_offset",
     "wavefield_norm",
     "normalize",
+    "band_limited",
     "random_band_limited",
     "spectral_derivative",
     "apply_laplace_beltrami",
@@ -249,6 +250,26 @@ def v1_apply(spec: HelixSpec, phi_field: WaveField) -> WaveField:
     return phi_field.like(out)
 
 
+def band_limited(
+    spec: HelixSpec, n_s: int, n_phi: int, draw, gauge: str = PHI
+) -> WaveField:
+    """Field with spectral support on low modes only, unit norm in its gauge.
+
+    Modes up to max(1, n/4) per direction, so products with smooth metric
+    factors stay alias-free at the working grid.  draw(shape) is called
+    once and returns the complex amplitudes of exactly those modes, shape
+    (kept s-modes, kept phi-modes), each axis in FFT order: nothing is drawn
+    for a mode that is dropped.
+    """
+    rows, cols = (
+        np.flatnonzero(np.abs(np.fft.fftfreq(n, 1.0 / n)) <= max(1, n // 4))
+        for n in (n_s, n_phi)
+    )
+    coef = np.zeros((n_s, n_phi), dtype=complex)
+    coef[np.ix_(rows, cols)] = draw((len(rows), len(cols)))
+    return normalize(spec, WaveField(np.fft.ifft2(coef), gauge))
+
+
 def random_band_limited(
     spec: HelixSpec,
     n_s: int,
@@ -256,16 +277,9 @@ def random_band_limited(
     rng: np.random.Generator,
     gauge: str = PHI,
 ) -> WaveField:
-    """Random complex field with spectral support on low modes only.
-
-    Modes up to max(1, n/4) per direction, so products with smooth metric
-    factors stay alias-free at the working grid.  Unit norm in its gauge.
-    """
-    max_mode_s, max_mode_phi = max(1, n_s // 4), max(1, n_phi // 4)
-    coef = np.zeros((n_s, n_phi), dtype=complex)
-    ms = np.fft.fftfreq(n_s, 1.0 / n_s).astype(int)
-    mp = np.fft.fftfreq(n_phi, 1.0 / n_phi).astype(int)
-    keep = (np.abs(ms)[:, None] <= max_mode_s) & (np.abs(mp)[None, :] <= max_mode_phi)
-    amp = rng.standard_normal((n_s, n_phi)) + 1j * rng.standard_normal((n_s, n_phi))
-    coef[keep] = amp[keep]
-    return normalize(spec, WaveField(np.fft.ifft2(coef), gauge))
+    """band_limited with complex standard normal amplitudes drawn from rng."""
+    return band_limited(
+        spec, n_s, n_phi,
+        lambda shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        gauge,
+    )

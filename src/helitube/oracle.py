@@ -17,8 +17,9 @@ is set in one place.  A second-order
 finite-difference grid on the (s, varphi) unit cell stays as the
 independent reference, written by one builder, _grid_blocks, as the Bloch
 blocks of its discrete screw symmetry: screw_eigenvalues solves the
-gcd(n_s, n_phi) blocks, and assemble_full is the one-block case (the
-dense matrix, no screw twist), which checks the reduction.  The lowest
+gcd(n_s, n_phi) blocks a fixed-size batch at a time, and assemble_full is
+the one-block case (the dense matrix, no screw twist), which checks the
+reduction.  The lowest
 level at k_s = 0 needs one block only: the matrix is then real with
 non-positive hops, so by Perron-Frobenius its ground state is positive
 and has screw phase 1 (screw_eigenvalues).
@@ -53,6 +54,9 @@ GRID_2D = "GRID_2D"
 DEFAULT_MAX_DIMENSION = 4096
 # continuum_levels solves at most this many sector pairs M = +-j per k-point
 _MAX_SECTOR_PAIRS = 2**16
+# screw_eigenvalues fills and solves at most this many block entries at a
+# time (1 MiB complex), or one block when a block holds more
+_BATCH_ENTRIES = 2**16
 
 
 class ConvergenceFailure(RuntimeError):
@@ -105,12 +109,17 @@ def _grid_blocks(spec: HelixSpec, k, n_s: int, n_phi: int, g: int, dj: int, mus)
 
     -d_s(h^-2 d_s) - d2_varphi + v_eff, second-order centered, with h^-2
     sampled at s midpoints so every block is Hermitian by construction.
-    The blocks (shape (len(mus), d, d), d = n_s n_phi/g) live on the strip
-    of the first r = n_s/g s-rows: node (i, j) is row i*n_phi + j, and in
-    block mu the s hop out of the strip from (r-1, j) lands on (0, j - dj)
-    times lambda_mu = exp(i (k_s L + 2 pi mu)/g).  g = 1, dj = 0 is the dense
-    matrix with the Bloch phase on the seam.  Storage is capped as if all g
-    blocks were built: g d^2 <= DEFAULT_MAX_DIMENSION^2.
+    The blocks (d = n_s n_phi/g) live on the strip of the first r = n_s/g
+    s-rows: node (i, j) is row i*n_phi + j, and in block mu the s hop out
+    of the strip from (r-1, j) lands on (0, j - dj) times lambda_mu =
+    exp(i (k_s L + 2 pi mu)/g).  g = 1, dj = 0 is the dense matrix with the
+    Bloch phase on the seam.  Storage is capped as if all g blocks were
+    built: g d^2 <= DEFAULT_MAX_DIMENSION^2.
+
+    The strip's coefficients are computed here, once; the returned iterator
+    fills the blocks in mus order, in stacks of shape (b, d, d) holding at
+    most _BATCH_ENTRIES entries (one block at least), so the memory
+    follows the batch, not g.
     """
     d, r = n_s * n_phi // g, n_s // g
     _check_storage(g, d)
@@ -128,28 +137,32 @@ def _grid_blocks(spec: HelixSpec, k, n_s: int, n_phi: int, g: int, dj: int, mus)
     lam = np.array([_unit_phase((x + 2.0 * math.pi * mu) / g) for mu in mus])
     if np.all(lam.imag == 0.0):
         lam = lam.real
-    dtype = lam.dtype
-
-    # each statement below writes distinct entries, and coinciding entries
-    # of different statements (r = 1, |dj| = 1) add up as the hops do
     idx = np.arange(d).reshape(r, n_phi)
     up = np.vstack([idx[1:], np.roll(idx[0], dj)[None, :]])
-    phase = np.ones((len(mus), r, n_phi), dtype=dtype)
-    phase[:, -1, :] = lam[:, None]
-    blocks = np.zeros((len(mus), d, d), dtype=dtype)
-    blocks[:, idx, idx] = diag
-    blocks[:, idx, up] += phase * -hop_s
-    blocks[:, up, idx] += np.conj(phase) * -hop_s
     right = np.roll(idx, -1, axis=1)
-    blocks[:, idx, right] += -hop_v
-    blocks[:, right, idx] += -hop_v
-    return blocks
+
+    def fill(batch):
+        # each statement below writes distinct entries, and coinciding
+        # entries of different statements (r = 1, |dj| = 1) add up as the
+        # hops do
+        phase = np.ones((len(batch), r, n_phi), dtype=batch.dtype)
+        phase[:, -1, :] = batch[:, None]
+        blocks = np.zeros((len(batch), d, d), dtype=batch.dtype)
+        blocks[:, idx, idx] = diag
+        blocks[:, idx, up] += phase * -hop_s
+        blocks[:, up, idx] += np.conj(phase) * -hop_s
+        blocks[:, idx, right] += -hop_v
+        blocks[:, right, idx] += -hop_v
+        return blocks
+
+    per = max(1, _BATCH_ENTRIES // (d * d))
+    return (fill(lam[i:i + per]) for i in range(0, len(lam), per))
 
 
 def assemble_full(spec: HelixSpec, k, n_s: int, n_phi: int) -> DiscretizedHamiltonian:
     """Dense matrix of the grid operator at Bloch k: the one block of
     _grid_blocks with g = 1 and no twist, so it checks the screw reduction."""
-    blocks = _grid_blocks(spec, k, n_s, n_phi, 1, 0, (0,))
+    blocks = next(_grid_blocks(spec, k, n_s, n_phi, 1, 0, (0,)))
     return DiscretizedHamiltonian(blocks[0], GRID_2D)
 
 
@@ -171,8 +184,11 @@ def screw_eigenvalues(
     j + dj) of _screw_twist, and T^g is the Bloch factor exp(i k_s L), so
     the matrix splits exactly into the g = gcd(n_s, n_phi) blocks of
     _grid_blocks, one per screw phase; they are built straight from the
-    node coefficients, never from the dense matrix, and solved in one
-    stacked eigvalsh.
+    node coefficients, never from the dense matrix, and solved a batch of
+    _grid_blocks at a time, keeping the n_lowest smallest so far.  eigvalsh
+    solves each block of a stack on its own, so the levels are those of one
+    stacked solve of every block, bit for bit, and the memory is that of
+    one batch: _BATCH_ENTRIES entries or one block, not g d^2.
 
     Ground-state rule: for n_lowest = 1 at a screw phase lambda_0 of
     exactly 1 (k_s = 0 in the first zone), only block 0 is built, a real
@@ -187,9 +203,13 @@ def screw_eigenvalues(
     g = math.gcd(n_s, n_phi)
     x = k_components(spec, k)[0] * spec.s_period
     mus = (0,) if n_lowest == 1 and _unit_phase(x / g) == 1 else range(g)
-    blocks = _grid_blocks(spec, k, n_s, n_phi, g, _screw_twist(spec, n_phi, g), mus)
-    w = _dense_eigh(blocks, n_lowest)
-    return np.sort(w, axis=None)[:n_lowest]
+    batches = _grid_blocks(spec, k, n_s, n_phi, g, _screw_twist(spec, n_phi, g), mus)
+    _check_count(n_lowest, len(mus) * (n_s * n_phi // g))
+    lowest = np.empty(0)
+    for blocks in batches:
+        w = _dense_eigh(blocks, 1)  # n_lowest is checked against all blocks above
+        lowest = np.sort(np.append(lowest, w))[:n_lowest]
+    return lowest
 
 
 def _lattice(spec: HelixSpec, p, ns: np.ndarray, table) -> np.ndarray:
@@ -286,15 +306,18 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
     return np.array(rows), detail
 
 
+def _check_count(n_lowest: int, count: int) -> None:
+    if not 1 <= n_lowest <= count:
+        raise ValueError(f"n_lowest must be in [1, {count}], got {n_lowest}")
+
+
 def _dense_eigh(entries: np.ndarray, n_lowest: int) -> np.ndarray:
     """LAPACK eigvalsh of one Hermitian matrix or a stack of them.
 
     n_lowest is checked against the total count of eigenvalues; a LAPACK
     failure or a non-finite eigenvalue raises ConvergenceFailure.
     """
-    count = entries.size // entries.shape[-1]
-    if not 1 <= n_lowest <= count:
-        raise ValueError(f"n_lowest must be in [1, {count}], got {n_lowest}")
+    _check_count(n_lowest, entries.size // entries.shape[-1])
     try:
         w = np.linalg.eigvalsh(entries)
     except np.linalg.LinAlgError as exc:

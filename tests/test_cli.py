@@ -358,6 +358,24 @@ def test_numpy_ma_probe_sees_np_unique():
     assert _fresh_python(probe).stdout.split()[-1] == "True"
 
 
+def test_verify_loads_no_numpy_random(tmp_path):
+    # the operator identity draws its probe from the stdlib's random;
+    # numpy.random alone would add about 6 MB to verify's peak memory
+    probe = (
+        "import sys; from helitube.cli import main; "
+        f"main(['verify', '--out', {str(tmp_path)!r}]); "
+        "print('numpy.random' in sys.modules)"
+    )
+    assert _fresh_python(probe).stdout.split()[-1] == "False"
+
+
+def test_numpy_random_probe_sees_default_rng():
+    # negative control: the probe above does see the import it guards against
+    probe = ("import sys, numpy as np; np.random.default_rng(0); "
+             "print('numpy.random' in sys.modules)")
+    assert _fresh_python(probe).stdout.split()[-1] == "True"
+
+
 def test_bands_huge_kpath_count_is_config_error(tmp_path, capsys):
     # refused before the path is built: linspace would ask for 72.8 TiB
     rc = main(["bands", "--kpath", "0:-0.5:10000000000000", "--out", str(tmp_path)])

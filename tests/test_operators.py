@@ -219,6 +219,28 @@ def test_operator_identity_check_catches_a_gauge_offset(helix):
     assert check["passed"] is False, check
 
 
+@pytest.mark.parametrize("scaled", [None, "d_s flux", "d_varphi^2"])
+def test_operator_identity_check_catches_a_derivative_error(monkeypatch, scaled):
+    # apply_transformed_operator written out term by term, with one
+    # derivative term off by 1e-9 relative: the probe fields exercise each
+    # term, so either fault fails the check; with none scaled it passes
+    def faulty(spec, field):
+        S, P = grid_nodes(spec, field.n_s, field.n_phi)
+        h, f = metric_h(spec, S, P), field.values
+        ds = lambda v: spectral_derivative(v, -2, spec.s_period)
+        flux = -ds(ds(f) / h**2)
+        f_vv = spectral_derivative(f, -1, spec.varphi_period, 2)
+        if scaled == "d_s flux":
+            flux = flux * (1.0 + 1e-9)
+        elif scaled == "d_varphi^2":
+            f_vv = f_vv * (1.0 + 1e-9)
+        return field.like(flux - f_vv + v_eff(spec, S, P) * f)
+
+    monkeypatch.setattr(verify, "apply_transformed_operator", faulty)
+    check = verify.check_operator_identity(RunConfig())
+    assert check["passed"] is (scaled is None), check
+
+
 # -------------------------------------------------------------------- v_eff
 
 

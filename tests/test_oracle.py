@@ -371,6 +371,77 @@ def test_screw_ground_state_is_missed_by_the_wrong_block(monkeypatch, spec, grid
     assert missed - dense > 1e-6 * abs(dense)
 
 
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(
+    rho0=st.floats(0.05, 1.5),
+    eps=st.one_of(st.just(0.0), st.floats(0.0, 0.9, exclude_max=True)),
+    tau=st.floats(0.3, 3.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    k_frac=st.one_of(st.sampled_from((0.0, 1.0, -1.0)), st.floats(-1.0, 1.0)),
+    grid=_grids(),
+    per_batch=st.integers(0, 5),
+    lowest=st.sampled_from((1, 2, 3, "all")),
+)
+@example(rho0=0.3, eps=0.6, tau=1.3, sign=-1.0, k_frac=0.0, grid=(12, 24),
+         per_batch=1, lowest=1)
+@example(rho0=0.3, eps=0.6, tau=1.3, sign=1.0, k_frac=1.0, grid=(8, 8),
+         per_batch=3, lowest="all")
+def test_screw_batches_equal_one_stacked_solve(
+    rho0, eps, tau, sign, k_frac, grid, per_batch, lowest
+):
+    # batches of per_batch blocks (0: a limit below one block, so one block
+    # each) give the levels of one eigvalsh over the stack of every block
+    # the solver builds, bit for bit: all g, or block 0 alone (a real one)
+    # under the ground-state rule at k_s = 0
+    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0)
+    k = BlochVector(k_frac * tau / 2, 0)
+    n_s, n_phi = grid
+    g = math.gcd(n_s, n_phi)
+    d = n_s * n_phi // g
+    n_lowest = n_s * n_phi if lowest == "all" else lowest
+    built = []
+    right = oracle_module._grid_blocks
+
+    def recording(*args):
+        built.append(args)
+        return right(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_module, "_grid_blocks", recording)
+        mp.setattr(oracle_module, "_BATCH_ENTRIES", max(1, per_batch * d * d))
+        got = screw_eigenvalues(spec, k, n_s, n_phi, n_lowest)
+        (args,) = built
+        mus = args[-1]
+        mp.setattr(oracle_module, "_BATCH_ENTRIES", len(mus) * d * d)
+        (stack,) = right(*args)
+    if k_frac == 0.0 and n_lowest == 1:
+        assert list(mus) == [0]
+    assert stack.shape == (len(mus), d, d)
+    want = np.sort(np.linalg.eigvalsh(stack), axis=None)[:n_lowest]
+    assert np.array_equal(got, want)
+
+
+def test_screw_solve_is_batched_at_the_entry_limit(monkeypatch):
+    # a 128x128 grid at generic k has 128 complex blocks of 128^2: solved
+    # at most _BATCH_ENTRIES entries (1 MiB) at a time, not in one stack
+    sizes = []
+    right = oracle_module._dense_eigh
+
+    def recording(entries, n_lowest):
+        sizes.append(entries.shape)
+        return right(entries, n_lowest)
+
+    monkeypatch.setattr(oracle_module, "_dense_eigh", recording)
+    got = screw_eigenvalues(FIG3, BlochVector(-0.3, 0), 128, 128, 4)
+    assert got.shape == (4,)
+    assert all(shape[1:] == (128, 128) for shape in sizes)
+    assert sum(shape[0] for shape in sizes) == 128
+    assert max(math.prod(shape) for shape in sizes) <= oracle_module._BATCH_ENTRIES
+    assert oracle_module._BATCH_ENTRIES * np.dtype(complex).itemsize <= 2**20
+
+
 def test_screw_lowest_levels_and_real_blocks():
     # gcd 2 at the zone centre gives phases +1 and -1: both blocks are real
     spec = HelixSpec(kappa=1.0, tau=-1.0, rho0=0.1)
