@@ -51,16 +51,13 @@ from .bloch import (
     SOURCE_TAGS,
     BandStructure,
     BlochVector,
-    GapScaling,
     NearResonance,
     OutOfValidity,
     SingularMass,
-    bloch_vector,
     cylinder_limit_energies,
     effective_mass,
     first_order_energies,
     first_order_u,
-    gap_scaling,
     k_components,
     near_boundary_expansion,
     origin_fit,
@@ -100,10 +97,10 @@ __all__ = [
     "laplace_beltrami_expanded", "normalize", "random_band_limited",
     "spectral_derivative", "spectral_offset", "v1_apply",
     "v1_multiplicative", "v_eff", "v_kin", "wavefield_norm",
-    "SOURCE_TAGS", "BandStructure", "BlochVector", "GapScaling",
+    "SOURCE_TAGS", "BandStructure", "BlochVector",
     "NearResonance", "OutOfValidity", "SingularMass",
-    "bloch_vector", "cylinder_limit_energies", "effective_mass",
-    "first_order_energies", "first_order_u", "gap_scaling", "k_components",
+    "cylinder_limit_energies", "effective_mass",
+    "first_order_energies", "first_order_u", "k_components",
     "near_boundary_expansion", "origin_fit", "ray_amplitude", "ray_vector",
     "stated_table", "two_band_energies", "two_band_gap", "two_band_hessian",
     "zone_boundary_k",

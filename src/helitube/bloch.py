@@ -5,9 +5,9 @@ Fourier weight sits on integer multiples j K1 of the single reciprocal
 vector K1 = ray_vector(spec) = (tau, -1/rho0), the tube's helical symmetry.
 This module builds the coupling amplitudes between plane-wave components,
 solves the two-component secular problem that K1 couples near the zone
-boundary -K1/2, and derives the quantities that follow from it: the band
-gap, its scaling with the bending parameter, the effective-mass tensor, and
-the straight-tube reference spectrum.
+boundary -K1/2, and derives the quantities that follow from it: the
+splitting there, the effective-mass tensor, and the straight-tube reference
+spectrum.
 
 Because the first-order potential contains s-derivatives, a coupling
 amplitude depends on the longitudinal wavenumber of the component it acts
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .geometry import DegeneratePeriod, HelixSpec
+from .geometry import HelixSpec
 from .operators import spectral_offset
 
 
@@ -43,7 +43,7 @@ class SingularMass(ValueError):
 
 
 SOURCE_TAGS = frozenset(
-    {"TWO_BAND", "FIRST_ORDER", "ORACLE_PERTURBED", "ORACLE_FULL"}
+    {"TWO_BAND", "ORACLE_PERTURBED", "ORACLE_FULL"}
 )
 
 
@@ -56,17 +56,6 @@ class BlochVector:
 
     def components(self, spec: HelixSpec) -> np.ndarray:
         return np.array([self.k_s, self.n_transverse / spec.rho0])
-
-
-def bloch_vector(spec: HelixSpec, k_s: float, n_transverse: int = 0) -> BlochVector:
-    """Reduce k_s to the first zone [-|tau|/2, |tau|/2)."""
-    t = abs(spec.tau)
-    if t == 0.0:
-        raise DegeneratePeriod("tau = 0 leaves no longitudinal zone to reduce into")
-    k = math.remainder(k_s, t)
-    if k >= t / 2:
-        k -= t
-    return BlochVector(k, n_transverse)
 
 
 def ray_vector(spec: HelixSpec) -> np.ndarray:
@@ -208,19 +197,7 @@ def near_boundary_expansion(spec: HelixSpec, G: float):
 
 
 # --------------------------------------------------------------------------
-# gap scaling
-
-
-@dataclass(frozen=True)
-class GapScaling:
-    """Least-squares fit of the boundary gap against eps kappa^2/4."""
-
-    slope: float
-    residual: float
-    r_squared: float
-    eps_values: np.ndarray
-    x_values: np.ndarray
-    gaps: np.ndarray
+# fit through the origin
 
 
 def origin_fit(x, y) -> tuple[float, float, float]:
@@ -237,26 +214,6 @@ def origin_fit(x, y) -> tuple[float, float, float]:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return slope, ss_res, r_squared
-
-
-def gap_scaling(spec_family: Sequence[HelixSpec]) -> GapScaling:
-    """Fit gap(eps) = slope * (eps kappa^2/4) over a family of tube shapes."""
-    if len(spec_family) < 4:
-        raise ValueError("need at least 4 members to fit a slope")
-    eps = np.array([s.epsilon for s in spec_family])
-    if np.any(eps > 0.1):
-        raise ValueError("family must stay in the thin-tube window eps <= 0.1")
-    gaps = np.array([two_band_gap(s) for s in spec_family])
-    x = eps * np.array([s.kappa**2 for s in spec_family]) / 4
-    slope, ss_res, r_squared = origin_fit(x, gaps)
-    return GapScaling(
-        slope=slope,
-        residual=math.sqrt(ss_res),
-        r_squared=r_squared,
-        eps_values=eps,
-        x_values=x,
-        gaps=gaps,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .operators import spectral_offset, v_eff
 from .bloch import (
     SOURCE_TAGS,
     BandStructure,
-    first_order_energies,
     k_components,
     stated_table,
     two_band_energies,
@@ -357,8 +356,6 @@ def band_sweep(
         return BandStructure(list(kpath), levels, source, detail)
     if source == "TWO_BAND":
         rows = [two_band_energies(spec, k)[:n_bands] for k in kpath]
-    elif source == "FIRST_ORDER":
-        rows = [first_order_energies(spec, k, n_bands) for k in kpath]
     else:
         H = np.stack([assemble_perturbed(spec, k) for k in kpath])
         # n_bands is checked against one matrix's dimension

@@ -12,12 +12,11 @@ from helitube.bloch import (
     NearResonance,
     OutOfValidity,
     SingularMass,
-    bloch_vector,
     cylinder_limit_energies,
     effective_mass,
     first_order_u,
-    gap_scaling,
     near_boundary_expansion,
+    origin_fit,
     ray_amplitude,
     ray_vector,
     stated_table,
@@ -43,16 +42,6 @@ def test_ray_vector_components():
     assert K.tolist() == [-1.3, -1.0 / 0.3]
     # the zone boundary is exactly half of it, with the sign flipped
     assert (-2.0 * zone_boundary_k(spec)).tolist() == K.tolist()
-
-
-def test_bloch_vector_reduction():
-    spec = HelixSpec(kappa=1.0, tau=2.0, rho0=0.1)
-    assert bloch_vector(spec, 0.3, 1).k_s == pytest.approx(0.3)
-    assert bloch_vector(spec, 1.4).k_s == pytest.approx(-0.6)
-    # right edge folds to the left edge (half-open zone)
-    assert bloch_vector(spec, 1.0).k_s == pytest.approx(-1.0)
-    assert bloch_vector(spec, -3.0, 2).k_s == pytest.approx(-1.0)
-    assert bloch_vector(spec, -3.0, 2).n_transverse == 2
     np.testing.assert_allclose(
         BlochVector(0.25, 2).components(FIG3), [0.25, 20.0]
     )
@@ -280,32 +269,32 @@ def test_near_boundary_out_of_validity():
 # ------------------------------------------------------------- gap scaling
 
 
+def _gap_fit(specs):
+    """The two-band gaps and their origin_fit against eps kappa^2/4."""
+    gaps = np.array([two_band_gap(s) for s in specs])
+    x = [s.epsilon * s.kappa**2 / 4 for s in specs]
+    return gaps, origin_fit(x, gaps)
+
+
 def test_gap_scaling_two_band_family():
     eps_values = [0.01, 0.02, 0.03, 0.04, 0.05]
     specs = [HelixSpec(kappa=1.0, tau=1.0, rho0=e) for e in eps_values]
-    fit = gap_scaling(specs)
+    gaps, (slope, _, r_squared) = _gap_fit(specs)
     # gap = 3 eps/8 while x = eps/4: slope exactly 3/2
-    assert fit.slope == pytest.approx(1.5, rel=1e-12)
-    assert fit.r_squared >= 0.999
-    assert 0.5 <= fit.slope <= 2.0
-    np.testing.assert_allclose(fit.gaps, 0.375 * np.asarray(eps_values), rtol=1e-12)
+    assert slope == pytest.approx(1.5, rel=1e-12)
+    assert r_squared >= 0.999
+    assert 0.5 <= slope <= 2.0
+    np.testing.assert_allclose(gaps, 0.375 * np.asarray(eps_values), rtol=1e-12)
     # doubling eps doubles the gap
-    assert fit.gaps[3] == pytest.approx(2 * fit.gaps[1], rel=0.02)
-    assert fit.gaps[4] == pytest.approx(0.375 * 0.05, rel=1e-12)
+    assert gaps[3] == pytest.approx(2 * gaps[1], rel=0.02)
+    assert gaps[4] == pytest.approx(0.375 * 0.05, rel=1e-12)
 
 
 def test_gap_scaling_all_zero():
     specs = [HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)] * 4
-    fit = gap_scaling(specs)
-    assert fit.slope == 0.0
-    assert all(g == 0.0 for g in fit.gaps)
-
-
-def test_gap_scaling_input_validation():
-    with pytest.raises(ValueError):
-        gap_scaling([HelixSpec(1.0, 1.0, 0.05)] * 3)  # too few points
-    with pytest.raises(ValueError):
-        gap_scaling([HelixSpec(1.0, 1.0, 0.2)] * 4)  # eps beyond 0.1
+    gaps, (slope, _, _) = _gap_fit(specs)
+    assert slope == 0.0
+    assert all(g == 0.0 for g in gaps)
 
 
 # ---------------------------------------------------------- effective mass
@@ -384,11 +373,13 @@ def test_band_structure_validation():
     path = [BlochVector(0.0, 0), BlochVector(-0.25, 0)]
     bs = BandStructure(path, np.array([[1.0, 2.0], [0.5, 0.7]]), "TWO_BAND")
     assert bs.energies.shape == (2, 2)
-    for tag in ("FIRST_ORDER", "ORACLE_PERTURBED", "ORACLE_FULL"):
+    for tag in ("ORACLE_PERTURBED", "ORACLE_FULL"):
         BandStructure(path, np.array([[1.0, 2.0], [0.5, 0.7]]), tag)
+    # the perturbative bands are first_order_energies, not a sweep source
+    for tag in ("FIRST_ORDER", "GUESS"):
+        with pytest.raises(ValueError):
+            BandStructure(path, np.array([[1.0, 2.0], [0.5, 0.7]]), tag)
     with pytest.raises(ValueError):
         BandStructure(path, np.array([[2.0, 1.0], [0.5, 0.7]]), "TWO_BAND")
     with pytest.raises(ValueError):
         BandStructure(path, np.array([[1.0, 2.0]]), "TWO_BAND")
-    with pytest.raises(ValueError):
-        BandStructure(path, np.array([[1.0, 2.0], [0.5, 0.7]]), "GUESS")

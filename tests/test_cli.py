@@ -369,6 +369,21 @@ def test_verify_loads_no_numpy_random(tmp_path):
     assert _fresh_python(probe).stdout.split()[-1] == "False"
 
 
+def test_strong_helix_verify_peaks_under_110_mb(tmp_path):
+    # eps = 0.96 sizes the operator identity's grid at 484x484, the largest
+    # under its node cap; taken one field at a time the run peaks near 81 MB
+    probe = (
+        "import resource; from helitube.cli import main; "
+        f"main(['verify', '--kappa', '9.6', '--rho0', '0.1', '--out', {str(tmp_path)!r}]); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    peak_mb = int(_fresh_python(probe).stdout.split()[-1]) / 1024  # KiB on Linux
+    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    identity = next(c for c in checks if c["name"] == "operator_identity")
+    assert identity["passed"] and identity["grid"] == [484, 484]
+    assert peak_mb <= 110
+
+
 def test_numpy_random_probe_sees_default_rng():
     # negative control: the probe above does see the import it guards against
     probe = ("import sys, numpy as np; np.random.default_rng(0); "

@@ -42,6 +42,9 @@ _REMOVED = {
     "PLANE_WAVE_RAY": oracle,
     "_decay_rate": oracle,
     "u_squared": bloch,
+    "GapScaling": bloch,
+    "gap_scaling": bloch,
+    "bloch_vector": bloch,
 }
 
 

@@ -17,8 +17,10 @@ from helitube.bloch import (
     BlochVector,
     NearResonance,
     cylinder_limit_energies,
+    first_order_energies,
     ray_amplitude,
     two_band_energies,
+    two_band_gap,
     zone_boundary_k,
 )
 from helitube.cli import RunConfig, main
@@ -536,14 +538,15 @@ def test_continuum_matches_the_grid_on_a_mirror_helix():
     sign=st.sampled_from((1.0, -1.0)),
     k_frac=st.floats(-1.0, 1.0),
 )
+@example(rho0=1 / 3, eps=0.5, tau=1.93359375, sign=1.0, k_frac=0.5)
 def test_continuum_matches_the_grid_richardson_limit(rho0, eps, tau, sign, k_frac):
     spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0)
     k_s = k_frac * tau / 2
-    # on 64/128: the 32-node grid is not yet in its h^2 regime for every
-    # level (at rho0 = 1/3, eps = 0.5, tau = 1.934, k_s = tau/4 its 4th level
-    # moves 0.038 then 0.0056 under refinement, and 32/64 misses by 8.1e-4,
-    # 64/128 by 1.6e-7); worst of 177 seeded draws 1.5e-6
-    exact, rich = _continuum(spec, k_s), _richardson(spec, k_s, 4, (64, 128))
+    # on 48/96: the 32-node grid is not yet in its h^2 regime for every
+    # level; at the example (k_s = tau/4) its 4th level moves 0.038 then
+    # 0.0056 under refinement, and 32/64 misses by 8.1e-4, 48/96 by 4.7e-5,
+    # 64/128 by 1.6e-7; worst of 200 uniform draws on 48/96 4.8e-6
+    exact, rich = _continuum(spec, k_s), _richardson(spec, k_s, 4, (48, 96))
     assert np.max(np.abs(exact - rich)) <= 5e-4 * np.max(np.abs(exact))
 
 
@@ -566,6 +569,43 @@ def test_continuum_symmetries(rho0, eps, tau, k_frac):
     scale = np.max(np.abs(base))
     for other in (levels(-tau, k_frac), levels(tau, -k_frac)):
         assert np.max(np.abs(other - base)) <= 1e-11 * scale
+
+
+# The closed tube has no spectral gap: the helical momentum p is conserved,
+# so the exact bands are one dispersion E_m(p) folded into the zone, and at
+# k_s = -tau/2 the sectors p = -tau/2 and p = tau/2 hold one level each.
+# The paper's two-band gap is a splitting of its first-order model only.
+_CLOSED_TUBES = [
+    FIG3,
+    HelixSpec(kappa=1.0, tau=0.5, rho0=0.05),
+    HelixSpec(kappa=9.0, tau=1.0, rho0=0.1),  # eps = 0.9
+    HelixSpec(kappa=1.0, tau=-1.3, rho0=0.3),
+]
+_CLOSED_IDS = ["fig3", "thin", "eps0.9", "mirror"]
+
+
+@pytest.mark.parametrize("spec", _CLOSED_TUBES, ids=_CLOSED_IDS)
+def test_exact_lowest_pair_is_degenerate_at_the_zone_edge(spec):
+    pair = _continuum(spec, -spec.tau / 2, 2)
+    # measured 2.3e-14 to 1.4e-13 of |E|: rounding
+    assert pair[1] - pair[0] <= 1e-11 * np.max(np.abs(pair))
+
+
+@pytest.mark.parametrize("spec", _CLOSED_TUBES, ids=_CLOSED_IDS)
+def test_stated_splitting_fails_the_zone_edge_degeneracy(spec):
+    # negative control: the paper's ray matrix splits the same pair by
+    # 9.4e-5 |E| (thin) to 6.4e-2 |E| (mirror), millions of times the bound
+    pair = _continuum(spec, -spec.tau / 2, 2)
+    assert gap_perturbed(spec) >= 5e-5 * np.max(np.abs(pair))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the paper's band gap is absent from the exact closed tube: at FIG3 the "
+    "two lowest levels at k_s = -tau/2 differ by 2.3e-12, against a stated "
+    "gap 2|U| = 0.0375"))
+def test_paper_gap_opens_between_the_two_lowest_exact_bands():
+    pair = _continuum(FIG3, -FIG3.tau / 2, 2)
+    assert pair[1] - pair[0] >= 0.5 * two_band_gap(FIG3)
 
 
 @pytest.mark.parametrize("spec", [
@@ -1055,19 +1095,17 @@ def test_band_sweep_free_folded_parabolas():
 
 def test_band_sweep_first_order_free_limit():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)
-    path = [BlochVector(0.1, 0)]
-    fo = band_sweep(spec, path, "FIRST_ORDER")
+    fo = first_order_energies(spec, BlochVector(0.1, 0), 2)
     a = spectral_offset(spec)
-    assert fo.energies[0, 0] == pytest.approx(0.1**2 - a, rel=1e-12)
-    assert fo.source == "FIRST_ORDER"
+    assert fo[0] == pytest.approx(0.1**2 - a, rel=1e-12)
 
 
 def test_band_sweep_first_order_near_interior_matches_ray_matrix():
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.02)
     path = [BlochVector(0.1, 0), BlochVector(-0.2, 0)]
-    fo = band_sweep(spec, path, "FIRST_ORDER")
+    fo = np.array([first_order_energies(spec, k, 2) for k in path])
     pert = band_sweep(spec, path, "ORACLE_PERTURBED")
-    diff = np.max(np.abs(fo.energies[:, 0] - pert.energies[:, 0]))
+    diff = np.max(np.abs(fo[:, 0] - pert.energies[:, 0]))
     assert diff <= 1e-6
 
 
@@ -1077,6 +1115,8 @@ def test_band_sweep_rejects_bad_input():
         band_sweep(spec, [BlochVector(0.9, 0)], "TWO_BAND")  # outside zone
     with pytest.raises(ValueError):
         band_sweep(spec, [BlochVector(0.0, 0)], "DIAGONALIZE_HARDER")
+    with pytest.raises(ValueError):  # first_order_energies, not a sweep source
+        band_sweep(spec, [BlochVector(0.0, 0)], "FIRST_ORDER")
 
 
 def test_band_sweep_first_order_raises_at_boundary():
@@ -1084,7 +1124,7 @@ def test_band_sweep_first_order_raises_at_boundary():
     # half-integer transverse wavenumber, so pass it as a raw pair
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
     with pytest.raises(NearResonance):
-        band_sweep(spec, [(-0.5, 5.0)], "FIRST_ORDER")
+        first_order_energies(spec, (-0.5, 5.0), 2)
 
 
 def test_boundary_gap_positive_and_near_two_band():
