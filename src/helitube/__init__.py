@@ -2,7 +2,7 @@
 
 Modules
 -------
-geometry   helix frames, tube embedding, metric factor, curvatures
+geometry   tube embedding, metric factor, curvatures
 operators  surface Laplacian, gauge transform, effective potential
 bloch      folded zone, ray couplings, two-band model, effective mass
 oracle     plane-wave lattice eigensolvers at fixed helical momentum
@@ -15,14 +15,11 @@ from .geometry import (
     DegenerateCurve,
     DegeneratePeriod,
     EmbeddingViolation,
-    FrameSample,
     HelixSpec,
-    frenet_frame,
     grid_nodes,
     helical_phase,
     metric_h,
     principal_curvatures,
-    rotated_frame,
     rotation_angle,
     surface_point,
     v_curv,
@@ -89,9 +86,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegenerateCurve", "DegeneratePeriod", "EmbeddingViolation",
-    "FrameSample", "HelixSpec", "frenet_frame", "grid_nodes",
-    "helical_phase", "metric_h", "principal_curvatures", "rotated_frame",
-    "rotation_angle", "surface_point", "v_curv", "weingarten",
+    "HelixSpec", "grid_nodes", "helical_phase", "metric_h",
+    "principal_curvatures", "rotation_angle", "surface_point", "v_curv",
+    "weingarten",
     "PHI", "PSI", "GaugeMismatch", "WaveField",
     "apply_laplace_beltrami", "apply_transformed_operator", "band_limited",
     "laplace_beltrami_expanded", "normalize", "random_band_limited",

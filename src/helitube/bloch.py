@@ -138,7 +138,7 @@ def two_band_energies(spec: HelixSpec, k):
     lower = float(kv @ kv) - a
     upper = float((kv + K) @ (kv + K)) - a
     u = ray_amplitude(spec, 1, kv[0])
-    shift = stated_table(spec)[1][0]
+    shift = ray_amplitude(spec, 0, 0.0)
     mid = shift + 0.5 * (lower + upper)
     disc = math.sqrt(0.25 * (upper - lower) ** 2 + u * u)
     return mid - disc, mid + disc
@@ -148,7 +148,7 @@ def first_order_energies(spec: HelixSpec, k, n_bands: int) -> np.ndarray:
     """Second-order perturbative energies of the ray-shifted free states."""
     kv = k_components(spec, k)
     a = spectral_offset(spec)
-    shift = stated_table(spec)[1][0]
+    shift = ray_amplitude(spec, 0, 0.0)
     delta = 1e-6 * spec.tau**2
 
     def free(j: int) -> float:
@@ -190,7 +190,7 @@ def near_boundary_expansion(spec: HelixSpec, G: float):
             f"K^2 G^2 = {K2 * G**2:.3e} not small against U^2 = {u_abs**2:.3e}"
         )
     a = spectral_offset(spec)
-    shift = stated_table(spec)[1][0]
+    shift = ray_amplitude(spec, 0, 0.0)
     base = shift - a + G**2 + K2 / 4
     corr = u_abs + K2 * G**2 / (2 * u_abs)
     return base - corr, base + corr

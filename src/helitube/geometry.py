@@ -10,8 +10,10 @@ radius rho0 is swept along x(s) using the rotation-minimizing frame (t, N, B),
 obtained from the Frenet frame (t, n, b) by a rotation through
 theta(s) = -tau s about the tangent.  The paper's integration constant in
 theta is fixed so that the two frames coincide at s = 0: shifting it only
-shifts phi, which no spectrum sees.  In that frame the induced metric is
-diagonal with a single nontrivial factor
+shifts phi, which no spectrum sees.  The frames are internal to
+surface_point, the embedding built from them.  In that frame the induced
+metric is diagonal (X_s . X_varphi = 0 is the frame's no-twist condition)
+with a single nontrivial factor
 
     h(s, phi) = 1 + rho0 kappa cos(theta(s) + phi),
 
@@ -35,11 +37,8 @@ __all__ = [
     "DegeneratePeriod",
     "EmbeddingViolation",
     "HelixSpec",
-    "FrameSample",
     "rotation_angle",
     "helical_phase",
-    "frenet_frame",
-    "rotated_frame",
     "surface_point",
     "metric_h",
     "weingarten",
@@ -129,19 +128,6 @@ class HelixSpec:
         return 2.0 * math.pi * self.rho0
 
 
-@dataclass
-class FrameSample:
-    """Orthonormal frames of the base curve at one arclength."""
-
-    s: float
-    t: np.ndarray
-    n: np.ndarray
-    b: np.ndarray
-    theta: float | None = None
-    N: np.ndarray | None = None
-    B: np.ndarray | None = None
-
-
 def rotation_angle(spec: HelixSpec, s):
     """Frame rotation angle theta(s) = -tau*s."""
     return -spec.tau * np.asarray(s, dtype=float)
@@ -158,45 +144,21 @@ def helical_phase(spec: HelixSpec, s, phi):
 
 
 def _frame_arrays(spec: HelixSpec, s):
-    """Frenet (t, n, b) with shape s.shape + (3,); analytic, vectorized."""
+    """Frenet normals (n, b) with shape s.shape + (3,); analytic, vectorized."""
     a = spec.alpha
     R = spec.helix_radius
     p = spec.pitch
     s = np.asarray(s, dtype=float)
     c, sn = np.cos(a * s), np.sin(a * s)
     zero = np.zeros_like(s)
-    t = np.stack([-a * R * sn, a * R * c, a * p * np.ones_like(s)], axis=-1)
     n = np.stack([-c, -sn, zero], axis=-1)
     b = np.stack([a * p * sn, -a * p * c, a * R * np.ones_like(s)], axis=-1)
-    return t, n, b
-
-
-def frenet_frame(spec: HelixSpec, s: float) -> FrameSample:
-    """Analytic Frenet frame (t, n, b) of the base helix at arclength s.
-
-    Satisfies t' = kappa n, n' = -kappa t + tau b, b' = -tau n.  Raises
-    DegenerateCurve when kappa = tau = 0.
-    """
-    t, n, b = _frame_arrays(spec, float(s))
-    return FrameSample(s=float(s), t=t, n=n, b=b)
-
-
-def rotated_frame(spec: HelixSpec, s: float) -> FrameSample:
-    """Rotation-minimizing frame (t, N, B) at arclength s.
-
-    N and B are the Frenet normals rotated through theta(s) about t, chosen
-    so the frame never twists about the tangent:
-
-        N = cos(theta) n + sin(theta) b,   B = -sin(theta) n + cos(theta) b.
-    """
-    fr = frenet_frame(spec, s)
-    fr.theta = float(rotation_angle(spec, s))
-    fr.N, fr.B = _rotate_normals(fr.n, fr.b, fr.theta)
-    return fr
+    return n, b
 
 
 def _rotate_normals(n, b, theta):
-    """(N, B): the Frenet normals n, b rotated through theta about t."""
+    """(N, B): the Frenet normals rotated through theta about the tangent,
+    N = cos(theta) n + sin(theta) b and B = -sin(theta) n + cos(theta) b."""
     c, sn = np.cos(theta), np.sin(theta)
     return c * n + sn * b, -sn * n + c * b
 
@@ -217,7 +179,7 @@ def surface_point(spec: HelixSpec, s, phi) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     phi = np.asarray(phi, dtype=float)
     s, phi = np.broadcast_arrays(s, phi)
-    _, n, b = _frame_arrays(spec, s)
+    n, b = _frame_arrays(spec, s)
     N, B = _rotate_normals(n, b, rotation_angle(spec, s)[..., None])
     x = _base_point(spec, s)
     return x - spec.rho0 * (np.sin(phi)[..., None] * B + np.cos(phi)[..., None] * N)

@@ -26,7 +26,7 @@ from helitube.geometry import (
     v_curv,
 )
 from helitube.operators import v_eff, v_kin
-from helitube.oracle import ConvergenceFailure
+from helitube.oracle import ConvergenceFailure, assemble_perturbed
 
 HBAR = 1.054571817e-34
 
@@ -578,17 +578,16 @@ def test_verify_defaults_pass(tmp_path):
     assert report["passed"] is True
     names = {c["name"] for c in report["checks"]}
     assert names == {
-        "operator_identity", "hermiticity_full", "screw_reduction",
-        "continuum_oracle", "hermiticity_perturbed", "potential_symmetry",
+        "operator_identity", "screw_reduction", "continuum_oracle",
         "ray_selection", "cylinder_limit", "refinement_order",
     }
     for c in report["checks"]:
         assert c["passed"] is True
         assert {"name", "kind", "tolerance", "measured", "passed"} <= set(c)
-    # the ray window is derived from the spec, so the config no longer has one
+    # the ray window is derived from the spec, so the config no longer has
+    # one: 8 harmonics each side at the default helix
     assert "n_harmonics" not in report["config"]
-    ray = next(c for c in report["checks"] if c["name"] == "hermiticity_perturbed")
-    assert ray["n_harmonics"] == 8
+    assert assemble_perturbed(RunConfig().spec(), (0.21, 0.0)).shape == (17, 17)
     identity = next(c for c in report["checks"] if c["name"] == "operator_identity")
     assert identity["grid"] == [48, 48]  # sized from eps (fourier_decay_rate)
     # the refinement probe keeps its three grids, solved as screw blocks

@@ -45,6 +45,9 @@ _REMOVED = {
     "GapScaling": bloch,
     "gap_scaling": bloch,
     "bloch_vector": bloch,
+    "FrameSample": geometry,
+    "frenet_frame": geometry,
+    "rotated_frame": geometry,
 }
 
 

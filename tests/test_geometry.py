@@ -1,4 +1,4 @@
-"""Frames, surface embedding, metric factor, curvatures."""
+"""Surface embedding and its frame, metric factor, curvatures."""
 
 import math
 
@@ -10,11 +10,9 @@ from helitube.geometry import (
     DegeneratePeriod,
     EmbeddingViolation,
     HelixSpec,
-    frenet_frame,
     grid_nodes,
     metric_h,
     principal_curvatures,
-    rotated_frame,
     rotation_angle,
     surface_point,
     v_curv,
@@ -58,7 +56,7 @@ def test_straight_tube_allowed_but_has_no_frame():
     spec = HelixSpec(kappa=0.0, tau=0.0, rho0=1.0)
     assert spec.epsilon == 0.0
     with pytest.raises(DegenerateCurve):
-        frenet_frame(spec, 0.0)
+        surface_point(spec, 0.0, 0.0)
     with pytest.raises(DegeneratePeriod):
         _ = spec.s_period
 
@@ -72,95 +70,107 @@ def test_rotation_angle_values():
     assert rotation_angle(HelixSpec(1.0, 2.0, 0.1), 3.0) == pytest.approx(-6.0)
 
 
-# ------------------------------------------------------------------- frames
+# -------------------------------------------------------- frame, embedded
+# The frames are internal to surface_point; these tests read them back from
+# the embedding.  The base curve is the mean of X over uniform phi nodes.
+
+
+def _base_curve(spec, s):
+    phi = np.arange(8) * (2 * math.pi / 8)
+    return surface_point(spec, np.asarray(s, dtype=float)[..., None], phi).mean(axis=-2)
 
 
 def test_unit_circle_frame():
+    # kappa = 1, tau = 0 at s = 0: x = (1, 0, 0), n = (-1, 0, 0), b = (0, 0, 1)
     spec = HelixSpec(kappa=1.0, tau=0.0, rho0=0.1)
-    fr = frenet_frame(spec, 0.0)
-    np.testing.assert_allclose(fr.t, [0.0, 1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(fr.n, [-1.0, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(fr.b, [0.0, 0.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(surface_point(spec, 0.0, 0.0), [1.1, 0.0, 0.0],
+                               atol=1e-15)
+    np.testing.assert_allclose(surface_point(spec, 0.0, math.pi / 2),
+                               [1.0, 0.0, -0.1], atol=1e-15)
+    np.testing.assert_allclose(surface_point(spec, 0.0, math.pi), [0.9, 0.0, 0.0],
+                               atol=1e-15)
 
 
 @pytest.mark.parametrize(
     "kappa,tau", [(1.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.0, 2.0), (2.0, -1.0)]
 )
 def test_frame_orthonormal_and_right_handed(kappa, tau):
+    # (t, nu, e_varphi): the base curve's tangent, the unit normal
+    # (X - x)/rho0 and dX/dvarphi form a right-handed orthonormal frame
     spec = HelixSpec(kappa=kappa, tau=tau, rho0=0.1)
+    d = 1e-5
     for s in np.linspace(-3.0, 7.0, 11):
-        fr = rotated_frame(spec, s)
-        for v in (fr.t, fr.n, fr.b, fr.N, fr.B):
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-        assert abs(np.dot(fr.t, fr.n)) < 1e-12
-        assert abs(np.dot(fr.t, fr.b)) < 1e-12
-        assert abs(np.dot(fr.n, fr.b)) < 1e-12
-        np.testing.assert_allclose(np.cross(fr.t, fr.n), fr.b, atol=1e-12)
-        np.testing.assert_allclose(np.cross(fr.t, fr.N), fr.B, atol=1e-12)
+        t = (_base_curve(spec, s + d) - _base_curve(spec, s - d)) / (2 * d)
+        for phi in (-2.0, 0.3, 1.9):
+            nu = (surface_point(spec, s, phi) - _base_curve(spec, s)) / spec.rho0
+            e_v = (surface_point(spec, s, phi + d) - surface_point(spec, s, phi - d)) / (
+                2 * d * spec.rho0
+            )
+            assert abs(np.linalg.norm(nu) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(e_v) - 1.0) < 1e-8
+            assert abs(np.dot(t, nu)) < 1e-8
+            np.testing.assert_allclose(np.cross(t, nu), e_v, atol=1e-8)
 
 
-@pytest.mark.parametrize("kappa,tau", [(1.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.0, 1.5)])
+@pytest.mark.parametrize("kappa,tau", [
+    (1.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.0, 1.5), (0.0, 2.0), (2.0, -1.0), (0.5, -0.8),
+])
 def test_frenet_odes_by_central_differences(kappa, tau):
-    # t' = kappa n, n' = -kappa t + tau b, b' = -tau n
+    # the base curve has unit speed, curvature kappa and torsion tau (the
+    # Frenet equations' coefficients), sign included; worst 2.2e-6 at d = 1e-3
     spec = HelixSpec(kappa=kappa, tau=tau, rho0=0.1)
-    ds = 1e-5
+    d = 1e-3
     for s in (0.0, 1.3, 2 * math.pi):
-        fp = frenet_frame(spec, s + ds)
-        fm = frenet_frame(spec, s - ds)
-        f0 = frenet_frame(spec, s)
-        dt = (fp.t - fm.t) / (2 * ds)
-        dn = (fp.n - fm.n) / (2 * ds)
-        db = (fp.b - fm.b) / (2 * ds)
-        np.testing.assert_allclose(dt, kappa * f0.n, atol=1e-10)
-        np.testing.assert_allclose(dn, -kappa * f0.t + tau * f0.b, atol=1e-10)
-        np.testing.assert_allclose(db, -tau * f0.n, atol=1e-10)
+        c = _base_curve(spec, s + d * np.arange(-2, 3))
+        c1 = (c[3] - c[1]) / (2 * d)
+        c2 = (c[3] - 2 * c[2] + c[1]) / d**2
+        c3 = (c[4] - 2 * c[3] + 2 * c[1] - c[0]) / (2 * d**3)
+        cross = np.cross(c1, c2)
+        assert abs(np.linalg.norm(c1) - 1.0) < 1e-5
+        assert abs(np.linalg.norm(cross) - kappa) < 1e-5
+        if kappa > 0:
+            assert abs(np.dot(cross, c3) / np.dot(cross, cross) - tau) < 1e-5
 
 
 def test_rotated_frame_reference_point_and_half_turn():
-    spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
-    fr = rotated_frame(spec, 0.0)
-    assert fr.theta == 0.0
-    np.testing.assert_allclose(fr.N, fr.n, atol=1e-15)
-    np.testing.assert_allclose(fr.B, fr.b, atol=1e-15)
-    # theta(pi) = -pi flips N
-    fr = rotated_frame(spec, math.pi)
-    np.testing.assert_allclose(fr.N, -fr.n, atol=1e-12)
+    # theta(0) = 0 puts phi = 0 on the outside of the bend, at -rho0 n(0);
+    # theta(pi) = -pi turns it to the inside, theta(2 pi) back out, with
+    # n(s) = (-cos(alpha s), -sin(alpha s), 0) the helix's principal normal
+    spec = FIG3
+    for s, side in ((0.0, -1.0), (math.pi, 1.0), (2 * math.pi, -1.0)):
+        a = spec.alpha * s
+        n = np.array([-math.cos(a), -math.sin(a), 0.0])
+        np.testing.assert_allclose(
+            surface_point(spec, s, 0.0) - _base_curve(spec, s),
+            side * spec.rho0 * n, atol=1e-14,
+        )
 
 
 def test_rotated_frame_zero_torsion_never_rotates():
+    # tau = 0: every cross-section is the s = 0 one carried round the z axis
     spec = HelixSpec(kappa=1.0, tau=0.0, rho0=0.1)
-    for s in (0.0, 2.0, -5.0):
-        fr = rotated_frame(spec, s)
-        np.testing.assert_allclose(fr.N, fr.n, atol=1e-15)
-
-
-@pytest.mark.parametrize("kappa,tau", [(1.0, 1.0), (0.5, -0.8), (0.0, 2.0)])
-def test_rotated_frame_has_no_tangential_twist(kappa, tau):
-    # (dN/ds).B must vanish: the rotated frame does not spin about t
-    spec = HelixSpec(kappa=kappa, tau=tau, rho0=0.1)
-    ds = 1e-5
-    for s in (0.0, 0.7, 3.1):
-        fp = rotated_frame(spec, s + ds)
-        fm = rotated_frame(spec, s - ds)
-        f0 = rotated_frame(spec, s)
-        dN = (fp.N - fm.N) / (2 * ds)
-        assert abs(np.dot(dN, f0.B)) < 1e-8
-        # and dN/ds stays parallel to t
-        assert abs(np.dot(dN, f0.N)) < 1e-8
+    phi = np.linspace(-math.pi, math.pi, 9)
+    X0 = surface_point(spec, 0.0, phi)
+    for s in (2.0, -5.0):
+        c, sn = math.cos(s), math.sin(s)
+        rot = np.array([[c, -sn, 0.0], [sn, c, 0.0], [0.0, 0.0, 1.0]])
+        np.testing.assert_allclose(surface_point(spec, s, phi), X0 @ rot.T, atol=1e-15)
 
 
 # ------------------------------------------------------------------- surface
 
 
 def test_surface_point_at_reference():
-    spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
-    fr = rotated_frame(spec, 0.0)
-    x0 = surface_point(spec, 0.0, 0.0) + spec.rho0 * fr.n
-    base = np.array([spec.helix_radius, 0.0, 0.0])
-    np.testing.assert_allclose(x0, base, atol=1e-14)
-    # phi = pi/2 picks out -rho0*B
+    # FIG3 at s = 0: t = x'(0) = (0, 1, 1)/sqrt 2, n = x''(0)/kappa = (-1, 0, 0)
+    # and b = t x n; N = n and B = b, as theta(0) = 0
+    t = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
+    n = np.array([-1.0, 0.0, 0.0])
+    b = np.cross(t, n)
+    base = np.array([0.5, 0.0, 0.0])
+    np.testing.assert_allclose(surface_point(FIG3, 0.0, 0.0), base - 0.1 * n, atol=1e-15)
+    # phi = pi/2 picks out -rho0 b
     np.testing.assert_allclose(
-        surface_point(spec, 0.0, math.pi / 2), base - spec.rho0 * fr.B, atol=1e-14
+        surface_point(FIG3, 0.0, math.pi / 2), base - 0.1 * b, atol=1e-15
     )
 
 
@@ -178,22 +188,30 @@ def test_torus_bounding_annulus():
 
 
 def test_first_fundamental_form():
-    # |dX/dvarphi| = 1, |dX/ds| = h, and the two are orthogonal
-    spec = FIG3
+    # |dX/dvarphi| = 1, |dX/ds| = h, and the two are orthogonal: X_s . X_varphi
+    # = 0 is the frame's no-twist condition, and |X_s| = h pins theta = -tau s
     d = 1e-6
     rng = np.random.default_rng(7)
-    for _ in range(8):
-        s = rng.uniform(0, 2 * math.pi)
-        phi = rng.uniform(-math.pi, math.pi)
-        Xs = (surface_point(spec, s + d, phi) - surface_point(spec, s - d, phi)) / (2 * d)
-        # varphi = rho0*phi, so d/dvarphi = (1/rho0) d/dphi
-        Xv = (surface_point(spec, s, phi + d) - surface_point(spec, s, phi - d)) / (
-            2 * d * spec.rho0
-        )
-        h = metric_h(spec, s, phi)
-        assert abs(np.linalg.norm(Xv) - 1.0) < 1e-8
-        assert abs(np.linalg.norm(Xs) - h) < 1e-8
-        assert abs(np.dot(Xs, Xv)) < 1e-8
+    for spec in (
+        FIG3,
+        HelixSpec(kappa=0.5, tau=-0.8, rho0=0.1),
+        HelixSpec(kappa=0.0, tau=2.0, rho0=0.1),
+        HelixSpec(kappa=1.0, tau=0.0, rho0=0.1),
+    ):
+        for _ in range(8):
+            s = rng.uniform(0, 2 * math.pi)
+            phi = rng.uniform(-math.pi, math.pi)
+            Xs = (surface_point(spec, s + d, phi) - surface_point(spec, s - d, phi)) / (
+                2 * d
+            )
+            # varphi = rho0*phi, so d/dvarphi = (1/rho0) d/dphi
+            Xv = (surface_point(spec, s, phi + d) - surface_point(spec, s, phi - d)) / (
+                2 * d * spec.rho0
+            )
+            h = metric_h(spec, s, phi)
+            assert abs(np.linalg.norm(Xv) - 1.0) < 1e-8
+            assert abs(np.linalg.norm(Xs) - h) < 1e-8
+            assert abs(np.dot(Xs, Xv)) < 1e-8
 
 
 # -------------------------------------------------------------------- metric

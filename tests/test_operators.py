@@ -318,6 +318,40 @@ def test_screw_shift_with_wrong_twist_sign_changes_every_coefficient():
     assert min(wrong.values()) > 1e-3, wrong
 
 
+def _reflection_change(fn, spec, s, phi):
+    """Largest change of fn under (s, phi) -> (-s, -phi), relative to its size."""
+    a = fn(spec, s, phi)
+    return float(np.max(np.abs(fn(spec, -s, -phi) - a)) / np.max(np.abs(a)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rho0=st.floats(0.05, 1.5),
+    eps=st.floats(0.0, 0.99),
+    log_tau=st.floats(-2.0, 2.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    s0=st.floats(-10.0, 10.0),
+)
+def test_v_eff_is_even_about_the_frame_origin(rho0, eps, log_tau, sign, s0):
+    # v_eff(-s, -phi) reads cos and sin^2 of exactly -xi: equal to the last bit
+    spec = HelixSpec(kappa=eps / rho0, tau=sign * 10.0**log_tau, rho0=rho0)
+    s = s0 + np.linspace(-2.0, 2.0, 16)[:, None]
+    phi = np.linspace(-math.pi, math.pi, 16)[None, :]
+    assert np.array_equal(v_eff(spec, -s, -phi), v_eff(spec, s, phi))
+
+
+def test_v_eff_evenness_catches_an_odd_term():
+    # negative control: a term odd in s of 1e-9 |v| moves it by 2.0e-9
+    def odd(spec, s, phi):
+        v = v_eff(spec, s, phi)
+        return v + 1e-9 * np.abs(v) * np.sin(s)
+
+    s = np.linspace(-2.0, 2.0, 32)[:, None]
+    phi = np.linspace(-math.pi, math.pi, 32)[None, :]
+    assert _reflection_change(v_eff, FIG3, s, phi) == 0.0
+    assert _reflection_change(odd, FIG3, s, phi) > 1e-9
+
+
 # ------------------------------------------------- transformed operator
 
 
@@ -404,6 +438,23 @@ def test_v1_multiplicative_supported_on_single_ray():
             else:
                 assert abs(coef[i, j]) <= bound
     assert on_ray_power > 0.0
+
+
+def test_ray_selection_check_catches_an_off_ray_mode(monkeypatch):
+    # cos(tau s) is grid mode (1, 0), off the ray; at 1e-9 eps kappa^2 its
+    # coefficient is 500 times the tolerance
+    cfg = RunConfig()
+    assert verify.check_ray_selection(cfg)["passed"] is True
+    right = verify.v1_multiplicative
+
+    def off_ray(spec, s, phi):
+        extra = 1e-9 * spec.epsilon * spec.kappa**2 * np.cos(spec.tau * s)
+        return right(spec, s, phi) + extra
+
+    monkeypatch.setattr(verify, "v1_multiplicative", off_ray)
+    check = verify.check_ray_selection(cfg)
+    assert check["passed"] is False
+    assert check["measured"] >= 100 * check["tolerance"]
 
 
 def _v1_true_action(spec, fld):
