@@ -214,6 +214,29 @@ def test_first_fundamental_form():
             assert abs(np.dot(Xs, Xv)) < 1e-8
 
 
+def _rotated_normals(spec, s):
+    """(N, B) read back from the embedding: X(s, phi) = x(s) - rho0 (sin(phi) B
+    + cos(phi) N), so opposite points of a cross-section differ by 2 rho0 N or
+    2 rho0 B."""
+    X = surface_point(spec, s, np.array([0.0, math.pi, math.pi / 2, -math.pi / 2]))
+    return (X[1] - X[0]) / (2 * spec.rho0), (X[3] - X[2]) / (2 * spec.rho0)
+
+
+@pytest.mark.parametrize("kappa,tau", [(1.0, 1.0), (0.5, -0.8), (0.0, 2.0)])
+def test_rotated_frame_has_no_tangential_twist(kappa, tau):
+    # (dN/ds).B must vanish: the rotated frame does not spin about t
+    spec = HelixSpec(kappa=kappa, tau=tau, rho0=0.1)
+    ds = 1e-5
+    for s in (0.0, 0.7, 3.1):
+        Np, _ = _rotated_normals(spec, s + ds)
+        Nm, _ = _rotated_normals(spec, s - ds)
+        N0, B0 = _rotated_normals(spec, s)
+        dN = (Np - Nm) / (2 * ds)
+        assert abs(np.dot(dN, B0)) < 1e-8
+        # and dN/ds stays parallel to t
+        assert abs(np.dot(dN, N0)) < 1e-8
+
+
 # -------------------------------------------------------------------- metric
 
 
