@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .geometry import HelixSpec
 from .operators import spectral_offset
@@ -234,6 +233,9 @@ def two_band_hessian(spec: HelixSpec, k, band: int) -> np.ndarray:
     f = sqrt(D^2 + U^2(q0)), D = K.k + K^2/2, so the Hessian is
     2 I -+ f'' with f'' assembled from D, U^2 and its q0-derivatives.
     """
+    # imported by its one user, so that no subcommand loads numpy.polynomial
+    from numpy.polynomial import Polynomial
+
     if band not in (0, 1):
         raise ValueError("band must be 0 (lower) or 1 (upper)")
     kv = k_components(spec, k)

@@ -16,6 +16,12 @@ s-rows at a time and format each distinct value of a column once per
 block: the tables depend on ``(s, phi)`` through the helical phase, so
 most columns repeat a few hundred values.
 
+Each subcommand imports the modules it runs when it runs.  This module
+loads only ``geometry``, which parsing and validating a configuration
+need: ``potential`` adds ``operators``, ``bands`` and ``gap-scan`` add
+``bloch`` and ``oracle``, and ``verify`` and ``cylinder-check`` add
+``verify``.
+
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (a request over one of the oracle's desk-scale caps included, and a
 ``tau``, ``kappa`` or ``1/rho0`` whose fourth power overflows: energies
@@ -33,6 +39,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,10 +51,9 @@ from .geometry import (
     surface_point,
     v_curv,
 )
-from .operators import spectral_offset, v_eff, v_kin
-from .bloch import BlochVector, origin_fit, two_band_gap
-from .oracle import CapExceeded, ConvergenceFailure, band_sweep, gap_perturbed
-from . import verify as _verify
+
+if TYPE_CHECKING:
+    from .bloch import BlochVector
 
 HBAR = 1.054571817e-34  # J s
 
@@ -138,6 +144,8 @@ class RunConfig:
         return self.kpath_end
 
     def kpath_points(self) -> list[BlochVector]:
+        from .bloch import BlochVector
+
         ks = np.linspace(
             self.kpath_start, self.resolved_kpath_end(), self.kpath_count
         )
@@ -329,6 +337,8 @@ def cmd_geometry(cfg: RunConfig) -> int:
 
 
 def cmd_potential(cfg: RunConfig) -> int:
+    from .operators import v_eff, v_kin
+
     spec = cfg.spec()
     out = Path(cfg.out_dir)
     scale = cfg.energy_scale()
@@ -343,6 +353,10 @@ def cmd_potential(cfg: RunConfig) -> int:
 
 
 def cmd_bands(cfg: RunConfig) -> int:
+    from .operators import spectral_offset
+    from .bloch import two_band_gap
+    from .oracle import band_sweep, gap_perturbed
+
     spec = cfg.spec()
     out = Path(cfg.out_dir)
     scale = cfg.energy_scale()
@@ -388,6 +402,9 @@ def cmd_bands(cfg: RunConfig) -> int:
 
 
 def cmd_gap_scan(cfg: RunConfig) -> int:
+    from .bloch import origin_fit, two_band_gap
+    from .oracle import gap_perturbed
+
     if not cfg.eps_sweep:
         raise ConfigError("gap-scan needs a non-empty epsilon sweep")
     if any(eps > 0 for eps in cfg.eps_sweep) and cfg.kappa <= 0.0:
@@ -434,9 +451,11 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
 
 def cmd_cylinder_check(cfg: RunConfig) -> int:
     """Straight-tube exact oracle vs the separable closed form."""
+    from .verify import cylinder_error
+
     spec0 = HelixSpec(kappa=0.0, tau=cfg.tau, rho0=cfg.rho0)
     n_lowest = 7
-    err = _verify.cylinder_error(spec0, n_lowest)
+    err = cylinder_error(spec0, n_lowest)
     print(
         f"cylinder check: max relative error {err:.3e} over {n_lowest} levels "
         f"(exact helical-momentum oracle at k_s = 0)"
@@ -445,7 +464,9 @@ def cmd_cylinder_check(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    report = _verify.run_verification(cfg)
+    from .verify import run_verification
+
+    report = run_verification(cfg)
     write_json(Path(cfg.out_dir) / "verify.json", report)
     for check in report["checks"]:
         status = "ok  " if check["passed"] else "FAIL"
@@ -492,6 +513,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _oracle():
+    """The oracle module, for its error types: imported only once an
+    exception reaches `main`, so a run that needs no oracle loads none."""
+    from . import oracle
+
+    return oracle
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -501,10 +530,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, CapExceeded) as exc:
+    except (ConfigError, _oracle().CapExceeded) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceFailure as exc:
+    except _oracle().ConvergenceFailure as exc:
         print(f"eigensolver failure: {exc}", file=sys.stderr)
         return 3
 

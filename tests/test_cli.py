@@ -26,7 +26,7 @@ from helitube.geometry import (
     v_curv,
 )
 from helitube.operators import v_eff, v_kin
-from helitube.oracle import ConvergenceFailure, assemble_perturbed
+from helitube.oracle import CapExceeded, ConvergenceFailure, assemble_perturbed
 
 HBAR = 1.054571817e-34
 
@@ -369,6 +369,55 @@ def test_verify_loads_no_numpy_random(tmp_path):
     assert _fresh_python(probe).stdout.split()[-1] == "False"
 
 
+ALL_MODULES = ["bloch", "cli", "geometry", "operators", "oracle", "verify"]
+
+
+# the helitube modules each subcommand loads: the ones it runs
+@pytest.mark.parametrize("argv, loaded", [
+    (["geometry", "--grid", "8x8"], ["cli", "geometry"]),
+    (["potential", "--grid", "8x8"], ["cli", "geometry", "operators"]),
+    (["bands", "--kpath", "0:-0.5:3"],
+     ["bloch", "cli", "geometry", "operators", "oracle"]),
+    (["gap-scan", "--eps-sweep", "0.1"],
+     ["bloch", "cli", "geometry", "operators", "oracle"]),
+    (["cylinder-check"], ALL_MODULES),
+    # control: the probe sees every module a run loads
+    (["verify"], ALL_MODULES),
+], ids=["geometry", "potential", "bands", "gap-scan", "cylinder-check", "verify"])
+def test_subcommand_loads_only_what_it_runs(tmp_path, argv, loaded):
+    probe = (
+        "import json, sys; from helitube.cli import main; "
+        f"rc = main({argv + ['--out', str(tmp_path)]!r}); "
+        "print(json.dumps([rc, sorted(m.split('.')[1] for m in sys.modules "
+        "if m.startswith('helitube.')), 'numpy.polynomial' in sys.modules]))"
+    )
+    rc, modules, polynomial = json.loads(_fresh_python(probe).stdout.splitlines()[-1])
+    assert (rc, modules, polynomial) == (0, loaded, False)
+
+
+def test_numpy_polynomial_probe_sees_two_band_hessian():
+    # negative control: the probe above does see the import it guards against
+    probe = ("import sys, helitube; "
+             "helitube.two_band_hessian(helitube.HelixSpec(1.0, 1.0, 0.1), (0.1, 0.0), 0); "
+             "print('numpy.polynomial' in sys.modules)")
+    assert _fresh_python(probe).stdout.split()[-1] == "True"
+
+
+def test_import_helitube_loads_no_submodule():
+    # names resolve on first use, then stay in the package namespace
+    probe = (
+        "import json, sys, helitube; "
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('helitube')); "
+        "before = loaded(); helitube.BlochVector; "
+        "print(json.dumps([before, loaded(), 'BlochVector' in vars(helitube)]))"
+    )
+    before, after, cached = json.loads(_fresh_python(probe).stdout.splitlines()[-1])
+    assert before == ["helitube"]
+    assert after == ["helitube", "helitube.bloch", "helitube.geometry",
+                     "helitube.operators"]
+    assert cached
+
+
 def test_strong_helix_verify_peaks_under_110_mb(tmp_path):
     # eps = 0.96 sizes the operator identity's grid at 484x484, the largest
     # under its node cap; taken one field at a time the run peaks near 81 MB
@@ -483,7 +532,8 @@ def test_bands_solver_failure_exit_code(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise ConvergenceFailure("synthetic failure")
 
-    monkeypatch.setattr("helitube.cli.band_sweep", boom)
+    # cmd_bands imports band_sweep from the oracle when it runs
+    monkeypatch.setattr("helitube.oracle.band_sweep", boom)
     rc = main(BANDS_SMALL + ["--out", str(tmp_path)])
     assert rc == 3
 
@@ -528,6 +578,17 @@ def test_harmonics_flag_and_key_are_gone(tmp_path, capsys):
     assert main(["gap-scan", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
     assert "n_harmonics" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_gap_scan_cap_exceeded_exit_code(tmp_path, monkeypatch, capsys):
+    def over_cap(*args, **kwargs):
+        raise CapExceeded("synthetic cap")
+
+    # main maps the oracle's errors without importing them up front
+    monkeypatch.setattr("helitube.oracle.gap_perturbed", over_cap)
+    rc = main(["gap-scan", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "synthetic cap" in capsys.readouterr().err
 
 
 def test_gap_scan_window_storage_cap_is_config_error(tmp_path, capsys):
@@ -657,6 +718,12 @@ def test_config_error_exit_codes(tmp_path):
 def test_build_config_validation_direct():
     cfg = RunConfig(eps_sweep=(0.5, 0.9))
     cfg.validate()
+    parser = cli._build_parser()
+    with pytest.raises(ConfigError):
+        build_config(parser.parse_args(["gap-scan", "--eps-sweep", "1.5"]))
+    argv = ["bands", "--kappa", "0.7", "--grid", "8x6", "--eps-sweep", "0.5,0.9"]
+    assert build_config(parser.parse_args(argv)) == RunConfig(
+        kappa=0.7, n_s=8, n_phi=6, eps_sweep=(0.5, 0.9))
     with pytest.raises(ConfigError):
         RunConfig(eps_sweep=(1.5,)).validate()
     with pytest.raises(ConfigError):

@@ -68,3 +68,16 @@ def test_modules_import_no_private_names_from_each_other():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from helitube import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(helitube.__all__)
+    assert set(helitube.__all__) <= set(dir(helitube))
+    from helitube import BlochVector, HelixSpec, assemble_full, eigensolve
+
+    assert (BlochVector, HelixSpec, assemble_full, eigensolve) == (
+        bloch.BlochVector, geometry.HelixSpec, oracle.assemble_full,
+        oracle.eigensolve)

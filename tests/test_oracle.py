@@ -539,14 +539,17 @@ def test_continuum_matches_the_grid_on_a_mirror_helix():
     k_frac=st.floats(-1.0, 1.0),
 )
 @example(rho0=1 / 3, eps=0.5, tau=1.93359375, sign=1.0, k_frac=0.5)
+@example(rho0=0.2804237294512709, eps=0.15625, tau=1.958984375, sign=1.0,
+         k_frac=0.30078125)
 def test_continuum_matches_the_grid_richardson_limit(rho0, eps, tau, sign, k_frac):
     spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0)
     k_s = k_frac * tau / 2
-    # on 48/96: the 32-node grid is not yet in its h^2 regime for every
-    # level; at the example (k_s = tau/4) its 4th level moves 0.038 then
-    # 0.0056 under refinement, and 32/64 misses by 8.1e-4, 48/96 by 4.7e-5,
-    # 64/128 by 1.6e-7; worst of 200 uniform draws on 48/96 4.8e-6
-    exact, rich = _continuum(spec, k_s), _richardson(spec, k_s, 4, (48, 96))
+    # on 64/128: coarser grids are not yet in their h^2 regime for every
+    # level.  At the first example (k_s = tau/4) the 4th level misses by
+    # 8.1e-4 on 32/64, 4.7e-5 on 48/96 and 1.6e-7 on 64/128; at the second
+    # by 2.1e-3, 6.5e-4 (over the bound), 6.6e-5 and, on 96/192, 1.7e-8;
+    # worst of 250 uniform draws on 64/128 1.4e-6
+    exact, rich = _continuum(spec, k_s), _richardson(spec, k_s, 4, (64, 128))
     assert np.max(np.abs(exact - rich)) <= 5e-4 * np.max(np.abs(exact))
 
 
