@@ -33,8 +33,7 @@ _EXPORTS = {
         "v1_multiplicative", "v_eff", "v_kin", "wavefield_norm",
     ),
     "bloch": (
-        "SOURCE_TAGS", "BandStructure", "BlochVector",
-        "NearResonance", "OutOfValidity", "SingularMass",
+        "BlochVector", "NearResonance", "OutOfValidity", "SingularMass",
         "cylinder_limit_energies", "effective_mass",
         "first_order_energies", "first_order_u", "k_components",
         "near_boundary_expansion", "origin_fit", "ray_amplitude", "ray_vector",
@@ -44,8 +43,9 @@ _EXPORTS = {
     "oracle": (
         "GRID_2D", "CapExceeded", "ConvergenceFailure",
         "DiscretizedHamiltonian", "SpectrumResult", "assemble_full",
-        "assemble_perturbed", "band_sweep", "continuum_levels", "eigensolve",
-        "fourier_decay_rate", "gap_perturbed", "screw_eigenvalues",
+        "assemble_perturbed", "continuum_levels", "eigensolve",
+        "fourier_decay_rate", "gap_perturbed", "perturbed_levels",
+        "screw_eigenvalues",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -20,8 +20,7 @@ and every U^2 is its square.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,11 +38,6 @@ class OutOfValidity(ValueError):
 
 class SingularMass(ValueError):
     """Band Hessian is numerically singular; no finite mass tensor."""
-
-
-SOURCE_TAGS = frozenset(
-    {"TWO_BAND", "ORACLE_PERTURBED", "ORACLE_FULL"}
-)
 
 
 @dataclass(frozen=True)
@@ -281,27 +275,3 @@ def cylinder_limit_energies(spec: HelixSpec, n: int, l: int, L: float) -> float:
         raise ValueError("tube length L must be positive (math.inf allowed)")
     return (n * n - 0.25) * (1.0 / spec.rho0) ** 2 + (l * math.pi / L) ** 2
 
-
-# --------------------------------------------------------------------------
-# band containers
-
-
-@dataclass
-class BandStructure:
-    """Sorted energies per k-point along a path, tagged with their source."""
-
-    kpath: Sequence[BlochVector]
-    energies: np.ndarray
-    source: str
-    detail: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.energies = np.asarray(self.energies, dtype=float)
-        if self.energies.ndim != 2 or self.energies.shape[0] != len(self.kpath):
-            raise ValueError("energies must be (n_k, n_bands) matching the path")
-        if not np.all(np.isfinite(self.energies)):
-            raise ValueError("energies must be finite")
-        if np.any(np.diff(self.energies, axis=1) < 0):
-            raise ValueError("energies must be sorted ascending per k-point")
-        if self.source not in SOURCE_TAGS:
-            raise ValueError(f"unknown source tag {self.source!r}")

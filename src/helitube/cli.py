@@ -25,7 +25,8 @@ need: ``potential`` adds ``operators``, ``bands`` and ``gap-scan`` add
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (a request over one of the oracle's desk-scale caps included, and a
 ``tau``, ``kappa`` or ``1/rho0`` whose fourth power overflows: energies
-scale as its square and are squared again), 3 eigensolver failure.
+scale as its square and are squared again, and an output directory or
+file that cannot be created or written), 3 eigensolver failure.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import sys
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,9 +51,6 @@ from .geometry import (
     surface_point,
     v_curv,
 )
-
-if TYPE_CHECKING:
-    from .bloch import BlochVector
 
 HBAR = 1.054571817e-34  # J s
 
@@ -143,13 +140,11 @@ class RunConfig:
             return -abs(self.tau) / 2
         return self.kpath_end
 
-    def kpath_points(self) -> list[BlochVector]:
-        from .bloch import BlochVector
-
-        ks = np.linspace(
+    def kpath_points(self) -> list[float]:
+        """The k_s of the path, evenly spaced from start to end."""
+        return np.linspace(
             self.kpath_start, self.resolved_kpath_end(), self.kpath_count
-        )
-        return [BlochVector(float(k)) for k in ks]
+        ).tolist()
 
     def energy_scale(self) -> float:
         """1 in natural units; hbar^2/(2 mu) when units = physical:<mu>."""
@@ -203,8 +198,8 @@ _CONVERTERS = {
 def parse_config_file(path: str) -> dict:
     """Flat key = value lines, # comments, unknown keys rejected."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -354,18 +349,18 @@ def cmd_potential(cfg: RunConfig) -> int:
 
 def cmd_bands(cfg: RunConfig) -> int:
     from .operators import spectral_offset
-    from .bloch import two_band_gap
-    from .oracle import band_sweep, gap_perturbed
+    from .bloch import two_band_energies, two_band_gap
+    from .oracle import continuum_levels, gap_perturbed, perturbed_levels
 
     spec = cfg.spec()
     out = Path(cfg.out_dir)
     scale = cfg.energy_scale()
-    path = cfg.kpath_points()
-    full = band_sweep(spec, path, "ORACLE_FULL")
-    tb = band_sweep(spec, path, "TWO_BAND")
-    pert = band_sweep(spec, path, "ORACLE_PERTURBED")
-    energies = scale * np.hstack([tb.energies, pert.energies, full.energies])
-    rows = [[fmt(k.k_s), "0", *map(fmt, row)] for k, row in zip(path, energies)]
+    ks = cfg.kpath_points()
+    full, detail = continuum_levels(spec, ks, 2)
+    tb = np.array([two_band_energies(spec, (k_s, 0.0)) for k_s in ks])
+    pert = perturbed_levels(spec, ks, 2)
+    energies = scale * np.hstack([tb, pert, full])
+    rows = [[fmt(k_s), "0", *map(fmt, row)] for k_s, row in zip(ks, energies)]
     write_csv(
         out / "bands.csv",
         "k_s,n,E_twoband_1,E_twoband_2,E_oracle_pert_1,E_oracle_pert_2,"
@@ -378,7 +373,7 @@ def cmd_bands(cfg: RunConfig) -> int:
         "units": cfg.units,
         "oracle_full": {
             "oracle": "plane waves in helical momentum sectors p = k_s + M*tau",
-            **full.detail,
+            **detail,
         },
         "kpath": {
             "start": cfg.kpath_start,
@@ -389,11 +384,11 @@ def cmd_bands(cfg: RunConfig) -> int:
         "gap_oracle_pert": scale * gap_perturbed(spec),
         "agreement": {
             "max_abs_diff_twoband_vs_pert": scale
-            * float(np.max(np.abs(tb.energies - pert.energies[:, :2]))),
+            * float(np.max(np.abs(tb - pert))),
             "max_abs_diff_pert_vs_full_lowest_band": scale
-            * float(np.max(np.abs(pert.energies[:, 0] - full.energies[:, 0]))),
+            * float(np.max(np.abs(pert[:, 0] - full[:, 0]))),
             "mean_offset_pert_minus_full_lowest_band": scale
-            * float(np.mean(pert.energies[:, 0] - full.energies[:, 0])),
+            * float(np.mean(pert[:, 0] - full[:, 0])),
         },
     }
     write_json(out / "summary.json", summary)
@@ -530,6 +525,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](cfg)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, _oracle().CapExceeded) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

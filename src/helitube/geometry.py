@@ -57,7 +57,13 @@ class DegeneratePeriod(ValueError):
 
 
 class EmbeddingViolation(ValueError):
-    """rho0*kappa >= 1: the tube surface would self-intersect (h <= 0)."""
+    """rho0*kappa >= 1: h = 1 + eps cos(theta + phi) reaches 0, so the
+    tube is not even locally embedded.
+
+    rho0*kappa < 1 is only the local condition: a tube that passes it can
+    still run into its next turn once rho0 exceeds the helix's reach
+    (kappa 9, tau 1, rho0 0.1 has reach 0.0381), and that is not checked.
+    """
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,12 @@ those of the same helical momentum p = q + tau n, through the matrix
     H[n', n] = q_n' w[n' - n] q_n + (n/rho0)^2 delta + v[n' - n]
 
 (_lattice; q_n = p - tau n, w and v the Fourier coefficients of h^-2 and
-of the potential in xi).  continuum_levels (ORACLE_FULL) feeds it the
-exact coefficients and solves the sectors p = k_s + M tau, the helical
+of the potential in xi).  continuum_levels feeds it the exact
+coefficients and solves the sectors p = k_s + M tau, the helical
 reduction standard for nanotube bands; assemble_perturbed returns it, a
 plain real symmetric array, fed the paper's stated first-order table on
-the coupling ray (ORACLE_PERTURBED).  Both keep the window of
+the coupling ray, and perturbed_levels solves those matrices along a
+k-path.  Both tables keep the window of
 _n_modes(spec) modes each side, so the truncation follows the spec and
 is set in one place.  A second-order
 finite-difference grid on the (s, varphi) unit cell stays as the
@@ -39,14 +40,7 @@ import numpy as np
 
 from .geometry import DegeneratePeriod, HelixSpec, grid_nodes, metric_h
 from .operators import spectral_offset, v_eff
-from .bloch import (
-    SOURCE_TAGS,
-    BandStructure,
-    k_components,
-    stated_table,
-    two_band_energies,
-    zone_boundary_k,
-)
+from .bloch import k_components, stated_table, zone_boundary_k
 
 GRID_2D = "GRID_2D"
 
@@ -332,35 +326,15 @@ def eigensolve(H: DiscretizedHamiltonian, n_lowest: int) -> SpectrumResult:
 
 
 # --------------------------------------------------------------------------
-# band sweeps
+# stated-table levels
 
 
-def band_sweep(
-    spec: HelixSpec,
-    kpath,
-    source: str,
-    n_bands: int = 2,
-) -> BandStructure:
-    """Lowest bands along a k-path with the requested method; ORACLE_FULL
-    keeps what continuum_levels reports about its truncation in `detail`."""
-    if source not in SOURCE_TAGS:
-        raise ValueError(f"unknown source tag {source!r}")
-    if source == "TWO_BAND" and n_bands > 2:
-        raise ValueError("the two-band model has exactly 2 bands")
-    ks = [k_components(spec, k)[0] for k in kpath]
-    for k_s in ks:
-        if abs(k_s) > abs(spec.tau) / 2 * (1 + 1e-12):
-            raise ValueError(f"k_s = {k_s} outside the first zone")
-    if source == "ORACLE_FULL":
-        levels, detail = continuum_levels(spec, ks, n_bands)
-        return BandStructure(list(kpath), levels, source, detail)
-    if source == "TWO_BAND":
-        rows = [two_band_energies(spec, k)[:n_bands] for k in kpath]
-    else:
-        H = np.stack([assemble_perturbed(spec, k) for k in kpath])
-        # n_bands is checked against one matrix's dimension
-        rows = _dense_eigh(H, n_bands * len(H))[:, :n_bands]
-    return BandStructure(list(kpath), np.vstack(rows), source)
+def perturbed_levels(spec: HelixSpec, ks, n_bands: int) -> np.ndarray:
+    """Lowest n_bands levels of the assemble_perturbed matrix at each Bloch
+    k_s (k_varphi = 0), from one stacked eigvalsh along the path."""
+    H = np.stack([assemble_perturbed(spec, (k_s, 0.0)) for k_s in ks])
+    # n_bands is checked against one matrix's dimension
+    return _dense_eigh(H, n_bands * len(H))[:, :n_bands]
 
 
 def gap_perturbed(spec: HelixSpec) -> float:

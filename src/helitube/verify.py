@@ -134,7 +134,7 @@ def check_screw_reduction(cfg) -> dict:
 
 
 def check_continuum_oracle(cfg) -> dict:
-    """ORACLE_FULL vs the grid's Richardson (4 E_64 - E_32)/3, lowest 4
+    """continuum_levels vs the grid's Richardson (4 E_64 - E_32)/3, lowest 4
     levels of FIG3 at k_s = -0.3."""
     probe = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
     k = BlochVector(-0.3, 0)

@@ -7,7 +7,6 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from helitube.bloch import (
-    BandStructure,
     BlochVector,
     NearResonance,
     OutOfValidity,
@@ -364,22 +363,3 @@ def test_cylinder_limit_preconditions():
         cylinder_limit_energies(spec, 0, 0, 1.0)  # l must be positive
     with pytest.raises(ValueError):
         cylinder_limit_energies(spec, 0, 1, -2.0)
-
-
-# ------------------------------------------------------------ band structure
-
-
-def test_band_structure_validation():
-    path = [BlochVector(0.0, 0), BlochVector(-0.25, 0)]
-    bs = BandStructure(path, np.array([[1.0, 2.0], [0.5, 0.7]]), "TWO_BAND")
-    assert bs.energies.shape == (2, 2)
-    for tag in ("ORACLE_PERTURBED", "ORACLE_FULL"):
-        BandStructure(path, np.array([[1.0, 2.0], [0.5, 0.7]]), tag)
-    # the perturbative bands are first_order_energies, not a sweep source
-    for tag in ("FIRST_ORDER", "GUESS"):
-        with pytest.raises(ValueError):
-            BandStructure(path, np.array([[1.0, 2.0], [0.5, 0.7]]), tag)
-    with pytest.raises(ValueError):
-        BandStructure(path, np.array([[2.0, 1.0], [0.5, 0.7]]), "TWO_BAND")
-    with pytest.raises(ValueError):
-        BandStructure(path, np.array([[1.0, 2.0]]), "TWO_BAND")

@@ -532,8 +532,8 @@ def test_bands_solver_failure_exit_code(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise ConvergenceFailure("synthetic failure")
 
-    # cmd_bands imports band_sweep from the oracle when it runs
-    monkeypatch.setattr("helitube.oracle.band_sweep", boom)
+    # cmd_bands imports continuum_levels from the oracle when it runs
+    monkeypatch.setattr("helitube.oracle.continuum_levels", boom)
     rc = main(BANDS_SMALL + ["--out", str(tmp_path)])
     assert rc == 3
 
@@ -713,6 +713,31 @@ def test_config_error_exit_codes(tmp_path):
     assert main(["geometry", "--config", str(bad), "--out", str(tmp_path)]) == 2
     missing = tmp_path / "nope.cfg"
     assert main(["geometry", "--config", str(missing), "--out", str(tmp_path)]) == 2
+
+
+def test_undecodable_config_file_is_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes(b"kappa = 1.0\n\xff\n")
+    assert main(["bands", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read config file {cfgfile}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-file"])
+def test_uncreatable_output_is_exit_code_2(tmp_path, capsys, below):
+    # --out names a regular file, or a path under one: one stderr line, exit 2
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker.joinpath(*below)
+    assert main(["gap-scan", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
 
 
 def test_build_config_validation_direct():

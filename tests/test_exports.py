@@ -1,12 +1,15 @@
 """Advertised names resolve, and removed names stay removed."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import helitube
 from helitube import bloch, geometry, operators, oracle
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("module", [helitube, geometry, operators],
@@ -48,6 +51,9 @@ _REMOVED = {
     "FrameSample": geometry,
     "frenet_frame": geometry,
     "rotated_frame": geometry,
+    "band_sweep": oracle,
+    "BandStructure": bloch,
+    "SOURCE_TAGS": bloch,
 }
 
 
@@ -81,3 +87,12 @@ def test_star_import_binds_exactly_all():
     assert (BlochVector, HelixSpec, assemble_full, eigensolve) == (
         bloch.BlochVector, geometry.HelixSpec, oracle.assemble_full,
         oracle.eigensolve)
+
+
+def test_readme_library_example_prints_what_it_says(capsys):
+    # the README's one python block: each print's trailing comment is its output
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    want = [line.split("# ", 1)[1] for line in block.splitlines()
+            if line.startswith("print(")]
+    exec(block, {})
+    assert want and capsys.readouterr().out.splitlines() == want

@@ -34,11 +34,11 @@ from helitube.oracle import (
     SpectrumResult,
     assemble_full,
     assemble_perturbed,
-    band_sweep,
     continuum_levels,
     eigensolve,
     fourier_decay_rate,
     gap_perturbed,
+    perturbed_levels,
     screw_eigenvalues,
 )
 
@@ -511,13 +511,12 @@ def _richardson(spec, k_s, n_lowest, grids=(32, 64)):
 
 
 def _continuum(spec, k_s, n_bands=4):
-    return band_sweep(spec, [BlochVector(k_s, 0)], "ORACLE_FULL", n_bands).energies[0]
+    return continuum_levels(spec, [k_s], n_bands)[0][0]
 
 
 def test_continuum_matches_the_fig3_reference_table():
     ref = np.loadtxt(REFERENCE, delimiter=",", skiprows=1)
-    path = [BlochVector(float(k), 0) for k in ref[:, 1]]
-    got = band_sweep(FIG3, path, "ORACLE_FULL").energies
+    got = continuum_levels(FIG3, ref[:, 1], 2)[0]
     # the table is Richardson 16^2/32^2; the exact levels sit 6.9e-7 from it
     assert np.max(np.abs(got - ref[:, 2:4]) / np.abs(ref[:, 2:4])) <= 1e-6
 
@@ -678,11 +677,11 @@ def test_continuum_truncation_is_stable(spec, monkeypatch):
 
 def test_continuum_guards():
     with pytest.raises(DegeneratePeriod):
-        band_sweep(HelixSpec(1.0, 0.0, 0.1), [BlochVector(0.0, 0)], "ORACLE_FULL")
+        continuum_levels(HelixSpec(1.0, 0.0, 0.1), [0.0], 2)
     # eps -> 1 needs more transverse modes than the storage cap allows
     nearly_flat = HelixSpec(kappa=0.999999, tau=1.0, rho0=1.0)
     with pytest.raises(ValueError, match="cap"):
-        band_sweep(nearly_flat, [BlochVector(0.0, 0)], "ORACLE_FULL")
+        continuum_levels(nearly_flat, [0.0], 2)
 
 
 def test_continuum_sector_cap_raises_at_once(monkeypatch):
@@ -944,20 +943,19 @@ def test_perturbed_free_diagonal():
 
 
 def test_perturbed_band_sweep_is_one_solve_per_kpoint():
-    # band_sweep solves the path's ray matrices in one stacked eigvalsh; each
-    # row is exactly the lowest n_bands of its own matrix's solve
+    # perturbed_levels solves the path's ray matrices in one stacked eigvalsh;
+    # each row is exactly the lowest n_bands of its own matrix's solve
     for spec in (FIG3, HelixSpec(kappa=0.7, tau=-1.3, rho0=0.3)):
-        path = [BlochVector(f * abs(spec.tau), 0) for f in np.linspace(0, -0.5, 7)]
+        ks = [f * abs(spec.tau) for f in np.linspace(0, -0.5, 7)]
         for n_bands in (2, 5):
-            got = band_sweep(spec, path, "ORACLE_PERTURBED", n_bands).energies
-            for k, row in zip(path, got):
-                want = np.linalg.eigvalsh(assemble_perturbed(spec, k))[:n_bands]
-                assert np.array_equal(row, want)
+            got = perturbed_levels(spec, ks, n_bands)
+            for k_s, row in zip(ks, got):
+                want = np.linalg.eigvalsh(assemble_perturbed(spec, (k_s, 0.0)))
+                assert np.array_equal(row, want[:n_bands])
     # n_bands is checked against one matrix (FIG3's window is 17), not the stack
-    path = [BlochVector(0.0, 0), BlochVector(-0.25, 0)]
-    assert band_sweep(FIG3, path, "ORACLE_PERTURBED", 17).energies.shape == (2, 17)
+    assert perturbed_levels(FIG3, [0.0, -0.25], 17).shape == (2, 17)
     with pytest.raises(ValueError, match="n_lowest"):
-        band_sweep(FIG3, path, "ORACLE_PERTURBED", 18)
+        perturbed_levels(FIG3, [0.0, -0.25], 18)
 
 
 def test_perturbed_hermitian_and_minimum_size():
@@ -1088,13 +1086,13 @@ def test_band_sweep_free_folded_parabolas():
     # stay on the k <= 0 side, where k + K1 is the nearest fold and the
     # second ray band is the one the two-band model describes
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)
-    path = [BlochVector(k, 0) for k in (-0.4, -0.3, -0.2, 0.0)]
-    tb = band_sweep(spec, path, "TWO_BAND")
-    pert = band_sweep(spec, path, "ORACLE_PERTURBED")
+    ks = [-0.4, -0.3, -0.2, 0.0]
+    tb = np.array([two_band_energies(spec, (k_s, 0.0)) for k_s in ks])
+    pert = perturbed_levels(spec, ks, 2)
     a = spectral_offset(spec)
-    for i, k in enumerate(path):
-        assert tb.energies[i, 0] == pytest.approx(k.k_s**2 - a, rel=1e-12)
-    np.testing.assert_allclose(tb.energies, pert.energies[:, :2], rtol=1e-10)
+    for i, k_s in enumerate(ks):
+        assert tb[i, 0] == pytest.approx(k_s**2 - a, rel=1e-12)
+    np.testing.assert_allclose(tb, pert, rtol=1e-10)
 
 
 def test_band_sweep_first_order_free_limit():
@@ -1106,21 +1104,11 @@ def test_band_sweep_first_order_free_limit():
 
 def test_band_sweep_first_order_near_interior_matches_ray_matrix():
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.02)
-    path = [BlochVector(0.1, 0), BlochVector(-0.2, 0)]
-    fo = np.array([first_order_energies(spec, k, 2) for k in path])
-    pert = band_sweep(spec, path, "ORACLE_PERTURBED")
-    diff = np.max(np.abs(fo[:, 0] - pert.energies[:, 0]))
+    ks = [0.1, -0.2]
+    fo = np.array([first_order_energies(spec, (k_s, 0.0), 2) for k_s in ks])
+    pert = perturbed_levels(spec, ks, 2)
+    diff = np.max(np.abs(fo[:, 0] - pert[:, 0]))
     assert diff <= 1e-6
-
-
-def test_band_sweep_rejects_bad_input():
-    spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)
-    with pytest.raises(ValueError):
-        band_sweep(spec, [BlochVector(0.9, 0)], "TWO_BAND")  # outside zone
-    with pytest.raises(ValueError):
-        band_sweep(spec, [BlochVector(0.0, 0)], "DIAGONALIZE_HARDER")
-    with pytest.raises(ValueError):  # first_order_energies, not a sweep source
-        band_sweep(spec, [BlochVector(0.0, 0)], "FIRST_ORDER")
 
 
 def test_band_sweep_first_order_raises_at_boundary():
@@ -1144,10 +1132,10 @@ def test_full_vs_perturbed_lowest_band_offset():
     # operator's order-eps average vanishes; the lowest bands differ by just
     # that constant up to O(eps^2)
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
-    path = [BlochVector(k, 0) for k in (-0.4, -0.2, 0.0, 0.2, 0.4)]
-    full = band_sweep(spec, path, "ORACLE_FULL")
-    pert = band_sweep(spec, path, "ORACLE_PERTURBED")
-    diff = pert.energies[:, 0] - full.energies[:, 0]
+    ks = [-0.4, -0.2, 0.0, 0.2, 0.4]
+    full, _ = continuum_levels(spec, ks, 2)
+    pert = perturbed_levels(spec, ks, 2)
+    diff = pert[:, 0] - full[:, 0]
     shift = spec.epsilon * spec.kappa**2 / 4
     print(f"lowest-band offset: max {np.max(np.abs(diff)):.6e}, shift {shift:.6e}")
     assert np.max(np.abs(diff - shift)) <= 3 * spec.epsilon * shift
@@ -1161,10 +1149,10 @@ def test_full_vs_perturbed_lowest_band_offset():
 )
 def test_full_vs_perturbed_lowest_band_as_stated():
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
-    path = [BlochVector(k, 0) for k in (-0.4, -0.2, 0.0, 0.2, 0.4)]
-    full = band_sweep(spec, path, "ORACLE_FULL")
-    pert = band_sweep(spec, path, "ORACLE_PERTURBED")
-    diff = np.max(np.abs(full.energies[:, 0] - pert.energies[:, 0]))
+    ks = [-0.4, -0.2, 0.0, 0.2, 0.4]
+    full, _ = continuum_levels(spec, ks, 2)
+    pert = perturbed_levels(spec, ks, 2)
+    diff = np.max(np.abs(full[:, 0] - pert[:, 0]))
     assert diff <= 5 * spec.epsilon**2
 
 
