@@ -10,9 +10,11 @@ oracle     plane-wave lattice eigensolvers at fixed helical momentum
 cli        deterministic CSV/JSON artifact generation
 verify     self-check suite behind `helitube verify`
 
-Every name in ``__all__`` resolves on first use: ``import helitube``
-loads no submodule, and ``helitube.X`` (or ``from helitube import X``)
-imports X's home module then, and keeps X in the package namespace.
+``_EXPORTS`` is the one list of the public API; no submodule declares
+``__all__``.  Every name in ``__all__`` resolves on first use: ``import
+helitube`` loads no submodule, and ``helitube.X`` (or ``from helitube
+import X``) imports X's home module then, and keeps X in the package
+namespace.
 """
 
 from importlib import import_module
@@ -23,13 +25,11 @@ _EXPORTS = {
         "DegenerateCurve", "DegeneratePeriod", "EmbeddingViolation",
         "HelixSpec", "grid_nodes", "helical_phase", "metric_h",
         "principal_curvatures", "rotation_angle", "surface_point", "v_curv",
-        "weingarten",
     ),
     "operators": (
         "PHI", "PSI", "GaugeMismatch", "WaveField",
         "apply_laplace_beltrami", "apply_transformed_operator", "band_limited",
-        "laplace_beltrami_expanded", "normalize", "random_band_limited",
-        "spectral_derivative", "spectral_offset", "v1_apply",
+        "normalize", "spectral_derivative", "spectral_offset", "v1_apply",
         "v1_multiplicative", "v_eff", "v_kin", "wavefield_norm",
     ),
     "bloch": (

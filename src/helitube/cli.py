@@ -23,10 +23,12 @@ need: ``potential`` adds ``operators``, ``bands`` and ``gap-scan`` add
 ``verify``.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
-(a request over one of the oracle's desk-scale caps included, and a
-``tau``, ``kappa`` or ``1/rho0`` whose fourth power overflows: energies
-scale as its square and are squared again, and an output directory or
-file that cannot be created or written), 3 eigensolver failure.
+(a request over one of the oracle's desk-scale caps included, a ``tau``,
+``kappa`` or ``1/rho0`` whose fourth power overflows: energies scale as
+its square and are squared again, the same for a gap-scan helix's swept
+radius, an energy that overflows in physical units, and an output
+directory or file that cannot be created or written), 3 eigensolver
+failure.
 """
 
 from __future__ import annotations
@@ -100,20 +102,7 @@ class RunConfig:
                 "tau = 0 has no longitudinal period; the command-line "
                 "workflows require tau != 0"
             )
-        try:
-            spec = self.spec()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        # energies go as the square of these scales and are squared again
-        # (matrix norms, the least-squares fit); `*` gives inf where the
-        # library's `**` would raise OverflowError
-        for name, scale in (("tau", self.tau), ("kappa", self.kappa),
-                            ("1/rho0", 1.0 / self.rho0)):
-            if not math.isfinite((scale * scale) * (scale * scale)):
-                raise ConfigError(
-                    f"{name} = {scale!r} is too large: its fourth power, "
-                    "the scale of a squared energy, overflows"
-                )
+        spec = _checked_spec(self.kappa, self.tau, self.rho0)
         if not math.isfinite(spec.s_period * spec.s_period):
             raise ConfigError(
                 f"tau = {self.tau!r} is too small: the squared period "
@@ -162,6 +151,36 @@ class RunConfig:
         raise ConfigError(
             f"units must be 'natural' or 'physical:<mu>', got {self.units!r}"
         )
+
+
+def _checked_spec(kappa: float, tau: float, rho0: float) -> HelixSpec:
+    """The HelixSpec, or ConfigError if it is invalid or its scales overflow."""
+    try:
+        spec = HelixSpec(kappa=kappa, tau=tau, rho0=rho0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    # energies go as the square of these scales and are squared again
+    # (matrix norms, the least-squares fit); `*` gives inf where the
+    # library's `**` would raise OverflowError
+    for name, scale in (("tau", tau), ("kappa", kappa), ("1/rho0", 1.0 / rho0)):
+        if not math.isfinite((scale * scale) * (scale * scale)):
+            raise ConfigError(
+                f"{name} = {scale!r} is too large: its fourth power, "
+                "the scale of a squared energy, overflows"
+            )
+    return spec
+
+
+def _in_units(cfg: RunConfig, energies) -> np.ndarray:
+    """Energies in natural units converted to cfg's units; ConfigError if a
+    converted value overflows, so no table is written with an infinity."""
+    with np.errstate(over="ignore"):
+        out = cfg.energy_scale() * np.asarray(energies, dtype=float)
+    if not np.isfinite(out).all():
+        raise ConfigError(
+            f"units {cfg.units!r}: an energy times hbar^2/(2 mu) overflows"
+        )
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -336,11 +355,10 @@ def cmd_potential(cfg: RunConfig) -> int:
 
     spec = cfg.spec()
     out = Path(cfg.out_dir)
-    scale = cfg.energy_scale()
     S, P = grid_nodes(spec, cfg.n_s, cfg.n_phi)
     rows = _node_rows(
-        S, P, scale * v_curv(spec, S, P), scale * v_kin(spec, S, P),
-        scale * v_eff(spec, S, P),
+        S, P, *_in_units(cfg, [v_curv(spec, S, P), v_kin(spec, S, P),
+                               v_eff(spec, S, P)]),
     )
     write_csv(out / "potential.csv", "s,phi,v_curv,v_kin,v_eff", rows)
     print(f"wrote {out / 'potential.csv'} ({S.size} rows)")
@@ -354,12 +372,15 @@ def cmd_bands(cfg: RunConfig) -> int:
 
     spec = cfg.spec()
     out = Path(cfg.out_dir)
-    scale = cfg.energy_scale()
     ks = cfg.kpath_points()
     full, detail = continuum_levels(spec, ks, 2)
     tb = np.array([two_band_energies(spec, (k_s, 0.0)) for k_s in ks])
     pert = perturbed_levels(spec, ks, 2)
-    energies = scale * np.hstack([tb, pert, full])
+    energies = _in_units(cfg, np.hstack([tb, pert, full]))
+    gap_tb, gap_pert, diff_tb_pert, diff_pert_full, offset = _in_units(cfg, [
+        two_band_gap(spec), gap_perturbed(spec), np.max(np.abs(tb - pert)),
+        np.max(np.abs(pert[:, 0] - full[:, 0])), np.mean(pert[:, 0] - full[:, 0]),
+    ]).tolist()
     rows = [[fmt(k_s), "0", *map(fmt, row)] for k_s, row in zip(ks, energies)]
     write_csv(
         out / "bands.csv",
@@ -380,15 +401,12 @@ def cmd_bands(cfg: RunConfig) -> int:
             "end": cfg.resolved_kpath_end(),
             "count": cfg.kpath_count,
         },
-        "gap_twoband": scale * two_band_gap(spec),
-        "gap_oracle_pert": scale * gap_perturbed(spec),
+        "gap_twoband": gap_tb,
+        "gap_oracle_pert": gap_pert,
         "agreement": {
-            "max_abs_diff_twoband_vs_pert": scale
-            * float(np.max(np.abs(tb - pert))),
-            "max_abs_diff_pert_vs_full_lowest_band": scale
-            * float(np.max(np.abs(pert[:, 0] - full[:, 0]))),
-            "mean_offset_pert_minus_full_lowest_band": scale
-            * float(np.mean(pert[:, 0] - full[:, 0])),
+            "max_abs_diff_twoband_vs_pert": diff_tb_pert,
+            "max_abs_diff_pert_vs_full_lowest_band": diff_pert_full,
+            "mean_offset_pert_minus_full_lowest_band": offset,
         },
     }
     write_json(out / "summary.json", summary)
@@ -404,34 +422,37 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
         raise ConfigError("gap-scan needs a non-empty epsilon sweep")
     if any(eps > 0 for eps in cfg.eps_sweep) and cfg.kappa <= 0.0:
         raise ConfigError("a positive sweep epsilon requires kappa > 0")
-    out = Path(cfg.out_dir)
-    scale = cfg.energy_scale()
-    rows = []
-    gaps_tb, gaps_or = [], []
+    # epsilon = rho0*kappa: sweep the tube radius at fixed curve shape.  Each
+    # swept helix gets the checks validate gives the configured one.
+    specs = []
     for eps in cfg.eps_sweep:
-        # epsilon = rho0*kappa: sweep the tube radius at fixed curve shape
-        spec_e = (replace(cfg.spec(), kappa=0.0) if eps == 0.0
-                  else replace(cfg.spec(), rho0=eps / cfg.kappa))
-        gt = two_band_gap(spec_e)
-        go = gap_perturbed(spec_e)
-        denom = eps * cfg.kappa**2 / 4
-        ratio = go / denom if denom > 0 else 0.0
-        gaps_tb.append(gt)
-        gaps_or.append(go)
-        rows.append([fmt(eps), fmt(scale * gt), fmt(scale * go), fmt(ratio)])
+        try:
+            specs.append(_checked_spec(0.0, cfg.tau, cfg.rho0) if eps == 0.0
+                         else _checked_spec(cfg.kappa, cfg.tau, eps / cfg.kappa))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep epsilon {eps!r}: {exc}") from exc
+    out = Path(cfg.out_dir)
+    xs = np.asarray(cfg.eps_sweep, dtype=float)
+    gaps_tb = [two_band_gap(spec_e) for spec_e in specs]
+    gaps_or = [gap_perturbed(spec_e) for spec_e in specs]
+    denoms = (eps * cfg.kappa**2 / 4 for eps in cfg.eps_sweep)
+    ratios = [go / d if d > 0 else 0.0 for go, d in zip(gaps_or, denoms)]
+    slope_tb, _, r2_tb = origin_fit(xs, gaps_tb)
+    slope_or, _, r2_or = origin_fit(xs, gaps_or)
+    gaps = _in_units(cfg, [gaps_tb, gaps_or])
+    slopes = _in_units(cfg, [slope_tb, slope_or]).tolist()
+    rows = [[fmt(eps), fmt(gt), fmt(go), fmt(ratio)]
+            for eps, gt, go, ratio in zip(cfg.eps_sweep, *gaps, ratios)]
     write_csv(
         out / "gapscan.csv",
         "epsilon,gap_twoband,gap_oracle,ratio_to_eps_kappa2_over_4",
         rows,
     )
-    xs = np.asarray(cfg.eps_sweep, dtype=float)
-    slope_tb, _, r2_tb = origin_fit(xs, gaps_tb)
-    slope_or, _, r2_or = origin_fit(xs, gaps_or)
     write_json(
         out / "gapscan.json",
         {
-            "slope_twoband": scale * slope_tb,
-            "slope_oracle": scale * slope_or,
+            "slope_twoband": slopes[0],
+            "slope_oracle": slopes[1],
             "r_squared_twoband": r2_tb,
             "r_squared_oracle": r2_or,
             "eps": list(xs),

@@ -32,21 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "DegenerateCurve",
-    "DegeneratePeriod",
-    "EmbeddingViolation",
-    "HelixSpec",
-    "rotation_angle",
-    "helical_phase",
-    "surface_point",
-    "metric_h",
-    "weingarten",
-    "principal_curvatures",
-    "v_curv",
-    "grid_nodes",
-]
-
 
 class DegenerateCurve(ValueError):
     """Base curve has kappa = tau = 0: no Frenet frame exists."""
@@ -194,12 +179,6 @@ def surface_point(spec: HelixSpec, s, phi) -> np.ndarray:
 def metric_h(spec: HelixSpec, s, phi):
     """Metric factor h(s, phi) = 1 + rho0*kappa*cos(theta(s) + phi); h > 0."""
     return 1.0 + spec.epsilon * np.cos(helical_phase(spec, s, phi))
-
-
-def weingarten(spec: HelixSpec, s: float, phi: float) -> np.ndarray:
-    """Shape operator in the (varphi, s) tangent basis: diag(1/rho0, kappa2)."""
-    k2 = float(principal_curvatures(spec, s, phi)[1])
-    return np.array([[1.0 / spec.rho0, 0.0], [0.0, k2]])
 
 
 def principal_curvatures(spec: HelixSpec, s, phi):

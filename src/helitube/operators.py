@@ -23,26 +23,6 @@ import numpy as np
 
 from .geometry import HelixSpec, grid_nodes, helical_phase, metric_h, v_curv
 
-__all__ = [
-    "GaugeMismatch",
-    "PSI",
-    "PHI",
-    "WaveField",
-    "spectral_offset",
-    "wavefield_norm",
-    "normalize",
-    "band_limited",
-    "random_band_limited",
-    "spectral_derivative",
-    "apply_laplace_beltrami",
-    "laplace_beltrami_expanded",
-    "v_kin",
-    "v_eff",
-    "apply_transformed_operator",
-    "v1_multiplicative",
-    "v1_apply",
-]
-
 PSI = "PSI"
 PHI = "PHI"
 
@@ -161,24 +141,6 @@ def _h_derivatives(spec: HelixSpec, s, phi):
     return h, h_s, h_ss, h_v, h_vv
 
 
-def laplace_beltrami_expanded(spec: HelixSpec, psi: WaveField) -> WaveField:
-    """-Laplacian in expanded coefficient form; cross-check of the metric form.
-
-    -(1/h^2) Psi_ss + (h_s/h^3) Psi_s - Psi_vv - (h_v/h) Psi_v with analytic
-    metric derivatives.
-    """
-    if psi.gauge != PSI:
-        raise GaugeMismatch(f"expected PSI-gauge input, got {psi.gauge}")
-    h, h_s, _, h_v, _ = _h_derivatives(spec, *_grid(spec, psi))
-    f = psi.values
-    f_s = spectral_derivative(f, -2, spec.s_period)
-    f_ss = spectral_derivative(f, -2, spec.s_period, 2)
-    f_v = spectral_derivative(f, -1, spec.varphi_period)
-    f_vv = spectral_derivative(f, -1, spec.varphi_period, 2)
-    out = -f_ss / h**2 + (h_s / h**3) * f_s - f_vv - (h_v / h) * f_v
-    return psi.like(out)
-
-
 def v_kin(spec: HelixSpec, s, phi):
     """Gauge-transformation potential picked up by Phi = sqrt(h) Psi.
 
@@ -268,18 +230,3 @@ def band_limited(
     coef = np.zeros((n_s, n_phi), dtype=complex)
     coef[np.ix_(rows, cols)] = draw((len(rows), len(cols)))
     return normalize(spec, WaveField(np.fft.ifft2(coef), gauge))
-
-
-def random_band_limited(
-    spec: HelixSpec,
-    n_s: int,
-    n_phi: int,
-    rng: np.random.Generator,
-    gauge: str = PHI,
-) -> WaveField:
-    """band_limited with complex standard normal amplitudes drawn from rng."""
-    return band_limited(
-        spec, n_s, n_phi,
-        lambda shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-        gauge,
-    )

@@ -68,10 +68,6 @@ class DiscretizedHamiltonian:
     basis: str
     transverse_n: int | None = None  # always None; perfbench/tracer.py reads it
 
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass
 class SpectrumResult:

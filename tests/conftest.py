@@ -1,9 +1,31 @@
-"""Test-side reference implementations shared by several test modules."""
+"""Test-side reference implementations shared by several test modules.
+
+Each is a fixture returning a plain function, and none is part of the
+package's API:
+
+fd_hessian                 band Hessian by finite differences, against
+                           bloch.two_band_hessian
+laplace_beltrami_expanded  -Laplacian in expanded coefficient form, against
+                           operators.apply_laplace_beltrami (metric form)
+random_band_limited        seeded band-limited probe field
+weingarten                 shape operator diag(1/rho0, kappa2), against
+                           geometry.principal_curvatures
+"""
 
 import numpy as np
 import pytest
 
+from helitube import operators
 from helitube.bloch import two_band_energies
+from helitube.geometry import HelixSpec, principal_curvatures
+from helitube.operators import (
+    PHI,
+    PSI,
+    GaugeMismatch,
+    WaveField,
+    band_limited,
+    spectral_derivative,
+)
 
 
 def _fd_hessian(spec, k, band):
@@ -36,3 +58,57 @@ def _fd_hessian(spec, k, band):
 @pytest.fixture
 def fd_hessian():
     return _fd_hessian
+
+
+def _weingarten(spec: HelixSpec, s: float, phi: float) -> np.ndarray:
+    """Shape operator in the (varphi, s) tangent basis: diag(1/rho0, kappa2)."""
+    k2 = float(principal_curvatures(spec, s, phi)[1])
+    return np.array([[1.0 / spec.rho0, 0.0], [0.0, k2]])
+
+
+def _laplace_beltrami_expanded(spec: HelixSpec, psi: WaveField) -> WaveField:
+    """-Laplacian in expanded coefficient form; cross-check of the metric form.
+
+    -(1/h^2) Psi_ss + (h_s/h^3) Psi_s - Psi_vv - (h_v/h) Psi_v with analytic
+    metric derivatives.
+    """
+    if psi.gauge != PSI:
+        raise GaugeMismatch(f"expected PSI-gauge input, got {psi.gauge}")
+    h, h_s, _, h_v, _ = operators._h_derivatives(spec, *operators._grid(spec, psi))
+    f = psi.values
+    f_s = spectral_derivative(f, -2, spec.s_period)
+    f_ss = spectral_derivative(f, -2, spec.s_period, 2)
+    f_v = spectral_derivative(f, -1, spec.varphi_period)
+    f_vv = spectral_derivative(f, -1, spec.varphi_period, 2)
+    out = -f_ss / h**2 + (h_s / h**3) * f_s - f_vv - (h_v / h) * f_v
+    return psi.like(out)
+
+
+def _random_band_limited(
+    spec: HelixSpec,
+    n_s: int,
+    n_phi: int,
+    rng: np.random.Generator,
+    gauge: str = PHI,
+) -> WaveField:
+    """band_limited with complex standard normal amplitudes drawn from rng."""
+    return band_limited(
+        spec, n_s, n_phi,
+        lambda shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        gauge,
+    )
+
+
+@pytest.fixture
+def weingarten():
+    return _weingarten
+
+
+@pytest.fixture
+def laplace_beltrami_expanded():
+    return _laplace_beltrami_expanded
+
+
+@pytest.fixture
+def random_band_limited():
+    return _random_band_limited

@@ -16,14 +16,12 @@ from helitube.geometry import (
     metric_h,
     principal_curvatures,
     surface_point,
-    weingarten,
 )
 from helitube.operators import (
     PHI,
     PSI,
     WaveField,
     apply_laplace_beltrami,
-    random_band_limited,
     spectral_derivative,
     v_eff,
     v_kin,
@@ -99,7 +97,7 @@ def test_criterion_02_potential_inequality():
     )
 
 
-def test_criterion_03_operator_identity():
+def test_criterion_03_operator_identity(random_band_limited):
     spec = FIG3
     n = 64
     rng = np.random.default_rng(123)
@@ -238,7 +236,7 @@ def test_criterion_08_effective_mass(fd_hessian):
     verdict(8, ok, f"worst Hessian rel dev {worst:.3e} (<= 1e-04)")
 
 
-def test_criterion_09_geometry_suite():
+def test_criterion_09_geometry_suite(weingarten):
     spec = FIG3
     rng = np.random.default_rng(5)
     # shape operator eigenvalues against the closed principal curvatures

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -519,6 +520,23 @@ def test_overflowing_scale_is_config_error(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    "potential --units physical:1e-300 --rho0 1e-70 --kappa 0 --grid 4x4",
+    "bands --units physical:5e-324 --rho0 1e-30 --tau 1e30 --kappa 0 "
+    "--kpath 0:-5e29:3",
+    "gap-scan --units physical:5e-324 --tau 1e30",
+], ids=["potential", "bands", "gap-scan"])
+def test_overflowing_unit_scale_is_config_error(tmp_path, capsys, argv):
+    # energy * hbar^2/(2 mu) overflows: one stderr line, no table with an inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv.split() + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: units ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bands_byte_identical_reruns(tmp_path):
     assert main(BANDS_SMALL + ["--out", str(tmp_path / "r1")]) == 0
     assert main(BANDS_SMALL + ["--out", str(tmp_path / "r2")]) == 0
@@ -589,6 +607,22 @@ def test_gap_scan_cap_exceeded_exit_code(tmp_path, monkeypatch, capsys):
     rc = main(["gap-scan", "--out", str(tmp_path)])
     assert rc == 2
     assert "synthetic cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", ["--kappa 5e-324", "--eps-sweep 5e-324,0.1"],
+                         ids=["rho0-inf", "inverse-rho0-inf"])
+def test_gap_scan_overflowing_sweep_radius_is_config_error(tmp_path, capsys, argv):
+    # rho0 = eps/kappa of a swept helix gets the checks of the configured one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gap-scan", *argv.split(), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: sweep epsilon ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+    # only gap-scan reads the sweep: the same kappa is fine elsewhere
+    argv = ["geometry", "--kappa", "5e-324", "--grid", "4x4", "--out", str(tmp_path)]
+    assert main(argv) == 0
 
 
 def test_gap_scan_window_storage_cap_is_config_error(tmp_path, capsys):
@@ -755,3 +789,30 @@ def test_build_config_validation_direct():
         RunConfig(units="physical:-3").validate()
     scale = RunConfig(units="physical:2.0").energy_scale()
     assert scale == pytest.approx(HBAR**2 / 4.0, rel=1e-15)
+
+
+# ------------------------------------------------------------- extreme input
+
+_EXTREME_FLAGS = ["--kappa 5e-324", "--kappa 9.99", "--tau 1e150", "--rho0 1e-70",
+                  "--rho0 1e70", "--units physical:5e-324",
+                  "--units physical:1e300", "--eps-sweep 5e-324,0.1"]
+_EXTREME_RUNS = [
+    (cmd, flags)
+    for cmd in ("geometry", "potential", "bands", "gap-scan", "cylinder-check")
+    for flags in _EXTREME_FLAGS
+    # eps = 0.999 needs a plane-wave basis that bands solves for minutes
+    if (cmd, flags) != ("bands", "--kappa 9.99")
+]
+
+
+@pytest.mark.parametrize("cmd, flags", _EXTREME_RUNS,
+                         ids=[f"{cmd} {flags}" for cmd, flags in _EXTREME_RUNS])
+def test_extreme_parseable_input_ends_cleanly(tmp_path, capsys, cmd, flags):
+    # exit 0 or 2, one stderr line on a refusal and only finite numbers
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([cmd, *flags.split(), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc in (0, 2) and err.count("\n") == (1 if rc == 2 else 0)
+    for table in tmp_path.glob("*.csv"):
+        assert np.isfinite(read_csv(table)[1]).all(), table.name

@@ -16,7 +16,6 @@ from helitube.geometry import (
     rotation_angle,
     surface_point,
     v_curv,
-    weingarten,
 )
 from helitube.operators import v_eff
 
@@ -262,7 +261,7 @@ def test_metric_h_positive_and_stretched_outside():
 # ---------------------------------------------------------------- curvatures
 
 
-def test_weingarten_values():
+def test_weingarten_values(weingarten):
     W = weingarten(FIG3, 0.0, 0.0)
     assert W[0, 1] == 0.0 and W[1, 0] == 0.0
     assert W[0, 0] == pytest.approx(10.0, rel=1e-15)
@@ -271,7 +270,7 @@ def test_weingarten_values():
     np.testing.assert_allclose(weingarten(cyl, 1.0, 2.0), [[4.0, 0.0], [0.0, 0.0]])
 
 
-def test_weingarten_eigenvalues_match_principal_curvatures():
+def test_weingarten_eigenvalues_match_principal_curvatures(weingarten):
     rng = np.random.default_rng(11)
     for _ in range(6):
         spec = HelixSpec(

@@ -24,9 +24,7 @@ from helitube.operators import (
     WaveField,
     apply_laplace_beltrami,
     apply_transformed_operator,
-    laplace_beltrami_expanded,
     normalize,
-    random_band_limited,
     spectral_derivative,
     spectral_offset,
     v1_apply,
@@ -58,7 +56,7 @@ def test_effective_params():
 # ----------------------------------------------------------- wavefield admin
 
 
-def test_gauge_validation_and_norms():
+def test_gauge_validation_and_norms(random_band_limited):
     spec = FIG3
     rng = np.random.default_rng(0)
     psi = random_band_limited(spec, 16, 16, rng, gauge=PSI)
@@ -117,7 +115,9 @@ def test_laplacian_cylinder_eigenfunction():
         np.testing.assert_allclose(out.values, (n / spec.rho0) ** 2 * vals, atol=1e-10)
 
 
-def test_laplacian_metric_vs_expanded_form():
+def test_laplacian_metric_vs_expanded_form(
+    laplace_beltrami_expanded, random_band_limited
+):
     spec = FIG3
     rng = np.random.default_rng(42)
     for _ in range(5):
@@ -163,7 +163,7 @@ def test_v_kin_against_finite_differences_of_h():
         assert v_kin(spec, s, phi) == pytest.approx(expect, abs=1e-6, rel=1e-6)
 
 
-def test_gauge_identity_on_random_fields():
+def test_gauge_identity_on_random_fields(random_band_limited):
     # sqrt(h)*(-Lap)(Phi/sqrt(h)) == -d_s(h^-2 d_s Phi) - Phi_vv + V_kin Phi
     spec = FIG3
     rng = np.random.default_rng(123)
@@ -182,7 +182,9 @@ def test_gauge_identity_on_random_fields():
         assert l2(lhs - rhs) <= 1e-8 * l2(fld.values)
 
 
-def test_operators_act_on_each_field_of_a_stack():
+def test_operators_act_on_each_field_of_a_stack(
+    laplace_beltrami_expanded, random_band_limited
+):
     spec = HelixSpec(kappa=2.0, tau=-1.3, rho0=0.3)
     rng = np.random.default_rng(5)
     single = [random_band_limited(spec, 24, 20, rng).values for _ in range(3)]
@@ -367,7 +369,7 @@ def test_transformed_operator_cylinder_closed_form():
         np.testing.assert_allclose(out.values, expect, atol=1e-10)
 
 
-def test_transformed_operator_hermitian_flat():
+def test_transformed_operator_hermitian_flat(random_band_limited):
     spec = FIG3
     rng = np.random.default_rng(9)
     for _ in range(5):
@@ -381,7 +383,7 @@ def test_transformed_operator_hermitian_flat():
         assert abs(lhs - rhs) / scale < 1e-10
 
 
-def test_gauge_equivalence_of_operators():
+def test_gauge_equivalence_of_operators(random_band_limited):
     # O_PHI(sqrt(h) Psi) = sqrt(h) ( -Lap Psi + V_curv Psi )
     spec = FIG3
     rng = np.random.default_rng(77)
@@ -402,7 +404,7 @@ def test_gauge_equivalence_of_operators():
 # ------------------------------------------------------------ first order
 
 
-def test_v1_zero_curvature_vanishes():
+def test_v1_zero_curvature_vanishes(random_band_limited):
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.2)
     rng = np.random.default_rng(1)
     fld = random_band_limited(spec, 16, 16, rng)

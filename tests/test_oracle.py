@@ -52,7 +52,7 @@ def test_full_matrix_hermitian():
     H = assemble_full(FIG3, BlochVector(0.3, 0), 16, 12)
     A = H.entries
     assert H.basis == GRID_2D
-    assert H.dimension == 16 * 12
+    assert H.entries.shape[0] == 16 * 12
     asym = np.linalg.norm(A - A.conj().T) / np.linalg.norm(A)
     assert asym <= 1e-12
 
@@ -251,7 +251,7 @@ def test_verify_solves_no_large_dense_matrix(monkeypatch):
     right = verify.eigensolve
 
     def recording(H, n_lowest):
-        dims.append(H.dimension)
+        dims.append(H.entries.shape[0])
         return right(H, n_lowest)
 
     monkeypatch.setattr(verify, "eigensolve", recording)
