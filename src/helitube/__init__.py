@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "bloch": (
         "BlochVector", "NearResonance", "OutOfValidity", "SingularMass",
-        "cylinder_limit_energies", "effective_mass",
+        "cylinder_levels", "effective_mass",
         "first_order_energies", "first_order_u", "k_components",
         "near_boundary_expansion", "origin_fit", "ray_amplitude", "ray_vector",
         "stated_table", "two_band_energies", "two_band_gap", "two_band_hessian",

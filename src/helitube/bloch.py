@@ -6,8 +6,8 @@ vector K1 = ray_vector(spec) = (tau, -1/rho0), the tube's helical symmetry.
 This module builds the coupling amplitudes between plane-wave components,
 solves the two-component secular problem that K1 couples near the zone
 boundary -K1/2, and derives the quantities that follow from it: the
-splitting there, the effective-mass tensor, and the straight-tube reference
-spectrum.
+splitting there, the effective-mass tensor, and the straight-tube reference:
+cylinder_levels, the one closed form of the kappa = 0 spectrum.
 
 Because the first-order potential contains s-derivatives, a coupling
 amplitude depends on the longitudinal wavenumber of the component it acts
@@ -47,9 +47,6 @@ class BlochVector:
     k_s: float
     n_transverse: int = 0
 
-    def components(self, spec: HelixSpec) -> np.ndarray:
-        return np.array([self.k_s, self.n_transverse / spec.rho0])
-
 
 def ray_vector(spec: HelixSpec) -> np.ndarray:
     """K1 = (tau, -1/rho0): the potential's Fourier weight sits on its multiples."""
@@ -64,7 +61,7 @@ def zone_boundary_k(spec: HelixSpec) -> np.ndarray:
 def k_components(spec: HelixSpec, k) -> np.ndarray:
     """(k_s, k_varphi) of a BlochVector or of a raw pair on the continuous ray."""
     if isinstance(k, BlochVector):
-        return k.components(spec)
+        return np.array([k.k_s, k.n_transverse / spec.rho0])
     kv = np.asarray(k, dtype=float)
     if kv.shape != (2,):
         raise ValueError("k must be a BlochVector or a pair (k_s, k_varphi)")
@@ -193,10 +190,10 @@ def near_boundary_expansion(spec: HelixSpec, G: float):
 # fit through the origin
 
 
-def origin_fit(x, y) -> tuple[float, float, float]:
+def origin_fit(x, y) -> tuple[float, float]:
     """Least-squares slope of y = slope * x, a line through the origin.
 
-    Returns (slope, ss_res, r_squared).  The slope is 0 when every x is 0,
+    Returns (slope, r_squared).  The slope is 0 when every x is 0,
     and r_squared is 1 when y is constant.
     """
     x = np.asarray(x, dtype=float)
@@ -206,7 +203,7 @@ def origin_fit(x, y) -> tuple[float, float, float]:
     ss_res = float(np.sum((y - slope * x) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return slope, ss_res, r_squared
+    return slope, r_squared
 
 
 # --------------------------------------------------------------------------
@@ -265,13 +262,13 @@ def effective_mass(spec: HelixSpec, k, band: int) -> np.ndarray:
 # straight-tube reference
 
 
-def cylinder_limit_energies(spec: HelixSpec, n: int, l: int, L: float) -> float:
-    """Closed spectrum (n^2 - 1/4)/rho0^2 + (l pi/L)^2 of the straight tube."""
+def cylinder_levels(spec: HelixSpec, n_lowest: int) -> np.ndarray:
+    """The n_lowest lowest levels (n^2 - 1/4)/rho0^2 + (2 pi m/L)^2 of the
+    straight tube at k_s = 0, L = s_period, sorted, one per (n, m); as a
+    level grows with |n| and with |m|, |n|, |m| <= n_lowest hold them all."""
     if spec.kappa != 0.0:
         raise ValueError("closed cylinder spectrum requires kappa = 0")
-    if l < 1:
-        raise ValueError("longitudinal index l must be a positive integer")
-    if not L > 0:
-        raise ValueError("tube length L must be positive (math.inf allowed)")
-    return (n * n - 0.25) * (1.0 / spec.rho0) ** 2 + (l * math.pi / L) ** 2
-
+    r = range(-n_lowest, n_lowest + 1)
+    levels = [(n * n - 0.25) * (1.0 / spec.rho0) ** 2
+              + (2 * m * math.pi / spec.s_period) ** 2 for n in r for m in r]
+    return np.sort(levels)[:n_lowest]

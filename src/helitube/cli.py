@@ -437,8 +437,8 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
     gaps_or = [gap_perturbed(spec_e) for spec_e in specs]
     denoms = (eps * cfg.kappa**2 / 4 for eps in cfg.eps_sweep)
     ratios = [go / d if d > 0 else 0.0 for go, d in zip(gaps_or, denoms)]
-    slope_tb, _, r2_tb = origin_fit(xs, gaps_tb)
-    slope_or, _, r2_or = origin_fit(xs, gaps_or)
+    slope_tb, r2_tb = origin_fit(xs, gaps_tb)
+    slope_or, r2_or = origin_fit(xs, gaps_or)
     gaps = _in_units(cfg, [gaps_tb, gaps_or])
     slopes = _in_units(cfg, [slope_tb, slope_or]).tolist()
     rows = [[fmt(eps), fmt(gt), fmt(go), fmt(ratio)]
@@ -466,7 +466,7 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
 
 
 def cmd_cylinder_check(cfg: RunConfig) -> int:
-    """Straight-tube exact oracle vs the separable closed form."""
+    """Straight-tube exact oracle vs the closed form cylinder_levels."""
     from .verify import cylinder_error
 
     spec0 = HelixSpec(kappa=0.0, tau=cfg.tau, rho0=cfg.rho0)

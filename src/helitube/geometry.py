@@ -134,45 +134,24 @@ def helical_phase(spec: HelixSpec, s, phi):
     return rotation_angle(spec, s) + np.asarray(phi, dtype=float)
 
 
-def _frame_arrays(spec: HelixSpec, s):
-    """Frenet normals (n, b) with shape s.shape + (3,); analytic, vectorized."""
-    a = spec.alpha
-    R = spec.helix_radius
-    p = spec.pitch
-    s = np.asarray(s, dtype=float)
-    c, sn = np.cos(a * s), np.sin(a * s)
-    zero = np.zeros_like(s)
-    n = np.stack([-c, -sn, zero], axis=-1)
-    b = np.stack([a * p * sn, -a * p * c, a * R * np.ones_like(s)], axis=-1)
-    return n, b
-
-
-def _rotate_normals(n, b, theta):
-    """(N, B): the Frenet normals rotated through theta about the tangent,
-    N = cos(theta) n + sin(theta) b and B = -sin(theta) n + cos(theta) b."""
-    c, sn = np.cos(theta), np.sin(theta)
-    return c * n + sn * b, -sn * n + c * b
-
-
-def _base_point(spec: HelixSpec, s):
-    a = spec.alpha
-    R = spec.helix_radius
-    p = spec.pitch
-    s = np.asarray(s, dtype=float)
-    return np.stack([R * np.cos(a * s), R * np.sin(a * s), p * a * s], axis=-1)
-
-
 def surface_point(spec: HelixSpec, s, phi) -> np.ndarray:
     """Embedded surface point X(s, phi) = x(s) - rho0 (sin(phi) B + cos(phi) N).
 
-    Broadcasts over s and phi; the 3-vector sits on the last axis.
+    x is the helix and (N, B) its Frenet normals (n, b) turned through
+    theta(s) about the tangent.  Broadcasts over s and phi; the 3-vector
+    sits on the last axis.
     """
     s = np.asarray(s, dtype=float)
     phi = np.asarray(phi, dtype=float)
     s, phi = np.broadcast_arrays(s, phi)
-    n, b = _frame_arrays(spec, s)
-    N, B = _rotate_normals(n, b, rotation_angle(spec, s)[..., None])
-    x = _base_point(spec, s)
+    a, R, p = spec.alpha, spec.helix_radius, spec.pitch
+    c, sn = np.cos(a * s), np.sin(a * s)
+    x = np.stack([R * c, R * sn, p * a * s], axis=-1)
+    n = np.stack([-c, -sn, np.zeros_like(s)], axis=-1)
+    b = np.stack([a * p * sn, -a * p * c, a * R * np.ones_like(s)], axis=-1)
+    theta = rotation_angle(spec, s)[..., None]
+    ct, st = np.cos(theta), np.sin(theta)
+    N, B = ct * n + st * b, -st * n + ct * b
     return x - spec.rho0 * (np.sin(phi)[..., None] * B + np.cos(phi)[..., None] * N)
 
 

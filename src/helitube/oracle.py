@@ -44,7 +44,7 @@ from .bloch import k_components, stated_table, zone_boundary_k
 
 GRID_2D = "GRID_2D"
 
-DEFAULT_MAX_DIMENSION = 4096
+_MAX_DIMENSION = 4096
 # continuum_levels solves at most this many sector pairs M = +-j per k-point
 _MAX_SECTOR_PAIRS = 2**16
 # screw_eigenvalues fills and solves at most this many block entries at a
@@ -85,11 +85,11 @@ def _unit_phase(x: float) -> complex:
 
 
 def _check_storage(blocks: int, dim: int) -> None:
-    """Desk-scale cap on stored entries: blocks * dim^2 <= DEFAULT_MAX_DIMENSION^2."""
-    if blocks * dim * dim > DEFAULT_MAX_DIMENSION**2:
+    """Desk-scale cap on stored entries: blocks * dim^2 <= _MAX_DIMENSION^2."""
+    if blocks * dim * dim > _MAX_DIMENSION**2:
         raise CapExceeded(
             f"{blocks} x {dim}^2 matrix entries exceed the desk-scale cap "
-            f"of {DEFAULT_MAX_DIMENSION}^2"
+            f"of {_MAX_DIMENSION}^2"
         )
 
 
@@ -103,7 +103,7 @@ def _grid_blocks(spec: HelixSpec, k, n_s: int, n_phi: int, g: int, dj: int, mus)
     of the strip from (r-1, j) lands on (0, j - dj) times lambda_mu =
     exp(i (k_s L + 2 pi mu)/g).  g = 1, dj = 0 is the dense matrix with the
     Bloch phase on the seam.  Storage is capped as if all g blocks were
-    built: g d^2 <= DEFAULT_MAX_DIMENSION^2.
+    built: g d^2 <= _MAX_DIMENSION^2.
 
     The strip's coefficients are computed here, once; the returned iterator
     fills the blocks in mus order, in stacks of shape (b, d, d) holding at
@@ -196,7 +196,7 @@ def screw_eigenvalues(
     _check_count(n_lowest, len(mus) * (n_s * n_phi // g))
     lowest = np.empty(0)
     for blocks in batches:
-        w = _dense_eigh(blocks, 1)  # n_lowest is checked against all blocks above
+        w = _dense_eigh(blocks)
         lowest = np.sort(np.append(lowest, w))[:n_lowest]
     return lowest
 
@@ -279,7 +279,7 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
                 break
             centre = np.rint(p * spec.tau / (spec.tau**2 + B))
             ns = centre[:, None] + np.arange(-n_modes, n_modes + 1)
-            w = _dense_eigh(_lattice(spec, p, ns, table), 1)
+            w = _dense_eigh(_lattice(spec, p, ns, table))
             levels = np.sort(np.append(levels, w[:, :n_bands]))[:n_bands]
             # once the 2 j + 1 sectors (at least 3) number n_bands: fewer can
             # leave the n_bands-th level a transverse step too high, and the
@@ -300,13 +300,10 @@ def _check_count(n_lowest: int, count: int) -> None:
         raise ValueError(f"n_lowest must be in [1, {count}], got {n_lowest}")
 
 
-def _dense_eigh(entries: np.ndarray, n_lowest: int) -> np.ndarray:
-    """LAPACK eigvalsh of one Hermitian matrix or a stack of them.
-
-    n_lowest is checked against the total count of eigenvalues; a LAPACK
-    failure or a non-finite eigenvalue raises ConvergenceFailure.
-    """
-    _check_count(n_lowest, entries.size // entries.shape[-1])
+def _dense_eigh(entries: np.ndarray) -> np.ndarray:
+    """LAPACK eigvalsh of one Hermitian matrix or a stack of them, all
+    eigenvalues ascending; a LAPACK failure or a non-finite eigenvalue
+    raises ConvergenceFailure.  Callers check their own counts."""
     try:
         w = np.linalg.eigvalsh(entries)
     except np.linalg.LinAlgError as exc:
@@ -318,7 +315,8 @@ def _dense_eigh(entries: np.ndarray, n_lowest: int) -> np.ndarray:
 
 def eigensolve(H: DiscretizedHamiltonian, n_lowest: int) -> SpectrumResult:
     """Lowest eigenvalues of a Hermitian matrix, deterministic dense solve."""
-    return SpectrumResult(_dense_eigh(H.entries, n_lowest)[:n_lowest])
+    _check_count(n_lowest, H.entries.shape[-1])
+    return SpectrumResult(_dense_eigh(H.entries)[:n_lowest])
 
 
 # --------------------------------------------------------------------------
@@ -329,8 +327,8 @@ def perturbed_levels(spec: HelixSpec, ks, n_bands: int) -> np.ndarray:
     """Lowest n_bands levels of the assemble_perturbed matrix at each Bloch
     k_s (k_varphi = 0), from one stacked eigvalsh along the path."""
     H = np.stack([assemble_perturbed(spec, (k_s, 0.0)) for k_s in ks])
-    # n_bands is checked against one matrix's dimension
-    return _dense_eigh(H, n_bands * len(H))[:, :n_bands]
+    _check_count(n_bands, H.shape[-1])
+    return _dense_eigh(H)[:, :n_bands]
 
 
 def gap_perturbed(spec: HelixSpec) -> float:
@@ -340,5 +338,5 @@ def gap_perturbed(spec: HelixSpec) -> float:
     evaluated on the continuous ray rather than at an integer-n BlochVector.
     """
     kb = tuple(zone_boundary_k(spec))
-    e = _dense_eigh(assemble_perturbed(spec, kb), 2)
+    e = _dense_eigh(assemble_perturbed(spec, kb))
     return float(e[1] - e[0])

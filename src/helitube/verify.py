@@ -37,7 +37,7 @@ from .operators import (
     band_limited,
     v1_multiplicative,
 )
-from .bloch import BlochVector, cylinder_limit_energies
+from .bloch import BlochVector, cylinder_levels
 from .oracle import (
     CapExceeded,
     assemble_full,
@@ -54,14 +54,13 @@ _IDENTITY_SEED = 2024
 _IDENTITY_MAX_NODES = 2**18
 
 
-def _check(name, kind, tolerance, measured, **detail) -> dict:
-    passed = measured <= tolerance if kind == "max" else measured >= tolerance
+def _check(name, tolerance, measured, **detail) -> dict:
     entry = {
         "name": name,
-        "kind": kind,
+        "kind": "max",
         "tolerance": float(tolerance),
         "measured": float(measured),
-        "passed": bool(passed),
+        "passed": bool(measured <= tolerance),
     }
     entry.update(detail)
     return entry
@@ -112,7 +111,7 @@ def check_operator_identity(cfg) -> dict:
         rhs = apply_transformed_operator(spec, WaveField(phi, PHI)).values
         err.append(_l2(lhs - rhs) / _l2(rhs))
     return _check(
-        "operator_identity", "max", 1e-13, float(np.max(err)),
+        "operator_identity", 1e-13, float(np.max(err)),
         grid=[n, n], fields=_IDENTITY_FIELDS,
     )
 
@@ -130,7 +129,7 @@ def check_screw_reduction(cfg) -> dict:
     dense = eigensolve(assemble_full(spec, k, n_s, n_phi), dim).eigenvalues
     blocks = screw_eigenvalues(spec, k, n_s, n_phi, dim)
     measured = float(np.max(np.abs(blocks - dense)) / np.max(np.abs(dense)))
-    return _check("screw_reduction", "max", 1e-10, measured, grid=[n_s, n_phi])
+    return _check("screw_reduction", 1e-10, measured, grid=[n_s, n_phi])
 
 
 def check_continuum_oracle(cfg) -> dict:
@@ -143,7 +142,7 @@ def check_continuum_oracle(cfg) -> dict:
     rich = (4.0 * fine - coarse) / 3.0
     measured = float(np.max(np.abs(exact - rich) / np.abs(exact)))
     return _check(
-        "continuum_oracle", "max", 1e-5, measured,
+        "continuum_oracle", 1e-5, measured,
         grids=[[32, 32], [64, 64]], probe_k_s=-0.3, levels=4,
     )
 
@@ -159,29 +158,19 @@ def check_ray_selection(cfg) -> dict:
     on_ray = ms[None, :] == -sgn * ms[:, None]
     off = float(np.max(np.abs(np.where(on_ray, 0.0, coef))))
     tol = 1e-12 * spec.epsilon * spec.kappa**2
-    return _check("ray_selection", "max", tol, off, grid=[n, n])
+    return _check("ray_selection", tol, off, grid=[n, n])
 
 
 def cylinder_error(spec0: HelixSpec, n_lowest: int) -> float:
-    """Straight-tube exact oracle vs the separable closed form.
+    """Straight-tube exact oracle vs the closed form cylinder_levels.
 
-    continuum_levels at k_s = 0; returns the largest absolute error over
-    the n_lowest levels divided by the largest |level|, so that a level of
-    exactly 0 (at tau = 1/(2 rho0)) cannot inflate it.  The closed form
-    pairs transverse modes n >= 0 with longitudinal standing waves
-    2 pi m/L, m >= 0, each with its multiplicity.
+    continuum_levels at k_s = 0 against the n_lowest levels of
+    cylinder_levels; returns the largest absolute error divided by the
+    largest |level|, so that a level of exactly 0 (at tau = 1/(2 rho0))
+    cannot inflate it.
     """
     levels = continuum_levels(spec0, [0.0], n_lowest)[0][0]
-    exact = []
-    for n in range(0, 5):
-        for m in range(0, 5):
-            if m == 0:
-                e = cylinder_limit_energies(spec0, n, 1, math.inf)
-            else:
-                e = cylinder_limit_energies(spec0, n, 2 * m, spec0.s_period)
-            mult = (2 if n > 0 else 1) * (2 if m > 0 else 1)
-            exact.extend([e] * mult)
-    exact = np.sort(exact)[:n_lowest]
+    exact = cylinder_levels(spec0, n_lowest)
     return float(np.max(np.abs(levels - exact)) / np.max(np.abs(exact)))
 
 
@@ -189,7 +178,7 @@ def check_cylinder_limit(cfg) -> dict:
     """Straight-tube spectrum vs closed form on fixed probe parameters."""
     probe = HelixSpec(kappa=0.0, tau=5.0, rho0=1.0)
     return _check(
-        "cylinder_limit", "max", 1e-12, cylinder_error(probe, 5),
+        "cylinder_limit", 1e-12, cylinder_error(probe, 5),
         probe_tau=5.0, probe_rho0=1.0,
     )
 
@@ -214,7 +203,7 @@ def check_refinement_order(cfg) -> dict:
     d2 = abs(lowest[64] - lowest[128])
     order = math.log2(d1 / d2) if d1 > 0 and d2 > 0 else 0.0
     return _check(
-        "refinement_order", "max", 0.2, abs(order - 2.0),
+        "refinement_order", 0.2, abs(order - 2.0),
         order=order, grids=[[32, 24], [64, 24], [128, 24]],
     )
 

@@ -8,16 +8,18 @@ fd_hessian                 band Hessian by finite differences, against
 laplace_beltrami_expanded  -Laplacian in expanded coefficient form, against
                            operators.apply_laplace_beltrami (metric form)
 random_band_limited        seeded band-limited probe field
-weingarten                 shape operator diag(1/rho0, kappa2), against
-                           geometry.principal_curvatures
+weingarten                 shape operator I^-1 II from the Frenet-Serret
+                           equations, against geometry.principal_curvatures
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from helitube import operators
 from helitube.bloch import two_band_energies
-from helitube.geometry import HelixSpec, principal_curvatures
+from helitube.geometry import HelixSpec
 from helitube.operators import (
     PHI,
     PSI,
@@ -61,9 +63,36 @@ def fd_hessian():
 
 
 def _weingarten(spec: HelixSpec, s: float, phi: float) -> np.ndarray:
-    """Shape operator in the (varphi, s) tangent basis: diag(1/rho0, kappa2)."""
-    k2 = float(principal_curvatures(spec, s, phi)[1])
-    return np.array([[1.0 / spec.rho0, 0.0], [0.0, k2]])
+    """Shape operator W = I^-1 II of X = x - rho0 (sin(phi) B + cos(phi) N),
+    in the (phi, s) coordinate basis.
+
+    Every vector is written in the Frenet basis (t, n, b) at s, which moves
+    by the Frenet-Serret equations (t, n, b)' = F (t, n, b), so a vector
+    with components c has derivative c' + c F.  N and B are n and b turned
+    through theta = -tau s.  The normal sin(phi) B + cos(phi) N points into
+    the tube, so the curvature around it is +1/rho0.  Nothing here reads
+    geometry's curvatures.
+    """
+    kappa, tau, rho0 = spec.kappa, spec.tau, spec.rho0
+    F = np.array([[0.0, kappa, 0.0], [-kappa, 0.0, tau], [0.0, -tau, 0.0]])
+    c, sn = math.cos(-tau * s), math.sin(-tau * s)
+    # components of N and B, then of their first and second s-derivatives
+    # at a fixed basis (theta' = -tau)
+    N = np.array([[0.0, c, sn], [0.0, tau * sn, -tau * c],
+                  [0.0, -tau**2 * c, -tau**2 * sn]])
+    B = np.array([[0.0, -sn, c], [0.0, tau * c, tau * sn],
+                  [0.0, tau**2 * sn, -tau**2 * c]])
+    u = math.sin(phi) * B + math.cos(phi) * N  # the normal
+    v = math.cos(phi) * B - math.sin(phi) * N  # its phi-derivative
+    t = np.array([1.0, 0.0, 0.0])
+    X_s = t - rho0 * (u[1] + u[0] @ F)
+    X_ss = t @ F - rho0 * (u[2] + 2.0 * u[1] @ F + u[0] @ F @ F)
+    X_p = -rho0 * v[0]
+    X_sp = -rho0 * (v[1] + v[0] @ F)
+    X_pp = rho0 * u[0]
+    first = np.array([[X_p @ X_p, X_p @ X_s], [X_s @ X_p, X_s @ X_s]])
+    second = np.array([[X_pp @ u[0], X_sp @ u[0]], [X_sp @ u[0], X_ss @ u[0]]])
+    return np.linalg.solve(first, second)
 
 
 def _laplace_beltrami_expanded(spec: HelixSpec, psi: WaveField) -> WaveField:

@@ -1,7 +1,5 @@
 """Ray vector, ray couplings, two-band roots, gap, mass, cylinder."""
 
-import math
-
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
@@ -11,9 +9,10 @@ from helitube.bloch import (
     NearResonance,
     OutOfValidity,
     SingularMass,
-    cylinder_limit_energies,
+    cylinder_levels,
     effective_mass,
     first_order_u,
+    k_components,
     near_boundary_expansion,
     origin_fit,
     ray_amplitude,
@@ -42,7 +41,7 @@ def test_ray_vector_components():
     # the zone boundary is exactly half of it, with the sign flipped
     assert (-2.0 * zone_boundary_k(spec)).tolist() == K.tolist()
     np.testing.assert_allclose(
-        BlochVector(0.25, 2).components(FIG3), [0.25, 20.0]
+        k_components(FIG3, BlochVector(0.25, 2)), [0.25, 20.0]
     )
 
 
@@ -278,7 +277,7 @@ def _gap_fit(specs):
 def test_gap_scaling_two_band_family():
     eps_values = [0.01, 0.02, 0.03, 0.04, 0.05]
     specs = [HelixSpec(kappa=1.0, tau=1.0, rho0=e) for e in eps_values]
-    gaps, (slope, _, r_squared) = _gap_fit(specs)
+    gaps, (slope, r_squared) = _gap_fit(specs)
     # gap = 3 eps/8 while x = eps/4: slope exactly 3/2
     assert slope == pytest.approx(1.5, rel=1e-12)
     assert r_squared >= 0.999
@@ -291,7 +290,7 @@ def test_gap_scaling_two_band_family():
 
 def test_gap_scaling_all_zero():
     specs = [HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)] * 4
-    gaps, (slope, _, _) = _gap_fit(specs)
+    gaps, (slope, _) = _gap_fit(specs)
     assert slope == 0.0
     assert all(g == 0.0 for g in gaps)
 
@@ -348,18 +347,13 @@ def test_singular_hessian_raises():
 
 
 def test_cylinder_limit_values():
+    # n^2 - 1/4 + m^2 at rho0 = tau = 1: (0, 0), then (+-1, 0) and (0, +-1),
+    # then two of the four (+-1, +-1), each (n, m) once
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=1.0)
-    assert cylinder_limit_energies(spec, 1, 1, math.inf) == pytest.approx(0.75)
-    assert cylinder_limit_energies(spec, 0, 1, math.inf) == pytest.approx(-0.25)
-    assert cylinder_limit_energies(spec, 0, 1, math.pi) == pytest.approx(0.75)
-    assert cylinder_limit_energies(spec, -2, 1, math.inf) == pytest.approx(3.75)
+    got = cylinder_levels(spec, 7).tolist()
+    assert got == [-0.25, 0.75, 0.75, 0.75, 0.75, 1.75, 1.75]
 
 
 def test_cylinder_limit_preconditions():
-    with pytest.raises(ValueError):
-        cylinder_limit_energies(FIG3, 0, 1, 1.0)  # kappa != 0
-    spec = HelixSpec(kappa=0.0, tau=1.0, rho0=1.0)
-    with pytest.raises(ValueError):
-        cylinder_limit_energies(spec, 0, 0, 1.0)  # l must be positive
-    with pytest.raises(ValueError):
-        cylinder_limit_energies(spec, 0, 1, -2.0)
+    with pytest.raises(ValueError, match="kappa = 0"):
+        cylinder_levels(FIG3, 1)

@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 import helitube
 from helitube import cli
-from helitube.bloch import cylinder_limit_energies
+from helitube.bloch import cylinder_levels
 from helitube.cli import ConfigError, RunConfig, build_config, fmt, main
 from helitube.geometry import (
     HelixSpec,
@@ -649,7 +649,7 @@ def test_cylinder_check_error_is_relative_to_the_largest_level(tmp_path, capsys)
     # at tau = 1/(2 rho0) the closed-form level (n, m) = (0, 1) is exactly 0,
     # where an error over the level's own |level| means nothing
     spec0 = HelixSpec(kappa=0.0, tau=5.0, rho0=0.1)
-    assert cylinder_limit_energies(spec0, 0, 2, spec0.s_period) == 0.0
+    assert cylinder_levels(spec0, 7)[1] == 0.0
     assert main(["cylinder-check", "--tau", "5", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert float(out.split("max relative error")[1].split()[0]) <= 1e-12

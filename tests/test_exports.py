@@ -47,6 +47,7 @@ _REMOVED = {
     "laplace_beltrami_expanded": operators,
     "random_band_limited": operators,
     "weingarten": geometry,
+    "cylinder_limit_energies": bloch,
 }
 
 

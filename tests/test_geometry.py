@@ -11,6 +11,7 @@ from helitube.geometry import (
     EmbeddingViolation,
     HelixSpec,
     grid_nodes,
+    helical_phase,
     metric_h,
     principal_curvatures,
     rotation_angle,
@@ -272,6 +273,7 @@ def test_weingarten_values(weingarten):
 
 def test_weingarten_eigenvalues_match_principal_curvatures(weingarten):
     rng = np.random.default_rng(11)
+    wrong = []
     for _ in range(6):
         spec = HelixSpec(
             kappa=rng.uniform(0.1, 2.0), tau=rng.uniform(-2.0, 2.0), rho0=0.1
@@ -285,6 +287,11 @@ def test_weingarten_eigenvalues_match_principal_curvatures(weingarten):
         assert M == pytest.approx((k1 + k2) / 2, rel=1e-15)
         assert K == pytest.approx(np.trace(W @ W - W * np.trace(W)) * -0.5, rel=1e-12)
         assert K == pytest.approx(np.linalg.det(W), rel=1e-12)
+        # negative control: kappa2 without its 1/h (misses by up to 0.30)
+        eig = np.sort(np.linalg.eigvalsh(W))
+        bare = spec.kappa * math.cos(helical_phase(spec, s, phi))
+        wrong.append(np.max(np.abs(eig - np.sort([k1, bare]))))
+    assert max(wrong) > 1e-12
 
 
 def test_principal_curvature_inner_edge():

@@ -16,7 +16,7 @@ from helitube import verify
 from helitube.bloch import (
     BlochVector,
     NearResonance,
-    cylinder_limit_energies,
+    cylinder_levels,
     first_order_energies,
     ray_amplitude,
     two_band_energies,
@@ -122,9 +122,7 @@ def test_full_cylinder_discrete_dispersion_exact():
 def test_full_cylinder_lowest_modes_quick():
     # rho0 = 1, tau = 5 pushes longitudinal modes far above |n| <= 3
     spec = HelixSpec(kappa=0.0, tau=5.0, rho0=1.0)
-    exact = sorted(
-        cylinder_limit_energies(spec, n, 1, math.inf) for n in range(-3, 4)
-    )
+    exact = cylinder_levels(spec, 7)
     levels = {}
     for g in (16, 32):
         H = assemble_full(spec, BlochVector(0.0, 0), g, g)
@@ -431,9 +429,9 @@ def test_screw_solve_is_batched_at_the_entry_limit(monkeypatch):
     sizes = []
     right = oracle_module._dense_eigh
 
-    def recording(entries, n_lowest):
+    def recording(entries):
         sizes.append(entries.shape)
-        return right(entries, n_lowest)
+        return right(entries)
 
     monkeypatch.setattr(oracle_module, "_dense_eigh", recording)
     got = screw_eigenvalues(FIG3, BlochVector(-0.3, 0), 128, 128, 4)
@@ -810,6 +808,22 @@ def test_continuum_cylinder_limit(rho0, tau, sign, k_frac):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    rho0=st.floats(0.05, 1.0),
+    tau=st.floats(1e-3, 3.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    n_lowest=st.integers(1, 25),
+)
+def test_cylinder_levels_match_the_closed_form(rho0, tau, sign, n_lowest):
+    # the package's (n, m) enumeration against the test-side grid of them
+    spec = HelixSpec(kappa=0.0, tau=sign * tau, rho0=rho0)
+    got = cylinder_levels(spec, n_lowest)
+    want = _cylinder_closed_form(spec, 0.0, n_lowest)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_continuum_approaches_the_cylinder_as_eps_squared():
     # FIG3's shape at k_s = -0.3: the distance falls 100-fold per decade of
     # eps (measured 9.9e-5, 9.9e-7, 9.9e-9 relative at eps = 1e-2, 1e-3, 1e-4)
@@ -826,6 +840,13 @@ def test_continuum_approaches_the_cylinder_as_eps_squared():
     wrong = _cylinder_closed_form(shape, -0.3, 4, quarter=0.0)
     exact = _continuum(shape, -0.3)
     assert np.max(np.abs(exact - wrong)) / np.max(np.abs(wrong)) > 1e-2
+
+
+def test_cylinder_error_past_nine_levels():
+    # at tiny tau the ten lowest levels are n = 0 with |m| <= 5, so the
+    # closed form has to reach past |m| = 4
+    straight = HelixSpec(kappa=0.0, tau=1e-3, rho0=0.1)
+    assert verify.cylinder_error(straight, 10) <= 1e-12
 
 
 def test_cylinder_limit_check_catches_a_shifted_potential(monkeypatch):
@@ -1160,7 +1181,7 @@ def test_variational_ground_state_below_cylinder():
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.05)
     e0 = screw_eigenvalues(spec, BlochVector(0.0, 0), 32, 32, 1)[0]
     straight = HelixSpec(kappa=0.0, tau=1.0, rho0=0.05)
-    cyl = cylinder_limit_energies(straight, 0, 1, math.inf)
+    cyl = cylinder_levels(straight, 1)[0]
     assert e0 < cyl
 
 
