@@ -41,11 +41,10 @@ _EXPORTS = {
         "zone_boundary_k",
     ),
     "oracle": (
-        "GRID_2D", "CapExceeded", "ConvergenceFailure",
-        "DiscretizedHamiltonian", "SpectrumResult", "assemble_full",
-        "assemble_perturbed", "continuum_levels", "eigensolve",
-        "fourier_decay_rate", "gap_perturbed", "perturbed_levels",
-        "screw_eigenvalues",
+        "CapExceeded", "ConvergenceFailure", "DiscretizedHamiltonian",
+        "SpectrumResult", "assemble_full", "assemble_perturbed",
+        "continuum_levels", "eigensolve", "fourier_decay_rate",
+        "gap_perturbed", "perturbed_levels", "screw_eigenvalues",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -90,7 +90,7 @@ def ray_amplitude(spec: HelixSpec, j: int, q_s):
 
     It lowers n by j and raises q by j tau: v[-j] + (q_s + j tau) w[-j] q_s
     from stated_table, or the shift v[0] at j = 0; real, as the frame's
-    origin is fixed at s = 0; a Polynomial q_s gives a polynomial."""
+    origin is fixed at s = 0."""
     w, v = stated_table(spec)
     if j == 0:
         return v[0]
@@ -222,28 +222,25 @@ def two_band_hessian(spec: HelixSpec, k, band: int) -> np.ndarray:
 
     The branch is shift + |k|^2 + K.k + K^2/2 - a -+ f with
     f = sqrt(D^2 + U^2(q0)), D = K.k + K^2/2, so the Hessian is
-    2 I -+ f'' with f'' assembled from D, U^2 and its q0-derivatives.
+    2 I -+ f'' with f'' assembled from D, U^2 and its q0-derivatives; as
+    U(q) = ray_amplitude(spec, 1, q) = v + c (q + tau) q, c = w[-1] of
+    stated_table, U' = c (2 q + tau) and U'' = 2 c.
     """
-    # imported by its one user, so that no subcommand loads numpy.polynomial
-    from numpy.polynomial import Polynomial
-
     if band not in (0, 1):
         raise ValueError("band must be 0 (lower) or 1 (upper)")
     kv = k_components(spec, k)
     K = ray_vector(spec)
     D = float(K @ kv) + 0.5 * float(K @ K)
-    u2 = ray_amplitude(spec, 1, Polynomial([0.0, 1.0])) ** 2
     q0 = kv[0]
-    w = float(u2(q0))
-    wp = float(u2.deriv(1)(q0))
-    wpp = float(u2.deriv(2)(q0))
-    f_sq = D * D + w
+    c = stated_table(spec)[0][-1]
+    u, up = ray_amplitude(spec, 1, q0), c * (2.0 * q0 + spec.tau)
+    f_sq = D * D + u * u
     if f_sq <= 0.0:
         raise SingularMass("bands touch at this k; Hessian undefined")
     f = math.sqrt(f_sq)
-    grad = D * K + 0.5 * np.array([wp, 0.0])
+    grad = D * K + np.array([u * up, 0.0])
     curv = np.outer(K, K)
-    curv[0, 0] += 0.5 * wpp
+    curv[0, 0] += up * up + u * 2.0 * c
     f_hess = curv / f - np.outer(grad, grad) / f**3
     sign = -1.0 if band == 0 else 1.0
     return 2.0 * np.eye(2) + sign * f_hess

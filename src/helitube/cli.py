@@ -187,10 +187,6 @@ def _in_units(cfg: RunConfig, energies) -> np.ndarray:
 # configuration sources
 
 
-def _parse_int(v: str) -> int:
-    return int(v, 10)
-
-
 def _parse_eps_list(v: str) -> tuple:
     items = [p.strip() for p in v.split(",") if p.strip()]
     if not items:
@@ -202,11 +198,11 @@ _CONVERTERS = {
     "kappa": float,
     "tau": float,
     "rho0": float,
-    "n_s": _parse_int,
-    "n_phi": _parse_int,
+    "n_s": int,
+    "n_phi": int,
     "kpath_start": float,
     "kpath_end": float,
-    "kpath_count": _parse_int,
+    "kpath_count": int,
     "eps_sweep": _parse_eps_list,
     "out_dir": str,
     "units": str,
@@ -261,12 +257,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                if getattr(args, flag) is not None}
     if args.grid is not None:
         updates["n_s"], updates["n_phi"] = _parse_flag(
-            args.grid, "x", "--grid expects NxM", _parse_int, _parse_int
+            args.grid, "x", "--grid expects NxM", int, int
         )
     if args.kpath is not None:
         usage = "--kpath expects start:end:count"
         start, end, count = _parse_flag(
-            args.kpath, ":", usage, float, float, _parse_int
+            args.kpath, ":", usage, float, float, int
         )
         updates.update(kpath_start=start, kpath_end=end, kpath_count=count)
     if args.eps_sweep is not None:
@@ -275,6 +271,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"bad --eps-sweep value: {exc}") from exc
     cfg = replace(cfg, **updates)
+    if args.command == "cylinder-check":
+        # it solves the straight tube, so kappa need only be a curvature
+        if not 0.0 <= cfg.kappa < math.inf:
+            raise ConfigError(f"kappa must be finite and >= 0, got {cfg.kappa!r}")
+        cfg = replace(cfg, kappa=0.0)
     cfg.validate()
     return cfg
 
@@ -469,9 +470,8 @@ def cmd_cylinder_check(cfg: RunConfig) -> int:
     """Straight-tube exact oracle vs the closed form cylinder_levels."""
     from .verify import cylinder_error
 
-    spec0 = HelixSpec(kappa=0.0, tau=cfg.tau, rho0=cfg.rho0)
     n_lowest = 7
-    err = cylinder_error(spec0, n_lowest)
+    err = cylinder_error(cfg.spec(), n_lowest)
     print(
         f"cylinder check: max relative error {err:.3e} over {n_lowest} levels "
         f"(exact helical-momentum oracle at k_s = 0)"

@@ -42,8 +42,6 @@ from .geometry import DegeneratePeriod, HelixSpec, grid_nodes, metric_h
 from .operators import spectral_offset, v_eff
 from .bloch import k_components, stated_table, zone_boundary_k
 
-GRID_2D = "GRID_2D"
-
 _MAX_DIMENSION = 4096
 # continuum_levels solves at most this many sector pairs M = +-j per k-point
 _MAX_SECTOR_PAIRS = 2**16
@@ -62,11 +60,12 @@ class CapExceeded(ValueError):
 
 @dataclass
 class DiscretizedHamiltonian:
-    """Dense Hermitian matrix plus the basis it is written in."""
+    """Dense Hermitian matrix."""
 
     entries: np.ndarray
-    basis: str
-    transverse_n: int | None = None  # always None; perfbench/tracer.py reads it
+    # constants, not fields: perfbench/tracer.py reads them
+    basis = "GRID_2D"
+    transverse_n = None
 
 
 @dataclass
@@ -152,7 +151,7 @@ def assemble_full(spec: HelixSpec, k, n_s: int, n_phi: int) -> DiscretizedHamilt
     """Dense matrix of the grid operator at Bloch k: the one block of
     _grid_blocks with g = 1 and no twist, so it checks the screw reduction."""
     blocks = next(_grid_blocks(spec, k, n_s, n_phi, 1, 0, (0,)))
-    return DiscretizedHamiltonian(blocks[0], GRID_2D)
+    return DiscretizedHamiltonian(blocks[0])
 
 
 def _screw_twist(spec: HelixSpec, n_phi: int, g: int) -> int:
@@ -302,8 +301,11 @@ def _check_count(n_lowest: int, count: int) -> None:
 
 def _dense_eigh(entries: np.ndarray) -> np.ndarray:
     """LAPACK eigvalsh of one Hermitian matrix or a stack of them, all
-    eigenvalues ascending; a LAPACK failure or a non-finite eigenvalue
-    raises ConvergenceFailure.  Callers check their own counts."""
+    eigenvalues ascending; a non-finite entry or eigenvalue, or a LAPACK
+    failure, raises ConvergenceFailure.  Callers check their own counts."""
+    # eigvalsh([[nan, 0], [0, 1]]) returns [0, -0]: finite, and wrong
+    if not np.all(np.isfinite(entries)):
+        raise ConvergenceFailure("eigensolve given a non-finite matrix entry")
     try:
         w = np.linalg.eigvalsh(entries)
     except np.linalg.LinAlgError as exc:

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from numpy.polynomial import Polynomial
 
 from helitube.bloch import (
     BlochVector,
@@ -17,7 +16,6 @@ from helitube.bloch import (
     origin_fit,
     ray_amplitude,
     ray_vector,
-    stated_table,
     two_band_energies,
     two_band_gap,
     two_band_hessian,
@@ -43,6 +41,8 @@ def test_ray_vector_components():
     np.testing.assert_allclose(
         k_components(FIG3, BlochVector(0.25, 2)), [0.25, 20.0]
     )
+    with pytest.raises(ValueError, match="BlochVector or a pair"):
+        k_components(FIG3, (1.0, 2.0, 3.0))
 
 
 def test_zone_boundary_is_half_reciprocal_vector():
@@ -113,25 +113,6 @@ def test_coupling_symmetry_makes_u2_nonnegative():
             assert a2 == pytest.approx(np.conj(a1), rel=1e-12, abs=1e-15)
             u2 = (a1 * a2).real
             assert u2 >= -1e-30
-
-
-def test_ray_amplitude_as_a_polynomial_matches_its_values():
-    # two_band_hessian differentiates U^2 = ray_amplitude(spec, 1, q)^2 built
-    # on a Polynomial q; its values are the amplitude's to rounding, measured
-    # against the size of the terms, |v| + (|q| + |j tau|) |w q|: near
-    # q = -j tau they cancel and the amplitude itself is far smaller (worst
-    # of 120,000 seeded draws 4.8e-16)
-    rng = np.random.default_rng(5)
-    for _ in range(400):
-        rho0, eps = rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.9)
-        tau = rng.uniform(0.2, 3.0) * rng.choice((1.0, -1.0))
-        spec = HelixSpec(kappa=eps / rho0, tau=tau, rho0=rho0)
-        w, v = stated_table(spec)
-        for j in (1, -1, 2, -2, 3, -3):
-            q = rng.uniform(-2.0, 2.0) * abs(tau)
-            poly = ray_amplitude(spec, j, Polynomial([0.0, 1.0]))
-            scale = abs(v[-j]) + (abs(q) + abs(j * tau)) * abs(w.get(-j, 0.0) * q)
-            assert abs(poly(q) - ray_amplitude(spec, j, q)) <= 1e-15 * scale
 
 
 # ------------------------------------------------------------ first order u
@@ -341,6 +322,15 @@ def test_effective_mass_boundary_anisotropic():
 def test_singular_hessian_raises():
     with pytest.raises(SingularMass):
         _invert_hessian(np.array([[1e-9, 0.0], [0.0, 1e-9]]), 1.0)
+    # the free bands touch at the zone boundary: f = 0 has no Hessian
+    free = HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)
+    with pytest.raises(SingularMass, match="bands touch"):
+        two_band_hessian(free, zone_boundary_k(free), 0)
+
+
+def test_two_band_hessian_has_two_bands():
+    with pytest.raises(ValueError, match="band must be 0"):
+        two_band_hessian(FIG3, (0.1, 0.0), 2)
 
 
 # ------------------------------------------------------------ cylinder limit

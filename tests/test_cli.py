@@ -396,14 +396,6 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, argv, loaded):
     assert (rc, modules, polynomial) == (0, loaded, False)
 
 
-def test_numpy_polynomial_probe_sees_two_band_hessian():
-    # negative control: the probe above does see the import it guards against
-    probe = ("import sys, helitube; "
-             "helitube.two_band_hessian(helitube.HelixSpec(1.0, 1.0, 0.1), (0.1, 0.0), 0); "
-             "print('numpy.polynomial' in sys.modules)")
-    assert _fresh_python(probe).stdout.split()[-1] == "True"
-
-
 def test_import_helitube_loads_no_submodule():
     # names resolve on first use, then stay in the package namespace
     probe = (
@@ -661,6 +653,30 @@ def test_cylinder_check_reads_no_grid(tmp_path, capsys):
     plain = capsys.readouterr().out
     assert main(["cylinder-check", "--grid", "9x8", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out == plain
+
+
+def test_cylinder_check_validates_the_straight_tube_it_solves(tmp_path, capsys):
+    # rho0 = 2 embeds no tube at the configured kappa = 1, but the command
+    # solves kappa = 0, where any radius does
+    argv = ["cylinder-check", "--rho0", "2", "--out", str(tmp_path)]
+    assert main(argv + ["--kappa", "0"]) == 0
+    straight = capsys.readouterr()
+    assert "max relative error 0.000e+00" in straight.out
+    assert main(argv) == 0
+    assert capsys.readouterr() == straight
+
+
+@pytest.mark.parametrize("argv", [
+    "cylinder-check --kappa -1", "cylinder-check --kappa nan", "bands --rho0 2",
+])
+def test_a_kappa_that_is_no_curvature_or_no_tube_is_config_error(
+        tmp_path, capsys, argv):
+    # cylinder-check still refuses a malformed kappa; the other commands
+    # still need the configured tube embedded
+    assert main([*argv.split(), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ") and "kappa" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 # -------------------------------------------------------------------- verify

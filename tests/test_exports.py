@@ -48,6 +48,7 @@ _REMOVED = {
     "random_band_limited": operators,
     "weingarten": geometry,
     "cylinder_limit_energies": bloch,
+    "GRID_2D": oracle,
 }
 
 

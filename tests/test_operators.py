@@ -71,6 +71,10 @@ def test_gauge_validation_and_norms(random_band_limited):
         v1_apply(spec, psi)
     with pytest.raises(ValueError):
         WaveField(np.ones((4, 4)), "XXX")
+    with pytest.raises(ValueError, match="at least 2 dimensions"):
+        WaveField(np.zeros(4), PHI)
+    with pytest.raises(ValueError, match="zero field"):
+        normalize(spec, WaveField(np.zeros((4, 4)), PSI))
 
 
 def test_normalize_weighted_vs_flat():

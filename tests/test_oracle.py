@@ -27,7 +27,6 @@ from helitube.cli import RunConfig, main
 from helitube.geometry import DegeneratePeriod, HelixSpec, grid_nodes, metric_h, v_curv
 from helitube.operators import spectral_offset, v_eff
 from helitube.oracle import (
-    GRID_2D,
     CapExceeded,
     ConvergenceFailure,
     DiscretizedHamiltonian,
@@ -51,10 +50,17 @@ FIG3 = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
 def test_full_matrix_hermitian():
     H = assemble_full(FIG3, BlochVector(0.3, 0), 16, 12)
     A = H.entries
-    assert H.basis == GRID_2D
+    assert H.basis == "GRID_2D"
     assert H.entries.shape[0] == 16 * 12
     asym = np.linalg.norm(A - A.conj().T) / np.linalg.norm(A)
     assert asym <= 1e-12
+
+
+def test_dense_matrix_has_one_field():
+    # basis and transverse_n are constants that perfbench/tracer.py reads
+    assert [f.name for f in dataclasses.fields(DiscretizedHamiltonian)] == ["entries"]
+    H = assemble_full(FIG3, BlochVector(0.0, 0), 4, 4)
+    assert H.basis == "GRID_2D" and H.transverse_n is None
 
 
 @pytest.mark.parametrize("grid", [(5, 4), (6, 6)])
@@ -1038,14 +1044,14 @@ def test_perturbed_vs_two_band_second_order():
 
 
 def test_eigensolve_trivial_diag():
-    H = DiscretizedHamiltonian(np.diag([2.0, 1.0]), GRID_2D)
+    H = DiscretizedHamiltonian(np.diag([2.0, 1.0]))
     res = eigensolve(H, 2)
     np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0])
     assert [f.name for f in dataclasses.fields(SpectrumResult)] == ["eigenvalues"]
 
 
 def test_eigensolve_validates_count():
-    H = DiscretizedHamiltonian(np.eye(3), GRID_2D)
+    H = DiscretizedHamiltonian(np.eye(3))
     with pytest.raises(ValueError):
         eigensolve(H, 4)
     with pytest.raises(ValueError):
@@ -1061,9 +1067,18 @@ def test_eigensolve_deterministic():
 
 def test_eigensolve_convergence_failure_diagnostic():
     bad = np.full((3, 3), np.nan)
-    H = DiscretizedHamiltonian(bad, GRID_2D)
+    H = DiscretizedHamiltonian(bad)
     with pytest.raises(ConvergenceFailure):
         eigensolve(H, 2)
+
+
+@pytest.mark.parametrize("bad", [
+    np.diag([np.nan, 1.0]),  # LAPACK returns [0, -0], finite and wrong
+    np.full((2, 2), 1e308),  # finite entries, an eigenvalue overflows to inf
+], ids=["nan-entry", "overflow"])
+def test_eigensolve_refuses_non_finite_input_or_levels(bad):
+    with pytest.raises(ConvergenceFailure):
+        eigensolve(DiscretizedHamiltonian(bad), 2)
 
 
 def _bisection_eigenvalues(A, n_scan=20001):
@@ -1093,7 +1108,7 @@ def test_eigensolve_against_characteristic_polynomial():
     rng = np.random.default_rng(7)
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     A = 0.5 * (raw + raw.conj().T)
-    H = DiscretizedHamiltonian(A, GRID_2D)
+    H = DiscretizedHamiltonian(A)
     got = eigensolve(H, 4).eigenvalues
     want = _bisection_eigenvalues(A)
     assert len(want) == 4
