@@ -17,8 +17,11 @@ block: the tables depend on ``(s, phi)`` through the helical phase, so
 most columns repeat a few hundred values.
 
 Each subcommand imports the modules it runs when it runs.  This module
-loads only ``geometry``, which parsing and validating a configuration
-need: ``potential`` adds ``operators``, ``bands`` and ``gap-scan`` add
+loads only ``geometry``, whose ``HelixSpec`` validation needs, and
+validation loads no numpy: parsing and validating a configuration are
+scalar arithmetic, so ``--help`` and a refused configuration end before
+numpy is imported, and the functions that compute import it when they
+run.  ``potential`` adds ``operators``, ``bands`` and ``gap-scan`` add
 ``bloch`` and ``oracle``, and ``verify`` and ``cylinder-check`` add
 ``verify``.
 
@@ -42,8 +45,6 @@ import sys
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from .geometry import (
     HelixSpec,
@@ -118,7 +119,7 @@ class RunConfig:
         for eps in self.eps_sweep:
             if not 0.0 <= eps < 1.0:
                 raise ConfigError(f"sweep epsilon {eps} outside [0, 1)")
-        if not np.isfinite(self.vkin_offset):
+        if not math.isfinite(self.vkin_offset):
             raise ConfigError("vkin_offset must be finite")
 
     def spec(self) -> HelixSpec:
@@ -131,6 +132,8 @@ class RunConfig:
 
     def kpath_points(self) -> list[float]:
         """The k_s of the path, evenly spaced from start to end."""
+        import numpy as np
+
         return np.linspace(
             self.kpath_start, self.resolved_kpath_end(), self.kpath_count
         ).tolist()
@@ -145,7 +148,7 @@ class RunConfig:
                 mu = float(u.split(":", 1)[1])
             except ValueError as exc:
                 raise ConfigError(f"bad mass in units value {self.units!r}") from exc
-            if not (mu > 0 and np.isfinite(mu)):
+            if not (mu > 0 and math.isfinite(mu)):
                 raise ConfigError("physical units need a positive finite mass")
             return HBAR**2 / (2.0 * mu)
         raise ConfigError(
@@ -174,6 +177,8 @@ def _checked_spec(kappa: float, tau: float, rho0: float) -> HelixSpec:
 def _in_units(cfg: RunConfig, energies) -> np.ndarray:
     """Energies in natural units converted to cfg's units; ConfigError if a
     converted value overflows, so no table is written with an infinity."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
         out = cfg.energy_scale() * np.asarray(energies, dtype=float)
     if not np.isfinite(out).all():
@@ -321,6 +326,8 @@ def _node_rows(*columns):
     keyed by their bits, not compared as floats: ``-0.0 == 0.0`` but the
     two print differently, and the tables hold both.
     """
+    import numpy as np
+
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         text = []
         for c in columns:
@@ -367,6 +374,8 @@ def cmd_potential(cfg: RunConfig) -> int:
 
 
 def cmd_bands(cfg: RunConfig) -> int:
+    import numpy as np
+
     from .operators import spectral_offset
     from .bloch import two_band_energies, two_band_gap
     from .oracle import continuum_levels, gap_perturbed, perturbed_levels
@@ -416,6 +425,8 @@ def cmd_bands(cfg: RunConfig) -> int:
 
 
 def cmd_gap_scan(cfg: RunConfig) -> int:
+    import numpy as np
+
     from .bloch import origin_fit, two_band_gap
     from .oracle import gap_perturbed
 

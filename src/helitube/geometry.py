@@ -22,6 +22,10 @@ curvature potential all have closed forms evaluated here.  Each depends on
 (s, phi) only through the helical phase xi = theta(s) + phi (helical_phase),
 the tube's screw symmetry.
 
+HelixSpec and its checks are scalar arithmetic; the functions of (s, phi)
+import numpy when they are called, so building and validating a spec
+loads none.
+
 Energies are in natural units 2*mu*E/hbar^2 (dimension 1/length^2).
 """
 
@@ -29,8 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class DegenerateCurve(ValueError):
@@ -121,6 +123,8 @@ class HelixSpec:
 
 def rotation_angle(spec: HelixSpec, s):
     """Frame rotation angle theta(s) = -tau*s."""
+    import numpy as np
+
     return -spec.tau * np.asarray(s, dtype=float)
 
 
@@ -131,6 +135,8 @@ def helical_phase(spec: HelixSpec, s, phi):
     (s, phi) only through xi, so they are invariant under the screw shift
     (s, phi) -> (s + d, phi + tau d).
     """
+    import numpy as np
+
     return rotation_angle(spec, s) + np.asarray(phi, dtype=float)
 
 
@@ -141,6 +147,8 @@ def surface_point(spec: HelixSpec, s, phi) -> np.ndarray:
     theta(s) about the tangent.  Broadcasts over s and phi; the 3-vector
     sits on the last axis.
     """
+    import numpy as np
+
     s = np.asarray(s, dtype=float)
     phi = np.asarray(phi, dtype=float)
     s, phi = np.broadcast_arrays(s, phi)
@@ -157,6 +165,8 @@ def surface_point(spec: HelixSpec, s, phi) -> np.ndarray:
 
 def metric_h(spec: HelixSpec, s, phi):
     """Metric factor h(s, phi) = 1 + rho0*kappa*cos(theta(s) + phi); h > 0."""
+    import numpy as np
+
     return 1.0 + spec.epsilon * np.cos(helical_phase(spec, s, phi))
 
 
@@ -173,6 +183,8 @@ def principal_curvatures(spec: HelixSpec, s, phi):
     potential depends only on (kappa1-kappa2)^2, so the overall sign of the
     shape operator never matters downstream.
     """
+    import numpy as np
+
     h = metric_h(spec, s, phi)
     k1 = np.full_like(np.asarray(h, dtype=float), 1.0 / spec.rho0)
     k2 = spec.kappa * np.cos(helical_phase(spec, s, phi)) / h
@@ -195,6 +207,8 @@ def grid_nodes(spec: HelixSpec, n_s: int, n_phi: int):
     -pi*rho0 + j*2*pi*rho0/n_phi; both directions are half-open, so no
     periodic edge is duplicated.  tau = 0 has no cell: DegeneratePeriod.
     """
+    import numpy as np
+
     s = np.arange(n_s) * (spec.s_period / n_s)
     varphi = -math.pi * spec.rho0 + np.arange(n_phi) * (spec.varphi_period / n_phi)
     S, V = np.meshgrid(s, varphi, indexing="ij")

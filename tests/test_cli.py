@@ -373,27 +373,44 @@ def test_verify_loads_no_numpy_random(tmp_path):
 ALL_MODULES = ["bloch", "cli", "geometry", "operators", "oracle", "verify"]
 
 
-# the helitube modules each subcommand loads: the ones it runs
-@pytest.mark.parametrize("argv, loaded", [
-    (["geometry", "--grid", "8x8"], ["cli", "geometry"]),
-    (["potential", "--grid", "8x8"], ["cli", "geometry", "operators"]),
-    (["bands", "--kpath", "0:-0.5:3"],
-     ["bloch", "cli", "geometry", "operators", "oracle"]),
-    (["gap-scan", "--eps-sweep", "0.1"],
-     ["bloch", "cli", "geometry", "operators", "oracle"]),
-    (["cylinder-check"], ALL_MODULES),
-    # control: the probe sees every module a run loads
-    (["verify"], ALL_MODULES),
-], ids=["geometry", "potential", "bands", "gap-scan", "cylinder-check", "verify"])
-def test_subcommand_loads_only_what_it_runs(tmp_path, argv, loaded):
+# the helitube modules each subcommand loads: the ones it runs, and numpy
+# only when it computes
+@pytest.mark.parametrize("argv, rc, loaded, numpy", [
+    (["geometry", "--grid", "8x8"], 0, ["cli", "geometry"], True),
+    (["potential", "--grid", "8x8"], 0, ["cli", "geometry", "operators"], True),
+    (["bands", "--kpath", "0:-0.5:3"], 0,
+     ["bloch", "cli", "geometry", "operators", "oracle"], True),
+    (["gap-scan", "--eps-sweep", "0.1"], 0,
+     ["bloch", "cli", "geometry", "operators", "oracle"], True),
+    (["cylinder-check"], 0, ALL_MODULES, True),
+    # control: the probe sees every module a run loads, numpy included
+    (["verify"], 0, ALL_MODULES, True),
+    # a refused configuration ends before anything computes
+    (["bands", "--tau", "0"], 2, ["cli", "geometry"], False),
+    (["geometry", "--grid", "2x2"], 2, ["cli", "geometry"], False),
+], ids=["geometry", "potential", "bands", "gap-scan", "cylinder-check", "verify",
+        "refused-tau", "refused-grid"])
+def test_subcommand_loads_only_what_it_runs(tmp_path, argv, rc, loaded, numpy):
     probe = (
         "import json, sys; from helitube.cli import main; "
         f"rc = main({argv + ['--out', str(tmp_path)]!r}); "
         "print(json.dumps([rc, sorted(m.split('.')[1] for m in sys.modules "
-        "if m.startswith('helitube.')), 'numpy.polynomial' in sys.modules]))"
+        "if m.startswith('helitube.')), 'numpy' in sys.modules, "
+        "'numpy.polynomial' in sys.modules]))"
     )
-    rc, modules, polynomial = json.loads(_fresh_python(probe).stdout.splitlines()[-1])
-    assert (rc, modules, polynomial) == (0, loaded, False)
+    result = json.loads(_fresh_python(probe).stdout.splitlines()[-1])
+    assert result == [rc, loaded, numpy, False]
+
+
+def test_validating_every_subcommand_loads_no_numpy():
+    # every check of a configuration that passes, as perfbench's setup_s
+    # times it: parse the flags, build and validate the RunConfig
+    probe = (
+        "import sys; from helitube import cli; "
+        "[cli.build_config(cli._build_parser().parse_args([c])) for c in cli._COMMANDS]; "
+        "print(len(cli._COMMANDS), 'numpy' in sys.modules)"
+    )
+    assert _fresh_python(probe).stdout.split()[-2:] == ["6", "False"]
 
 
 def test_import_helitube_loads_no_submodule():
@@ -801,8 +818,11 @@ def test_build_config_validation_direct():
         kappa=0.7, n_s=8, n_phi=6, eps_sweep=(0.5, 0.9))
     with pytest.raises(ConfigError):
         RunConfig(eps_sweep=(1.5,)).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(units="physical:-3").validate()
+    for bad in (dict(units="physical:-3"), dict(units="physical:inf"),
+                dict(units="physical:nan"), dict(vkin_offset=math.nan),
+                dict(vkin_offset=math.inf)):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad).validate()
     scale = RunConfig(units="physical:2.0").energy_scale()
     assert scale == pytest.approx(HBAR**2 / 4.0, rel=1e-15)
 
