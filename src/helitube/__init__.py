@@ -6,7 +6,8 @@ geometry   tube embedding, metric factor, curvatures
 operators  surface Laplacian, gauge transform, effective potential
 bloch      folded zone, ray couplings, two-band model, effective mass
 oracle     plane-wave lattice eigensolvers at fixed helical momentum
-           (exact and paper-stated), and the finite-difference grid reference
+           (exact and paper-stated), the spectral collocation reference,
+           and the finite-difference grid reference
 cli        deterministic CSV/JSON artifact generation
 verify     self-check suite behind `helitube verify`
 
@@ -43,8 +44,9 @@ _EXPORTS = {
     "oracle": (
         "CapExceeded", "ConvergenceFailure", "DiscretizedHamiltonian",
         "SpectrumResult", "assemble_full", "assemble_perturbed",
-        "continuum_levels", "eigensolve", "fourier_decay_rate",
-        "gap_perturbed", "perturbed_levels", "screw_eigenvalues",
+        "collocation_levels", "continuum_levels", "eigensolve",
+        "fourier_decay_rate", "gap_perturbed", "perturbed_levels",
+        "screw_eigenvalues",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

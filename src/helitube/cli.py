@@ -425,11 +425,6 @@ def cmd_bands(cfg: RunConfig) -> int:
 
 
 def cmd_gap_scan(cfg: RunConfig) -> int:
-    import numpy as np
-
-    from .bloch import origin_fit, two_band_gap
-    from .oracle import gap_perturbed
-
     if not cfg.eps_sweep:
         raise ConfigError("gap-scan needs a non-empty epsilon sweep")
     if any(eps > 0 for eps in cfg.eps_sweep) and cfg.kappa <= 0.0:
@@ -443,6 +438,11 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
                          else _checked_spec(cfg.kappa, cfg.tau, eps / cfg.kappa))
         except ConfigError as exc:
             raise ConfigError(f"sweep epsilon {eps!r}: {exc}") from exc
+    import numpy as np
+
+    from .bloch import origin_fit, two_band_gap
+    from .oracle import gap_perturbed
+
     out = Path(cfg.out_dir)
     xs = np.asarray(cfg.eps_sweep, dtype=float)
     gaps_tb = [two_band_gap(spec_e) for spec_e in specs]
@@ -560,7 +560,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, _oracle().CapExceeded) as exc:
+    # ConfigError on its own, first: the CapExceeded clause imports the
+    # oracle, and numpy with it, to match an exception
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except _oracle().CapExceeded as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except _oracle().ConvergenceFailure as exc:

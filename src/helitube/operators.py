@@ -161,19 +161,22 @@ def v_eff(spec: HelixSpec, s, phi):
     return v_kin(spec, s, phi) + v_curv(spec, s, phi)
 
 
-def apply_transformed_operator(spec: HelixSpec, phi_field: WaveField) -> WaveField:
+def apply_transformed_operator(
+    spec: HelixSpec, phi_field: WaveField, k_s: float = 0.0
+) -> WaveField:
     """Flat-gauge Hamiltonian action -d_s(h^-2 d_s Phi) - Phi_vv + V_eff Phi.
 
     The s-part is kept in flux (Sturm-Liouville) form, which is identical to
     the expanded -(1/h^2) d_s^2 + 2(h_s/h^3) d_s and manifestly symmetric
-    under the flat inner product.
+    under the flat inner product.  k_s is the Bloch momentum: the field is
+    the periodic part u of exp(i k_s s) u, so d_s acts as d_s + i k_s.
     """
     if phi_field.gauge != PHI:
         raise GaugeMismatch(f"expected PHI-gauge input, got {phi_field.gauge}")
     S, P = _grid(spec, phi_field)
     h = metric_h(spec, S, P)
     f = phi_field.values
-    ds = lambda v: spectral_derivative(v, -2, spec.s_period)
+    ds = lambda v: spectral_derivative(v, -2, spec.s_period) + 1j * k_s * v
     flux = -ds(ds(f) / h**2)
     f_vv = spectral_derivative(f, -1, spec.varphi_period, 2)
     pot = v_eff(spec, S, P)

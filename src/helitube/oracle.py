@@ -14,9 +14,11 @@ plain real symmetric array, fed the paper's stated first-order table on
 the coupling ray, and perturbed_levels solves those matrices along a
 k-path.  Both tables keep the window of
 _n_modes(spec) modes each side, so the truncation follows the spec and
-is set in one place.  A second-order
-finite-difference grid on the (s, varphi) unit cell stays as the
-independent reference, written by one builder, _grid_blocks, as the Bloch
+is set in one place.  collocation_levels solves the dense matrix of
+operators.apply_transformed_operator on an odd n x n grid, the reference
+verify holds continuum_levels to.  A second-order finite-difference grid
+on the (s, varphi) unit cell stays as the test suite's independent
+reference, written by one builder, _grid_blocks, as the Bloch
 blocks of its discrete screw symmetry: screw_eigenvalues solves the
 gcd(n_s, n_phi) blocks a fixed-size batch at a time, and assemble_full is
 the one-block case (the dense matrix, no screw twist), which checks the
@@ -39,7 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DegeneratePeriod, HelixSpec, grid_nodes, metric_h
-from .operators import spectral_offset, v_eff
+from .operators import (
+    PHI, WaveField, apply_transformed_operator, spectral_offset, v_eff,
+)
 from .bloch import k_components, stated_table, zone_boundary_k
 
 _MAX_DIMENSION = 4096
@@ -292,6 +296,26 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
         sectors.append(2 * j - 1)
     detail = {"n_modes": n_modes, "sectors_per_kpoint": [min(sectors), max(sectors)]}
     return np.array(rows), detail
+
+
+def collocation_levels(
+    spec: HelixSpec, k_s: float, n: int, n_lowest: int
+) -> np.ndarray:
+    """Lowest n_lowest levels at Bloch k_s of apply_transformed_operator on
+    the n x n grid, as the dense matrix of its action on the n^2 unit fields.
+
+    The Fourier derivatives are exact on the grid's modes, so the levels
+    converge exponentially in n.  n must be odd: on an even grid the first
+    s-derivative drops the Nyquist mode, which leaves a spurious level next
+    to each low level.
+    """
+    if n % 2 == 0:
+        raise ValueError(f"n must be odd, got {n}")
+    _check_storage(1, n * n)
+    _check_count(n_lowest, n * n)
+    unit = WaveField(np.eye(n * n).reshape(n * n, n, n), PHI)
+    columns = apply_transformed_operator(spec, unit, k_s).values
+    return _dense_eigh(columns.reshape(n * n, n * n).T)[:n_lowest]
 
 
 def _check_count(n_lowest: int, count: int) -> None:

@@ -1,18 +1,20 @@
 """Self-verification suite behind the `helitube verify` subcommand.
 
 Each check measures one library invariant and reports the measured value
-against its tolerance.  Checks that hold an oracle to a closed form or to
-the grid (cylinder limit, refinement order, continuum oracle) run on fixed
-internal parameters so they stay meaningful whatever the configured
-geometry; the operator identity, the screw reduction and the ray selection
-run on the configured helix.  No check reads the configured grid: the grid
-checks fix their own sizes, the operator identity sizes its grid from eps,
-and the cylinder limit solves the exact oracle.
+against its tolerance.  The two checks that hold the exact oracle to a
+reference (continuum oracle: the spectral operator's collocation matrix;
+cylinder limit: the closed form) run on fixed internal parameters, so they
+stay meaningful whatever the configured geometry; the operator identity
+and the ray selection run on the configured helix.  No check reads the
+configured grid: the collocation grid is fixed, and the operator identity
+sizes its grid from eps.
 
 Invariants that hold bitwise by construction, which no input can move, are
 left to the test suite: the Hermiticity of the grid and ray matrices (each
 hop and its conjugate come from one array) and the evenness of v_eff under
-(s, phi) -> (-s, -phi) (it reads cos and sin^2 of exactly -xi).
+(s, phi) -> (-s, -phi) (it reads cos and sin^2 of exactly -xi).  So are the
+finite-difference grid's own properties (its screw reduction and its
+second-order refinement), which no artifact is computed from.
 
 The vkin_offset configuration key is a negative-control hook: a nonzero
 value shifts the potential on one side of the operator identity only, as
@@ -37,14 +39,12 @@ from .operators import (
     band_limited,
     v1_multiplicative,
 )
-from .bloch import BlochVector, cylinder_levels
+from .bloch import cylinder_levels
 from .oracle import (
     CapExceeded,
-    assemble_full,
+    collocation_levels,
     continuum_levels,
-    eigensolve,
     fourier_decay_rate,
-    screw_eigenvalues,
 )
 
 _IDENTITY_FIELDS = 5
@@ -116,34 +116,16 @@ def check_operator_identity(cfg) -> dict:
     )
 
 
-def check_screw_reduction(cfg) -> dict:
-    """Screw-block spectrum vs the dense grid matrix, whole spectrum.
-
-    16x12 has gcd 4: four blocks on 4-row strips with a nonzero twist, at
-    a generic interior k on the configured helix.
-    """
-    spec = cfg.spec()
-    k = BlochVector(-0.3 * abs(spec.tau), 0)
-    n_s, n_phi = 16, 12
-    dim = n_s * n_phi
-    dense = eigensolve(assemble_full(spec, k, n_s, n_phi), dim).eigenvalues
-    blocks = screw_eigenvalues(spec, k, n_s, n_phi, dim)
-    measured = float(np.max(np.abs(blocks - dense)) / np.max(np.abs(dense)))
-    return _check("screw_reduction", 1e-10, measured, grid=[n_s, n_phi])
-
-
 def check_continuum_oracle(cfg) -> dict:
-    """continuum_levels vs the grid's Richardson (4 E_64 - E_32)/3, lowest 4
-    levels of FIG3 at k_s = -0.3."""
+    """continuum_levels vs collocation_levels, the spectral operator's own
+    dense matrix on an odd grid, lowest 4 levels of FIG3 at k_s = -0.3."""
     probe = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
-    k = BlochVector(-0.3, 0)
-    exact = continuum_levels(probe, [k.k_s], 4)[0][0]
-    coarse, fine = (screw_eigenvalues(probe, k, n, n, 4) for n in (32, 64))
-    rich = (4.0 * fine - coarse) / 3.0
-    measured = float(np.max(np.abs(exact - rich) / np.abs(exact)))
+    exact = continuum_levels(probe, [-0.3], 4)[0][0]
+    reference = collocation_levels(probe, -0.3, 13, 4)
+    measured = float(np.max(np.abs(exact - reference) / np.abs(exact)))
     return _check(
-        "continuum_oracle", 1e-5, measured,
-        grids=[[32, 32], [64, 64]], probe_k_s=-0.3, levels=4,
+        "continuum_oracle", 1e-10, measured,
+        grid=[13, 13], probe_k_s=-0.3, levels=4,
     )
 
 
@@ -183,38 +165,11 @@ def check_cylinder_limit(cfg) -> dict:
     )
 
 
-def check_refinement_order(cfg) -> dict:
-    """Observed s-refinement order of the grid oracle on a fixed probe.
-
-    kappa != tau keeps the leading potential harmonic alive, so the
-    longitudinal discretization error is visible above solver noise.
-    Each lowest level at k = 0 is one real screw block of n_s*3
-    (screw_eigenvalues' ground-state rule), the ground state of the dense
-    n_s*24 matrix.  The check measures |order - 2|, so an order too high
-    fails as well as one too low; levels that do not move between two grids
-    measure no order, so they fail with order 0.
-    """
-    probe = HelixSpec(kappa=0.1, tau=1.0, rho0=0.5)
-    k = BlochVector(0.0, 0)
-    lowest = {}
-    for n_s in (32, 64, 128):
-        lowest[n_s] = screw_eigenvalues(probe, k, n_s, 24, 1)[0]
-    d1 = abs(lowest[32] - lowest[64])
-    d2 = abs(lowest[64] - lowest[128])
-    order = math.log2(d1 / d2) if d1 > 0 and d2 > 0 else 0.0
-    return _check(
-        "refinement_order", 0.2, abs(order - 2.0),
-        order=order, grids=[[32, 24], [64, 24], [128, 24]],
-    )
-
-
 _CHECKS = (
     check_operator_identity,
-    check_screw_reduction,
     check_continuum_oracle,
     check_ray_selection,
     check_cylinder_limit,
-    check_refinement_order,
 )
 
 

@@ -388,8 +388,10 @@ ALL_MODULES = ["bloch", "cli", "geometry", "operators", "oracle", "verify"]
     # a refused configuration ends before anything computes
     (["bands", "--tau", "0"], 2, ["cli", "geometry"], False),
     (["geometry", "--grid", "2x2"], 2, ["cli", "geometry"], False),
+    (["gap-scan", "--kappa", "0", "--eps-sweep", "0.1"], 2, ["cli", "geometry"], False),
+    (["gap-scan", "--kappa", "5e-324"], 2, ["cli", "geometry"], False),
 ], ids=["geometry", "potential", "bands", "gap-scan", "cylinder-check", "verify",
-        "refused-tau", "refused-grid"])
+        "refused-tau", "refused-grid", "refused-sweep-kappa", "refused-sweep-radius"])
 def test_subcommand_loads_only_what_it_runs(tmp_path, argv, rc, loaded, numpy):
     probe = (
         "import json, sys; from helitube.cli import main; "
@@ -704,11 +706,10 @@ def test_verify_defaults_pass(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "verify.json").read_text())
     assert report["passed"] is True
-    names = {c["name"] for c in report["checks"]}
-    assert names == {
-        "operator_identity", "screw_reduction", "continuum_oracle",
-        "ray_selection", "cylinder_limit", "refinement_order",
-    }
+    names = [c["name"] for c in report["checks"]]
+    assert names == [
+        "operator_identity", "continuum_oracle", "ray_selection", "cylinder_limit",
+    ]
     for c in report["checks"]:
         assert c["passed"] is True
         assert {"name", "kind", "tolerance", "measured", "passed"} <= set(c)
@@ -718,9 +719,9 @@ def test_verify_defaults_pass(tmp_path):
     assert assemble_perturbed(RunConfig().spec(), (0.21, 0.0)).shape == (17, 17)
     identity = next(c for c in report["checks"] if c["name"] == "operator_identity")
     assert identity["grid"] == [48, 48]  # sized from eps (fourier_decay_rate)
-    # the refinement probe keeps its three grids, solved as screw blocks
-    order = next(c for c in report["checks"] if c["name"] == "refinement_order")
-    assert order["grids"] == [[32, 24], [64, 24], [128, 24]]
+    # the exact oracle is held to the 13x13 collocation matrix
+    oracle = next(c for c in report["checks"] if c["name"] == "continuum_oracle")
+    assert oracle["grid"] == [13, 13]
 
 
 @pytest.mark.parametrize("tau", ["1000", "-1000"])

@@ -2,7 +2,6 @@
 
 import cmath
 import dataclasses
-import json
 import math
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from helitube.bloch import (
     two_band_gap,
     zone_boundary_k,
 )
-from helitube.cli import RunConfig, main
+from helitube.cli import RunConfig
 from helitube.geometry import DegeneratePeriod, HelixSpec, grid_nodes, metric_h, v_curv
 from helitube.operators import spectral_offset, v_eff
 from helitube.oracle import (
@@ -33,6 +32,7 @@ from helitube.oracle import (
     SpectrumResult,
     assemble_full,
     assemble_perturbed,
+    collocation_levels,
     continuum_levels,
     eigensolve,
     fourier_decay_rate,
@@ -142,7 +142,8 @@ def test_full_cylinder_lowest_modes_quick():
 
 
 def test_full_refinement_order():
-    # kappa != tau keeps the leading harmonic alive so the s error is visible
+    # kappa != tau keeps the leading harmonic alive so the s error is visible;
+    # two-sided, so an order far too high fails as well (measured 1.99978)
     spec = HelixSpec(kappa=0.1, tau=1.0, rho0=0.5)
     k = BlochVector(0.0, 0)
     lowest = {}
@@ -152,11 +153,11 @@ def test_full_refinement_order():
     d2 = abs(lowest[64] - lowest[128])
     order = math.log2(d1 / d2)
     print(f"observed refinement order: {order:.3f}")
-    assert order >= 1.9
+    assert abs(order - 2) <= 0.1
 
 
 def test_refinement_probe_blocks_match_the_dense_level():
-    # verify's refinement probe on its coarsest grid: one real screw block
+    # the refinement probe on its coarsest grid: one real screw block
     # of 96 (the ground-state rule) against the dense 768^2 matrix
     # (measured 9.2e-14 of |E|)
     spec = HelixSpec(kappa=0.1, tau=1.0, rho0=0.5)
@@ -164,73 +165,6 @@ def test_refinement_probe_blocks_match_the_dense_level():
     blocks = screw_eigenvalues(spec, k, 32, 24, 1)[0]
     dense = eigensolve(assemble_full(spec, k, 32, 24), 1).eigenvalues[0]
     assert abs(blocks - dense) <= 1e-12 * abs(dense)
-
-
-def test_refinement_order_check_catches_a_first_order_error(monkeypatch):
-    # an O(1/n_s) error in the level swamps the O(ds^2) one: order 0.986
-    cfg = RunConfig()
-    assert verify.check_refinement_order(cfg)["passed"] is True
-    right = verify.screw_eigenvalues
-
-    def first_order(spec, k, n_s, n_phi, n_lowest):
-        return right(spec, k, n_s, n_phi, n_lowest) + 1e-4 / n_s
-
-    monkeypatch.setattr(verify, "screw_eigenvalues", first_order)
-    check = verify.check_refinement_order(cfg)
-    assert check["passed"] is False
-    assert check["order"] < 1.2
-
-
-@pytest.mark.parametrize(
-    "solved_as",
-    [{32: 32, 64: 32, 128: 32}, {32: 32, 64: 32, 128: 128}],
-    ids=["constant", "coarse_levels_equal"],
-)
-def test_refinement_order_check_fails_levels_that_do_not_move(
-    monkeypatch, tmp_path, solved_as
-):
-    # levels that do not move between two grids measure no order: a failed
-    # check with order 0, not a pass (d2 = 0) or a math domain error (d1 = 0)
-    right = verify.screw_eigenvalues
-
-    def faulty(spec, k, n_s, n_phi, n_lowest):
-        if n_phi == 24:  # the refinement probe's grids
-            n_s = solved_as[n_s]
-        return right(spec, k, n_s, n_phi, n_lowest)
-
-    monkeypatch.setattr(verify, "screw_eigenvalues", faulty)
-    check = verify.check_refinement_order(RunConfig())
-    assert check["passed"] is False
-    assert check["order"] == 0.0
-    assert main(["verify", "--out", str(tmp_path)]) == 1
-    report = json.loads((tmp_path / "verify.json").read_text())
-    failed = [c["name"] for c in report["checks"] if not c["passed"]]
-    assert failed == ["refinement_order"]
-
-
-def test_refinement_order_check_fails_an_order_too_high(monkeypatch, tmp_path):
-    # the check measures |order - 2|: the correct probe passes, and the
-    # 128x24 level replaced by the 64x24 one plus 1e-15 measures order 24.7,
-    # which a one-sided order >= 1.8 would pass
-    ok = verify.check_refinement_order(RunConfig())
-    assert ok["passed"] is True
-    assert ok["kind"] == "max" and ok["tolerance"] == 0.2
-    assert ok["measured"] == abs(ok["order"] - 2.0)
-    right = verify.screw_eigenvalues
-
-    def too_close(spec, k, n_s, n_phi, n_lowest):
-        if n_phi == 24 and n_s == 128:  # the refinement probe's finest grid
-            return right(spec, k, 64, n_phi, n_lowest) + 1e-15
-        return right(spec, k, n_s, n_phi, n_lowest)
-
-    monkeypatch.setattr(verify, "screw_eigenvalues", too_close)
-    check = verify.check_refinement_order(RunConfig())
-    assert check["passed"] is False
-    assert check["order"] > 20
-    assert main(["verify", "--out", str(tmp_path)]) == 1
-    report = json.loads((tmp_path / "verify.json").read_text())
-    failed = [c["name"] for c in report["checks"] if not c["passed"]]
-    assert failed == ["refinement_order"]
 
 
 def test_refinement_probe_solves_one_real_block_per_grid(monkeypatch):
@@ -244,23 +178,24 @@ def test_refinement_probe_solves_one_real_block_per_grid(monkeypatch):
         return right(a)
 
     monkeypatch.setattr(oracle_module.np.linalg, "eigvalsh", recording)
-    assert verify.check_refinement_order(RunConfig())["passed"] is True
+    spec = HelixSpec(kappa=0.1, tau=1.0, rho0=0.5)
+    for n_s in (32, 64, 128):
+        screw_eigenvalues(spec, BlochVector(0.0, 0), n_s, 24, 1)
     assert solved == [((1, d, d), np.dtype(np.float64)) for d in (96, 192, 384)]
 
 
 def test_verify_solves_no_large_dense_matrix(monkeypatch):
-    # the grid checks solve screw blocks; the one dense solve left is
-    # screw_reduction's 16x12 reference
+    # the largest dense solve is continuum_oracle's 13x13 collocation matrix
     dims = []
-    right = verify.eigensolve
+    right = np.linalg.eigvalsh
 
-    def recording(H, n_lowest):
-        dims.append(H.entries.shape[0])
-        return right(H, n_lowest)
+    def recording(a):
+        dims.append(a.shape[-1])
+        return right(a)
 
-    monkeypatch.setattr(verify, "eigensolve", recording)
+    monkeypatch.setattr(oracle_module.np.linalg, "eigvalsh", recording)
     assert verify.run_verification(RunConfig())["passed"] is True
-    assert dims and max(dims) <= 16 * 16
+    assert max(dims) == 13 * 13
 
 
 def test_full_time_reversal_pair():
@@ -353,7 +288,7 @@ def test_screw_ground_state_matches_every_block(rho0, eps, tau, sign, k_frac, gr
 @pytest.mark.parametrize(
     "spec, grid",
     [
-        (HelixSpec(kappa=0.1, tau=1.0, rho0=0.5), (32, 24)),  # verify's probe
+        (HelixSpec(kappa=0.1, tau=1.0, rho0=0.5), (32, 24)),  # the refinement probe
         (HelixSpec(kappa=1.0, tau=-1.0, rho0=0.1), (12, 8)),
         (HelixSpec(kappa=0.0, tau=1.3, rho0=0.3), (4, 4)),  # one-row strips
     ],
@@ -488,18 +423,6 @@ def test_dense_matrix_uses_no_screw_twist(monkeypatch):
     monkeypatch.setattr(oracle_module, "_screw_twist", broken)
     got = assemble_full(FIG3, BlochVector(-0.3, 0), 16, 12).entries
     assert np.array_equal(got, want)
-
-
-def test_screw_reduction_check_catches_a_wrong_twist(monkeypatch):
-    cfg = RunConfig()  # the FIG3 helix
-    assert verify.check_screw_reduction(cfg)["passed"] is True
-    right = oracle_module._screw_twist
-    monkeypatch.setattr(
-        oracle_module, "_screw_twist", lambda spec, n_phi, g: right(spec, n_phi, g) + 1
-    )
-    check = verify.check_screw_reduction(cfg)
-    assert check["passed"] is False
-    assert check["measured"] > 1e3 * check["tolerance"]
 
 
 # ------------------------------------------------------- continuum oracle
@@ -883,7 +806,63 @@ def test_continuum_oracle_check_catches_a_wrong_table(monkeypatch, wrong):
     monkeypatch.setattr(oracle_module, "_helical_samples", corrupted)
     check = verify.check_continuum_oracle(cfg)
     assert check["passed"] is False
-    assert check["measured"] > 100 * 1.1e-6  # the correct table's value
+    # measured 1.2e-3 (h^-1) and 1.0e-2 (v_kin dropped)
+    assert check["measured"] > 1e6 * check["tolerance"]
+
+
+def test_continuum_oracle_check_catches_a_wrong_k_s(monkeypatch):
+    # continuum_levels taken at k_s = -0.2 in place of the probe's -0.3
+    right = verify.continuum_levels
+
+    def shifted(spec, ks, n_bands):
+        return right(spec, [k_s + 0.1 for k_s in ks], n_bands)
+
+    monkeypatch.setattr(verify, "continuum_levels", shifted)
+    check = verify.check_continuum_oracle(RunConfig())
+    assert check["passed"] is False
+    assert check["measured"] > 1e6 * check["tolerance"]
+
+
+# ------------------------------------------------------ collocation levels
+
+
+@pytest.mark.parametrize("k_s", [0.0, -0.27, 0.65, 1.03])
+def test_collocation_matches_the_cylinder_closed_form(k_s):
+    # independent of every oracle in the package: the straight tube's
+    # (k_s + m tau)^2 + (n^2 - 1/4)/rho0^2, k_s inside, on and outside the
+    # zone edge tau/2 = 0.65
+    spec = HelixSpec(kappa=0.0, tau=1.3, rho0=0.4)
+    got = collocation_levels(spec, k_s, 13, 6)
+    want = _cylinder_closed_form(spec, k_s, 6)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("spec, k_s, n", [
+    (FIG3, -0.3, 13),  # verify's probe, measured 6.6e-14
+    (HelixSpec(kappa=1.0, tau=-2.0, rho0=0.2), -0.6, 21),  # measured 2.2e-12
+], ids=["fig3", "mirror"])
+def test_collocation_matches_the_continuum(spec, k_s, n):
+    got = collocation_levels(spec, k_s, n, 4)
+    want = _continuum(spec, k_s)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
+
+
+def test_collocation_guards(monkeypatch):
+    # an even grid drops the s-Nyquist mode of d_s and leaves a spurious
+    # level next to each low level: FIG3 on 16x16 is 5.5e-2 off
+    with pytest.raises(ValueError, match="odd"):
+        collocation_levels(FIG3, -0.3, 16, 4)
+    for n_lowest in (0, 10):
+        with pytest.raises(ValueError, match="n_lowest"):
+            collocation_levels(FIG3, -0.3, 3, n_lowest)
+    # the dense matrix holds n^4 entries: refused before it is built
+    monkeypatch.setattr(oracle_module, "_MAX_DIMENSION", 11 * 11 - 1)
+    assert collocation_levels(FIG3, -0.3, 9, 1).shape == (1,)
+    with pytest.raises(CapExceeded, match="cap"):
+        collocation_levels(FIG3, -0.3, 11, 1)
+    monkeypatch.undo()
+    with pytest.raises(CapExceeded, match="cap"):
+        collocation_levels(FIG3, -0.3, 65, 1)
 
 
 def test_perturbed_is_the_lattice_fed_the_stated_table():
