@@ -26,12 +26,12 @@ run.  ``potential`` adds ``operators``, ``bands`` and ``gap-scan`` add
 ``verify``.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
-(a request over one of the oracle's desk-scale caps included, a ``tau``,
-``kappa`` or ``1/rho0`` whose fourth power overflows: energies scale as
-its square and are squared again, the same for a gap-scan helix's swept
-radius, an energy that overflows in physical units, and an output
-directory or file that cannot be created or written), 3 eigensolver
-failure.
+(a request over one of the oracle's desk-scale caps included, a helix
+that ``HelixSpec`` refuses, configured or swept by gap-scan: its limits,
+such as a ``tau``, ``kappa`` or ``1/rho0`` whose fourth power overflows,
+are its own and hold for library callers too; an energy that overflows
+in physical units, and an output directory or file that cannot be
+created or written), 3 eigensolver failure.
 """
 
 from __future__ import annotations
@@ -103,12 +103,10 @@ class RunConfig:
                 "tau = 0 has no longitudinal period; the command-line "
                 "workflows require tau != 0"
             )
-        spec = _checked_spec(self.kappa, self.tau, self.rho0)
-        if not math.isfinite(spec.s_period * spec.s_period):
-            raise ConfigError(
-                f"tau = {self.tau!r} is too small: the squared period "
-                f"(2 pi/|tau|)^2 overflows"
-            )
+        try:
+            self.spec()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         half = abs(self.tau) / 2 * (1 + 1e-12)
         for k in (self.kpath_start, self.resolved_kpath_end()):
             if not abs(k) <= half:  # also a NaN endpoint
@@ -154,24 +152,6 @@ class RunConfig:
         raise ConfigError(
             f"units must be 'natural' or 'physical:<mu>', got {self.units!r}"
         )
-
-
-def _checked_spec(kappa: float, tau: float, rho0: float) -> HelixSpec:
-    """The HelixSpec, or ConfigError if it is invalid or its scales overflow."""
-    try:
-        spec = HelixSpec(kappa=kappa, tau=tau, rho0=rho0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    # energies go as the square of these scales and are squared again
-    # (matrix norms, the least-squares fit); `*` gives inf where the
-    # library's `**` would raise OverflowError
-    for name, scale in (("tau", tau), ("kappa", kappa), ("1/rho0", 1.0 / rho0)):
-        if not math.isfinite((scale * scale) * (scale * scale)):
-            raise ConfigError(
-                f"{name} = {scale!r} is too large: its fourth power, "
-                "the scale of a squared energy, overflows"
-            )
-    return spec
 
 
 def _in_units(cfg: RunConfig, energies) -> np.ndarray:
@@ -300,6 +280,8 @@ def _atomic_write(path: Path, lines) -> None:
     try:
         with os.fdopen(fd, "w", newline="\n") as f:
             f.writelines(lines)
+        os.umask(umask := os.umask(0))
+        os.chmod(tmp, 0o666 & ~umask)  # as open() would, not mkstemp's 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -429,14 +411,13 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
         raise ConfigError("gap-scan needs a non-empty epsilon sweep")
     if any(eps > 0 for eps in cfg.eps_sweep) and cfg.kappa <= 0.0:
         raise ConfigError("a positive sweep epsilon requires kappa > 0")
-    # epsilon = rho0*kappa: sweep the tube radius at fixed curve shape.  Each
-    # swept helix gets the checks validate gives the configured one.
+    # epsilon = rho0*kappa: sweep the tube radius at fixed curve shape
     specs = []
     for eps in cfg.eps_sweep:
         try:
-            specs.append(_checked_spec(0.0, cfg.tau, cfg.rho0) if eps == 0.0
-                         else _checked_spec(cfg.kappa, cfg.tau, eps / cfg.kappa))
-        except ConfigError as exc:
+            specs.append(HelixSpec(0.0, cfg.tau, cfg.rho0) if eps == 0.0
+                         else HelixSpec(cfg.kappa, cfg.tau, eps / cfg.kappa))
+        except ValueError as exc:
             raise ConfigError(f"sweep epsilon {eps!r}: {exc}") from exc
     import numpy as np
 

@@ -65,6 +65,11 @@ class HelixSpec:
         Torsion; any sign (handedness) [1/length].
     rho0 : float
         Tube radius, > 0 [length].
+
+    HelixSpec alone decides whether a helix can be computed.  It refuses
+    rho0*kappa >= 1 (EmbeddingViolation), a `tau`, `kappa` or `1/rho0` above
+    about 1.16e77 (its fourth power overflows) and 0 < |tau| < about
+    4.7e-154 (the squared period overflows).  tau = 0 has no s_period.
     """
 
     kappa: float
@@ -84,6 +89,16 @@ class HelixSpec:
             raise EmbeddingViolation(
                 f"rho0*kappa = {self.epsilon!r} >= 1: tube is not embedded"
             )
+        # energies go as the square of these scales and are squared again (matrix
+        # norms, the least-squares fit); `*` gives inf where `**` raises
+        for name, scale in (("tau", self.tau), ("kappa", self.kappa),
+                            ("1/rho0", 1.0 / self.rho0)):
+            if not math.isfinite((scale * scale) * (scale * scale)):
+                raise ValueError(f"{name} = {scale!r} is too large: its fourth "
+                                 "power, the scale of a squared energy, overflows")
+        if self.tau != 0.0 and not math.isfinite(self.s_period * self.s_period):
+            raise ValueError(f"tau = {self.tau!r} is too small: the squared "
+                             "period (2 pi/|tau|)^2 overflows")
 
     @property
     def epsilon(self) -> float:

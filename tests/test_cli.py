@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -607,6 +608,18 @@ def test_harmonics_flag_and_key_are_gone(tmp_path, capsys):
     assert main(["gap-scan", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
     assert "n_harmonics" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_artifacts_keep_the_umask(tmp_path):
+    # mkstemp creates the temporary file 0600; the artifact gets the mode a
+    # plain open() would give under the caller's umask, and the same bytes
+    out = tmp_path / "u027"
+    _fresh_python("import os; os.umask(0o027); from helitube.cli import main; "
+                  f"raise SystemExit(main(['gap-scan', '--out', {str(out)!r}]))")
+    assert main(["gap-scan", "--out", str(tmp_path / "ref")]) == 0
+    for name in ("gapscan.csv", "gapscan.json"):
+        assert stat.S_IMODE((out / name).stat().st_mode) == 0o640
+        assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
 def test_gap_scan_cap_exceeded_exit_code(tmp_path, monkeypatch, capsys):

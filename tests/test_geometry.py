@@ -18,6 +18,7 @@ from helitube.geometry import (
     surface_point,
     v_curv,
 )
+from helitube.cli import main
 from helitube.operators import v_eff
 
 FIG3 = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
@@ -37,6 +38,33 @@ def test_spec_validation():
         HelixSpec(kappa=1.0, tau=1.0, rho0=1.0)
     with pytest.raises(EmbeddingViolation):
         HelixSpec(kappa=2.0, tau=0.0, rho0=0.7)
+
+
+# HelixSpec is the one judge of a computable helix: a scale whose fourth
+# power (a squared energy) overflows, or a nonzero tau whose squared period
+# does, is refused with the text the command line prints
+@pytest.mark.parametrize("kappa, tau, rho0, start", [
+    (0.0, 1.2e77, 1.0, "tau = 1.2e+77 is too large"),
+    (0.0, 1.0, 1e-78, "1/rho0 = 1e+78 is too large"),
+    (1.2e77, 1.0, 1e-78, "kappa = 1.2e+77 is too large"),
+    (0.0, 1e-160, 0.1, "tau = 1e-160 is too small"),
+], ids=["tau", "inverse-rho0", "kappa", "period"])
+def test_spec_refuses_overflowing_scales(tmp_path, capsys, kappa, tau, rho0, start):
+    with pytest.raises(ValueError) as exc:
+        HelixSpec(kappa=kappa, tau=tau, rho0=rho0)
+    assert str(exc.value).startswith(start)
+    argv = ["geometry", "--kappa", repr(kappa), "--tau", repr(tau),
+            "--rho0", repr(rho0), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: {exc.value}\n"
+
+
+def test_spec_builds_one_notch_inside_its_limits():
+    for tau, rho0 in [(1e77, 1.0), (1.0, 1e-77), (1e-150, 0.1)]:
+        HelixSpec(kappa=0.0, tau=tau, rho0=rho0)
+    # the straight tube stays a helix of the library, with no period
+    with pytest.raises(DegeneratePeriod):
+        HelixSpec(kappa=0.0, tau=0.0, rho0=1.0).s_period
 
 
 def test_spec_derived_parameters():
