@@ -16,14 +16,12 @@ s-rows at a time and format each distinct value of a column once per
 block: the tables depend on ``(s, phi)`` through the helical phase, so
 most columns repeat a few hundred values.
 
-Each subcommand imports the modules it runs when it runs.  This module
-loads only ``geometry``, whose ``HelixSpec`` validation needs, and
-validation loads no numpy: parsing and validating a configuration are
-scalar arithmetic, so ``--help`` and a refused configuration end before
-numpy is imported, and the functions that compute import it when they
-run.  ``potential`` adds ``operators``, ``bands`` and ``gap-scan`` add
-``bloch`` and ``oracle``, and ``verify`` and ``cylinder-check`` add
-``verify``.
+One parser reads the subcommand and the nine flags, before or after it.
+Parsing and validating are scalar arithmetic and load ``geometry`` but no
+numpy, dataclasses, inspect or json, so ``--help`` and a refused
+configuration end before those load.  Each subcommand imports what it
+runs: ``potential`` adds ``operators``, ``bands`` and ``gap-scan`` add
+``bloch`` and ``oracle``, and ``verify`` and ``cylinder-check`` add ``verify``.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (a request over one of the oracle's desk-scale caps included, a helix
@@ -38,13 +36,12 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .geometry import (
     HelixSpec,
@@ -71,9 +68,8 @@ class ConfigError(ValueError):
     """Invalid configuration file, flag value, or parameter combination."""
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by every subcommand."""
+class RunConfig(NamedTuple):
+    """Validated run parameters shared by every subcommand; immutable."""
 
     kappa: float = 1.0
     tau: float = 1.0
@@ -235,7 +231,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then config file values, then flag overrides."""
     cfg = RunConfig()
     if args.config is not None:
-        cfg = replace(cfg, **parse_config_file(args.config))
+        cfg = cfg._replace(**parse_config_file(args.config))
     plain = {"kappa": "kappa", "tau": "tau", "rho0": "rho0",
              "out": "out_dir", "units": "units"}
     updates = {key: getattr(args, flag) for flag, key in plain.items()
@@ -255,12 +251,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             updates["eps_sweep"] = _parse_eps_list(args.eps_sweep)
         except ValueError as exc:
             raise ConfigError(f"bad --eps-sweep value: {exc}") from exc
-    cfg = replace(cfg, **updates)
+    cfg = cfg._replace(**updates)
     if args.command == "cylinder-check":
         # it solves the straight tube, so kappa need only be a curvature
         if not 0.0 <= cfg.kappa < math.inf:
             raise ConfigError(f"kappa must be finite and >= 0, got {cfg.kappa!r}")
-        cfg = replace(cfg, kappa=0.0)
+        cfg = cfg._replace(kappa=0.0)
     cfg.validate()
     return cfg
 
@@ -296,6 +292,8 @@ def write_csv(path: Path, header: str, rows) -> None:
 
 
 def write_json(path: Path, obj) -> None:
+    import json
+
     _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
@@ -505,19 +503,17 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="helitube",
         description="Band structure of a particle on a helical tube surface.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--kappa", type=float, default=None)
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--rho0", type=float, default=None)
-        p.add_argument("--grid", default=None, metavar="NxM")
-        p.add_argument("--kpath", default=None, metavar="a:b:n")
-        p.add_argument("--eps-sweep", default=None, dest="eps_sweep",
-                       metavar="v1,v2,...")
-        p.add_argument("--out", default=None, metavar="DIR")
-        p.add_argument("--units", default=None, metavar="natural|physical:<mu>")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", default=None, help="key = value config file")
+    parser.add_argument("--kappa", type=float, default=None)
+    parser.add_argument("--tau", type=float, default=None)
+    parser.add_argument("--rho0", type=float, default=None)
+    parser.add_argument("--grid", default=None, metavar="NxM")
+    parser.add_argument("--kpath", default=None, metavar="a:b:n")
+    parser.add_argument("--eps-sweep", default=None, dest="eps_sweep",
+                        metavar="v1,v2,...")
+    parser.add_argument("--out", default=None, metavar="DIR")
+    parser.add_argument("--units", default=None, metavar="natural|physical:<mu>")
     return parser
 
 

@@ -22,9 +22,9 @@ curvature potential all have closed forms evaluated here.  Each depends on
 (s, phi) only through the helical phase xi = theta(s) + phi (helical_phase),
 the tube's screw symmetry.
 
-HelixSpec and its checks are scalar arithmetic; the functions of (s, phi)
-import numpy when they are called, so building and validating a spec
-loads none.
+HelixSpec is a slotted class whose checks are scalar arithmetic, and the
+functions of (s, phi) import numpy when called: building and validating a
+spec loads only math, no numpy and no dataclasses (which imports inspect).
 
 Energies are in natural units 2*mu*E/hbar^2 (dimension 1/length^2).
 """
@@ -32,7 +32,6 @@ Energies are in natural units 2*mu*E/hbar^2 (dimension 1/length^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 class DegenerateCurve(ValueError):
@@ -53,7 +52,6 @@ class EmbeddingViolation(ValueError):
     """
 
 
-@dataclass(frozen=True)
 class HelixSpec:
     """Physical parameters of one helical-tube problem instance.
 
@@ -70,17 +68,18 @@ class HelixSpec:
     rho0*kappa >= 1 (EmbeddingViolation), a `tau`, `kappa` or `1/rho0` above
     about 1.16e77 (its fourth power overflows) and 0 < |tau| < about
     4.7e-154 (the squared period overflows).  tau = 0 has no s_period.
+
+    A spec is an immutable value, equal and hashed by its fields; it is no
+    NamedTuple, whose `_replace` would skip these checks.
     """
 
-    kappa: float
-    tau: float
-    rho0: float
+    __slots__ = ("kappa", "tau", "rho0")
 
-    def __post_init__(self):
-        for name in ("kappa", "tau", "rho0"):
-            v = getattr(self, name)
+    def __init__(self, kappa: float, tau: float, rho0: float):
+        for name, v in (("kappa", kappa), ("tau", tau), ("rho0", rho0)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, v)
         if self.rho0 <= 0.0:
             raise ValueError(f"rho0 must be > 0, got {self.rho0!r}")
         if self.kappa < 0.0:
@@ -99,6 +98,26 @@ class HelixSpec:
         if self.tau != 0.0 and not math.isfinite(self.s_period * self.s_period):
             raise ValueError(f"tau = {self.tau!r} is too small: the squared "
                              "period (2 pi/|tau|)^2 overflows")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kappa, self.tau, self.rho0) == (other.kappa, other.tau, other.rho0)
+
+    def __hash__(self):
+        return hash((self.kappa, self.tau, self.rho0))
+
+    def __repr__(self):
+        return f"HelixSpec(kappa={self.kappa!r}, tau={self.tau!r}, rho0={self.rho0!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the checks
+        return HelixSpec, (self.kappa, self.tau, self.rho0)
 
     @property
     def epsilon(self) -> float:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line artifacts and exit codes."""
 
+import importlib.util
 import json
 import math
 import os
@@ -414,6 +415,83 @@ def test_validating_every_subcommand_loads_no_numpy():
         "print(len(cli._COMMANDS), 'numpy' in sys.modules)"
     )
     assert _fresh_python(probe).stdout.split()[-2:] == ["6", "False"]
+
+
+def _perfbench_argvs(workdir):
+    """The argv of every invocation of every perfbench workload, at seed 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        return [inv.argv for make in module.WORKLOADS.values()
+                for inv in make(1, workdir).invocations]
+    finally:
+        del sys.modules[spec.name]
+
+
+# parsing and validating load no numpy, and none of the stdlib modules a
+# run only needs to compute or write: dataclasses imports inspect (11-13 ms)
+@pytest.mark.parametrize("computed, loaded", [
+    (False, []),
+    # control: after a run that computes, the probe sees what it loaded
+    (True, ["dataclasses", "inspect", "json", "numpy"]),
+], ids=["validate-only", "after-bands"])
+def test_validating_loads_no_numpy_inspect_dataclasses_or_json(tmp_path, computed,
+                                                               loaded):
+    argvs = [[c] for c in cli._COMMANDS] + _perfbench_argvs(tmp_path)
+    assert len(argvs) > len(cli._COMMANDS)
+    run = (f"cli.main(['bands', '--kpath', '0:-0.5:3', '--out', {str(tmp_path)!r}]); "
+           if computed else "")
+    probe = (
+        "import sys; from helitube import cli; " + run +
+        f"[cli.build_config(cli._build_parser().parse_args(a)) for a in {argvs!r}]; "
+        "print([m for m in ('dataclasses', 'inspect', 'json', 'numpy') "
+        "if m in sys.modules])"
+    )
+    assert _fresh_python(probe).stdout.splitlines()[-1] == repr(loaded)
+
+
+_NINE_FLAGS = ["--kappa", "0.5", "--tau", "-2", "--rho0", "0.2", "--grid", "8x6",
+               "--kpath", "0:0.5:7", "--eps-sweep", "0.1,0.3", "--units",
+               "physical:2.0"]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_parser_takes_every_flag_before_or_after_the_subcommand(tmp_path,
+                                                                    command):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("vkin_offset = 0.25\nkappa = 0.9\n")
+    flags = [*_NINE_FLAGS, "--config", str(cfgfile), "--out", str(tmp_path)]
+    want = RunConfig(
+        kappa=0.0 if command == "cylinder-check" else 0.5, tau=-2.0, rho0=0.2,
+        n_s=8, n_phi=6, kpath_start=0.0, kpath_end=0.5, kpath_count=7,
+        eps_sweep=(0.1, 0.3), out_dir=str(tmp_path), units="physical:2.0",
+        vkin_offset=0.25)
+    parser = cli._build_parser()
+    for argv in ([command, *flags], [*flags, command], [*flags[:4], command, *flags[4:]]):
+        args = parser.parse_args(argv)
+        assert args.command == command
+        assert build_config(args) == want
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--tau", "1"], ["band"], ["bands", "geometry"], ["bands", "--nope", "1"],
+    ["--nope", "bands"],
+], ids=["none", "flags-only", "unknown", "two", "unknown-flag", "unknown-flag-first"])
+def test_parser_refuses_a_missing_or_unknown_subcommand_or_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "helitube: error: " in capsys.readouterr().err
+
+
+def test_run_config_is_immutable():
+    cfg = RunConfig()
+    with pytest.raises(AttributeError):
+        cfg.kappa = 2.0
+    assert cfg.kappa == 1.0 and cfg._replace(kappa=2.0).kappa == 2.0
 
 
 def test_import_helitube_loads_no_submodule():

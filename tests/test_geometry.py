@@ -1,10 +1,14 @@
 """Surface embedding and its frame, metric factor, curvatures."""
 
+import copy
 import math
+import pickle
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from helitube import geometry
 from helitube.geometry import (
     DegenerateCurve,
     DegeneratePeriod,
@@ -65,6 +69,51 @@ def test_spec_builds_one_notch_inside_its_limits():
     # the straight tube stays a helix of the library, with no period
     with pytest.raises(DegeneratePeriod):
         HelixSpec(kappa=0.0, tau=0.0, rho0=1.0).s_period
+
+
+def _assert_value_contract(cls):
+    """cls keeps HelixSpec's contract: an immutable value that only the
+    constructor, with its checks, can make."""
+    spec = cls(1.0, 1.0, 0.1)
+    same = cls(kappa=1.0, tau=1.0, rho0=0.1)
+    assert spec == same and hash(spec) == hash(same)
+    assert spec != cls(1.0, 1.0, 0.2)
+    assert {spec: "fig3"}[same] == "fig3"
+    assert repr(same) == "HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)"
+    with pytest.raises(AttributeError):
+        spec.kappa = 2
+    with pytest.raises(AttributeError):
+        del spec.kappa
+    assert (spec.kappa, spec.tau, spec.rho0) == (1.0, 1.0, 0.1)
+    # a route to a new spec that skips the checks is no route at all
+    with pytest.raises((AttributeError, ValueError)):
+        spec._replace(rho0=5.0)
+    assert copy.copy(spec) == spec == copy.deepcopy(spec)
+
+
+def test_spec_is_an_immutable_checked_value():
+    _assert_value_contract(HelixSpec)
+    assert pickle.loads(pickle.dumps(FIG3)) == FIG3
+
+
+def test_value_contract_refuses_a_namedtuple_spec():
+    # negative control: a NamedTuple subclass that checks in __new__ passes
+    # every other clause, but its _replace builds eps = 5 unchecked
+    class Fields(NamedTuple):
+        kappa: float
+        tau: float
+        rho0: float
+
+    class HelixSpec(Fields):  # noqa: F811 (a scratch stand-in; repr reads the name)
+        __slots__ = ()
+
+        def __new__(cls, kappa, tau, rho0):
+            geometry.HelixSpec(kappa, tau, rho0)
+            return super().__new__(cls, kappa, tau, rho0)
+
+    assert HelixSpec(1.0, 1.0, 0.1)._replace(rho0=5.0).rho0 == 5.0
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        _assert_value_contract(HelixSpec)
 
 
 def test_spec_derived_parameters():
