@@ -265,6 +265,8 @@ def cylinder_levels(spec: HelixSpec, n_lowest: int) -> np.ndarray:
     level grows with |n| and with |m|, |n|, |m| <= n_lowest hold them all."""
     if spec.kappa != 0.0:
         raise ValueError("closed cylinder spectrum requires kappa = 0")
+    if n_lowest < 1:
+        raise ValueError(f"n_lowest must be at least 1, got {n_lowest}")
     r = range(-n_lowest, n_lowest + 1)
     levels = [(n * n - 0.25) * (1.0 / spec.rho0) ** 2
               + (2 * m * math.pi / spec.s_period) ** 2 for n in r for m in r]

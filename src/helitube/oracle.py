@@ -20,12 +20,9 @@ verify holds continuum_levels to.  A second-order finite-difference grid
 on the (s, varphi) unit cell stays as the test suite's independent
 reference, written by one builder, _grid_blocks, as the Bloch
 blocks of its discrete screw symmetry: screw_eigenvalues solves the
-gcd(n_s, n_phi) blocks a fixed-size batch at a time, and assemble_full is
-the one-block case (the dense matrix, no screw twist), which checks the
-reduction.  The lowest
-level at k_s = 0 needs one block only: the matrix is then real with
-non-positive hops, so by Perron-Frobenius its ground state is positive
-and has screw phase 1 (screw_eigenvalues).
+stack of gcd(n_s, n_phi) blocks at once, and assemble_full is the
+one-block case (the dense matrix, no screw twist), which checks the
+reduction.
 Everything is dense and deterministic (vectorized numpy, LAPACK
 eigenvalue-only symmetric/Hermitian solvers) and capped at desk scale: a
 request over a cap raises CapExceeded.
@@ -49,9 +46,6 @@ from .bloch import k_components, stated_table, zone_boundary_k
 _MAX_DIMENSION = 4096
 # continuum_levels solves at most this many sector pairs M = +-j per k-point
 _MAX_SECTOR_PAIRS = 2**16
-# screw_eigenvalues fills and solves at most this many block entries at a
-# time (1 MiB complex), or one block when a block holds more
-_BATCH_ENTRIES = 2**16
 
 
 class ConvergenceFailure(RuntimeError):
@@ -96,8 +90,9 @@ def _check_storage(blocks: int, dim: int) -> None:
         )
 
 
-def _grid_blocks(spec: HelixSpec, k, n_s: int, n_phi: int, g: int, dj: int, mus):
-    """Bloch blocks mu in mus of the grid operator on an n_s x n_phi unit cell.
+def _grid_blocks(spec: HelixSpec, k, n_s: int, n_phi: int, g: int, dj: int):
+    """The (g, d, d) stack of Bloch blocks of the grid operator on an
+    n_s x n_phi unit cell.
 
     -d_s(h^-2 d_s) - d2_varphi + v_eff, second-order centered, with h^-2
     sampled at s midpoints so every block is Hermitian by construction.
@@ -105,13 +100,7 @@ def _grid_blocks(spec: HelixSpec, k, n_s: int, n_phi: int, g: int, dj: int, mus)
     s-rows: node (i, j) is row i*n_phi + j, and in block mu the s hop out
     of the strip from (r-1, j) lands on (0, j - dj) times lambda_mu =
     exp(i (k_s L + 2 pi mu)/g).  g = 1, dj = 0 is the dense matrix with the
-    Bloch phase on the seam.  Storage is capped as if all g blocks were
-    built: g d^2 <= _MAX_DIMENSION^2.
-
-    The strip's coefficients are computed here, once; the returned iterator
-    fills the blocks in mus order, in stacks of shape (b, d, d) holding at
-    most _BATCH_ENTRIES entries (one block at least), so the memory
-    follows the batch, not g.
+    Bloch phase on the seam.  Storage is capped at g d^2 <= _MAX_DIMENSION^2.
     """
     d, r = n_s * n_phi // g, n_s // g
     _check_storage(g, d)
@@ -126,36 +115,30 @@ def _grid_blocks(spec: HelixSpec, k, n_s: int, n_phi: int, g: int, dj: int, mus)
     hop_s, hop_v = flux / ds**2, 1.0 / dv**2
 
     x = k_components(spec, k)[0] * spec.s_period
-    lam = np.array([_unit_phase((x + 2.0 * math.pi * mu) / g) for mu in mus])
+    lam = np.array([_unit_phase((x + 2.0 * math.pi * mu) / g) for mu in range(g)])
     if np.all(lam.imag == 0.0):
         lam = lam.real
     idx = np.arange(d).reshape(r, n_phi)
     up = np.vstack([idx[1:], np.roll(idx[0], dj)[None, :]])
     right = np.roll(idx, -1, axis=1)
 
-    def fill(batch):
-        # each statement below writes distinct entries, and coinciding
-        # entries of different statements (r = 1, |dj| = 1) add up as the
-        # hops do
-        phase = np.ones((len(batch), r, n_phi), dtype=batch.dtype)
-        phase[:, -1, :] = batch[:, None]
-        blocks = np.zeros((len(batch), d, d), dtype=batch.dtype)
-        blocks[:, idx, idx] = diag
-        blocks[:, idx, up] += phase * -hop_s
-        blocks[:, up, idx] += np.conj(phase) * -hop_s
-        blocks[:, idx, right] += -hop_v
-        blocks[:, right, idx] += -hop_v
-        return blocks
-
-    per = max(1, _BATCH_ENTRIES // (d * d))
-    return (fill(lam[i:i + per]) for i in range(0, len(lam), per))
+    # each statement below writes distinct entries, and coinciding entries
+    # of different statements (r = 1, |dj| = 1) add up as the hops do
+    phase = np.ones((g, r, n_phi), dtype=lam.dtype)
+    phase[:, -1, :] = lam[:, None]
+    blocks = np.zeros((g, d, d), dtype=lam.dtype)
+    blocks[:, idx, idx] = diag
+    blocks[:, idx, up] += phase * -hop_s
+    blocks[:, up, idx] += np.conj(phase) * -hop_s
+    blocks[:, idx, right] += -hop_v
+    blocks[:, right, idx] += -hop_v
+    return blocks
 
 
 def assemble_full(spec: HelixSpec, k, n_s: int, n_phi: int) -> DiscretizedHamiltonian:
     """Dense matrix of the grid operator at Bloch k: the one block of
     _grid_blocks with g = 1 and no twist, so it checks the screw reduction."""
-    blocks = next(_grid_blocks(spec, k, n_s, n_phi, 1, 0, (0,)))
-    return DiscretizedHamiltonian(blocks[0])
+    return DiscretizedHamiltonian(_grid_blocks(spec, k, n_s, n_phi, 1, 0)[0])
 
 
 def _screw_twist(spec: HelixSpec, n_phi: int, g: int) -> int:
@@ -176,32 +159,12 @@ def screw_eigenvalues(
     j + dj) of _screw_twist, and T^g is the Bloch factor exp(i k_s L), so
     the matrix splits exactly into the g = gcd(n_s, n_phi) blocks of
     _grid_blocks, one per screw phase; they are built straight from the
-    node coefficients, never from the dense matrix, and solved a batch of
-    _grid_blocks at a time, keeping the n_lowest smallest so far.  eigvalsh
-    solves each block of a stack on its own, so the levels are those of one
-    stacked solve of every block, bit for bit, and the memory is that of
-    one batch: _BATCH_ENTRIES entries or one block, not g d^2.
-
-    Ground-state rule: for n_lowest = 1 at a screw phase lambda_0 of
-    exactly 1 (k_s = 0 in the first zone), only block 0 is built, a real
-    matrix.  As exp(i k_s L) = lambda_0^g = 1, the dense matrix is real,
-    its off-diagonal entries (-hop_s, -hop_v) are <= 0 and its graph is
-    connected, so by Perron-Frobenius its lowest level is simple with a
-    positive eigenvector.  T is then a permutation that commutes with the
-    matrix, so it maps that eigenvector to a positive multiple of itself,
-    and T^g = 1 makes the multiple 1.  The storage cap and the n_lowest
-    check stay those of all g blocks.
+    node coefficients, never from the dense matrix, and solved as one stack.
     """
+    _check_count(n_lowest, n_s * n_phi)
     g = math.gcd(n_s, n_phi)
-    x = k_components(spec, k)[0] * spec.s_period
-    mus = (0,) if n_lowest == 1 and _unit_phase(x / g) == 1 else range(g)
-    batches = _grid_blocks(spec, k, n_s, n_phi, g, _screw_twist(spec, n_phi, g), mus)
-    _check_count(n_lowest, len(mus) * (n_s * n_phi // g))
-    lowest = np.empty(0)
-    for blocks in batches:
-        w = _dense_eigh(blocks)
-        lowest = np.sort(np.append(lowest, w))[:n_lowest]
-    return lowest
+    blocks = _grid_blocks(spec, k, n_s, n_phi, g, _screw_twist(spec, n_phi, g))
+    return np.sort(_dense_eigh(blocks), axis=None)[:n_lowest]
 
 
 def _lattice(spec: HelixSpec, p, ns: np.ndarray, table) -> np.ndarray:
@@ -265,6 +228,11 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
     """
     if spec.tau == 0.0:
         raise DegeneratePeriod("tau = 0: no helical momentum sectors")
+    if n_bands < 1:
+        raise ValueError(f"n_bands must be at least 1, got {n_bands}")
+    for k_s in ks:
+        if not math.isfinite(k_s):
+            raise ValueError(f"k_s must be finite, got {k_s}")
     n_modes = _n_modes(spec)
     _check_storage(2, 2 * n_modes + 1)
     samples = _helical_samples(spec, 8 * n_modes)

@@ -143,7 +143,7 @@ def test_full_cylinder_lowest_modes_quick():
 
 def test_full_refinement_order():
     # kappa != tau keeps the leading harmonic alive so the s error is visible;
-    # two-sided, so an order far too high fails as well (measured 1.99978)
+    # two-sided, so an order far too high fails as well (measured 2.00007)
     spec = HelixSpec(kappa=0.1, tau=1.0, rho0=0.5)
     k = BlochVector(0.0, 0)
     lowest = {}
@@ -157,31 +157,13 @@ def test_full_refinement_order():
 
 
 def test_refinement_probe_blocks_match_the_dense_level():
-    # the refinement probe on its coarsest grid: one real screw block
-    # of 96 (the ground-state rule) against the dense 768^2 matrix
-    # (measured 9.2e-14 of |E|)
+    # the refinement probe on its coarsest grid: the 8 screw blocks of 96
+    # against the dense 768^2 matrix (measured 2.8e-13 of |E|)
     spec = HelixSpec(kappa=0.1, tau=1.0, rho0=0.5)
     k = BlochVector(0.0, 0)
     blocks = screw_eigenvalues(spec, k, 32, 24, 1)[0]
     dense = eigensolve(assemble_full(spec, k, 32, 24), 1).eigenvalues[0]
     assert abs(blocks - dense) <= 1e-12 * abs(dense)
-
-
-def test_refinement_probe_solves_one_real_block_per_grid(monkeypatch):
-    # the ground-state rule: one real block of n_s*3 per grid, not the
-    # (8, n_s*3, n_s*3) complex stack of every screw phase
-    solved = []
-    right = np.linalg.eigvalsh
-
-    def recording(a):
-        solved.append((a.shape, a.dtype))
-        return right(a)
-
-    monkeypatch.setattr(oracle_module.np.linalg, "eigvalsh", recording)
-    spec = HelixSpec(kappa=0.1, tau=1.0, rho0=0.5)
-    for n_s in (32, 64, 128):
-        screw_eigenvalues(spec, BlochVector(0.0, 0), n_s, 24, 1)
-    assert solved == [((1, d, d), np.dtype(np.float64)) for d in (96, 192, 384)]
 
 
 def test_verify_solves_no_large_dense_matrix(monkeypatch):
@@ -269,10 +251,10 @@ def test_screw_blocks_match_dense_spectrum(rho0, eps, tau, sign, k_frac, grid):
 @example(rho0=0.5, eps=0.05, tau=1.0, sign=1.0, k_frac=2.0, grid=(32, 24))
 @example(rho0=0.5, eps=0.05, tau=1.0, sign=-1.0, k_frac=2.0, grid=(32, 24))
 def test_screw_ground_state_matches_every_block(rho0, eps, tau, sign, k_frac, grid):
-    # at k_s = 0 one block is solved (the Perron-Frobenius rule); at a
-    # generic k_s, at the zone boundary and outside the first zone every
-    # block is, as before.  At k_s = tau the Bloch phase is 1 but block 0's
-    # screw phase is not, and block 0 alone misses the lowest level.
+    # the lowest level alone is that of the full solve and of the dense
+    # matrix, at k_s = 0, at a generic k_s, at the zone boundary and outside
+    # the first zone.  At k_s = tau the Bloch phase is 1 but block 0's screw
+    # phase is not, and block 0 alone misses the lowest level.
     spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0)
     k = BlochVector(k_frac * tau / 2, 0)
     n_s, n_phi = grid
@@ -286,101 +268,33 @@ def test_screw_ground_state_matches_every_block(rho0, eps, tau, sign, k_frac, gr
 
 
 @pytest.mark.parametrize(
-    "spec, grid",
+    "spec, grid, k_s",
     [
-        (HelixSpec(kappa=0.1, tau=1.0, rho0=0.5), (32, 24)),  # the refinement probe
-        (HelixSpec(kappa=1.0, tau=-1.0, rho0=0.1), (12, 8)),
-        (HelixSpec(kappa=0.0, tau=1.3, rho0=0.3), (4, 4)),  # one-row strips
+        (HelixSpec(kappa=0.1, tau=1.0, rho0=0.5), (32, 24), 0.0),  # refinement probe
+        (HelixSpec(kappa=1.0, tau=-1.0, rho0=0.1), (12, 8), 0.0),
+        (HelixSpec(kappa=2.0, tau=1.3, rho0=0.3), (12, 8), 0.2),
     ],
+    ids=["probe", "mirror", "generic_k"],
 )
-def test_screw_ground_state_is_missed_by_the_wrong_block(monkeypatch, spec, grid):
-    # negative control: a builder that kept block mu = 1 in place of the
-    # block of screw phase 1 misses the dense ground state
+def test_screw_spectrum_is_missed_with_a_wrong_twist(monkeypatch, spec, grid, k_s):
+    # negative control: the screw shift with the twist reversed, or with
+    # none, does not commute with the grid operator, so its blocks miss the
+    # dense spectrum (measured 2.4e-5 to 0.15 of the largest level; the
+    # right twist 2.4e-15).  eps > 0: at kappa = 0 the twist does not matter
     n_s, n_phi = grid
-    k = BlochVector(0.0, 0)
-    dense = eigensolve(assemble_full(spec, k, n_s, n_phi), 1).eigenvalues[0]
-    assert screw_eigenvalues(spec, k, n_s, n_phi, 1)[0] == pytest.approx(
-        dense, rel=1e-12
-    )
-    right = oracle_module._grid_blocks
+    k = BlochVector(k_s, 0)
+    dense = _dense_spectrum(spec, k_s, n_s, n_phi)
+    scale = np.max(np.abs(dense))
+    right = oracle_module._screw_twist
 
-    def wrong_block(spec, k, n_s, n_phi, g, dj, mus):
-        return right(spec, k, n_s, n_phi, g, dj, [(mu + 1) % g for mu in mus])
+    def miss():
+        got = screw_eigenvalues(spec, k, n_s, n_phi, n_s * n_phi)
+        return np.max(np.abs(got - dense)) / scale
 
-    monkeypatch.setattr(oracle_module, "_grid_blocks", wrong_block)
-    missed = screw_eigenvalues(spec, k, n_s, n_phi, 1)[0]
-    assert missed - dense > 1e-6 * abs(dense)
-
-
-@settings(
-    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
-)
-@given(
-    rho0=st.floats(0.05, 1.5),
-    eps=st.one_of(st.just(0.0), st.floats(0.0, 0.9, exclude_max=True)),
-    tau=st.floats(0.3, 3.0),
-    sign=st.sampled_from((1.0, -1.0)),
-    k_frac=st.one_of(st.sampled_from((0.0, 1.0, -1.0)), st.floats(-1.0, 1.0)),
-    grid=_grids(),
-    per_batch=st.integers(0, 5),
-    lowest=st.sampled_from((1, 2, 3, "all")),
-)
-@example(rho0=0.3, eps=0.6, tau=1.3, sign=-1.0, k_frac=0.0, grid=(12, 24),
-         per_batch=1, lowest=1)
-@example(rho0=0.3, eps=0.6, tau=1.3, sign=1.0, k_frac=1.0, grid=(8, 8),
-         per_batch=3, lowest="all")
-def test_screw_batches_equal_one_stacked_solve(
-    rho0, eps, tau, sign, k_frac, grid, per_batch, lowest
-):
-    # batches of per_batch blocks (0: a limit below one block, so one block
-    # each) give the levels of one eigvalsh over the stack of every block
-    # the solver builds, bit for bit: all g, or block 0 alone (a real one)
-    # under the ground-state rule at k_s = 0
-    spec = HelixSpec(kappa=eps / rho0, tau=sign * tau, rho0=rho0)
-    k = BlochVector(k_frac * tau / 2, 0)
-    n_s, n_phi = grid
-    g = math.gcd(n_s, n_phi)
-    d = n_s * n_phi // g
-    n_lowest = n_s * n_phi if lowest == "all" else lowest
-    built = []
-    right = oracle_module._grid_blocks
-
-    def recording(*args):
-        built.append(args)
-        return right(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle_module, "_grid_blocks", recording)
-        mp.setattr(oracle_module, "_BATCH_ENTRIES", max(1, per_batch * d * d))
-        got = screw_eigenvalues(spec, k, n_s, n_phi, n_lowest)
-        (args,) = built
-        mus = args[-1]
-        mp.setattr(oracle_module, "_BATCH_ENTRIES", len(mus) * d * d)
-        (stack,) = right(*args)
-    if k_frac == 0.0 and n_lowest == 1:
-        assert list(mus) == [0]
-    assert stack.shape == (len(mus), d, d)
-    want = np.sort(np.linalg.eigvalsh(stack), axis=None)[:n_lowest]
-    assert np.array_equal(got, want)
-
-
-def test_screw_solve_is_batched_at_the_entry_limit(monkeypatch):
-    # a 128x128 grid at generic k has 128 complex blocks of 128^2: solved
-    # at most _BATCH_ENTRIES entries (1 MiB) at a time, not in one stack
-    sizes = []
-    right = oracle_module._dense_eigh
-
-    def recording(entries):
-        sizes.append(entries.shape)
-        return right(entries)
-
-    monkeypatch.setattr(oracle_module, "_dense_eigh", recording)
-    got = screw_eigenvalues(FIG3, BlochVector(-0.3, 0), 128, 128, 4)
-    assert got.shape == (4,)
-    assert all(shape[1:] == (128, 128) for shape in sizes)
-    assert sum(shape[0] for shape in sizes) == 128
-    assert max(math.prod(shape) for shape in sizes) <= oracle_module._BATCH_ENTRIES
-    assert oracle_module._BATCH_ENTRIES * np.dtype(complex).itemsize <= 2**20
+    assert miss() <= 1e-10
+    for wrong in (lambda spec, n_phi, g: -right(spec, n_phi, g), lambda *_: 0):
+        monkeypatch.setattr(oracle_module, "_screw_twist", wrong)
+        assert miss() > 1e-5
 
 
 def test_screw_lowest_levels_and_real_blocks():
@@ -393,15 +307,16 @@ def test_screw_lowest_levels_and_real_blocks():
 
 
 def test_screw_guards():
-    # 67x64 is coprime: one block of 4288^2 entries, more than 4096^2, also
-    # under the ground-state rule (k = 0, one level); the rule leaves the
-    # n_lowest check to the full count n_s*n_phi
+    # 67x64 is coprime: one block of 4288^2 entries, more than 4096^2
     for n_lowest in (2, 1):
         with pytest.raises(CapExceeded, match="cap"):
             screw_eigenvalues(FIG3, BlochVector(0.0, 0), 67, 64, n_lowest)
-    # the cap counts all g blocks when the rule builds one: 256 blocks of
-    # 256 fill it exactly, 257 of 257 exceed it
-    assert screw_eigenvalues(FIG3, BlochVector(0.0, 0), 256, 256, 1).shape == (1,)
+    # 256 blocks of 256 fill the cap exactly, 257 of 257 exceed it; the
+    # boundary is checked on the count alone, as a stack at the cap holds
+    # 268 MB of complex entries
+    oracle_module._check_storage(256, 256)
+    with pytest.raises(CapExceeded, match="cap"):
+        oracle_module._check_storage(257, 257)
     with pytest.raises(CapExceeded, match="cap"):
         screw_eigenvalues(FIG3, BlochVector(0.0, 0), 257, 257, 1)
     with pytest.raises(ValueError):
@@ -609,6 +524,26 @@ def test_continuum_guards():
     nearly_flat = HelixSpec(kappa=0.999999, tau=1.0, rho0=1.0)
     with pytest.raises(ValueError, match="cap"):
         continuum_levels(nearly_flat, [0.0], 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: continuum_levels(FIG3, [0.0], 0), "n_bands must be at least 1, got 0"),
+        (lambda: continuum_levels(FIG3, [0.0], -1), "n_bands must be at least 1, got -1"),
+        (lambda: continuum_levels(FIG3, [0.0, math.nan], 2), "k_s must be finite, got nan"),
+        (lambda: continuum_levels(FIG3, [math.inf], 2), "k_s must be finite, got inf"),
+        (lambda: cylinder_levels(HelixSpec(0.0, 5.0, 1.0), 0),
+         "n_lowest must be at least 1, got 0"),
+        (lambda: verify.cylinder_error(HelixSpec(0.0, 5.0, 1.0), 0),
+         "n_bands must be at least 1, got 0"),
+    ],
+    ids=["no_bands", "negative_bands", "nan_k_s", "inf_k_s", "cylinder", "cylinder_error"],
+)
+def test_exact_solvers_refuse_a_count_below_one_or_a_non_finite_k_s(call, message):
+    # as the sibling solvers do (_check_count), before any solve
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_continuum_sector_cap_raises_at_once(monkeypatch):
