@@ -42,11 +42,9 @@ _EXPORTS = {
         "zone_boundary_k",
     ),
     "oracle": (
-        "CapExceeded", "ConvergenceFailure", "DiscretizedHamiltonian",
-        "SpectrumResult", "assemble_full", "assemble_perturbed",
-        "collocation_levels", "continuum_levels", "eigensolve",
-        "fourier_decay_rate", "gap_perturbed", "perturbed_levels",
-        "screw_eigenvalues",
+        "CapExceeded", "ConvergenceFailure", "SpectrumResult", "assemble_full",
+        "assemble_perturbed", "collocation_levels", "continuum_levels",
+        "eigensolve", "fourier_decay_rate", "gap_perturbed", "perturbed_levels",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

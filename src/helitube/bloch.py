@@ -59,12 +59,15 @@ def zone_boundary_k(spec: HelixSpec) -> np.ndarray:
 
 
 def k_components(spec: HelixSpec, k) -> np.ndarray:
-    """(k_s, k_varphi) of a BlochVector or of a raw pair on the continuous ray."""
+    """(k_s, k_varphi), each finite, of a BlochVector or of a raw ray pair."""
     if isinstance(k, BlochVector):
-        return np.array([k.k_s, k.n_transverse / spec.rho0])
+        k = (k.k_s, k.n_transverse / spec.rho0)
     kv = np.asarray(k, dtype=float)
     if kv.shape != (2,):
         raise ValueError("k must be a BlochVector or a pair (k_s, k_varphi)")
+    for name, value in zip(("k_s", "k_varphi"), kv):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     return kv
 
 

@@ -12,17 +12,19 @@ coefficients and solves the sectors p = k_s + M tau, the helical
 reduction standard for nanotube bands; assemble_perturbed returns it, a
 plain real symmetric array, fed the paper's stated first-order table on
 the coupling ray, and perturbed_levels solves those matrices along a
-k-path.  Both tables keep the window of
-_n_modes(spec) modes each side, so the truncation follows the spec and
-is set in one place.  collocation_levels solves the dense matrix of
+k-path.  Both tables keep the window of _n_modes(spec) modes each side,
+so the truncation follows the spec and is set in one place.
+collocation_levels solves the dense matrix of
 operators.apply_transformed_operator on an odd n x n grid, the reference
 verify holds continuum_levels to.  A second-order finite-difference grid
-on the (s, varphi) unit cell stays as the test suite's independent
-reference, written by one builder, _grid_blocks, as the Bloch
-blocks of its discrete screw symmetry: screw_eigenvalues solves the
-stack of gcd(n_s, n_phi) blocks at once, and assemble_full is the
-one-block case (the dense matrix, no screw twist), which checks the
-reduction.
+on the (s, varphi) unit cell, with no flux along phi, stays as the test
+suite's independent reference, written by one builder, _grid_blocks, as
+the Bloch blocks of its discrete screw symmetry: screw_eigenvalues (not
+exported) solves the stack of gcd(n_s, n_phi) blocks at once, and
+assemble_full is the one-block case (the dense matrix, no screw twist),
+which checks the reduction.  assemble_full returns a plain array and
+eigensolve takes one; SpectrumResult stays because
+perfbench/make_reference.py reads its .eigenvalues.
 Everything is dense and deterministic (vectorized numpy, LAPACK
 eigenvalue-only symmetric/Hermitian solvers) and capped at desk scale: a
 request over a cap raises CapExceeded.
@@ -54,16 +56,6 @@ class ConvergenceFailure(RuntimeError):
 
 class CapExceeded(ValueError):
     """The request needs more storage or more sectors than the desk-scale caps."""
-
-
-@dataclass
-class DiscretizedHamiltonian:
-    """Dense Hermitian matrix."""
-
-    entries: np.ndarray
-    # constants, not fields: perfbench/tracer.py reads them
-    basis = "GRID_2D"
-    transverse_n = None
 
 
 @dataclass
@@ -102,6 +94,9 @@ def _grid_blocks(spec: HelixSpec, k, n_s: int, n_phi: int, g: int, dj: int):
     exp(i (k_s L + 2 pi mu)/g).  g = 1, dj = 0 is the dense matrix with the
     Bloch phase on the seam.  Storage is capped at g d^2 <= _MAX_DIMENSION^2.
     """
+    k_s, k_varphi = k_components(spec, k)
+    if k_varphi != 0.0:
+        raise ValueError(f"the grid has no flux along phi, got k_varphi = {k_varphi}")
     d, r = n_s * n_phi // g, n_s // g
     _check_storage(g, d)
     if n_s < 4 or n_phi < 4:
@@ -114,7 +109,7 @@ def _grid_blocks(spec: HelixSpec, k, n_s: int, n_phi: int, g: int, dj: int):
     diag = (flux + flux_in) / ds**2 + 2.0 / dv**2 + v_eff(spec, S, P)
     hop_s, hop_v = flux / ds**2, 1.0 / dv**2
 
-    x = k_components(spec, k)[0] * spec.s_period
+    x = k_s * spec.s_period
     lam = np.array([_unit_phase((x + 2.0 * math.pi * mu) / g) for mu in range(g)])
     if np.all(lam.imag == 0.0):
         lam = lam.real
@@ -135,10 +130,10 @@ def _grid_blocks(spec: HelixSpec, k, n_s: int, n_phi: int, g: int, dj: int):
     return blocks
 
 
-def assemble_full(spec: HelixSpec, k, n_s: int, n_phi: int) -> DiscretizedHamiltonian:
-    """Dense matrix of the grid operator at Bloch k: the one block of
+def assemble_full(spec: HelixSpec, k, n_s: int, n_phi: int) -> np.ndarray:
+    """The grid operator's dense Hermitian array at Bloch k: the one block of
     _grid_blocks with g = 1 and no twist, so it checks the screw reduction."""
-    return DiscretizedHamiltonian(_grid_blocks(spec, k, n_s, n_phi, 1, 0)[0])
+    return _grid_blocks(spec, k, n_s, n_phi, 1, 0)[0]
 
 
 def _screw_twist(spec: HelixSpec, n_phi: int, g: int) -> int:
@@ -279,6 +274,8 @@ def collocation_levels(
     """
     if n % 2 == 0:
         raise ValueError(f"n must be odd, got {n}")
+    if not math.isfinite(k_s):
+        raise ValueError(f"k_s must be finite, got {k_s}")
     _check_storage(1, n * n)
     _check_count(n_lowest, n * n)
     unit = WaveField(np.eye(n * n).reshape(n * n, n, n), PHI)
@@ -307,10 +304,10 @@ def _dense_eigh(entries: np.ndarray) -> np.ndarray:
     return w
 
 
-def eigensolve(H: DiscretizedHamiltonian, n_lowest: int) -> SpectrumResult:
-    """Lowest eigenvalues of a Hermitian matrix, deterministic dense solve."""
-    _check_count(n_lowest, H.entries.shape[-1])
-    return SpectrumResult(_dense_eigh(H.entries)[:n_lowest])
+def eigensolve(H: np.ndarray, n_lowest: int) -> SpectrumResult:
+    """Lowest n_lowest eigenvalues of the Hermitian array H, one dense solve."""
+    _check_count(n_lowest, H.shape[-1])
+    return SpectrumResult(_dense_eigh(H)[:n_lowest])
 
 
 # --------------------------------------------------------------------------

@@ -919,6 +919,60 @@ def test_build_config_validation_direct():
     assert scale == pytest.approx(HBAR**2 / 4.0, rel=1e-15)
 
 
+_MALFORMED_INPUT = [
+    ("--grid 3x3", None, "grid must be at least 4x4"),
+    ("--grid 8", None, "--grid expects NxM, got '8'"),
+    ("--grid 8x8x8", None, "--grid expects NxM, got '8x8x8'"),
+    ("--kpath 0:-0.5", None, "--kpath expects start:end:count, got '0:-0.5'"),
+    ("--kpath 0:-0.5:2.5", None, "--kpath expects start:end:count, got '0:-0.5:2.5'"),
+    ("--eps-sweep ,", None, "bad --eps-sweep value: empty epsilon sweep"),
+    ("--eps-sweep a", None,
+     "bad --eps-sweep value: could not convert string to float: 'a'"),
+    ("--units physical:abc", None, "bad mass in units value 'physical:abc'"),
+    ("", "kappa\n", "{path}:1: expected 'key = value'"),
+    ("", "kappa = abc\n",
+     "{path}:1: bad value for kappa: could not convert string to float: 'abc'"),
+]
+
+
+@pytest.mark.parametrize("flags, config, message", _MALFORMED_INPUT,
+                         ids=[flags or f"config {config!r}"
+                              for flags, config, _ in _MALFORMED_INPUT])
+def test_malformed_input_is_refused_in_one_line(tmp_path, capsys, flags, config,
+                                                message):
+    argv = ["bands", *flags.split(), "--out", str(tmp_path / "out")]
+    cfgfile = tmp_path / "run.cfg"
+    if config is not None:
+        cfgfile.write_text(config)
+        argv += ["--config", str(cfgfile)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {message.format(path=cfgfile)}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_gap_scan_refuses_an_empty_sweep(tmp_path):
+    # the parser refuses an empty sweep first; a library caller meets this
+    with pytest.raises(ConfigError, match="^gap-scan needs a non-empty epsilon sweep$"):
+        cli.cmd_gap_scan(RunConfig(eps_sweep=(), out_dir=str(tmp_path / "out")))
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_write_that_fails_midway_keeps_the_previous_artifact(tmp_path):
+    path = tmp_path / "table.csv"
+    cli.write_csv(path, "a,b", [["1", "2"]])
+    before = path.read_bytes()
+
+    def rows():
+        yield ["3", "4"]
+        raise RuntimeError("row generator failed")
+
+    with pytest.raises(RuntimeError, match="row generator failed"):
+        cli.write_csv(path, "a,b", rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
 # ------------------------------------------------------------- extreme input
 
 _EXTREME_FLAGS = ["--kappa 5e-324", "--kappa 9.99", "--tau 1e150", "--rho0 1e-70",

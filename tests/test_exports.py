@@ -1,7 +1,10 @@
 """Advertised names resolve, and removed names stay removed."""
 
 import ast
+import importlib.util
+import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import helitube
 from helitube import bloch, geometry, operators, oracle
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+MAKE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "make_reference.py"
 
 
 @pytest.mark.parametrize("module", [helitube], ids=lambda m: m.__name__)
@@ -49,6 +53,7 @@ _REMOVED = {
     "weingarten": geometry,
     "cylinder_limit_energies": bloch,
     "GRID_2D": oracle,
+    "DiscretizedHamiltonian": oracle,
 }
 
 
@@ -95,6 +100,20 @@ def test_star_import_binds_exactly_all():
     assert (BlochVector, HelixSpec, assemble_full, eigensolve) == (
         bloch.BlochVector, geometry.HelixSpec, oracle.assemble_full,
         oracle.eigensolve)
+
+
+def test_the_benchmark_reference_script_solves_on_this_api(monkeypatch):
+    # perfbench/make_reference.py builds its table from the exported
+    # assemble_full and eigensolve: load it by path (its main does not run,
+    # and no bytecode is cached beside it) and take one of its solves
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    found = importlib.util.spec_from_file_location("make_reference", MAKE_REFERENCE)
+    script = importlib.util.module_from_spec(found)
+    found.loader.exec_module(script)
+    got = script.lowest_pair(-0.3, 8)
+    want = oracle.screw_eigenvalues(script.FIG3, bloch.BlochVector(-0.3, 0), 8, 8, 2)
+    assert len(got) == len(want) == 2
+    assert all(math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0) for a, b in zip(got, want))
 
 
 def test_readme_library_example_prints_what_it_says(capsys):

@@ -94,6 +94,8 @@ def _assert_value_contract(cls):
 def test_spec_is_an_immutable_checked_value():
     _assert_value_contract(HelixSpec)
     assert pickle.loads(pickle.dumps(FIG3)) == FIG3
+    # a value of its own kind, equal to no tuple of its fields
+    assert (HelixSpec(1.0, 1.0, 0.1) == (1.0, 1.0, 0.1)) is False
 
 
 def test_value_contract_refuses_a_namedtuple_spec():

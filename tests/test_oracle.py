@@ -28,7 +28,6 @@ from helitube.operators import spectral_offset, v_eff
 from helitube.oracle import (
     CapExceeded,
     ConvergenceFailure,
-    DiscretizedHamiltonian,
     SpectrumResult,
     assemble_full,
     assemble_perturbed,
@@ -48,19 +47,10 @@ FIG3 = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
 
 
 def test_full_matrix_hermitian():
-    H = assemble_full(FIG3, BlochVector(0.3, 0), 16, 12)
-    A = H.entries
-    assert H.basis == "GRID_2D"
-    assert H.entries.shape[0] == 16 * 12
+    A = assemble_full(FIG3, BlochVector(0.3, 0), 16, 12)
+    assert A.shape[0] == 16 * 12
     asym = np.linalg.norm(A - A.conj().T) / np.linalg.norm(A)
     assert asym <= 1e-12
-
-
-def test_dense_matrix_has_one_field():
-    # basis and transverse_n are constants that perfbench/tracer.py reads
-    assert [f.name for f in dataclasses.fields(DiscretizedHamiltonian)] == ["entries"]
-    H = assemble_full(FIG3, BlochVector(0.0, 0), 4, 4)
-    assert H.basis == "GRID_2D" and H.transverse_n is None
 
 
 @pytest.mark.parametrize("grid", [(5, 4), (6, 6)])
@@ -88,14 +78,14 @@ def test_full_matrix_entries_from_plain_loops(grid, tau, k_frac):
             want[up, node] = np.conj(want[node, up])
             right = i * n_phi + (j + 1) % n_phi
             want[node, right] = want[right, node] = -1.0 / dv**2
-    got = assemble_full(spec, BlochVector(k_s, 0), n_s, n_phi).entries
+    got = assemble_full(spec, BlochVector(k_s, 0), n_s, n_phi)
     assert got.dtype == (np.complex128 if k_frac == 0.3 else np.float64)
     assert np.array_equal(got, want)
 
 
 def test_full_matrix_real_at_zone_center_and_boundary():
     for k_s in (0.0, -0.5 * FIG3.tau):
-        A = assemble_full(FIG3, BlochVector(k_s, 0), 8, 8).entries
+        A = assemble_full(FIG3, BlochVector(k_s, 0), 8, 8)
         assert A.dtype == np.float64
 
 
@@ -110,8 +100,7 @@ def test_full_cylinder_discrete_dispersion_exact():
     # kappa = 0 separates; every eigenvalue is a sum of 1-d stencil symbols
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.5)
     n_s, n_phi, k_s = 16, 12, 0.3
-    H = assemble_full(spec, BlochVector(k_s, 0), n_s, n_phi)
-    got = np.linalg.eigvalsh(H.entries)
+    got = np.linalg.eigvalsh(assemble_full(spec, BlochVector(k_s, 0), n_s, n_phi))
     ds = spec.s_period / n_s
     dv = spec.varphi_period / n_phi
     symbols = []
@@ -192,8 +181,7 @@ def test_full_time_reversal_pair():
 
 
 def _dense_spectrum(spec, k, n_s, n_phi):
-    H = assemble_full(spec, BlochVector(k, 0), n_s, n_phi)
-    return np.linalg.eigvalsh(H.entries)
+    return np.linalg.eigvalsh(assemble_full(spec, BlochVector(k, 0), n_s, n_phi))
 
 
 @st.composite
@@ -330,13 +318,13 @@ def test_screw_guards():
 def test_dense_matrix_uses_no_screw_twist(monkeypatch):
     # the dense matrix is the one-block case, the reference the twist is
     # checked against, so it must not depend on the twist
-    want = assemble_full(FIG3, BlochVector(-0.3, 0), 16, 12).entries
+    want = assemble_full(FIG3, BlochVector(-0.3, 0), 16, 12)
 
     def broken(spec, n_phi, g):
         raise AssertionError("assemble_full asked for the screw twist")
 
     monkeypatch.setattr(oracle_module, "_screw_twist", broken)
-    got = assemble_full(FIG3, BlochVector(-0.3, 0), 16, 12).entries
+    got = assemble_full(FIG3, BlochVector(-0.3, 0), 16, 12)
     assert np.array_equal(got, want)
 
 
@@ -471,7 +459,7 @@ def test_folded_bands_separate_without_the_screw_symmetry(spec):
     for amp in (0.0, 1.0):
         pairs = []
         for k_s in ks:
-            H = assemble_full(spec, BlochVector(k_s, 0), 24, 12).entries
+            H = assemble_full(spec, BlochVector(k_s, 0), 24, 12)
             H[np.diag_indices_from(H)] += amp * np.cos(spec.tau * S)
             pairs.append(np.linalg.eigvalsh(H)[:2])
         overlap.append(_band_overlaps(np.array(pairs))[0])
@@ -537,11 +525,27 @@ def test_continuum_guards():
          "n_lowest must be at least 1, got 0"),
         (lambda: verify.cylinder_error(HelixSpec(0.0, 5.0, 1.0), 0),
          "n_bands must be at least 1, got 0"),
+        # every other route takes its k-point through bloch.k_components
+        (lambda: perturbed_levels(FIG3, [math.nan], 2), "k_s must be finite, got nan"),
+        (lambda: assemble_perturbed(FIG3, (0.0, math.nan)),
+         "k_varphi must be finite, got nan"),
+        (lambda: two_band_energies(FIG3, (math.nan, 0.0)), "k_s must be finite, got nan"),
+        (lambda: screw_eigenvalues(FIG3, BlochVector(math.nan, 0), 8, 8, 2),
+         "k_s must be finite, got nan"),
+        (lambda: collocation_levels(FIG3, math.nan, 5, 2), "k_s must be finite, got nan"),
+        # the grid has no phase along phi: a transverse part would be dropped
+        (lambda: assemble_full(FIG3, BlochVector(0.3, 2), 8, 8),
+         "no flux along phi, got k_varphi = 20.0"),
+        (lambda: assemble_full(FIG3, (0.3, 7.0), 8, 8),
+         "no flux along phi, got k_varphi = 7.0"),
     ],
-    ids=["no_bands", "negative_bands", "nan_k_s", "inf_k_s", "cylinder", "cylinder_error"],
+    ids=["no_bands", "negative_bands", "nan_k_s", "inf_k_s", "cylinder", "cylinder_error",
+         "perturbed_nan_k_s", "ray_nan_k_varphi", "two_band_nan_k_s", "screw_nan_k_s",
+         "collocation_nan_k_s", "grid_transverse_n", "grid_k_varphi"],
 )
 def test_exact_solvers_refuse_a_count_below_one_or_a_non_finite_k_s(call, message):
-    # as the sibling solvers do (_check_count), before any solve
+    # as the sibling solvers do (_check_count), before any solve: no
+    # IndexError, ConvergenceFailure or silent nan from deep inside
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -958,18 +962,16 @@ def test_perturbed_vs_two_band_second_order():
 
 
 def test_eigensolve_trivial_diag():
-    H = DiscretizedHamiltonian(np.diag([2.0, 1.0]))
-    res = eigensolve(H, 2)
+    res = eigensolve(np.diag([2.0, 1.0]), 2)
     np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0])
     assert [f.name for f in dataclasses.fields(SpectrumResult)] == ["eigenvalues"]
 
 
 def test_eigensolve_validates_count():
-    H = DiscretizedHamiltonian(np.eye(3))
     with pytest.raises(ValueError):
-        eigensolve(H, 4)
+        eigensolve(np.eye(3), 4)
     with pytest.raises(ValueError):
-        eigensolve(H, 0)
+        eigensolve(np.eye(3), 0)
 
 
 def test_eigensolve_deterministic():
@@ -980,10 +982,18 @@ def test_eigensolve_deterministic():
 
 
 def test_eigensolve_convergence_failure_diagnostic():
-    bad = np.full((3, 3), np.nan)
-    H = DiscretizedHamiltonian(bad)
     with pytest.raises(ConvergenceFailure):
-        eigensolve(H, 2)
+        eigensolve(np.full((3, 3), np.nan), 2)
+
+
+def test_a_lapack_failure_is_a_convergence_failure(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(oracle_module.np.linalg, "eigvalsh", failing)
+    with pytest.raises(ConvergenceFailure,
+                       match="^dense eigensolve failed: Eigenvalues did not converge$"):
+        eigensolve(np.eye(2), 1)
 
 
 @pytest.mark.parametrize("bad", [
@@ -992,7 +1002,7 @@ def test_eigensolve_convergence_failure_diagnostic():
 ], ids=["nan-entry", "overflow"])
 def test_eigensolve_refuses_non_finite_input_or_levels(bad):
     with pytest.raises(ConvergenceFailure):
-        eigensolve(DiscretizedHamiltonian(bad), 2)
+        eigensolve(bad, 2)
 
 
 def _bisection_eigenvalues(A, n_scan=20001):
@@ -1022,8 +1032,7 @@ def test_eigensolve_against_characteristic_polynomial():
     rng = np.random.default_rng(7)
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     A = 0.5 * (raw + raw.conj().T)
-    H = DiscretizedHamiltonian(A)
-    got = eigensolve(H, 4).eigenvalues
+    got = eigensolve(A, 4).eigenvalues
     want = _bisection_eigenvalues(A)
     assert len(want) == 4
     np.testing.assert_allclose(got, want, atol=1e-10)
