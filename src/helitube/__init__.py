@@ -28,7 +28,6 @@ _EXPORTS = {
         "principal_curvatures", "rotation_angle", "surface_point", "v_curv",
     ),
     "operators": (
-        "PHI", "PSI", "GaugeMismatch", "WaveField",
         "apply_laplace_beltrami", "apply_transformed_operator", "band_limited",
         "normalize", "spectral_derivative", "spectral_offset", "v1_apply",
         "v1_multiplicative", "v_eff", "v_kin", "wavefield_norm",

@@ -2,11 +2,21 @@
 
 Two equivalent pictures of the same eigenproblem are implemented:
 
-* PSI gauge: the raw surface wavefunction with weighted norm
-  integral |Psi|^2 h ds dvarphi and kinetic operator -Laplace-Beltrami.
-* PHI gauge: Phi = sqrt(h) Psi with the flat norm, where the operator
-  becomes -d_s(h^-2 d_s .) - d_varphi^2 + V_eff and V_eff = V_kin + V_curv
-  collects all metric derivatives into a multiplicative potential.
+* Psi: the raw surface wavefunction with weighted norm
+  integral |Psi|^2 h ds dvarphi and kinetic operator -Laplace-Beltrami
+  (apply_laplace_beltrami).
+* Phi = sqrt(h) Psi with the flat norm, where the operator becomes
+  -d_s(h^-2 d_s .) - d_varphi^2 + V_eff and V_eff = V_kin + V_curv
+  collects all metric derivatives into a multiplicative potential
+  (apply_transformed_operator, v1_apply).
+
+A field is a plain complex array whose last two axes sample the spec's
+periodic unit cell (spec.s_period x spec.varphi_period) at the nodes of
+geometry.grid_nodes; leading axes stack fields on one cell, each operator
+acts on every field, and a norm is that of the whole stack.  The gauge is
+stated by the function a field is handed to, not carried by the field.
+The norm is the flat one, so the h-weighted norm of Psi is
+wavefield_norm(spec, sqrt(h) * Psi).
 
 All derivatives are trigonometric-spectral on the periodic unit cell, so the
 operators are exact on band-limited fields; finite differences live only in
@@ -17,52 +27,9 @@ is exposed separately for plotting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import HelixSpec, grid_nodes, helical_phase, metric_h, v_curv
-
-PSI = "PSI"
-PHI = "PHI"
-
-
-class GaugeMismatch(ValueError):
-    """Operation received a field in the wrong gauge."""
-
-
-@dataclass
-class WaveField:
-    """Complex samples of a wavefunction over the spec's periodic unit cell.
-
-    gauge is PSI for the surface wavefunction (weighted norm with h) or PHI
-    for sqrt(h)-rescaled values (flat norm).  Nodes are those of
-    geometry.grid_nodes on the last two axes, and the cell is
-    spec.s_period x spec.varphi_period of whichever spec the field is
-    handed to.  Leading axes stack fields on one cell: each operator acts
-    on every field, and a norm is that of the whole stack.
-    """
-
-    values: np.ndarray
-    gauge: str
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.ndim < 2:
-            raise ValueError("values must have at least 2 dimensions")
-        if self.gauge not in (PSI, PHI):
-            raise ValueError(f"gauge must be PSI or PHI, got {self.gauge!r}")
-
-    @property
-    def n_s(self) -> int:
-        return self.values.shape[-2]
-
-    @property
-    def n_phi(self) -> int:
-        return self.values.shape[-1]
-
-    def like(self, values: np.ndarray) -> "WaveField":
-        return WaveField(values, self.gauge)
 
 
 def spectral_offset(spec: HelixSpec) -> float:
@@ -72,26 +39,29 @@ def spectral_offset(spec: HelixSpec) -> float:
     return ((1.0 / spec.rho0) ** 2 + spec.kappa**2) / 4.0
 
 
-def _grid(spec: HelixSpec, field: WaveField):
-    """(s, phi) at every node of the field's unit cell."""
-    return grid_nodes(spec, field.n_s, field.n_phi)
+def _field(values) -> np.ndarray:
+    """values as a complex stack of fields on the (n_s, n_phi) last axes."""
+    values = np.asarray(values, dtype=complex)
+    if values.ndim < 2:
+        raise ValueError("values must have at least 2 dimensions")
+    return values
 
 
-def wavefield_norm(spec: HelixSpec, field: WaveField) -> float:
-    """L2 norm in the field's own gauge (h-weighted for PSI, flat for PHI)."""
-    w = np.abs(field.values) ** 2
-    if field.gauge == PSI:
-        w = w * metric_h(spec, *_grid(spec, field))
-    cell = (spec.s_period / field.n_s) * (spec.varphi_period / field.n_phi)
-    return float(np.sqrt(np.sum(w) * cell))
+def wavefield_norm(spec: HelixSpec, values) -> float:
+    """Flat L2 norm over the unit cell: sqrt(integral |f|^2 ds dvarphi)."""
+    f = _field(values)
+    n_s, n_phi = f.shape[-2:]
+    cell = (spec.s_period / n_s) * (spec.varphi_period / n_phi)
+    return float(np.sqrt(np.sum(np.abs(f) ** 2) * cell))
 
 
-def normalize(spec: HelixSpec, field: WaveField) -> WaveField:
-    """Scale to unit norm in the field's gauge."""
-    nrm = wavefield_norm(spec, field)
+def normalize(spec: HelixSpec, values) -> np.ndarray:
+    """Scale to unit flat norm."""
+    f = _field(values)
+    nrm = wavefield_norm(spec, f)
     if nrm == 0.0:
         raise ValueError("cannot normalize a zero field")
-    return field.like(field.values / nrm)
+    return f / nrm
 
 
 def spectral_derivative(
@@ -113,19 +83,17 @@ def spectral_derivative(
     return np.fft.ifft(np.fft.fft(values, axis=axis) * mult, axis=axis)
 
 
-def apply_laplace_beltrami(spec: HelixSpec, psi: WaveField) -> WaveField:
-    """-Laplace-Beltrami of a PSI-gauge field, in metric form.
+def apply_laplace_beltrami(spec: HelixSpec, psi) -> np.ndarray:
+    """-Laplace-Beltrami of the surface wavefunction Psi, in metric form.
 
     -(1/h) d_s((1/h) d_s Psi) - (1/h) d_varphi(h d_varphi Psi), with spectral
     derivatives.  Self-adjoint under the h-weighted inner product.
     """
-    if psi.gauge != PSI:
-        raise GaugeMismatch(f"expected PSI-gauge input, got {psi.gauge}")
-    h = metric_h(spec, *_grid(spec, psi))
+    f = _field(psi)
+    h = metric_h(spec, *grid_nodes(spec, *f.shape[-2:]))
     ds = lambda v: spectral_derivative(v, -2, spec.s_period)
     dv = lambda v: spectral_derivative(v, -1, spec.varphi_period)
-    out = -ds(ds(psi.values) / h) / h - dv(h * dv(psi.values)) / h
-    return psi.like(out)
+    return -ds(ds(f) / h) / h - dv(h * dv(f)) / h
 
 
 def _h_derivatives(spec: HelixSpec, s, phi):
@@ -162,8 +130,8 @@ def v_eff(spec: HelixSpec, s, phi):
 
 
 def apply_transformed_operator(
-    spec: HelixSpec, phi_field: WaveField, k_s: float = 0.0
-) -> WaveField:
+    spec: HelixSpec, phi, k_s: float = 0.0
+) -> np.ndarray:
     """Flat-gauge Hamiltonian action -d_s(h^-2 d_s Phi) - Phi_vv + V_eff Phi.
 
     The s-part is kept in flux (Sturm-Liouville) form, which is identical to
@@ -171,16 +139,14 @@ def apply_transformed_operator(
     under the flat inner product.  k_s is the Bloch momentum: the field is
     the periodic part u of exp(i k_s s) u, so d_s acts as d_s + i k_s.
     """
-    if phi_field.gauge != PHI:
-        raise GaugeMismatch(f"expected PHI-gauge input, got {phi_field.gauge}")
-    S, P = _grid(spec, phi_field)
+    f = _field(phi)
+    S, P = grid_nodes(spec, *f.shape[-2:])
     h = metric_h(spec, S, P)
-    f = phi_field.values
     ds = lambda v: spectral_derivative(v, -2, spec.s_period) + 1j * k_s * v
     flux = -ds(ds(f) / h**2)
     f_vv = spectral_derivative(f, -1, spec.varphi_period, 2)
     pot = v_eff(spec, S, P)
-    return phi_field.like(flux - f_vv + pot * f)
+    return flux - f_vv + pot * f
 
 
 def v1_multiplicative(spec: HelixSpec, s, phi):
@@ -194,31 +160,26 @@ def v1_multiplicative(spec: HelixSpec, s, phi):
     return spec.epsilon * 0.5 * spec.kappa**2 * (c + c**2 - c**3)
 
 
-def v1_apply(spec: HelixSpec, phi_field: WaveField) -> WaveField:
-    """Action of the operator-valued first-order potential on a PHI field.
+def v1_apply(spec: HelixSpec, phi) -> np.ndarray:
+    """Action of the operator-valued first-order potential on a Phi field.
 
     eps { (kappa^2/2)[cos xi + cos^2 xi - cos^3 xi] + cos xi d_s^2
           + tau sin xi d_s },  xi = varphi/rho0 - tau s,
     with spectral derivatives.  Linear in eps by construction.
     """
-    if phi_field.gauge != PHI:
-        raise GaugeMismatch(f"expected PHI-gauge input, got {phi_field.gauge}")
-    S, P = _grid(spec, phi_field)
+    f = _field(phi)
+    S, P = grid_nodes(spec, *f.shape[-2:])
     xi = helical_phase(spec, S, P)
-    f = phi_field.values
     f_s = spectral_derivative(f, -2, spec.s_period)
     f_ss = spectral_derivative(f, -2, spec.s_period, 2)
     mult = v1_multiplicative(spec, S, P)
-    out = mult * f + spec.epsilon * (
+    return mult * f + spec.epsilon * (
         np.cos(xi) * f_ss + spec.tau * np.sin(xi) * f_s
     )
-    return phi_field.like(out)
 
 
-def band_limited(
-    spec: HelixSpec, n_s: int, n_phi: int, draw, gauge: str = PHI
-) -> WaveField:
-    """Field with spectral support on low modes only, unit norm in its gauge.
+def band_limited(spec: HelixSpec, n_s: int, n_phi: int, draw) -> np.ndarray:
+    """Field with spectral support on low modes only, unit flat norm.
 
     Modes up to max(1, n/4) per direction, so products with smooth metric
     factors stay alias-free at the working grid.  draw(shape) is called
@@ -232,4 +193,4 @@ def band_limited(
     )
     coef = np.zeros((n_s, n_phi), dtype=complex)
     coef[np.ix_(rows, cols)] = draw((len(rows), len(cols)))
-    return normalize(spec, WaveField(np.fft.ifft2(coef), gauge))
+    return normalize(spec, np.fft.ifft2(coef))

@@ -40,9 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DegeneratePeriod, HelixSpec, grid_nodes, metric_h
-from .operators import (
-    PHI, WaveField, apply_transformed_operator, spectral_offset, v_eff,
-)
+from .operators import apply_transformed_operator, spectral_offset, v_eff
 from .bloch import k_components, stated_table, zone_boundary_k
 
 _MAX_DIMENSION = 4096
@@ -278,8 +276,8 @@ def collocation_levels(
         raise ValueError(f"k_s must be finite, got {k_s}")
     _check_storage(1, n * n)
     _check_count(n_lowest, n * n)
-    unit = WaveField(np.eye(n * n).reshape(n * n, n, n), PHI)
-    columns = apply_transformed_operator(spec, unit, k_s).values
+    unit = np.eye(n * n).reshape(n * n, n, n)
+    columns = apply_transformed_operator(spec, unit, k_s)
     return _dense_eigh(columns.reshape(n * n, n * n).T)[:n_lowest]
 
 

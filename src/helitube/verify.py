@@ -31,9 +31,6 @@ import numpy as np
 
 from .geometry import HelixSpec, grid_nodes, metric_h, v_curv
 from .operators import (
-    PHI,
-    PSI,
-    WaveField,
     apply_laplace_beltrami,
     apply_transformed_operator,
     band_limited,
@@ -105,10 +102,9 @@ def check_operator_identity(cfg) -> dict:
     pot = v_curv(spec, S, P) - cfg.vkin_offset
     err = []
     for _ in range(_IDENTITY_FIELDS):
-        phi = band_limited(spec, n, n, draw).values
-        psi = WaveField(phi / root_h, PSI)
-        lhs = root_h * apply_laplace_beltrami(spec, psi).values + pot * phi
-        rhs = apply_transformed_operator(spec, WaveField(phi, PHI)).values
+        phi = band_limited(spec, n, n, draw)
+        lhs = root_h * apply_laplace_beltrami(spec, phi / root_h) + pot * phi
+        rhs = apply_transformed_operator(spec, phi)
         err.append(_l2(lhs - rhs) / _l2(rhs))
     return _check(
         "operator_identity", 1e-13, float(np.max(err)),

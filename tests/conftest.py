@@ -1,13 +1,14 @@
 """Test-side reference implementations shared by several test modules.
 
 Each is a fixture returning a plain function, and none is part of the
-package's API:
+package's API.  Fields are plain complex arrays on the (n_s, n_phi) last
+axes, as in operators:
 
 fd_hessian                 band Hessian by finite differences, against
                            bloch.two_band_hessian
 laplace_beltrami_expanded  -Laplacian in expanded coefficient form, against
                            operators.apply_laplace_beltrami (metric form)
-random_band_limited        seeded band-limited probe field
+random_band_limited        seeded band-limited probe field, unit flat norm
 weingarten                 shape operator I^-1 II from the Frenet-Serret
                            equations, against geometry.principal_curvatures
 """
@@ -19,15 +20,8 @@ import pytest
 
 from helitube import operators
 from helitube.bloch import two_band_energies
-from helitube.geometry import HelixSpec
-from helitube.operators import (
-    PHI,
-    PSI,
-    GaugeMismatch,
-    WaveField,
-    band_limited,
-    spectral_derivative,
-)
+from helitube.geometry import HelixSpec, grid_nodes
+from helitube.operators import band_limited, spectral_derivative
 
 
 def _fd_hessian(spec, k, band):
@@ -95,36 +89,28 @@ def _weingarten(spec: HelixSpec, s: float, phi: float) -> np.ndarray:
     return np.linalg.solve(first, second)
 
 
-def _laplace_beltrami_expanded(spec: HelixSpec, psi: WaveField) -> WaveField:
+def _laplace_beltrami_expanded(spec: HelixSpec, psi: np.ndarray) -> np.ndarray:
     """-Laplacian in expanded coefficient form; cross-check of the metric form.
 
     -(1/h^2) Psi_ss + (h_s/h^3) Psi_s - Psi_vv - (h_v/h) Psi_v with analytic
     metric derivatives.
     """
-    if psi.gauge != PSI:
-        raise GaugeMismatch(f"expected PSI-gauge input, got {psi.gauge}")
-    h, h_s, _, h_v, _ = operators._h_derivatives(spec, *operators._grid(spec, psi))
-    f = psi.values
-    f_s = spectral_derivative(f, -2, spec.s_period)
-    f_ss = spectral_derivative(f, -2, spec.s_period, 2)
-    f_v = spectral_derivative(f, -1, spec.varphi_period)
-    f_vv = spectral_derivative(f, -1, spec.varphi_period, 2)
-    out = -f_ss / h**2 + (h_s / h**3) * f_s - f_vv - (h_v / h) * f_v
-    return psi.like(out)
+    S, P = grid_nodes(spec, *psi.shape[-2:])
+    h, h_s, _, h_v, _ = operators._h_derivatives(spec, S, P)
+    f_s = spectral_derivative(psi, -2, spec.s_period)
+    f_ss = spectral_derivative(psi, -2, spec.s_period, 2)
+    f_v = spectral_derivative(psi, -1, spec.varphi_period)
+    f_vv = spectral_derivative(psi, -1, spec.varphi_period, 2)
+    return -f_ss / h**2 + (h_s / h**3) * f_s - f_vv - (h_v / h) * f_v
 
 
 def _random_band_limited(
-    spec: HelixSpec,
-    n_s: int,
-    n_phi: int,
-    rng: np.random.Generator,
-    gauge: str = PHI,
-) -> WaveField:
+    spec: HelixSpec, n_s: int, n_phi: int, rng: np.random.Generator
+) -> np.ndarray:
     """band_limited with complex standard normal amplitudes drawn from rng."""
     return band_limited(
         spec, n_s, n_phi,
         lambda shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-        gauge,
     )
 
 

@@ -627,10 +627,17 @@ def test_overflowing_unit_scale_is_config_error(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_bands_byte_identical_reruns(tmp_path):
-    assert main(BANDS_SMALL + ["--out", str(tmp_path / "r1")]) == 0
-    assert main(BANDS_SMALL + ["--out", str(tmp_path / "r2")]) == 0
-    for name in ("bands.csv", "summary.json"):
+@pytest.mark.parametrize("argv, names", [
+    (BANDS_SMALL, ("bands.csv", "summary.json")),
+    (["verify"], ("verify.json",)),
+    (["gap-scan"], ("gapscan.csv", "gapscan.json")),
+    (["geometry", "--grid", "37x5"], ("geometry.csv",)),
+    (["potential", "--grid", "37x5"], ("potential.csv",)),
+], ids=["bands", "verify", "gap-scan", "geometry", "potential"])
+def test_byte_identical_reruns(tmp_path, argv, names):
+    assert main(argv + ["--out", str(tmp_path / "r1")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "r2")]) == 0
+    for name in names:
         b1 = (tmp_path / "r1" / name).read_bytes()
         b2 = (tmp_path / "r2" / name).read_bytes()
         assert b1 == b2

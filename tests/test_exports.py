@@ -54,6 +54,10 @@ _REMOVED = {
     "cylinder_limit_energies": bloch,
     "GRID_2D": oracle,
     "DiscretizedHamiltonian": oracle,
+    "WaveField": operators,
+    "PSI": operators,
+    "PHI": operators,
+    "GaugeMismatch": operators,
 }
 
 

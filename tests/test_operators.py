@@ -1,5 +1,6 @@
 """Gauge transformation, effective potentials, first-order operator."""
 
+import functools
 import math
 
 import numpy as np
@@ -18,10 +19,6 @@ from helitube.geometry import (
     v_curv,
 )
 from helitube.operators import (
-    PHI,
-    PSI,
-    GaugeMismatch,
-    WaveField,
     apply_laplace_beltrami,
     apply_transformed_operator,
     normalize,
@@ -53,40 +50,58 @@ def test_effective_params():
     assert cyl == pytest.approx(1.0 / 16.0)
 
 
-# ----------------------------------------------------------- wavefield admin
+# ------------------------------------------------------------------- fields
 
 
 def test_gauge_validation_and_norms(random_band_limited):
     spec = FIG3
-    rng = np.random.default_rng(0)
-    psi = random_band_limited(spec, 16, 16, rng, gauge=PSI)
-    assert wavefield_norm(spec, psi) == pytest.approx(1.0, abs=1e-12)
-    phi = random_band_limited(spec, 16, 16, rng, gauge=PHI)
+    phi = random_band_limited(spec, 16, 16, np.random.default_rng(0))
     assert wavefield_norm(spec, phi) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(GaugeMismatch):
-        apply_laplace_beltrami(spec, phi)
-    with pytest.raises(GaugeMismatch):
-        apply_transformed_operator(spec, psi)
-    with pytest.raises(GaugeMismatch):
-        v1_apply(spec, psi)
-    with pytest.raises(ValueError):
-        WaveField(np.ones((4, 4)), "XXX")
     with pytest.raises(ValueError, match="at least 2 dimensions"):
-        WaveField(np.zeros(4), PHI)
+        normalize(spec, np.zeros(4))
     with pytest.raises(ValueError, match="zero field"):
-        normalize(spec, WaveField(np.zeros((4, 4)), PSI))
+        normalize(spec, np.zeros((4, 4)))
 
 
-def test_normalize_weighted_vs_flat():
-    # PSI norm carries the h weight; h > 1 on the outer rim changes the norm
-    spec = FIG3
-    vals = np.ones((12, 12), dtype=complex)
-    psi = normalize(spec, WaveField(vals, PSI))
-    phi = normalize(spec, WaveField(vals, PHI))
-    assert wavefield_norm(spec, psi) == pytest.approx(1.0, abs=1e-12)
-    assert wavefield_norm(spec, phi) == pytest.approx(1.0, abs=1e-12)
-    # cell average of h is 1, so the constant field has identical norms
-    np.testing.assert_allclose(psi.values, phi.values, rtol=1e-12)
+@pytest.mark.parametrize(
+    "spec", [FIG3, HelixSpec(kappa=9.0, tau=1.0, rho0=0.1)], ids=["fig3", "eps0.9"]
+)
+def test_weighted_norm_is_the_flat_norm_of_root_h_psi(spec, random_band_limited):
+    # ||Psi||_h, the h-weighted quadrature written out node by node, is the
+    # flat norm of Phi = sqrt(h) Psi
+    n_s, n_phi = 24, 20
+    S, P = grid_nodes(spec, n_s, n_phi)
+    h = metric_h(spec, S, P)
+    psi = 3.0 * random_band_limited(spec, n_s, n_phi, np.random.default_rng(11))
+    area = spec.s_period * spec.varphi_period
+    weighted = math.sqrt(
+        math.fsum((abs(p) ** 2 * w).item() for p, w in zip(psi.flat, h.flat))
+        * area / (n_s * n_phi)
+    )
+    assert wavefield_norm(spec, np.sqrt(h) * psi) == pytest.approx(
+        weighted, rel=1e-12, abs=0.0
+    )
+    # negative control: the flat norm of Psi itself misses the h weight
+    assert abs(wavefield_norm(spec, psi) / weighted - 1.0) > 1e-3
+
+
+def test_operators_take_real_arrays_and_refuse_one_dimension():
+    # collocation_levels hands the operator the real unit fields np.eye(n^2):
+    # a real array acts exactly as its complex cast
+    spec = HelixSpec(kappa=2.0, tau=-1.3, rho0=0.3)
+    unit = np.eye(25).reshape(25, 5, 5)
+    noise = np.random.default_rng(3).standard_normal((2, 9, 8))
+    ops = (apply_laplace_beltrami, apply_transformed_operator,
+           functools.partial(apply_transformed_operator, k_s=0.4), v1_apply)
+    for op in ops:
+        for real in (unit, noise):
+            got = op(spec, real)
+            assert got.dtype == complex
+            assert got.tobytes() == op(spec, real.astype(complex)).tobytes()
+        with pytest.raises(ValueError, match="at least 2 dimensions"):
+            op(spec, np.ones(4))
+    with pytest.raises(ValueError, match="at least 2 dimensions"):
+        wavefield_norm(spec, np.ones(4))
 
 
 def test_spectral_derivative_exact_on_modes():
@@ -104,9 +119,8 @@ def test_spectral_derivative_exact_on_modes():
 
 def test_laplacian_constant_straight_tube():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=1.0)
-    psi = WaveField(np.ones((8, 8), dtype=complex), PSI)
-    out = apply_laplace_beltrami(spec, psi)
-    np.testing.assert_allclose(out.values, 0.0, atol=1e-13)
+    out = apply_laplace_beltrami(spec, np.ones((8, 8), dtype=complex))
+    np.testing.assert_allclose(out, 0.0, atol=1e-13)
 
 
 def test_laplacian_cylinder_eigenfunction():
@@ -115,8 +129,8 @@ def test_laplacian_cylinder_eigenfunction():
     _, P = grid_nodes(spec, n_s, n_phi)
     for n in (1, 2, -3):
         vals = np.exp(1j * n * P)
-        out = apply_laplace_beltrami(spec, WaveField(vals, PSI))
-        np.testing.assert_allclose(out.values, (n / spec.rho0) ** 2 * vals, atol=1e-10)
+        out = apply_laplace_beltrami(spec, vals)
+        np.testing.assert_allclose(out, (n / spec.rho0) ** 2 * vals, atol=1e-10)
 
 
 def test_laplacian_metric_vs_expanded_form(
@@ -124,11 +138,12 @@ def test_laplacian_metric_vs_expanded_form(
 ):
     spec = FIG3
     rng = np.random.default_rng(42)
+    root_h = np.sqrt(metric_h(spec, *grid_nodes(spec, 64, 64)))
     for _ in range(5):
-        psi = random_band_limited(spec, 64, 64, rng, gauge=PSI)
+        psi = random_band_limited(spec, 64, 64, rng) / root_h
         a = apply_laplace_beltrami(spec, psi)
         b = laplace_beltrami_expanded(spec, psi)
-        assert l2(a.values - b.values) <= 1e-8 * l2(psi.values)
+        assert l2(a - b) <= 1e-8 * l2(psi)
 
 
 # -------------------------------------------------------------------- v_kin
@@ -176,14 +191,13 @@ def test_gauge_identity_on_random_fields(random_band_limited):
     h = metric_h(spec, S, P)
     vk = v_kin(spec, S, P)
     for _ in range(20):
-        fld = random_band_limited(spec, n, n, rng, gauge=PHI)
-        psi = WaveField(fld.values / np.sqrt(h), PSI)
-        lhs = np.sqrt(h) * apply_laplace_beltrami(spec, psi).values
+        phi = random_band_limited(spec, n, n, rng)
+        lhs = np.sqrt(h) * apply_laplace_beltrami(spec, phi / np.sqrt(h))
         ds = lambda v, o=1: spectral_derivative(v, 0, spec.s_period, o)
-        flux = -ds(ds(fld.values) / h**2)
-        vv = spectral_derivative(fld.values, 1, spec.varphi_period, 2)
-        rhs = flux - vv + vk * fld.values
-        assert l2(lhs - rhs) <= 1e-8 * l2(fld.values)
+        flux = -ds(ds(phi) / h**2)
+        vv = spectral_derivative(phi, 1, spec.varphi_period, 2)
+        rhs = flux - vv + vk * phi
+        assert l2(lhs - rhs) <= 1e-8 * l2(phi)
 
 
 def test_operators_act_on_each_field_of_a_stack(
@@ -191,14 +205,12 @@ def test_operators_act_on_each_field_of_a_stack(
 ):
     spec = HelixSpec(kappa=2.0, tau=-1.3, rho0=0.3)
     rng = np.random.default_rng(5)
-    single = [random_band_limited(spec, 24, 20, rng).values for _ in range(3)]
-    for op, gauge in ((apply_laplace_beltrami, PSI), (laplace_beltrami_expanded, PSI),
-                      (apply_transformed_operator, PHI), (v1_apply, PHI)):
-        stacked = op(spec, WaveField(np.stack(single), gauge)).values
+    single = [random_band_limited(spec, 24, 20, rng) for _ in range(3)]
+    for op in (apply_laplace_beltrami, laplace_beltrami_expanded,
+               apply_transformed_operator, v1_apply):
+        stacked = op(spec, np.stack(single))
         for f, got in zip(single, stacked):
-            np.testing.assert_allclose(
-                got, op(spec, WaveField(f, gauge)).values, rtol=0, atol=1e-12
-            )
+            np.testing.assert_allclose(got, op(spec, f), rtol=0, atol=1e-12)
 
 
 # verify's check on helices where a fixed 64x64 grid aliased the products
@@ -230,9 +242,9 @@ def test_operator_identity_check_catches_a_derivative_error(monkeypatch, scaled)
     # apply_transformed_operator written out term by term, with one
     # derivative term off by 1e-9 relative: the probe fields exercise each
     # term, so either fault fails the check; with none scaled it passes
-    def faulty(spec, field):
-        S, P = grid_nodes(spec, field.n_s, field.n_phi)
-        h, f = metric_h(spec, S, P), field.values
+    def faulty(spec, f):
+        S, P = grid_nodes(spec, *f.shape[-2:])
+        h = metric_h(spec, S, P)
         ds = lambda v: spectral_derivative(v, -2, spec.s_period)
         flux = -ds(ds(f) / h**2)
         f_vv = spectral_derivative(f, -1, spec.varphi_period, 2)
@@ -240,7 +252,7 @@ def test_operator_identity_check_catches_a_derivative_error(monkeypatch, scaled)
             flux = flux * (1.0 + 1e-9)
         elif scaled == "d_varphi^2":
             f_vv = f_vv * (1.0 + 1e-9)
-        return field.like(flux - f_vv + v_eff(spec, S, P) * f)
+        return flux - f_vv + v_eff(spec, S, P) * f
 
     monkeypatch.setattr(verify, "apply_transformed_operator", faulty)
     check = verify.check_operator_identity(RunConfig())
@@ -368,9 +380,9 @@ def test_transformed_operator_cylinder_closed_form():
     for n, m in ((0, 0), (1, 2), (-2, 1)):
         k = m * spec.tau  # on-grid longitudinal mode
         vals = np.exp(1j * n * P + 1j * k * S)
-        out = apply_transformed_operator(spec, WaveField(vals, PHI))
+        out = apply_transformed_operator(spec, vals)
         expect = (k**2 + (n / spec.rho0) ** 2 - 0.25 / spec.rho0**2) * vals
-        np.testing.assert_allclose(out.values, expect, atol=1e-10)
+        np.testing.assert_allclose(out, expect, atol=1e-10)
 
 
 def test_transformed_operator_hermitian_flat(random_band_limited):
@@ -379,10 +391,10 @@ def test_transformed_operator_hermitian_flat(random_band_limited):
     for _ in range(5):
         f1 = random_band_limited(spec, 48, 48, rng)
         f2 = random_band_limited(spec, 48, 48, rng)
-        o1 = apply_transformed_operator(spec, f1).values
-        o2 = apply_transformed_operator(spec, f2).values
-        lhs = np.vdot(f1.values, o2)
-        rhs = np.vdot(o1, f2.values)
+        o1 = apply_transformed_operator(spec, f1)
+        o2 = apply_transformed_operator(spec, f2)
+        lhs = np.vdot(f1, o2)
+        rhs = np.vdot(o1, f2)
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs - rhs) / scale < 1e-10
 
@@ -396,13 +408,11 @@ def test_gauge_equivalence_of_operators(random_band_limited):
     h = metric_h(spec, S, P)
     vc = v_curv(spec, S, P)
     for _ in range(5):
-        psi = random_band_limited(spec, n, n, rng, gauge=PSI)
-        phi = WaveField(np.sqrt(h) * psi.values, PHI)
-        lhs = apply_transformed_operator(spec, phi).values
-        rhs = np.sqrt(h) * (
-            apply_laplace_beltrami(spec, psi).values + vc * psi.values
-        )
-        assert l2(lhs - rhs) <= 1e-8 * l2(phi.values)
+        psi = random_band_limited(spec, n, n, rng) / np.sqrt(h)
+        phi = np.sqrt(h) * psi
+        lhs = apply_transformed_operator(spec, phi)
+        rhs = np.sqrt(h) * (apply_laplace_beltrami(spec, psi) + vc * psi)
+        assert l2(lhs - rhs) <= 1e-8 * l2(phi)
 
 
 # ------------------------------------------------------------ first order
@@ -413,17 +423,16 @@ def test_v1_zero_curvature_vanishes(random_band_limited):
     rng = np.random.default_rng(1)
     fld = random_band_limited(spec, 16, 16, rng)
     out = v1_apply(spec, fld)
-    np.testing.assert_allclose(out.values, 0.0, atol=1e-15)
+    np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
 
 def test_v1_constant_field_is_pure_multiplication():
     spec = FIG3
     n = 32
-    fld = WaveField(np.ones((n, n), dtype=complex), PHI)
-    out = v1_apply(spec, fld)
+    out = v1_apply(spec, np.ones((n, n), dtype=complex))
     S, P = grid_nodes(spec, n, n)
     expect = v1_multiplicative(spec, S, P)
-    np.testing.assert_allclose(out.values, expect, atol=1e-12)
+    np.testing.assert_allclose(out, expect, atol=1e-12)
 
 
 def test_v1_multiplicative_supported_on_single_ray():
@@ -463,18 +472,17 @@ def test_ray_selection_check_catches_an_off_ray_mode(monkeypatch):
     assert check["measured"] >= 100 * check["tolerance"]
 
 
-def _v1_true_action(spec, fld):
+def _v1_true_action(spec, values):
     """Measured O(eps) expansion of the full flat-gauge operator.
 
     eps [ (kappa^2 - tau^2)/2 cos(xb) + 2 cos(xb) d_s^2 + 2 tau sin(xb) d_s ]
     with xb = theta(s) + phi; used as the order-2 reference below.
     """
-    n_s, n_phi = fld.values.shape
-    xb = helical_phase(spec, *grid_nodes(spec, n_s, n_phi))
-    f_s = spectral_derivative(fld.values, 0, spec.s_period)
-    f_ss = spectral_derivative(fld.values, 0, spec.s_period, 2)
+    xb = helical_phase(spec, *grid_nodes(spec, *values.shape))
+    f_s = spectral_derivative(values, 0, spec.s_period)
+    f_ss = spectral_derivative(values, 0, spec.s_period, 2)
     return spec.epsilon * (
-        0.5 * (spec.kappa**2 - spec.tau**2) * np.cos(xb) * fld.values
+        0.5 * (spec.kappa**2 - spec.tau**2) * np.cos(xb) * values
         + 2.0 * np.cos(xb) * f_ss
         + 2.0 * spec.tau * np.sin(xb) * f_s
     )
@@ -484,13 +492,12 @@ def _first_order_residual(v1_fn, eps, values):
     """L2 norm of (full operator - flat Laplacian + a) Phi - v1_fn(Phi)."""
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=eps)
     a = spectral_offset(spec)
-    fld = WaveField(values, PHI)
-    full = apply_transformed_operator(spec, fld).values
+    full = apply_transformed_operator(spec, values)
     flat = (
         -spectral_derivative(values, 0, spec.s_period, 2)
         - spectral_derivative(values, 1, spec.varphi_period, 2)
     )
-    first = v1_fn(spec, fld)
+    first = v1_fn(spec, values)
     return l2(full - flat + a * values - first) / l2(values)
 
 
@@ -513,7 +520,7 @@ def _band_limited_values(n, seed):
 def test_v1_expansion_order_as_stated():
     values = _band_limited_values(32, 2024)
     err = {
-        eps: _first_order_residual(lambda s, f: v1_apply(s, f).values, eps, values)
+        eps: _first_order_residual(v1_apply, eps, values)
         for eps in (0.02, 0.04)
     }
     order = math.log2(err[0.04] / err[0.02])
@@ -538,6 +545,5 @@ def test_v1_linear_in_eps():
     outs = {}
     for eps in (0.02, 0.04):
         spec = HelixSpec(kappa=1.0, tau=1.0, rho0=eps)
-        fld = WaveField(values, PHI)
-        outs[eps] = v1_apply(spec, fld).values
+        outs[eps] = v1_apply(spec, values)
     np.testing.assert_allclose(outs[0.04], 2.0 * outs[0.02], rtol=1e-12)

@@ -887,7 +887,7 @@ def test_perturbed_free_diagonal():
     assert np.all(off == 0.0)
 
 
-def test_perturbed_band_sweep_is_one_solve_per_kpoint():
+def test_perturbed_levels_are_one_solve_per_kpoint():
     # perturbed_levels solves the path's ray matrices in one stacked eigvalsh;
     # each row is exactly the lowest n_bands of its own matrix's solve
     for spec in (FIG3, HelixSpec(kappa=0.7, tau=-1.3, rho0=0.3)):
@@ -1038,10 +1038,10 @@ def test_eigensolve_against_characteristic_polynomial():
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
-# --------------------------------------------------------------- band sweep
+# ---------------------------------------------------------- bands along k_s
 
 
-def test_band_sweep_free_folded_parabolas():
+def test_free_tube_two_band_and_ray_levels_are_folded_parabolas():
     # stay on the k <= 0 side, where k + K1 is the nearest fold and the
     # second ray band is the one the two-band model describes
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)
@@ -1054,14 +1054,14 @@ def test_band_sweep_free_folded_parabolas():
     np.testing.assert_allclose(tb, pert, rtol=1e-10)
 
 
-def test_band_sweep_first_order_free_limit():
+def test_first_order_free_limit():
     spec = HelixSpec(kappa=0.0, tau=1.0, rho0=0.1)
     fo = first_order_energies(spec, BlochVector(0.1, 0), 2)
     a = spectral_offset(spec)
     assert fo[0] == pytest.approx(0.1**2 - a, rel=1e-12)
 
 
-def test_band_sweep_first_order_near_interior_matches_ray_matrix():
+def test_first_order_near_interior_matches_ray_matrix():
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.02)
     ks = [0.1, -0.2]
     fo = np.array([first_order_energies(spec, (k_s, 0.0), 2) for k_s in ks])
@@ -1070,7 +1070,7 @@ def test_band_sweep_first_order_near_interior_matches_ray_matrix():
     assert diff <= 1e-6
 
 
-def test_band_sweep_first_order_raises_at_boundary():
+def test_first_order_raises_at_boundary():
     # the ray degeneracy sits at the continuous point -K1/2, which has
     # half-integer transverse wavenumber, so pass it as a raw pair
     spec = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
