@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +155,7 @@ def screw_eigenvalues(
     _grid_blocks, one per screw phase; they are built straight from the
     node coefficients, never from the dense matrix, and solved as one stack.
     """
-    _check_count(n_lowest, n_s * n_phi)
+    _check_count("n_lowest", n_lowest, n_s * n_phi)
     g = math.gcd(n_s, n_phi)
     blocks = _grid_blocks(spec, k, n_s, n_phi, g, _screw_twist(spec, n_phi, g))
     return np.sort(_dense_eigh(blocks), axis=None)[:n_lowest]
@@ -221,11 +222,8 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
     """
     if spec.tau == 0.0:
         raise DegeneratePeriod("tau = 0: no helical momentum sectors")
-    if n_bands < 1:
-        raise ValueError(f"n_bands must be at least 1, got {n_bands}")
-    for k_s in ks:
-        if not math.isfinite(k_s):
-            raise ValueError(f"k_s must be finite, got {k_s}")
+    _check_path(ks)
+    _check_count("n_bands", n_bands)
     n_modes = _n_modes(spec)
     _check_storage(2, 2 * n_modes + 1)
     samples = _helical_samples(spec, 8 * n_modes)
@@ -275,15 +273,29 @@ def collocation_levels(
     if not math.isfinite(k_s):
         raise ValueError(f"k_s must be finite, got {k_s}")
     _check_storage(1, n * n)
-    _check_count(n_lowest, n * n)
+    _check_count("n_lowest", n_lowest, n * n)
     unit = np.eye(n * n).reshape(n * n, n, n)
     columns = apply_transformed_operator(spec, unit, k_s)
     return _dense_eigh(columns.reshape(n * n, n * n).T)[:n_lowest]
 
 
-def _check_count(n_lowest: int, count: int) -> None:
-    if not 1 <= n_lowest <= count:
-        raise ValueError(f"n_lowest must be in [1, {count}], got {n_lowest}")
+def _check_path(ks) -> None:
+    """Refuse an empty k-path, or a non-finite k_s on it, before any solve."""
+    if len(ks) == 0:
+        raise ValueError("the k-path has no points")
+    for k_s in ks:
+        if not math.isfinite(k_s):
+            raise ValueError(f"k_s must be finite, got {k_s}")
+
+
+def _check_count(name: str, value, count: float = math.inf) -> None:
+    """Refuse a count, the argument called name, that is not an integer in
+    [1, count]."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not 1 <= value <= count:
+        bound = "at least 1" if count == math.inf else f"in [1, {count}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def _dense_eigh(entries: np.ndarray) -> np.ndarray:
@@ -304,7 +316,7 @@ def _dense_eigh(entries: np.ndarray) -> np.ndarray:
 
 def eigensolve(H: np.ndarray, n_lowest: int) -> SpectrumResult:
     """Lowest n_lowest eigenvalues of the Hermitian array H, one dense solve."""
-    _check_count(n_lowest, H.shape[-1])
+    _check_count("n_lowest", n_lowest, H.shape[-1])
     return SpectrumResult(_dense_eigh(H)[:n_lowest])
 
 
@@ -314,10 +326,22 @@ def eigensolve(H: np.ndarray, n_lowest: int) -> SpectrumResult:
 
 def perturbed_levels(spec: HelixSpec, ks, n_bands: int) -> np.ndarray:
     """Lowest n_bands levels of the assemble_perturbed matrix at each Bloch
-    k_s (k_varphi = 0), from one stacked eigvalsh along the path."""
-    H = np.stack([assemble_perturbed(spec, (k_s, 0.0)) for k_s in ks])
-    _check_count(n_bands, H.shape[-1])
-    return _dense_eigh(H)[:, :n_bands]
+    k_s (k_varphi = 0).  The path is solved in stacked eigvalsh calls of at
+    most _MAX_DIMENSION^2 entries each, which give every matrix's levels
+    bit for bit as one call on the whole path would."""
+    _check_path(ks)
+    d = 2 * _n_modes(spec) + 1
+    _check_storage(1, d)
+    _check_count("n_bands", n_bands, d)
+    step = _MAX_DIMENSION**2 // d**2
+    rows = []
+    for start in range(0, len(ks), step):
+        chunk = ks[start:start + step]
+        H = np.empty((len(chunk), d, d))
+        for i, k_s in enumerate(chunk):
+            H[i] = assemble_perturbed(spec, (k_s, 0.0))
+        rows.append(_dense_eigh(H)[:, :n_bands])
+    return np.concatenate(rows)
 
 
 def gap_perturbed(spec: HelixSpec) -> float:

@@ -35,11 +35,21 @@ HBAR = 1.054571817e-34
 
 
 def _fresh_python(code):
-    """Run code in a new interpreter that imports this helitube."""
+    """Run code in a new interpreter that imports this helitube, where a
+    numpy RuntimeWarning is an error, as pytest -W error::RuntimeWarning
+    makes it in this one."""
     src = str(Path(helitube.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
     return subprocess.run([sys.executable, "-c", code], check=True, text=True,
-                          capture_output=True, env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, env=env)
+
+
+def test_fresh_python_makes_a_numpy_runtime_warning_an_error():
+    # negative control: the probes fail on an overflow, as in-process runs do
+    with pytest.raises(subprocess.CalledProcessError) as exc:
+        _fresh_python("import numpy as np; np.float64(1e308) * 10")
+    assert "RuntimeWarning: overflow" in exc.value.stderr
 
 
 def read_csv(path):
@@ -433,24 +443,25 @@ def _perfbench_argvs(workdir):
 
 # parsing and validating load no numpy, and none of the stdlib modules a
 # run only needs to compute or write: dataclasses imports inspect (11-13 ms)
-@pytest.mark.parametrize("computed, loaded", [
-    (False, []),
+@pytest.mark.parametrize("run, rc, loaded", [
+    ([], None, []),
+    # a refused run ends before it needs any of them
+    (["bands", "--tau", "0"], 2, []),
     # control: after a run that computes, the probe sees what it loaded
-    (True, ["dataclasses", "inspect", "json", "numpy"]),
-], ids=["validate-only", "after-bands"])
-def test_validating_loads_no_numpy_inspect_dataclasses_or_json(tmp_path, computed,
+    (["bands", "--kpath", "0:-0.5:3"], 0, ["dataclasses", "inspect", "json", "numpy"]),
+], ids=["validate-only", "after-refused-bands", "after-bands"])
+def test_validating_loads_no_numpy_inspect_dataclasses_or_json(tmp_path, run, rc,
                                                                loaded):
     argvs = [[c] for c in cli._COMMANDS] + _perfbench_argvs(tmp_path)
     assert len(argvs) > len(cli._COMMANDS)
-    run = (f"cli.main(['bands', '--kpath', '0:-0.5:3', '--out', {str(tmp_path)!r}]); "
-           if computed else "")
+    call = f"rc = cli.main({run + ['--out', str(tmp_path)]!r}); " if run else "rc = None; "
     probe = (
-        "import sys; from helitube import cli; " + run +
+        "import sys; from helitube import cli; " + call +
         f"[cli.build_config(cli._build_parser().parse_args(a)) for a in {argvs!r}]; "
-        "print([m for m in ('dataclasses', 'inspect', 'json', 'numpy') "
-        "if m in sys.modules])"
+        "print([rc, [m for m in ('dataclasses', 'inspect', 'json', 'numpy') "
+        "if m in sys.modules]])"
     )
-    assert _fresh_python(probe).stdout.splitlines()[-1] == repr(loaded)
+    assert _fresh_python(probe).stdout.splitlines()[-1] == repr([rc, loaded])
 
 
 _NINE_FLAGS = ["--kappa", "0.5", "--tau", "-2", "--rho0", "0.2", "--grid", "8x6",
@@ -822,17 +833,19 @@ def test_verify_defaults_pass(tmp_path):
     assert oracle["grid"] == [13, 13]
 
 
-@pytest.mark.parametrize("tau", ["1000", "-1000"])
-def test_verify_passes_a_strong_helix_at_large_tau(tmp_path, tau):
-    # eps = 0.9 at |tau| = 1000, where the phases tau*s are large: a correct
-    # build passes every check
-    argv = ["verify", "--kappa", "9", "--rho0", "0.1", "--tau", tau]
-    assert main(argv + ["--out", str(tmp_path)]) == 0
+@pytest.mark.parametrize("helix, grid", [
+    ("--kappa 9 --rho0 0.1 --tau 1000", 296), ("--kappa 9 --rho0 0.1 --tau -1000", 296),
+    ("--kappa 9 --rho0 0.1", 296), ("--tau 300", 48),
+], ids=["1000", "-1000", "eps0.9", "tau300"])
+def test_verify_passes_a_strong_helix_at_large_tau(tmp_path, helix, grid):
+    # eps = 0.9, or |tau| = 300 or 1000, where the phases tau*s are large:
+    # a correct build passes every check
+    assert main(["verify", *helix.split(), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "verify.json").read_text())
     assert report["passed"] is True
     assert "s0" not in report["config"]
     identity = next(c for c in report["checks"] if c["name"] == "operator_identity")
-    assert identity["grid"] == [296, 296]  # sized from eps, whatever tau is
+    assert identity["grid"] == [grid, grid]  # sized from eps, whatever tau is
 
 
 def test_verify_corrupted_gauge_potential_fails(tmp_path):
@@ -1005,3 +1018,33 @@ def test_extreme_parseable_input_ends_cleanly(tmp_path, capsys, cmd, flags):
     assert rc in (0, 2) and err.count("\n") == (1 if rc == 2 else 0)
     for table in tmp_path.glob("*.csv"):
         assert np.isfinite(read_csv(table)[1]).all(), table.name
+
+
+# ---------------------------------------------------------------- CI workflow
+
+
+def _ci_steps(job):
+    """The steps of a job in the CI workflow, in order, each as its "name:"
+    (or, unnamed, its "uses:") line; read as text, as the test extra
+    installs no YAML parser."""
+    path = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    lines = path.read_text().splitlines()
+    steps = []
+    for line in lines[lines.index(f"  {job}:") + 1:]:
+        if line.strip() and not line.startswith("   "):
+            break  # the next job, or a comment before it
+        if line.startswith("      - "):
+            steps.append(line[8:])
+        elif line.startswith("        name: "):
+            steps[-1] = line[8:]
+    return steps
+
+
+def test_benchmark_self_tests_are_the_last_ci_step():
+    # GitHub skips every step after a failing one, and the benchmark
+    # self-tests fail until the benchmark is mended: a step after them
+    # would not run
+    steps = _ci_steps("tests")
+    assert steps[-1] == "name: Benchmark self-tests"
+    assert steps.count("name: Benchmark self-tests") == 1
+    assert "name: Installed console script" in steps

@@ -53,7 +53,7 @@ def test_effective_params():
 # ------------------------------------------------------------------- fields
 
 
-def test_gauge_validation_and_norms(random_band_limited):
+def test_norm_and_normalize_refusals(random_band_limited):
     spec = FIG3
     phi = random_band_limited(spec, 16, 16, np.random.default_rng(0))
     assert wavefield_norm(spec, phi) == pytest.approx(1.0, abs=1e-12)

@@ -521,6 +521,11 @@ def test_continuum_guards():
         (lambda: continuum_levels(FIG3, [0.0], -1), "n_bands must be at least 1, got -1"),
         (lambda: continuum_levels(FIG3, [0.0, math.nan], 2), "k_s must be finite, got nan"),
         (lambda: continuum_levels(FIG3, [math.inf], 2), "k_s must be finite, got inf"),
+        (lambda: continuum_levels(FIG3, [], 2), "^the k-path has no points$"),
+        (lambda: continuum_levels(FIG3, [0.0], 2.0), "^n_bands must be an integer, got 2.0$"),
+        (lambda: perturbed_levels(FIG3, [], 2), "^the k-path has no points$"),
+        (lambda: perturbed_levels(FIG3, [0.0], 0), r"^n_bands must be in \[1, 17\], got 0$"),
+        (lambda: perturbed_levels(FIG3, [0.0], 2.0), "^n_bands must be an integer, got 2.0$"),
         (lambda: cylinder_levels(HelixSpec(0.0, 5.0, 1.0), 0),
          "n_lowest must be at least 1, got 0"),
         (lambda: verify.cylinder_error(HelixSpec(0.0, 5.0, 1.0), 0),
@@ -539,7 +544,9 @@ def test_continuum_guards():
         (lambda: assemble_full(FIG3, (0.3, 7.0), 8, 8),
          "no flux along phi, got k_varphi = 7.0"),
     ],
-    ids=["no_bands", "negative_bands", "nan_k_s", "inf_k_s", "cylinder", "cylinder_error",
+    ids=["no_bands", "negative_bands", "nan_k_s", "inf_k_s", "empty_path", "float_bands",
+         "perturbed_empty_path", "perturbed_no_bands", "perturbed_float_bands",
+         "cylinder", "cylinder_error",
          "perturbed_nan_k_s", "ray_nan_k_varphi", "two_band_nan_k_s", "screw_nan_k_s",
          "collocation_nan_k_s", "grid_transverse_n", "grid_k_varphi"],
 )
@@ -888,8 +895,8 @@ def test_perturbed_free_diagonal():
 
 
 def test_perturbed_levels_are_one_solve_per_kpoint():
-    # perturbed_levels solves the path's ray matrices in one stacked eigvalsh;
-    # each row is exactly the lowest n_bands of its own matrix's solve
+    # perturbed_levels solves the path's ray matrices in stacked eigvalsh
+    # calls; each row is exactly the lowest n_bands of its own matrix's solve
     for spec in (FIG3, HelixSpec(kappa=0.7, tau=-1.3, rho0=0.3)):
         ks = [f * abs(spec.tau) for f in np.linspace(0, -0.5, 7)]
         for n_bands in (2, 5):
@@ -899,8 +906,30 @@ def test_perturbed_levels_are_one_solve_per_kpoint():
                 assert np.array_equal(row, want[:n_bands])
     # n_bands is checked against one matrix (FIG3's window is 17), not the stack
     assert perturbed_levels(FIG3, [0.0, -0.25], 17).shape == (2, 17)
-    with pytest.raises(ValueError, match="n_lowest"):
+    with pytest.raises(ValueError, match="n_bands"):
         perturbed_levels(FIG3, [0.0, -0.25], 18)
+
+
+def test_perturbed_levels_solve_the_path_in_stacks_within_the_cap(monkeypatch):
+    # a 65,536-point path of 17x17 matrices is 18.9M entries, over the
+    # 4096^2 cap; each stack stays within it, and the levels are those of
+    # one stacked call on the whole path, bit for bit
+    ks = list(np.linspace(0.0, -0.5, 23))
+    whole = np.linalg.eigvalsh(np.stack([assemble_perturbed(FIG3, (k_s, 0.0))
+                                         for k_s in ks]))[:, :2]
+    shapes = []
+    right = oracle_module._dense_eigh
+
+    def recorded(entries):
+        shapes.append(entries.shape)
+        return right(entries)
+
+    monkeypatch.setattr(oracle_module, "_dense_eigh", recorded)
+    monkeypatch.setattr(oracle_module, "_MAX_DIMENSION", 40)  # 5 matrices a stack
+    got = perturbed_levels(FIG3, ks, 2)
+    assert shapes == [(5, 17, 17)] * 4 + [(3, 17, 17)]
+    assert all(g * d * d <= 40**2 for g, d, _ in shapes)
+    assert np.array_equal(got, whole)
 
 
 def test_perturbed_hermitian_and_minimum_size():
