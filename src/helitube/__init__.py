@@ -6,8 +6,9 @@ geometry   tube embedding, metric factor, curvatures
 operators  surface Laplacian, gauge transform, effective potential
 bloch      folded zone, ray couplings, two-band model, effective mass
 oracle     plane-wave lattice eigensolvers at fixed helical momentum
-           (exact and paper-stated), the spectral collocation reference,
-           and the finite-difference grid reference
+           (exact and paper-stated), the straight tube's closed form,
+           the spectral collocation reference, and the finite-difference
+           grid reference
 cli        deterministic CSV/JSON artifact generation
 verify     self-check suite behind `helitube verify`
 
@@ -34,16 +35,16 @@ _EXPORTS = {
     ),
     "bloch": (
         "BlochVector", "NearResonance", "OutOfValidity", "SingularMass",
-        "cylinder_levels", "effective_mass",
-        "first_order_energies", "first_order_u", "k_components",
-        "near_boundary_expansion", "origin_fit", "ray_amplitude", "ray_vector",
-        "stated_table", "two_band_energies", "two_band_gap", "two_band_hessian",
-        "zone_boundary_k",
+        "effective_mass", "first_order_energies", "first_order_u",
+        "k_components", "near_boundary_expansion", "origin_fit",
+        "ray_amplitude", "ray_vector", "stated_table", "two_band_energies",
+        "two_band_gap", "two_band_hessian", "zone_boundary_k",
     ),
     "oracle": (
         "CapExceeded", "ConvergenceFailure", "SpectrumResult", "assemble_full",
         "assemble_perturbed", "collocation_levels", "continuum_levels",
-        "eigensolve", "fourier_decay_rate", "gap_perturbed", "perturbed_levels",
+        "cylinder_levels", "eigensolve", "fourier_decay_rate", "gap_perturbed",
+        "perturbed_levels",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

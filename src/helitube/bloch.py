@@ -6,8 +6,7 @@ vector K1 = ray_vector(spec) = (tau, -1/rho0), the tube's helical symmetry.
 This module builds the coupling amplitudes between plane-wave components,
 solves the two-component secular problem that K1 couples near the zone
 boundary -K1/2, and derives the quantities that follow from it: the
-splitting there, the effective-mass tensor, and the straight-tube reference:
-cylinder_levels, the one closed form of the kappa = 0 spectrum.
+splitting there and the effective-mass tensor.
 
 Because the first-order potential contains s-derivatives, a coupling
 amplitude depends on the longitudinal wavenumber of the component it acts
@@ -257,20 +256,3 @@ def effective_mass(spec: HelixSpec, k, band: int) -> np.ndarray:
     """
     return _invert_hessian(two_band_hessian(spec, k, band), spec.tau)
 
-
-# --------------------------------------------------------------------------
-# straight-tube reference
-
-
-def cylinder_levels(spec: HelixSpec, n_lowest: int) -> np.ndarray:
-    """The n_lowest lowest levels (n^2 - 1/4)/rho0^2 + (2 pi m/L)^2 of the
-    straight tube at k_s = 0, L = s_period, sorted, one per (n, m); as a
-    level grows with |n| and with |m|, |n|, |m| <= n_lowest hold them all."""
-    if spec.kappa != 0.0:
-        raise ValueError("closed cylinder spectrum requires kappa = 0")
-    if n_lowest < 1:
-        raise ValueError(f"n_lowest must be at least 1, got {n_lowest}")
-    r = range(-n_lowest, n_lowest + 1)
-    levels = [(n * n - 0.25) * (1.0 / spec.rho0) ** 2
-              + (2 * m * math.pi / spec.s_period) ** 2 for n in r for m in r]
-    return np.sort(levels)[:n_lowest]

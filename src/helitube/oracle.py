@@ -11,18 +11,20 @@ of the potential in xi).  continuum_levels feeds it the exact
 coefficients and solves the sectors p = k_s + M tau, the helical
 reduction standard for nanotube bands; assemble_perturbed returns it, a
 plain real symmetric array, fed the paper's stated first-order table on
-the coupling ray, and perturbed_levels solves those matrices along a
-k-path.  Both tables keep the window of _n_modes(spec) modes each side,
-so the truncation follows the spec and is set in one place.
-collocation_levels solves the dense matrix of
-operators.apply_transformed_operator on an odd n x n grid, the reference
-verify holds continuum_levels to.  A second-order finite-difference grid
-on the (s, varphi) unit cell, with no flux along phi, stays as the test
-suite's independent reference, written by one builder, _grid_blocks, as
-the Bloch blocks of its discrete screw symmetry: screw_eigenvalues (not
-exported) solves the stack of gcd(n_s, n_phi) blocks at once, and
-assemble_full is the one-block case (the dense matrix, no screw twist),
-which checks the reduction.  assemble_full returns a plain array and
+the coupling ray (_stated_ray), and perturbed_levels solves those
+matrices along a k-path, one at a time on a table built once.  Both
+tables keep the window of _n_modes(spec) modes each side, so the
+truncation follows the spec and is set in one place.  cylinder_levels is
+the straight tube's closed form (kappa = 0), and collocation_levels
+solves the dense matrix of operators.apply_transformed_operator on an odd
+n x n grid: the references verify holds continuum_levels to.  A
+second-order finite-difference grid on the (s, varphi) unit cell, with
+no flux along phi, stays as the test suite's independent reference,
+written by one builder, _grid_blocks, as the Bloch blocks of its
+discrete screw symmetry: screw_eigenvalues (not exported) solves the
+stack of gcd(n_s, n_phi) blocks at once, and assemble_full is the
+one-block case (the dense matrix, no screw twist), which checks the
+reduction.  assemble_full returns a plain array and
 eigensolve takes one; SpectrumResult stays because
 perfbench/make_reference.py reads its .eigenvalues.
 Everything is dense and deterministic (vectorized numpy, LAPACK
@@ -173,20 +175,26 @@ def _lattice(spec: HelixSpec, p, ns: np.ndarray, table) -> np.ndarray:
     return H + (ns[..., None] / spec.rho0) ** 2 * np.eye(ns.shape[-1])
 
 
-def assemble_perturbed(spec: HelixSpec, k) -> np.ndarray:
-    """Central-equation matrix on the coupling ray, j in [-n, n] with
-    n = _n_modes(spec): component j has q = k_s + j tau and n = rho0 k_phi - j,
-    so all share one p, and the matrix, a real symmetric array, is _lattice
-    fed stated_table, less a on the diagonal."""
+def _stated_ray(spec: HelixSpec):
+    """The coupling ray's window j in [-n, n], n = _n_modes(spec), and
+    stated_table in _lattice's FFT order, less a on the diagonal."""
     n = _n_modes(spec)
     _check_storage(1, 2 * n + 1)
-    kv = k_components(spec, k)
     offsets = range(-2 * n, 2 * n + 1)
     stated = stated_table(spec)
     table = [np.fft.ifftshift([t.get(d, 0.0) for d in offsets]) for t in stated]
     table[1][0] -= spectral_offset(spec)
-    ns = kv[1] * spec.rho0 - np.arange(-n, n + 1)
-    return _lattice(spec, kv[0] + spec.tau * spec.rho0 * kv[1], ns, table)
+    return np.arange(-n, n + 1), table
+
+
+def assemble_perturbed(spec: HelixSpec, k) -> np.ndarray:
+    """Central-equation matrix on the coupling ray (_stated_ray): component j
+    has q = k_s + j tau and n = rho0 k_phi - j, so all share one p, and the
+    matrix, a real symmetric array, is _lattice fed the stated table."""
+    js, table = _stated_ray(spec)
+    k_s, k_varphi = k_components(spec, k)
+    ns = k_varphi * spec.rho0 - js
+    return _lattice(spec, k_s + spec.tau * spec.rho0 * k_varphi, ns, table)
 
 
 def fourier_decay_rate(spec: HelixSpec) -> float:
@@ -257,6 +265,19 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
     return np.array(rows), detail
 
 
+def cylinder_levels(spec: HelixSpec, n_lowest: int) -> np.ndarray:
+    """The n_lowest lowest levels (n^2 - 1/4)/rho0^2 + (2 pi m/L)^2 of the
+    straight tube at k_s = 0, L = s_period, sorted, one per (n, m); as a
+    level grows with |n| and with |m|, |n|, |m| <= n_lowest hold them all."""
+    if spec.kappa != 0.0:
+        raise ValueError("closed cylinder spectrum requires kappa = 0")
+    _check_count("n_lowest", n_lowest)
+    r = range(-n_lowest, n_lowest + 1)
+    levels = [(n * n - 0.25) * (1.0 / spec.rho0) ** 2
+              + (2 * m * math.pi / spec.s_period) ** 2 for n in r for m in r]
+    return np.sort(levels)[:n_lowest]
+
+
 def collocation_levels(
     spec: HelixSpec, k_s: float, n: int, n_lowest: int
 ) -> np.ndarray:
@@ -270,8 +291,7 @@ def collocation_levels(
     """
     if n % 2 == 0:
         raise ValueError(f"n must be odd, got {n}")
-    if not math.isfinite(k_s):
-        raise ValueError(f"k_s must be finite, got {k_s}")
+    _check_path([k_s])
     _check_storage(1, n * n)
     _check_count("n_lowest", n_lowest, n * n)
     unit = np.eye(n * n).reshape(n * n, n, n)
@@ -326,22 +346,13 @@ def eigensolve(H: np.ndarray, n_lowest: int) -> SpectrumResult:
 
 def perturbed_levels(spec: HelixSpec, ks, n_bands: int) -> np.ndarray:
     """Lowest n_bands levels of the assemble_perturbed matrix at each Bloch
-    k_s (k_varphi = 0).  The path is solved in stacked eigvalsh calls of at
-    most _MAX_DIMENSION^2 entries each, which give every matrix's levels
-    bit for bit as one call on the whole path would."""
+    k_s (k_varphi = 0): the stated table is built once, and the path's
+    matrices are solved one at a time."""
     _check_path(ks)
-    d = 2 * _n_modes(spec) + 1
-    _check_storage(1, d)
-    _check_count("n_bands", n_bands, d)
-    step = _MAX_DIMENSION**2 // d**2
-    rows = []
-    for start in range(0, len(ks), step):
-        chunk = ks[start:start + step]
-        H = np.empty((len(chunk), d, d))
-        for i, k_s in enumerate(chunk):
-            H[i] = assemble_perturbed(spec, (k_s, 0.0))
-        rows.append(_dense_eigh(H)[:, :n_bands])
-    return np.concatenate(rows)
+    js, table = _stated_ray(spec)
+    _check_count("n_bands", n_bands, len(js))
+    return np.array([_dense_eigh(_lattice(spec, k_s, -js, table))[:n_bands]
+                     for k_s in ks])
 
 
 def gap_perturbed(spec: HelixSpec) -> float:

@@ -36,11 +36,11 @@ from .operators import (
     band_limited,
     v1_multiplicative,
 )
-from .bloch import cylinder_levels
 from .oracle import (
     CapExceeded,
     collocation_levels,
     continuum_levels,
+    cylinder_levels,
     fourier_decay_rate,
 )
 

@@ -8,7 +8,6 @@ from helitube.bloch import (
     NearResonance,
     OutOfValidity,
     SingularMass,
-    cylinder_levels,
     effective_mass,
     first_order_u,
     k_components,
@@ -24,6 +23,7 @@ from helitube.bloch import (
 )
 from helitube.geometry import HelixSpec, grid_nodes
 from helitube.operators import spectral_offset, v1_apply
+from helitube.oracle import cylinder_levels
 
 FIG3 = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
 

@@ -18,7 +18,6 @@ from hypothesis.extra import numpy as hnp
 
 import helitube
 from helitube import cli
-from helitube.bloch import cylinder_levels
 from helitube.cli import ConfigError, RunConfig, build_config, fmt, main
 from helitube.geometry import (
     HelixSpec,
@@ -29,14 +28,19 @@ from helitube.geometry import (
     v_curv,
 )
 from helitube.operators import v_eff, v_kin
-from helitube.oracle import CapExceeded, ConvergenceFailure, assemble_perturbed
+from helitube.oracle import (
+    CapExceeded,
+    ConvergenceFailure,
+    assemble_perturbed,
+    cylinder_levels,
+)
 
 HBAR = 1.054571817e-34
 
 
 def _fresh_python(code):
     """Run code in a new interpreter that imports this helitube, where a
-    numpy RuntimeWarning is an error, as pytest -W error::RuntimeWarning
+    numpy RuntimeWarning is an error, as pyproject.toml's filterwarnings
     makes it in this one."""
     src = str(Path(helitube.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -50,6 +54,12 @@ def test_fresh_python_makes_a_numpy_runtime_warning_an_error():
     with pytest.raises(subprocess.CalledProcessError) as exc:
         _fresh_python("import numpy as np; np.float64(1e308) * 10")
     assert "RuntimeWarning: overflow" in exc.value.stderr
+
+
+def test_pytest_makes_a_numpy_runtime_warning_an_error():
+    # negative control: pyproject.toml's filterwarnings reaches every test
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        np.float64(1e308) * 10
 
 
 def read_csv(path):
@@ -522,13 +532,16 @@ def test_import_helitube_loads_no_submodule():
 
 def test_strong_helix_verify_peaks_under_110_mb(tmp_path):
     # eps = 0.96 sizes the operator identity's grid at 484x484, the largest
-    # under its node cap; taken one field at a time the run peaks near 81 MB
+    # under its node cap; taken one field at a time the run peaks near 81 MB.
+    # VmHWM is the probe's own peak: ru_maxrss survives fork and exec, so it
+    # would read this pytest process's peak whenever that is higher
     probe = (
-        "import resource; from helitube.cli import main; "
+        "from helitube.cli import main; "
         f"main(['verify', '--kappa', '9.6', '--rho0', '0.1', '--out', {str(tmp_path)!r}]); "
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        "print(next(line.split()[1] for line in open('/proc/self/status') "
+        "if line.startswith('VmHWM:')))"
     )
-    peak_mb = int(_fresh_python(probe).stdout.split()[-1]) / 1024  # KiB on Linux
+    peak_mb = int(_fresh_python(probe).stdout.split()[-1]) / 1024  # kB
     checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
     identity = next(c for c in checks if c["name"] == "operator_identity")
     assert identity["passed"] and identity["grid"] == [484, 484]

@@ -15,7 +15,6 @@ from helitube import verify
 from helitube.bloch import (
     BlochVector,
     NearResonance,
-    cylinder_levels,
     first_order_energies,
     ray_amplitude,
     two_band_energies,
@@ -33,6 +32,7 @@ from helitube.oracle import (
     assemble_perturbed,
     collocation_levels,
     continuum_levels,
+    cylinder_levels,
     eigensolve,
     fourier_decay_rate,
     gap_perturbed,
@@ -528,9 +528,13 @@ def test_continuum_guards():
         (lambda: perturbed_levels(FIG3, [0.0], 2.0), "^n_bands must be an integer, got 2.0$"),
         (lambda: cylinder_levels(HelixSpec(0.0, 5.0, 1.0), 0),
          "n_lowest must be at least 1, got 0"),
+        (lambda: cylinder_levels(HelixSpec(0.0, 5.0, 1.0), 2.0),
+         "^n_lowest must be an integer, got 2.0$"),
         (lambda: verify.cylinder_error(HelixSpec(0.0, 5.0, 1.0), 0),
          "n_bands must be at least 1, got 0"),
-        # every other route takes its k-point through bloch.k_components
+        # perturbed_levels and collocation_levels check k_s through
+        # _check_path, as continuum_levels does; every other route takes
+        # its k-point through bloch.k_components
         (lambda: perturbed_levels(FIG3, [math.nan], 2), "k_s must be finite, got nan"),
         (lambda: assemble_perturbed(FIG3, (0.0, math.nan)),
          "k_varphi must be finite, got nan"),
@@ -546,7 +550,7 @@ def test_continuum_guards():
     ],
     ids=["no_bands", "negative_bands", "nan_k_s", "inf_k_s", "empty_path", "float_bands",
          "perturbed_empty_path", "perturbed_no_bands", "perturbed_float_bands",
-         "cylinder", "cylinder_error",
+         "cylinder", "cylinder_float", "cylinder_error",
          "perturbed_nan_k_s", "ray_nan_k_varphi", "two_band_nan_k_s", "screw_nan_k_s",
          "collocation_nan_k_s", "grid_transverse_n", "grid_k_varphi"],
 )
@@ -895,8 +899,8 @@ def test_perturbed_free_diagonal():
 
 
 def test_perturbed_levels_are_one_solve_per_kpoint():
-    # perturbed_levels solves the path's ray matrices in stacked eigvalsh
-    # calls; each row is exactly the lowest n_bands of its own matrix's solve
+    # perturbed_levels solves the path's ray matrices one at a time; each
+    # row is exactly the lowest n_bands of its own matrix's solve
     for spec in (FIG3, HelixSpec(kappa=0.7, tau=-1.3, rho0=0.3)):
         ks = [f * abs(spec.tau) for f in np.linspace(0, -0.5, 7)]
         for n_bands in (2, 5):
@@ -904,31 +908,36 @@ def test_perturbed_levels_are_one_solve_per_kpoint():
             for k_s, row in zip(ks, got):
                 want = np.linalg.eigvalsh(assemble_perturbed(spec, (k_s, 0.0)))
                 assert np.array_equal(row, want[:n_bands])
-    # n_bands is checked against one matrix (FIG3's window is 17), not the stack
+    # n_bands is checked against one matrix (FIG3's window is 17), not the path
     assert perturbed_levels(FIG3, [0.0, -0.25], 17).shape == (2, 17)
     with pytest.raises(ValueError, match="n_bands"):
         perturbed_levels(FIG3, [0.0, -0.25], 18)
 
 
-def test_perturbed_levels_solve_the_path_in_stacks_within_the_cap(monkeypatch):
-    # a 65,536-point path of 17x17 matrices is 18.9M entries, over the
-    # 4096^2 cap; each stack stays within it, and the levels are those of
-    # one stacked call on the whole path, bit for bit
+def test_perturbed_levels_build_the_table_once_and_solve_one_matrix_at_a_time(
+        monkeypatch):
+    # the stated table depends on the spec alone, so a path builds it once;
+    # each 17x17 ray matrix is solved on its own, and the levels are those
+    # of one stacked call on the whole path, bit for bit
     ks = list(np.linspace(0.0, -0.5, 23))
     whole = np.linalg.eigvalsh(np.stack([assemble_perturbed(FIG3, (k_s, 0.0))
                                          for k_s in ks]))[:, :2]
-    shapes = []
-    right = oracle_module._dense_eigh
+    shapes, tables = [], []
+    right_eigh, right_table = oracle_module._dense_eigh, oracle_module.stated_table
 
     def recorded(entries):
         shapes.append(entries.shape)
-        return right(entries)
+        return right_eigh(entries)
+
+    def counted(spec):
+        tables.append(spec)
+        return right_table(spec)
 
     monkeypatch.setattr(oracle_module, "_dense_eigh", recorded)
-    monkeypatch.setattr(oracle_module, "_MAX_DIMENSION", 40)  # 5 matrices a stack
+    monkeypatch.setattr(oracle_module, "stated_table", counted)
     got = perturbed_levels(FIG3, ks, 2)
-    assert shapes == [(5, 17, 17)] * 4 + [(3, 17, 17)]
-    assert all(g * d * d <= 40**2 for g, d, _ in shapes)
+    assert shapes == [(17, 17)] * 23
+    assert tables == [FIG3]
     assert np.array_equal(got, whole)
 
 
