@@ -266,15 +266,21 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
 
 
 def cylinder_levels(spec: HelixSpec, n_lowest: int) -> np.ndarray:
-    """The n_lowest lowest levels (n^2 - 1/4)/rho0^2 + (2 pi m/L)^2 of the
-    straight tube at k_s = 0, L = s_period, sorted, one per (n, m); as a
-    level grows with |n| and with |m|, |n|, |m| <= n_lowest hold them all."""
+    """The n_lowest lowest levels (m tau)^2 + (n^2 - 1/4)/rho0^2 of the
+    straight tube at k_s = 0 (m tau = 2 pi m/L, L = s_period), sorted, one
+    per (n, m); as a level grows with |n| and with |m|, |n|, |m| <= n_lowest
+    hold them all.  The two terms can cancel (n = 0 is negative), so each
+    is rounded as few times as it can be: m tau is formed directly, not
+    through 2 pi/L, and squares are products, which round once (libm's pow
+    can be an ulp off).  1/rho0 is squared, as verify.cylinder_error's zero
+    level at tau = 1/(2 rho0) needs: rho0 = 0.1, tau = 5 gives 25 - 25."""
     if spec.kappa != 0.0:
         raise ValueError("closed cylinder spectrum requires kappa = 0")
     _check_count("n_lowest", n_lowest)
     r = range(-n_lowest, n_lowest + 1)
-    levels = [(n * n - 0.25) * (1.0 / spec.rho0) ** 2
-              + (2 * m * math.pi / spec.s_period) ** 2 for n in r for m in r]
+    inv_sq = (1.0 / spec.rho0) * (1.0 / spec.rho0)
+    levels = [(m * spec.tau) * (m * spec.tau) + (n * n - 0.25) * inv_sq
+              for n in r for m in r]
     return np.sort(levels)[:n_lowest]
 
 
