@@ -2,6 +2,7 @@
 
 Modules
 -------
+spec       HelixSpec, and the errors that refuse a request (no numpy)
 geometry   tube embedding, metric factor, curvatures
 operators  surface Laplacian, gauge transform, effective potential
 bloch      folded zone, ray couplings, two-band model, effective mass
@@ -23,10 +24,13 @@ from importlib import import_module
 
 # home module -> the names the package exports from it
 _EXPORTS = {
+    "spec": (
+        "CapExceeded", "ConvergenceFailure", "DegenerateCurve",
+        "DegeneratePeriod", "EmbeddingViolation", "HelixSpec",
+    ),
     "geometry": (
-        "DegenerateCurve", "DegeneratePeriod", "EmbeddingViolation",
-        "HelixSpec", "grid_nodes", "helical_phase", "metric_h",
-        "principal_curvatures", "rotation_angle", "surface_point", "v_curv",
+        "grid_nodes", "helical_phase", "metric_h", "principal_curvatures",
+        "rotation_angle", "surface_point", "v_curv",
     ),
     "operators": (
         "apply_laplace_beltrami", "apply_transformed_operator", "band_limited",
@@ -41,10 +45,9 @@ _EXPORTS = {
         "two_band_gap", "two_band_hessian", "zone_boundary_k",
     ),
     "oracle": (
-        "CapExceeded", "ConvergenceFailure", "SpectrumResult", "assemble_full",
-        "assemble_perturbed", "collocation_levels", "continuum_levels",
-        "cylinder_levels", "eigensolve", "fourier_decay_rate", "gap_perturbed",
-        "perturbed_levels",
+        "SpectrumResult", "assemble_full", "assemble_perturbed",
+        "collocation_levels", "continuum_levels", "cylinder_levels",
+        "eigensolve", "fourier_decay_rate", "gap_perturbed", "perturbed_levels",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HelixSpec
+from .spec import HelixSpec
 from .operators import spectral_offset
 
 

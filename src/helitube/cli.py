@@ -17,11 +17,12 @@ block: the tables depend on ``(s, phi)`` through the helical phase, so
 most columns repeat a few hundred values.
 
 One parser reads the subcommand and the nine flags, before or after it.
-Parsing and validating are scalar arithmetic and load ``geometry`` but no
+Parsing and validating are scalar arithmetic and load ``spec`` but no
 numpy, dataclasses, inspect or json, so ``--help`` and a refused
 configuration end before those load.  Each subcommand imports what it
-runs: ``potential`` adds ``operators``, ``bands`` and ``gap-scan`` add
-``bloch`` and ``oracle``, and ``verify`` and ``cylinder-check`` add ``verify``.
+runs: ``geometry`` adds ``geometry``, ``potential`` adds ``operators`` too,
+``bands`` and ``gap-scan`` add ``bloch`` and ``oracle``, and ``verify``
+and ``cylinder-check`` add ``verify``.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (a request over one of the oracle's desk-scale caps included, a helix
@@ -43,14 +44,7 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
-from .geometry import (
-    HelixSpec,
-    grid_nodes,
-    metric_h,
-    principal_curvatures,
-    surface_point,
-    v_curv,
-)
+from .spec import CapExceeded, ConvergenceFailure, HelixSpec
 
 HBAR = 1.054571817e-34  # J s
 
@@ -108,7 +102,7 @@ class RunConfig(NamedTuple):
             if not abs(k) <= half:  # also a NaN endpoint
                 raise ConfigError(
                     f"k-path endpoint {k} lies outside the zone "
-                    f"[-{abs(self.tau) / 2}, {abs(self.tau) / 2})"
+                    f"[-{abs(self.tau) / 2}, {abs(self.tau) / 2}]"
                 )
         for eps in self.eps_sweep:
             if not 0.0 <= eps < 1.0:
@@ -324,6 +318,8 @@ def _node_rows(*columns):
 
 
 def cmd_geometry(cfg: RunConfig) -> int:
+    from .geometry import grid_nodes, metric_h, principal_curvatures, surface_point
+
     spec = cfg.spec()
     out = Path(cfg.out_dir)
     S, P = grid_nodes(spec, cfg.n_s, cfg.n_phi)
@@ -339,6 +335,7 @@ def cmd_geometry(cfg: RunConfig) -> int:
 
 
 def cmd_potential(cfg: RunConfig) -> int:
+    from .geometry import grid_nodes, v_curv
     from .operators import v_eff, v_kin
 
     spec = cfg.spec()
@@ -509,7 +506,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tau", type=float, default=None)
     parser.add_argument("--rho0", type=float, default=None)
     parser.add_argument("--grid", default=None, metavar="NxM")
-    parser.add_argument("--kpath", default=None, metavar="a:b:n")
+    parser.add_argument("--kpath", default=None, metavar="a:b:n",
+                        help="a negative start needs the form --kpath=a:b:n")
     parser.add_argument("--eps-sweep", default=None, dest="eps_sweep",
                         metavar="v1,v2,...")
     parser.add_argument("--out", default=None, metavar="DIR")
@@ -517,35 +515,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _oracle():
-    """The oracle module, for its error types: imported only once an
-    exception reaches `main`, so a run that needs no oracle loads none."""
-    from . import oracle
-
-    return oracle
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = build_config(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](build_config(args))
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
-    # ConfigError on its own, first: the CapExceeded clause imports the
-    # oracle, and numpy with it, to match an exception
-    except ConfigError as exc:
+    except (ConfigError, CapExceeded) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except _oracle().CapExceeded as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except _oracle().ConvergenceFailure as exc:
+    except ConvergenceFailure as exc:
         print(f"eigensolver failure: {exc}", file=sys.stderr)
         return 3
 

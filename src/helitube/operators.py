@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import HelixSpec, grid_nodes, helical_phase, metric_h, v_curv
+from .spec import HelixSpec
+from .geometry import grid_nodes, helical_phase, metric_h, v_curv
 
 
 def spectral_offset(spec: HelixSpec) -> float:

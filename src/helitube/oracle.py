@@ -12,8 +12,10 @@ coefficients and solves the sectors p = k_s + M tau, the helical
 reduction standard for nanotube bands; assemble_perturbed returns it, a
 plain real symmetric array, fed the paper's stated first-order table on
 the coupling ray (_stated_ray), and perturbed_levels solves those
-matrices along a k-path, one at a time on a table built once.  Both
-tables keep the window of _n_modes(spec) modes each side, so the
+matrices along a k-path, one at a time on a table built once.  Each
+table is gathered once per call into the Toeplitz matrices W[i, j] =
+w[i - j] and V of its window (_toeplitz), which every matrix of the call
+shares.  Both windows keep _n_modes(spec) modes each side, so the
 truncation follows the spec and is set in one place.  cylinder_levels is
 the straight tube's closed form (kappa = 0), and collocation_levels
 solves the dense matrix of operators.apply_transformed_operator on an odd
@@ -42,21 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DegeneratePeriod, HelixSpec, grid_nodes, metric_h
+from .spec import CapExceeded, ConvergenceFailure, DegeneratePeriod, HelixSpec
+from .geometry import grid_nodes, metric_h
 from .operators import apply_transformed_operator, spectral_offset, v_eff
 from .bloch import k_components, stated_table, zone_boundary_k
 
 _MAX_DIMENSION = 4096
 # continuum_levels solves at most this many sector pairs M = +-j per k-point
 _MAX_SECTOR_PAIRS = 2**16
-
-
-class ConvergenceFailure(RuntimeError):
-    """LAPACK failed, or returned a non-finite eigenvalue."""
-
-
-class CapExceeded(ValueError):
-    """The request needs more storage or more sectors than the desk-scale caps."""
 
 
 @dataclass
@@ -163,38 +158,47 @@ def screw_eigenvalues(
     return np.sort(_dense_eigh(blocks), axis=None)[:n_lowest]
 
 
-def _lattice(spec: HelixSpec, p, ns: np.ndarray, table) -> np.ndarray:
+def _toeplitz(table, size: int) -> np.ndarray:
+    """(W, V), W[i, j] = w[i - j] on a window of size indices: the table
+    (w, v), in FFT order, gathered once for every matrix on that window."""
+    d = np.subtract.outer(np.arange(size), np.arange(size))
+    return np.asarray(table)[:, d]
+
+
+def _lattice(spec: HelixSpec, p, ns: np.ndarray, toeplitz) -> np.ndarray:
     """H[n', n] = q_n' w[n' - n] q_n + (n/rho0)^2 delta + v[n' - n], with
     q_n = p - tau n: one matrix per entry of p, over the indices ns (last
-    axis, integers up to a common offset).  table = (w, v) is in FFT order
-    and real, as the frame's origin is fixed at s = 0: H is real symmetric."""
-    d = np.rint(ns[..., :, None] - ns[..., None, :]).astype(int)
-    W, V = (c[d] for c in table)
+    axis, consecutive integers up to a common offset).  toeplitz = (W, V)
+    is _toeplitz's gather of a real table, as the frame's origin is fixed
+    at s = 0, so H is real symmetric.  It reads n' - n as i - j, right for
+    an ascending window, and for a descending one fed an even table."""
+    W, V = toeplitz
     q = np.asarray(p, dtype=float)[..., None] - spec.tau * ns
     H = W * (q[..., :, None] * q[..., None, :]) + V  # symmetric to the last bit
     return H + (ns[..., None] / spec.rho0) ** 2 * np.eye(ns.shape[-1])
 
 
 def _stated_ray(spec: HelixSpec):
-    """The coupling ray's window j in [-n, n], n = _n_modes(spec), and
-    stated_table in _lattice's FFT order, less a on the diagonal."""
+    """The coupling ray's window j in [-n, n], n = _n_modes(spec), and the
+    _toeplitz matrices of stated_table, less a on the diagonal.  The ray's
+    indices n = -j descend; the stated table is exactly even."""
     n = _n_modes(spec)
     _check_storage(1, 2 * n + 1)
     offsets = range(-2 * n, 2 * n + 1)
-    stated = stated_table(spec)
-    table = [np.fft.ifftshift([t.get(d, 0.0) for d in offsets]) for t in stated]
-    table[1][0] -= spectral_offset(spec)
-    return np.arange(-n, n + 1), table
+    table = np.fft.ifftshift(
+        [[t.get(d, 0.0) for d in offsets] for t in stated_table(spec)], axes=-1)
+    table[1, 0] -= spectral_offset(spec)
+    return np.arange(-n, n + 1), _toeplitz(table, 2 * n + 1)
 
 
 def assemble_perturbed(spec: HelixSpec, k) -> np.ndarray:
     """Central-equation matrix on the coupling ray (_stated_ray): component j
     has q = k_s + j tau and n = rho0 k_phi - j, so all share one p, and the
     matrix, a real symmetric array, is _lattice fed the stated table."""
-    js, table = _stated_ray(spec)
+    js, toeplitz = _stated_ray(spec)
     k_s, k_varphi = k_components(spec, k)
     ns = k_varphi * spec.rho0 - js
-    return _lattice(spec, k_s + spec.tau * spec.rho0 * k_varphi, ns, table)
+    return _lattice(spec, k_s + spec.tau * spec.rho0 * k_varphi, ns, toeplitz)
 
 
 def fourier_decay_rate(spec: HelixSpec) -> float:
@@ -235,7 +239,9 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
     n_modes = _n_modes(spec)
     _check_storage(2, 2 * n_modes + 1)
     samples = _helical_samples(spec, 8 * n_modes)
-    table = [np.fft.fft(f).real / (8 * n_modes) for f in samples]
+    # the FFT's .real is even only to rounding: gathered on the ascending window
+    toeplitz = _toeplitz([np.fft.fft(f).real / (8 * n_modes) for f in samples],
+                         2 * n_modes + 1)
     A, B = (1.0 + spec.epsilon) ** -2, spec.rho0**-2
     c, floor = A * B / (A * spec.tau**2 + B), np.min(samples[1])
     # as |k_s| <= |tau|/2, every pair beyond _MAX_SECTOR_PAIRS lies above this
@@ -249,7 +255,7 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
                 break
             centre = np.rint(p * spec.tau / (spec.tau**2 + B))
             ns = centre[:, None] + np.arange(-n_modes, n_modes + 1)
-            w = _dense_eigh(_lattice(spec, p, ns, table))
+            w = _dense_eigh(_lattice(spec, p, ns, toeplitz))
             levels = np.sort(np.append(levels, w[:, :n_bands]))[:n_bands]
             # once the 2 j + 1 sectors (at least 3) number n_bands: fewer can
             # leave the n_bands-th level a transverse step too high, and the
@@ -355,9 +361,9 @@ def perturbed_levels(spec: HelixSpec, ks, n_bands: int) -> np.ndarray:
     k_s (k_varphi = 0): the stated table is built once, and the path's
     matrices are solved one at a time."""
     _check_path(ks)
-    js, table = _stated_ray(spec)
+    js, toeplitz = _stated_ray(spec)
     _check_count("n_bands", n_bands, len(js))
-    return np.array([_dense_eigh(_lattice(spec, k_s, -js, table))[:n_bands]
+    return np.array([_dense_eigh(_lattice(spec, k_s, -js, toeplitz))[:n_bands]
                      for k_s in ks])
 
 

@@ -29,7 +29,8 @@ import random
 
 import numpy as np
 
-from .geometry import HelixSpec, grid_nodes, metric_h, v_curv
+from .spec import CapExceeded, HelixSpec
+from .geometry import grid_nodes, metric_h, v_curv
 from .operators import (
     apply_laplace_beltrami,
     apply_transformed_operator,
@@ -37,7 +38,6 @@ from .operators import (
     v1_multiplicative,
 )
 from .oracle import (
-    CapExceeded,
     collocation_levels,
     continuum_levels,
     cylinder_levels,

@@ -20,8 +20,9 @@ import pytest
 
 from helitube import operators
 from helitube.bloch import two_band_energies
-from helitube.geometry import HelixSpec, grid_nodes
+from helitube.geometry import grid_nodes
 from helitube.operators import band_limited, spectral_derivative
+from helitube.spec import HelixSpec
 
 
 def _fd_hessian(spec, k, band):

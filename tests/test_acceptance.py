@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from helitube.geometry import (
-    HelixSpec,
     grid_nodes,
     metric_h,
     principal_curvatures,
@@ -39,6 +38,7 @@ from helitube.oracle import (
 )
 from helitube.bloch import BlochVector
 from helitube.cli import main as cli_main
+from helitube.spec import HelixSpec
 
 FIG3 = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
 

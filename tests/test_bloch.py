@@ -21,9 +21,10 @@ from helitube.bloch import (
     zone_boundary_k,
     _invert_hessian,
 )
-from helitube.geometry import HelixSpec, grid_nodes
+from helitube.geometry import grid_nodes
 from helitube.operators import spectral_offset, v1_apply
 from helitube.oracle import cylinder_levels
+from helitube.spec import HelixSpec
 
 FIG3 = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
 

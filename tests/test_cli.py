@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import helitube
-from helitube import cli
+from helitube import cli, geometry
 from helitube.cli import ConfigError, RunConfig, build_config, fmt, main
 from helitube.geometry import (
-    HelixSpec,
     grid_nodes,
     metric_h,
     principal_curvatures,
@@ -28,12 +27,8 @@ from helitube.geometry import (
     v_curv,
 )
 from helitube.operators import v_eff, v_kin
-from helitube.oracle import (
-    CapExceeded,
-    ConvergenceFailure,
-    assemble_perturbed,
-    cylinder_levels,
-)
+from helitube.oracle import assemble_perturbed, cylinder_levels
+from helitube.spec import CapExceeded, ConvergenceFailure, HelixSpec
 
 HBAR = 1.054571817e-34
 
@@ -60,6 +55,11 @@ def test_pytest_makes_a_numpy_runtime_warning_an_error():
     # negative control: pyproject.toml's filterwarnings reaches every test
     with pytest.raises(RuntimeWarning, match="overflow"):
         np.float64(1e308) * 10
+
+
+def test_pytest_makes_every_xfail_strict(pytestconfig):
+    # pyproject.toml's xfail_strict: an xfail that starts passing fails
+    assert pytestconfig.getini("xfail_strict") is True
 
 
 def read_csv(path):
@@ -129,7 +129,6 @@ def test_potential_outer_inner_inequality_and_reflection(tmp_path):
     reason="at kappa = tau = 1, rho0 = 0.1 the s = 0 row minimum of v_eff sits"
     " near |phi| = pi/2, not at phi = 0; only the phi = 0 vs phi = pi"
     " inequality holds",
-    strict=True,
 )
 def test_potential_row_argmin_at_phi_zero_as_stated(tmp_path):
     n_s, n_phi = 16, 12
@@ -184,8 +183,9 @@ def test_rows_match_pointwise_library_calls(tmp_path):
 ], ids=["reversed-s", "rolled-phi", "phi-major"])
 def test_rows_check_catches_a_reordered_grid(tmp_path, monkeypatch, reorder):
     # negative control: the tables written on a reordered grid fail the check
-    right = cli.grid_nodes
-    monkeypatch.setattr(cli, "grid_nodes", lambda *a: reorder(*right(*a)))
+    # cli takes grid_nodes from its module when a subcommand runs
+    right = geometry.grid_nodes
+    monkeypatch.setattr(geometry, "grid_nodes", lambda *a: reorder(*right(*a)))
     with pytest.raises(AssertionError):
         _check_rows_pointwise(tmp_path)
 
@@ -392,26 +392,26 @@ def test_verify_loads_no_numpy_random(tmp_path):
     assert _fresh_python(probe).stdout.split()[-1] == "False"
 
 
-ALL_MODULES = ["bloch", "cli", "geometry", "operators", "oracle", "verify"]
+ALL_MODULES = ["bloch", "cli", "geometry", "operators", "oracle", "spec", "verify"]
 
 
 # the helitube modules each subcommand loads: the ones it runs, and numpy
 # only when it computes
 @pytest.mark.parametrize("argv, rc, loaded, numpy", [
-    (["geometry", "--grid", "8x8"], 0, ["cli", "geometry"], True),
-    (["potential", "--grid", "8x8"], 0, ["cli", "geometry", "operators"], True),
+    (["geometry", "--grid", "8x8"], 0, ["cli", "geometry", "spec"], True),
+    (["potential", "--grid", "8x8"], 0, ["cli", "geometry", "operators", "spec"], True),
     (["bands", "--kpath", "0:-0.5:3"], 0,
-     ["bloch", "cli", "geometry", "operators", "oracle"], True),
+     ["bloch", "cli", "geometry", "operators", "oracle", "spec"], True),
     (["gap-scan", "--eps-sweep", "0.1"], 0,
-     ["bloch", "cli", "geometry", "operators", "oracle"], True),
+     ["bloch", "cli", "geometry", "operators", "oracle", "spec"], True),
     (["cylinder-check"], 0, ALL_MODULES, True),
     # control: the probe sees every module a run loads, numpy included
     (["verify"], 0, ALL_MODULES, True),
     # a refused configuration ends before anything computes
-    (["bands", "--tau", "0"], 2, ["cli", "geometry"], False),
-    (["geometry", "--grid", "2x2"], 2, ["cli", "geometry"], False),
-    (["gap-scan", "--kappa", "0", "--eps-sweep", "0.1"], 2, ["cli", "geometry"], False),
-    (["gap-scan", "--kappa", "5e-324"], 2, ["cli", "geometry"], False),
+    (["bands", "--tau", "0"], 2, ["cli", "spec"], False),
+    (["geometry", "--grid", "2x2"], 2, ["cli", "spec"], False),
+    (["gap-scan", "--kappa", "0", "--eps-sweep", "0.1"], 2, ["cli", "spec"], False),
+    (["gap-scan", "--kappa", "5e-324"], 2, ["cli", "spec"], False),
 ], ids=["geometry", "potential", "bands", "gap-scan", "cylinder-check", "verify",
         "refused-tau", "refused-grid", "refused-sweep-kappa", "refused-sweep-radius"])
 def test_subcommand_loads_only_what_it_runs(tmp_path, argv, rc, loaded, numpy):
@@ -526,7 +526,7 @@ def test_import_helitube_loads_no_submodule():
     before, after, cached = json.loads(_fresh_python(probe).stdout.splitlines()[-1])
     assert before == ["helitube"]
     assert after == ["helitube", "helitube.bloch", "helitube.geometry",
-                     "helitube.operators"]
+                     "helitube.operators", "helitube.spec"]
     assert cached
 
 
@@ -907,6 +907,18 @@ def test_config_error_exit_codes(tmp_path):
     assert main(["geometry", "--config", str(missing), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("kpath, ks", [
+    ("0.5:0.5:1", [0.5]),  # the zone's edge +|tau|/2, inside the refusal's interval
+    ("-0.5:0:3", [-0.5, -0.25, 0.0]),
+], ids=["upper-edge", "negative-start"])
+def test_kpath_runs_in_the_equals_form_to_either_zone_edge(tmp_path, kpath, ks):
+    # argparse reads "--kpath -0.5:0:3" as two flags; "--kpath=" keeps the value
+    argv = ["bands", "--tau", "-1", f"--kpath={kpath}", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    _, body = read_csv(tmp_path / "bands.csv")
+    assert body[:, 0].tolist() == ks
+
+
 def test_undecodable_config_file_is_config_error(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_bytes(b"kappa = 1.0\n\xff\n")
@@ -958,6 +970,7 @@ _MALFORMED_INPUT = [
     ("--grid 8x8x8", None, "--grid expects NxM, got '8x8x8'"),
     ("--kpath 0:-0.5", None, "--kpath expects start:end:count, got '0:-0.5'"),
     ("--kpath 0:-0.5:2.5", None, "--kpath expects start:end:count, got '0:-0.5:2.5'"),
+    ("--kpath=0:0.6:3", None, "k-path endpoint 0.6 lies outside the zone [-0.5, 0.5]"),
     ("--eps-sweep ,", None, "bad --eps-sweep value: empty epsilon sweep"),
     ("--eps-sweep a", None,
      "bad --eps-sweep value: could not convert string to float: 'a'"),

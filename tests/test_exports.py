@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import helitube
-from helitube import bloch, geometry, operators, oracle
+from helitube import bloch, geometry, operators, oracle, spec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MAKE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "make_reference.py"
@@ -102,7 +102,7 @@ def test_star_import_binds_exactly_all():
     from helitube import BlochVector, HelixSpec, assemble_full, eigensolve
 
     assert (BlochVector, HelixSpec, assemble_full, eigensolve) == (
-        bloch.BlochVector, geometry.HelixSpec, oracle.assemble_full,
+        bloch.BlochVector, spec.HelixSpec, oracle.assemble_full,
         oracle.eigensolve)
 
 

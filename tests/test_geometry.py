@@ -8,12 +8,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from helitube import geometry
+from helitube import spec as spec_module
 from helitube.geometry import (
-    DegenerateCurve,
-    DegeneratePeriod,
-    EmbeddingViolation,
-    HelixSpec,
     grid_nodes,
     helical_phase,
     metric_h,
@@ -24,6 +20,12 @@ from helitube.geometry import (
 )
 from helitube.cli import main
 from helitube.operators import v_eff
+from helitube.spec import (
+    DegenerateCurve,
+    DegeneratePeriod,
+    EmbeddingViolation,
+    HelixSpec,
+)
 
 FIG3 = HelixSpec(kappa=1.0, tau=1.0, rho0=0.1)
 
@@ -110,7 +112,7 @@ def test_value_contract_refuses_a_namedtuple_spec():
         __slots__ = ()
 
         def __new__(cls, kappa, tau, rho0):
-            geometry.HelixSpec(kappa, tau, rho0)
+            spec_module.HelixSpec(kappa, tau, rho0)
             return super().__new__(cls, kappa, tau, rho0)
 
     assert HelixSpec(1.0, 1.0, 0.1)._replace(rho0=5.0).rho0 == 5.0
