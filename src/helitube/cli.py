@@ -11,10 +11,10 @@ key has a default and command-line flags override file values.  All
 numbers are written in lower-case scientific notation with 17
 significant digits, files are written atomically (temp file + rename),
 and repeated runs with the same configuration produce byte-identical
-output.  ``geometry`` and ``potential`` stream their rows a block of
-s-rows at a time and format each distinct value of a column once per
-block: the tables depend on ``(s, phi)`` through the helical phase, so
-most columns repeat a few hundred values.
+output.  ``write_csv`` writes every table from numpy columns, a block of
+lines at a time, and formats each distinct value of a column once per
+block: the node tables depend on ``(s, phi)`` through the helical phase,
+so most of their columns repeat a few hundred values.
 
 One parser reads the subcommand and the nine flags, before or after it.
 Parsing and validating are scalar arithmetic and load ``spec`` but no
@@ -36,7 +36,6 @@ created or written), 3 eigensolver failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -50,11 +49,13 @@ HBAR = 1.054571817e-34  # J s
 
 _DEFAULT_EPS_SWEEP = (0.01, 0.02, 0.03, 0.04, 0.05)
 
-# geometry/potential hold a few arrays per node and write the rows as they go
+# geometry/potential hold a few arrays per node and write the lines as they go
 _MAX_NODES = 2**20
-# geometry/potential format this many s-rows of nodes at a time
-_BLOCK_ROWS = 16
-# bands holds a few formatted rows per k-point
+# write_csv formats 16 leading rows at a time, or 2,048 lines if that is
+# more: 16 s-rows keep the dedupe across s-rows at 1024x1024, and 2,048
+# lines write a 65,536-point bands.csv in 32 blocks
+_BLOCK_ROWS, _BLOCK_LINES = 16, 2048
+# bands holds a few arrays per k-point and writes the lines as they go
 _MAX_KPOINTS = 2**16
 
 
@@ -259,10 +260,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # deterministic output
 
 
-def fmt(x: float) -> str:
-    return f"{float(x):.16e}"
-
-
 def _atomic_write(path: Path, lines) -> None:
     """Write the lines, as they come, to a temporary file, then rename it."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -279,38 +276,42 @@ def _atomic_write(path: Path, lines) -> None:
         raise
 
 
-def write_csv(path: Path, header: str, rows) -> None:
-    """Header, then one line per row of strings; rows may be any iterable."""
-    body = (",".join(r) + "\n" for r in rows)
-    _atomic_write(path, itertools.chain([header + "\n"], body))
+def _formatted(pattern: str, values: list) -> list[str]:
+    """pattern % v for each of the values, in one % call."""
+    return (",".join([pattern] * len(values)) % tuple(values)).split(",")
+
+
+def write_csv(path: Path, header: str, *columns) -> None:
+    """Header, then a line per element of the numpy columns (one shape), a
+    block of leading rows at a time: only a block is held as text.  In a
+    block each column's distinct values are formatted once, ``%.16e`` for
+    floats and ``%d`` for integers, keyed by their bits (``-0.0`` equals
+    ``0.0`` but prints differently, and the tables hold both).
+    """
+    import numpy as np
+
+    shape = columns[0].shape
+    step = max(_BLOCK_ROWS, -(-_BLOCK_LINES // math.prod(shape[1:])))
+
+    def blocks():
+        yield header + "\n"
+        for start in range(0, shape[0], step):
+            text = []
+            for c in columns:
+                block = c[start:start + step]
+                keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
+                pattern = "%d" if block.dtype.kind == "i" else "%.16e"
+                distinct = _formatted(pattern, keys.view(block.dtype).tolist())
+                text.append(np.array(distinct, dtype=object)[inverse.ravel()].tolist())
+            yield "".join([",".join(line) + "\n" for line in zip(*text, strict=True)])
+
+    _atomic_write(path, blocks())
 
 
 def write_json(path: Path, obj) -> None:
     import json
 
     _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
-
-
-def _node_rows(*columns):
-    """Formatted rows, one per node of the (n_s, n_phi) columns, s-major.
-
-    Made ``_BLOCK_ROWS`` s-rows of nodes at a time, so only that many are
-    held as text.  Within a block each column's distinct values are
-    formatted once and the text is indexed back to the nodes.  Values are
-    keyed by their bits, not compared as floats: ``-0.0 == 0.0`` but the
-    two print differently, and the tables hold both.
-    """
-    import numpy as np
-
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        text = []
-        for c in columns:
-            bits = c[start:start + _BLOCK_ROWS].view(np.int64)
-            keys, inverse = np.unique(bits, return_inverse=True)
-            distinct = np.array([fmt(v) for v in keys.view(np.float64).tolist()],
-                                dtype=object)
-            text.append(distinct[inverse.ravel()].tolist())
-        yield from zip(*text)
 
 
 # --------------------------------------------------------------------------
@@ -325,11 +326,11 @@ def cmd_geometry(cfg: RunConfig) -> int:
     S, P = grid_nodes(spec, cfg.n_s, cfg.n_phi)
     x = surface_point(spec, S, P)
     k1, k2, m, gauss = principal_curvatures(spec, S, P)
-    rows = _node_rows(
+    write_csv(
+        out / "geometry.csv", "s,phi,x,y,z,h,kappa1,kappa2,M,K",
         S, P, x[..., 0], x[..., 1], x[..., 2], metric_h(spec, S, P),
         k1, k2, m, gauss,
     )
-    write_csv(out / "geometry.csv", "s,phi,x,y,z,h,kappa1,kappa2,M,K", rows)
     print(f"wrote {out / 'geometry.csv'} ({S.size} rows)")
     return 0
 
@@ -341,11 +342,11 @@ def cmd_potential(cfg: RunConfig) -> int:
     spec = cfg.spec()
     out = Path(cfg.out_dir)
     S, P = grid_nodes(spec, cfg.n_s, cfg.n_phi)
-    rows = _node_rows(
+    write_csv(
+        out / "potential.csv", "s,phi,v_curv,v_kin,v_eff",
         S, P, *_in_units(cfg, [v_curv(spec, S, P), v_kin(spec, S, P),
                                v_eff(spec, S, P)]),
     )
-    write_csv(out / "potential.csv", "s,phi,v_curv,v_kin,v_eff", rows)
     print(f"wrote {out / 'potential.csv'} ({S.size} rows)")
     return 0
 
@@ -368,12 +369,11 @@ def cmd_bands(cfg: RunConfig) -> int:
         two_band_gap(spec), gap_perturbed(spec), np.max(np.abs(tb - pert)),
         np.max(np.abs(pert[:, 0] - full[:, 0])), np.mean(pert[:, 0] - full[:, 0]),
     ]).tolist()
-    rows = [[fmt(k_s), "0", *map(fmt, row)] for k_s, row in zip(ks, energies)]
     write_csv(
         out / "bands.csv",
         "k_s,n,E_twoband_1,E_twoband_2,E_oracle_pert_1,E_oracle_pert_2,"
         "E_oracle_full_1,E_oracle_full_2",
-        rows,
+        np.array(ks), np.zeros(len(ks), np.int64), *energies.T,
     )
     summary = {
         "a": spectral_offset(spec),
@@ -397,7 +397,7 @@ def cmd_bands(cfg: RunConfig) -> int:
         },
     }
     write_json(out / "summary.json", summary)
-    print(f"wrote {out / 'bands.csv'} ({len(rows)} rows) and {out / 'summary.json'}")
+    print(f"wrote {out / 'bands.csv'} ({len(ks)} rows) and {out / 'summary.json'}")
     return 0
 
 
@@ -424,17 +424,15 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
     gaps_tb = [two_band_gap(spec_e) for spec_e in specs]
     gaps_or = [gap_perturbed(spec_e) for spec_e in specs]
     denoms = (eps * cfg.kappa**2 / 4 for eps in cfg.eps_sweep)
-    ratios = [go / d if d > 0 else 0.0 for go, d in zip(gaps_or, denoms)]
+    ratios = np.array([go / d if d > 0 else 0.0 for go, d in zip(gaps_or, denoms)])
     slope_tb, r2_tb = origin_fit(xs, gaps_tb)
     slope_or, r2_or = origin_fit(xs, gaps_or)
     gaps = _in_units(cfg, [gaps_tb, gaps_or])
     slopes = _in_units(cfg, [slope_tb, slope_or]).tolist()
-    rows = [[fmt(eps), fmt(gt), fmt(go), fmt(ratio)]
-            for eps, gt, go, ratio in zip(cfg.eps_sweep, *gaps, ratios)]
     write_csv(
         out / "gapscan.csv",
         "epsilon,gap_twoband,gap_oracle,ratio_to_eps_kappa2_over_4",
-        rows,
+        xs, *gaps, ratios,
     )
     write_json(
         out / "gapscan.json",
@@ -448,7 +446,7 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
         },
     )
     print(
-        f"wrote {out / 'gapscan.csv'} ({len(rows)} rows) and {out / 'gapscan.json'}"
+        f"wrote {out / 'gapscan.csv'} ({len(xs)} rows) and {out / 'gapscan.json'}"
     )
     return 0
 

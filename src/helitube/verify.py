@@ -80,7 +80,8 @@ def check_operator_identity(cfg) -> dict:
     numpy.random.  Both operators act on one field at a time, so the
     temporaries are those of one field; the error of each field is measured
     against its |rhs|, the operator's own scale, so rounding does not grow
-    with tau^2.
+    with tau^2; both are scaled by one power of two first, so that no sum
+    of squares overflows at a large tau, kappa or 1/rho0.
     """
     spec = cfg.spec()
     r = max(fourier_decay_rate(spec), 1e-3)
@@ -105,7 +106,8 @@ def check_operator_identity(cfg) -> dict:
         phi = band_limited(spec, n, n, draw)
         lhs = root_h * apply_laplace_beltrami(spec, phi / root_h) + pot * phi
         rhs = apply_transformed_operator(spec, phi)
-        err.append(_l2(lhs - rhs) / _l2(rhs))
+        scale = 2.0 ** -np.frexp(np.max(np.abs(rhs)))[1]  # exact
+        err.append(_l2(scale * (lhs - rhs)) / _l2(scale * rhs))
     return _check(
         "operator_identity", 1e-13, float(np.max(err)),
         grid=[n, n], fields=_IDENTITY_FIELDS,

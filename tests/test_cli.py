@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 import helitube
 from helitube import cli, geometry
-from helitube.cli import ConfigError, RunConfig, build_config, fmt, main
+from helitube.cli import ConfigError, RunConfig, build_config, main
 from helitube.geometry import (
     grid_nodes,
     metric_h,
@@ -31,6 +31,11 @@ from helitube.oracle import assemble_perturbed, cylinder_levels
 from helitube.spec import CapExceeded, ConvergenceFailure, HelixSpec
 
 HBAR = 1.054571817e-34
+
+
+def _fmt(x):
+    """The text of one table value, formatted on its own: the reference."""
+    return f"{x:d}" if isinstance(x, int) else f"{float(x):.16e}"
 
 
 def _fresh_python(code):
@@ -166,10 +171,10 @@ def _check_rows_pointwise(tmp_path):
         s, phi = S[i, j], P[i, j]
         want = [s, phi, *surface_point(spec, s, phi), metric_h(spec, s, phi),
                 *principal_curvatures(spec, s, phi)]
-        assert geo[i * n_phi + j] == ",".join(map(fmt, want))
+        assert geo[i * n_phi + j] == ",".join(map(_fmt, want))
         want = [s, phi, v_curv(spec, s, phi), v_kin(spec, s, phi),
                 v_eff(spec, s, phi)]
-        assert pot[i * n_phi + j] == ",".join(map(fmt, want))
+        assert pot[i * n_phi + j] == ",".join(map(_fmt, want))
 
 
 def test_rows_match_pointwise_library_calls(tmp_path):
@@ -190,71 +195,97 @@ def test_rows_check_catches_a_reordered_grid(tmp_path, monkeypatch, reorder):
         _check_rows_pointwise(tmp_path)
 
 
-def _pointwise_rows(*columns):
-    return [tuple(map(fmt, vals)) for vals in zip(*(c.ravel().tolist() for c in columns))]
+def _pointwise_lines(*columns):
+    return [",".join(map(_fmt, vals))
+            for vals in zip(*(c.ravel().tolist() for c in columns))]
 
 
-def _value_keyed_rows(*columns):
-    """_node_rows keyed by float value instead of bits (a negative control)."""
-    for start in range(0, len(columns[0]), cli._BLOCK_ROWS):
-        text = []
-        for c in columns:
-            keys, inverse = np.unique(c[start:start + cli._BLOCK_ROWS],
-                                      return_inverse=True)
-            distinct = [fmt(v) for v in keys.tolist()]
-            text.append([distinct[i] for i in inverse.ravel()])
-        yield from zip(*text)
+def _value_keyed_csv(path, header, *columns):
+    """write_csv keyed by value instead of bits (a negative control)."""
+    text = []
+    for c in columns:
+        keys, inverse = np.unique(c, return_inverse=True)
+        distinct = [_fmt(v) for v in keys.tolist()]
+        text.append([distinct[i] for i in inverse.ravel()])
+    path.write_text("\n".join([header, *map(",".join, zip(*text))]) + "\n")
 
 
 # few values per column, so they repeat; both zeros, subnormals, infinities
 _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, 1.0]
+_INTS = [0, -1, 1, 2**63 - 1, -2**63]
 
 
 @st.composite
 def node_columns(draw):
+    # one block below 2,048 nodes; 16-row blocks from 128 nodes per s-row
     n_s = draw(st.integers(1, 3 * cli._BLOCK_ROWS + 3))
-    n_phi = draw(st.integers(4, 9))
+    n_phi = draw(st.sampled_from([4, 9, 128, 131]))
     pool = _SPECIAL + draw(st.lists(st.floats(allow_nan=False), max_size=6))
     column = hnp.arrays(np.float64, (n_s, n_phi), elements=st.sampled_from(pool))
     return draw(st.lists(column, min_size=1, max_size=4))
 
 
-def _signed_zero_columns(n_s):
+@st.composite
+def line_columns(draw):
+    # a 1-d table, as bands and gap-scan write, with an int64 column among them
+    n = draw(st.integers(1, 2 * cli._BLOCK_LINES + 5))
+    pool = _SPECIAL + draw(st.lists(st.floats(allow_nan=False), max_size=6))
+    floats = draw(st.lists(hnp.arrays(np.float64, n, elements=st.sampled_from(pool)),
+                           min_size=1, max_size=3))
+    ints = draw(hnp.arrays(np.int64, n, elements=st.sampled_from(_INTS)))
+    floats.insert(draw(st.integers(0, len(floats))), ints)
+    return floats
+
+
+def _signed_zero_columns(shape):
     # -0.0 and +0.0 in one column, and each alone in a column of its own
-    mixed = np.where(np.arange(n_s * 5).reshape(n_s, 5) % 3, 0.0, -0.0)
-    return [mixed, np.full((n_s, 5), 0.0), np.full((n_s, 5), -0.0)]
+    mixed = np.where(np.arange(math.prod(shape)).reshape(shape) % 3, 0.0, -0.0)
+    return [mixed, np.full(shape, 0.0), np.full(shape, -0.0)]
 
 
-def _writes_pointwise(writer):
-    """The property: a writer gives exactly fmt of each node, node by node."""
-    @settings(max_examples=60, deadline=None, database=None)
-    @given(node_columns())
-    @example(_signed_zero_columns(3))                      # fewer rows than a block
-    @example(_signed_zero_columns(cli._BLOCK_ROWS + 5))    # not a multiple of it
-    def check(columns):
-        assert [tuple(r) for r in writer(*columns)] == _pointwise_rows(*columns)
-    return check
+_N_LINES = cli._BLOCK_LINES + 5  # more lines than one block, not a multiple of it
+_CASES = {
+    "2-d": (node_columns(), [_signed_zero_columns((3, 5)),  # fewer rows than a block
+                             _signed_zero_columns((cli._BLOCK_ROWS + 5, 128))]),
+    "1-d": (line_columns(), [[np.arange(_N_LINES) - 7, *_signed_zero_columns((_N_LINES,))]]),
+}
 
 
-def test_node_rows_match_fmt_node_by_node():
-    _writes_pointwise(cli._node_rows)()
+def _writes_pointwise(writer, path, case):
+    """The property: a writer's lines give each value formatted on its own."""
+    columns, examples = _CASES[case]
+
+    def check(cols):
+        writer(path, "h", *cols)
+        assert path.read_text().splitlines() == ["h", *_pointwise_lines(*cols)]
+    for cols in examples:
+        check = example(cols)(check)
+    return settings(max_examples=60, deadline=None, database=None)(given(columns)(check))
 
 
-def test_value_keyed_dedup_fails_the_node_rows_property():
+def test_node_rows_match_fmt_node_by_node(tmp_path):
+    for case in _CASES:
+        _writes_pointwise(cli.write_csv, tmp_path / "table.csv", case)()
+
+
+def test_value_keyed_dedup_fails_the_node_rows_property(tmp_path):
     # -0.0 == 0.0, so keying by value prints one zero for both
-    with pytest.raises(AssertionError):
-        _writes_pointwise(_value_keyed_rows)()
+    for case in _CASES:
+        with pytest.raises(AssertionError):
+            _writes_pointwise(_value_keyed_csv, tmp_path / "table.csv", case)()
 
 
 @pytest.mark.parametrize("cmd, n_columns, share", [("potential", 5, 8),
                                                    ("geometry", 10, 2)])
 def test_tables_format_each_distinct_value_once(tmp_path, monkeypatch, cmd,
                                                 n_columns, share):
-    # at FIG3 and 64x64 a node-by-node writer calls fmt 64*64*n_columns times
-    calls = []
-    monkeypatch.setattr(cli, "fmt", lambda x: calls.append(x) or fmt(x))
+    # at FIG3 and 64x64 a node-by-node writer formats 64*64*n_columns values
+    counts, right = [], cli._formatted
+    monkeypatch.setattr(cli, "_formatted",
+                        lambda pattern, values: counts.append(len(values))
+                        or right(pattern, values))
     assert main([cmd, "--grid", "64x64", "--out", str(tmp_path)]) == 0
-    assert len(calls) <= 64 * 64 * n_columns // share
+    assert 0 < sum(counts) <= 64 * 64 * n_columns // share
 
 
 # --------------------------------------------------------------------- bands
@@ -861,6 +892,25 @@ def test_verify_passes_a_strong_helix_at_large_tau(tmp_path, helix, grid):
     assert identity["grid"] == [grid, grid]  # sized from eps, whatever tau is
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("helix", ["--tau 1e62", "--tau 1e70",
+                                   "--kappa 1e70 --rho0 1e-71", "--rho0 1e-70 --kappa 0"],
+                         ids=["tau1e62", "tau1e70", "kappa1e70", "rho0-1e-70"])
+def test_verify_measures_the_operator_identity_at_a_huge_scale(tmp_path, helix):
+    # |rhs|^2 overflows from about tau = 1e59: the identity read 0.0 there,
+    # and nan from 1e67; a spec that HelixSpec accepts is measured
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", *helix.split(), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify.json").read_text(),
+                        parse_constant=_refuse_constant)
+    identity = next(c for c in report["checks"] if c["name"] == "operator_identity")
+    assert 0 < identity["measured"] <= 1e-13
+
+
 def test_verify_corrupted_gauge_potential_fails(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("vkin_offset = 1e-3\n")
@@ -1004,17 +1054,23 @@ def test_gap_scan_refuses_an_empty_sweep(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+class _UnreadablePastOneBlock(np.ndarray):
+    """A column whose lines past its first block raise when they are read."""
+
+    def __getitem__(self, key):
+        if key.start:
+            raise RuntimeError("column read failed")
+        return np.asarray(self)[key]
+
+
 def test_a_write_that_fails_midway_keeps_the_previous_artifact(tmp_path):
     path = tmp_path / "table.csv"
-    cli.write_csv(path, "a,b", [["1", "2"]])
+    cli.write_csv(path, "a,b", np.array([1.0]), np.array([2.0]))
     before = path.read_bytes()
-
-    def rows():
-        yield ["3", "4"]
-        raise RuntimeError("row generator failed")
-
-    with pytest.raises(RuntimeError, match="row generator failed"):
-        cli.write_csv(path, "a,b", rows())
+    n = 2 * cli._BLOCK_LINES
+    failing = np.zeros(n).view(_UnreadablePastOneBlock)
+    with pytest.raises(RuntimeError, match="column read failed"):
+        cli.write_csv(path, "a,b", np.zeros(n), failing)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
