@@ -119,14 +119,6 @@ class RunConfig(NamedTuple):
             return -abs(self.tau) / 2
         return self.kpath_end
 
-    def kpath_points(self) -> list[float]:
-        """The k_s of the path, evenly spaced from start to end."""
-        import numpy as np
-
-        return np.linspace(
-            self.kpath_start, self.resolved_kpath_end(), self.kpath_count
-        ).tolist()
-
     def energy_scale(self) -> float:
         """1 in natural units; hbar^2/(2 mu) when units = physical:<mu>."""
         u = self.units.strip().lower()
@@ -360,7 +352,7 @@ def cmd_bands(cfg: RunConfig) -> int:
 
     spec = cfg.spec()
     out = Path(cfg.out_dir)
-    ks = cfg.kpath_points()
+    ks = np.linspace(cfg.kpath_start, cfg.resolved_kpath_end(), cfg.kpath_count)
     full, detail = continuum_levels(spec, ks, 2)
     tb = np.array([two_band_energies(spec, (k_s, 0.0)) for k_s in ks])
     pert = perturbed_levels(spec, ks, 2)
@@ -373,7 +365,7 @@ def cmd_bands(cfg: RunConfig) -> int:
         out / "bands.csv",
         "k_s,n,E_twoband_1,E_twoband_2,E_oracle_pert_1,E_oracle_pert_2,"
         "E_oracle_full_1,E_oracle_full_2",
-        np.array(ks), np.zeros(len(ks), np.int64), *energies.T,
+        ks, np.zeros(len(ks), np.int64), *energies.T,
     )
     summary = {
         "a": spectral_offset(spec),

@@ -8,10 +8,11 @@ those of the same helical momentum p = q + tau n, through the matrix
 
 (_lattice; q_n = p - tau n, w and v the Fourier coefficients of h^-2 and
 of the potential in xi).  continuum_levels feeds it the exact
-coefficients and solves the sectors p = k_s + M tau, the helical
-reduction standard for nanotube bands; assemble_perturbed returns it, a
-plain real symmetric array, fed the paper's stated first-order table on
-the coupling ray (_stated_ray), and perturbed_levels solves those
+coefficients (_exact_table) and solves the sectors p = k_s + M tau, the
+helical reduction standard for nanotube bands; assemble_perturbed
+returns it, a plain real symmetric array, fed the paper's stated
+first-order table on the coupling ray (_stated_ray, whose window
+n = -j descends as _lattice reads it), and perturbed_levels solves those
 matrices along a k-path, one at a time on a table built once.  Each
 table is gathered once per call into the Toeplitz matrices W[i, j] =
 w[i - j] and V of its window (_toeplitz), which every matrix of the call
@@ -179,25 +180,26 @@ def _lattice(spec: HelixSpec, p, ns: np.ndarray, toeplitz) -> np.ndarray:
 
 
 def _stated_ray(spec: HelixSpec):
-    """The coupling ray's window j in [-n, n], n = _n_modes(spec), and the
-    _toeplitz matrices of stated_table, less a on the diagonal.  The ray's
-    indices n = -j descend; the stated table is exactly even."""
+    """The coupling ray's window as _lattice reads it, n = -j for j in
+    [-n_modes, n_modes] (descending), and the _toeplitz matrices of
+    stated_table, less a on the diagonal; the stated table is exactly even."""
     n = _n_modes(spec)
     _check_storage(1, 2 * n + 1)
     offsets = range(-2 * n, 2 * n + 1)
     table = np.fft.ifftshift(
         [[t.get(d, 0.0) for d in offsets] for t in stated_table(spec)], axes=-1)
     table[1, 0] -= spectral_offset(spec)
-    return np.arange(-n, n + 1), _toeplitz(table, 2 * n + 1)
+    return np.arange(n, -n - 1, -1), _toeplitz(table, 2 * n + 1)
 
 
 def assemble_perturbed(spec: HelixSpec, k) -> np.ndarray:
     """Central-equation matrix on the coupling ray (_stated_ray): component j
-    has q = k_s + j tau and n = rho0 k_phi - j, so all share one p, and the
-    matrix, a real symmetric array, is _lattice fed the stated table."""
-    js, toeplitz = _stated_ray(spec)
+    has q = k_s + j tau and n = rho0 k_phi - j, the ray's window shifted by
+    rho0 k_phi, so all share one p, and the matrix, a real symmetric array,
+    is _lattice fed the stated table."""
+    ray, toeplitz = _stated_ray(spec)
     k_s, k_varphi = k_components(spec, k)
-    ns = k_varphi * spec.rho0 - js
+    ns = k_varphi * spec.rho0 + ray
     return _lattice(spec, k_s + spec.tau * spec.rho0 * k_varphi, ns, toeplitz)
 
 
@@ -214,16 +216,20 @@ def _n_modes(spec: HelixSpec) -> int:
     return max(8, math.ceil(math.log(1e-17) / (2.0 * math.log(max(r, 1e-3)))))
 
 
-def _helical_samples(spec: HelixSpec, n_xi: int):
-    """h^-2 and v_eff at n_xi equispaced helical phases xi (s = 0, phi = xi)."""
+def _exact_table(spec: HelixSpec, n_modes: int):
+    """The exact table (w, v) in FFT order, the FFT of h^-2 and v_eff at
+    n_xi = 8 n_modes equispaced helical phases xi (s = 0, phi = xi), and
+    the least v_eff sample."""
+    n_xi = 8 * n_modes
     xi = np.arange(n_xi) * (2.0 * math.pi / n_xi)
-    return metric_h(spec, 0.0, xi) ** -2.0, v_eff(spec, 0.0, xi)
+    samples = metric_h(spec, 0.0, xi) ** -2.0, v_eff(spec, 0.0, xi)
+    return [np.fft.fft(f).real / n_xi for f in samples], np.min(samples[1])
 
 
 def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dict]:
     """Lowest n_bands levels at each Bloch k_s, and what the solve took.
 
-    Sector p = k_s + M tau is _lattice fed the FFT of h^-2 and v_eff, on the
+    Sector p = k_s + M tau is _lattice fed _exact_table, on the
     2 n_modes + 1 indices around its kinetic minimum n = p tau/(tau^2 + B).
     As h^-2 >= A = (1+eps)^-2, its levels lie above c p^2 + min v_eff with
     c = A B/(A tau^2 + B), B = rho0^-2: the pairs M = +-j are solved outward
@@ -238,12 +244,11 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
     _check_count("n_bands", n_bands)
     n_modes = _n_modes(spec)
     _check_storage(2, 2 * n_modes + 1)
-    samples = _helical_samples(spec, 8 * n_modes)
+    table, floor = _exact_table(spec, n_modes)
     # the FFT's .real is even only to rounding: gathered on the ascending window
-    toeplitz = _toeplitz([np.fft.fft(f).real / (8 * n_modes) for f in samples],
-                         2 * n_modes + 1)
+    toeplitz = _toeplitz(table, 2 * n_modes + 1)
     A, B = (1.0 + spec.epsilon) ** -2, spec.rho0**-2
-    c, floor = A * B / (A * spec.tau**2 + B), np.min(samples[1])
+    c = A * B / (A * spec.tau**2 + B)
     # as |k_s| <= |tau|/2, every pair beyond _MAX_SECTOR_PAIRS lies above this
     far = c * ((_MAX_SECTOR_PAIRS - 0.5) * spec.tau) ** 2 + floor
     rows, sectors = [], []
@@ -361,9 +366,9 @@ def perturbed_levels(spec: HelixSpec, ks, n_bands: int) -> np.ndarray:
     k_s (k_varphi = 0): the stated table is built once, and the path's
     matrices are solved one at a time."""
     _check_path(ks)
-    js, toeplitz = _stated_ray(spec)
-    _check_count("n_bands", n_bands, len(js))
-    return np.array([_dense_eigh(_lattice(spec, k_s, -js, toeplitz))[:n_bands]
+    ray, toeplitz = _stated_ray(spec)
+    _check_count("n_bands", n_bands, len(ray))
+    return np.array([_dense_eigh(_lattice(spec, k_s, ray, toeplitz))[:n_bands]
                      for k_s in ks])
 
 

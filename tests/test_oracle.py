@@ -490,8 +490,7 @@ def test_continuum_truncation_is_stable(spec, monkeypatch):
     # every sector the stopping rule skips lies above the kept levels: the
     # union of |M| <= 150, each sector on the oracle's own modes and table
     n = oracle_module._n_modes(spec)
-    samples = oracle_module._helical_samples(spec, 8 * n)
-    table = [np.fft.fft(f).real / (8 * n) for f in samples]
+    table, _ = oracle_module._exact_table(spec, n)
     toeplitz = oracle_module._toeplitz(table, 2 * n + 1)
     ps = k_s + spec.tau * np.arange(-150, 151)
     centre = np.rint(ps * spec.tau / (spec.tau**2 + spec.rho0**-2))
@@ -612,8 +611,7 @@ def _exact_sector_matrices(spec, k_s):
     """The oracle's own sectors M = -2..2 at k_s, with the FFT table
     (before _toeplitz gathers it)."""
     n = oracle_module._n_modes(spec)
-    samples = oracle_module._helical_samples(spec, 8 * n)
-    table = [np.fft.fft(f).real / (8 * n) for f in samples]
+    table, _ = oracle_module._exact_table(spec, n)
     ps = k_s + spec.tau * np.arange(-2, 3)
     ns = np.rint(ps * spec.tau / (spec.tau**2 + spec.rho0**-2))[:, None]
     return table, ps, ns + np.arange(-n, n + 1)
@@ -665,6 +663,30 @@ def test_fourier_decay_rate_is_the_ratio_of_h_harmonics(eps):
     r = fourier_decay_rate(spec)
     np.testing.assert_allclose(c[1:6], c[0] * (-r) ** np.arange(1, 6),
                                rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("spec", [
+    FIG3,
+    HelixSpec(kappa=1.0, tau=2.0, rho0=0.5),
+    HelixSpec(kappa=3.0, tau=1.0, rho0=0.3),
+    HelixSpec(kappa=0.999999, tau=1.0, rho0=0.98),  # eps = 0.98, n_modes = 98
+    HelixSpec(kappa=0.0, tau=1.0, rho0=0.1),
+], ids=["fig3", "fat", "eps0.9", "eps0.98", "straight"])
+def test_exact_table_meets_the_closed_form_of_h_inverse_squared(spec):
+    # the w entries, |d| <= 2 n_modes in FFT order, against the closed form
+    # of h^-2, h = 1 + eps cos xi (worst 8.4e-16 of the d = 0 coefficient)
+    n = oracle_module._n_modes(spec)
+    (w, _), _ = oracle_module._exact_table(spec, n)
+    d = np.arange(-2 * n, 2 * n + 1)
+    root = math.sqrt(1.0 - spec.epsilon**2)
+    decay = (-fourier_decay_rate(spec)) ** np.abs(d)
+    want = decay * (1.0 + np.abs(d) * root) / root**3
+    scale = want[2 * n]  # d = 0
+    assert np.max(np.abs(w[d] - want)) <= 4e-15 * scale
+    if spec.epsilon > 0.0:
+        # negative control: the coefficients of h^-1 miss by 5.0e-2 (FIG3)
+        # to 0.96 (eps = 0.98) of the d = 0 coefficient; at eps = 0 both are 1
+        assert np.max(np.abs(w[d] - decay / root)) > 1e-2 * scale
 
 
 def _cylinder_closed_form(spec, k_s, n_bands, quarter=0.25):
@@ -747,16 +769,11 @@ def test_cylinder_limit_check_catches_a_shifted_potential(monkeypatch):
 def test_continuum_oracle_check_catches_a_wrong_table(monkeypatch, wrong):
     cfg = RunConfig()
     assert verify.check_continuum_oracle(cfg)["passed"] is True
-    right = oracle_module._helical_samples
-
-    def corrupted(spec, n_xi):
-        h2, pot = right(spec, n_xi)
-        xi = np.arange(n_xi) * (2.0 * np.pi / n_xi)
-        if wrong == "h^-1 for h^-2":
-            return np.sqrt(h2), pot
-        return h2, v_curv(spec, 0.0, xi)
-
-    monkeypatch.setattr(oracle_module, "_helical_samples", corrupted)
+    if wrong == "h^-1 for h^-2":
+        right = oracle_module.metric_h
+        monkeypatch.setattr(oracle_module, "metric_h", lambda *a: np.sqrt(right(*a)))
+    else:
+        monkeypatch.setattr(oracle_module, "v_eff", v_curv)
     check = verify.check_continuum_oracle(cfg)
     assert check["passed"] is False
     # measured 1.2e-3 (h^-1) and 1.0e-2 (v_kin dropped)
