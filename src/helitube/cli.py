@@ -7,14 +7,15 @@ artifacts into an output directory.  Only ``geometry`` and ``potential``
 read the grid.
 
 Configuration is a flat ``key = value`` file with ``#`` comments; every
-key has a default and command-line flags override file values.  All
-numbers are written in lower-case scientific notation with 17
-significant digits, files are written atomically (temp file + rename),
-and repeated runs with the same configuration produce byte-identical
-output.  ``write_csv`` writes every table from numpy columns, a block of
-lines at a time, and formats each distinct value of a column once per
-block: the node tables depend on ``(s, phi)`` through the helical phase,
-so most of their columns repeat a few hundred values.
+key is a ``RunConfig`` field whose default's type converts its values,
+and command-line flags override file values.  All numbers are written in
+lower-case scientific notation with 17 significant digits, files are
+written atomically (temp file + rename), and repeated runs with the same
+configuration produce byte-identical output.  ``write_csv`` writes every
+table from numpy columns, a block of lines at a time, and formats each
+distinct value of a column once per block: the node tables depend on
+``(s, phi)`` through the helical phase, so most of their columns repeat
+a few hundred values.
 
 One parser reads the subcommand and the nine flags, before or after it.
 Parsing and validating are scalar arithmetic and load ``spec`` but no
@@ -162,20 +163,10 @@ def _parse_eps_list(v: str) -> tuple:
     return tuple(float(p) for p in items)
 
 
-_CONVERTERS = {
-    "kappa": float,
-    "tau": float,
-    "rho0": float,
-    "n_s": int,
-    "n_phi": int,
-    "kpath_start": float,
-    "kpath_end": float,
-    "kpath_count": int,
-    "eps_sweep": _parse_eps_list,
-    "out_dir": str,
-    "units": str,
-    "vkin_offset": float,
-}
+# each key converts as its default's type, but for the two defaults that
+# are not a value of their key: kpath_end's None and eps_sweep's tuple
+_CONVERTERS = {key: type(default) for key, default in RunConfig._field_defaults.items()}
+_CONVERTERS.update(kpath_end=float, eps_sweep=_parse_eps_list)
 
 
 def parse_config_file(path: str) -> dict:
@@ -203,12 +194,12 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _parse_flag(v: str, sep: str, usage: str, *converters) -> tuple:
-    """Split a compound flag value and convert each part, or fail with usage."""
+def _parse_flag(v: str, sep: str, usage: str, *keys) -> dict:
+    """Split a compound flag value into its keys, converted as file values."""
     parts = v.lower().split(sep)
     try:
-        if len(parts) == len(converters):
-            return tuple(conv(part) for conv, part in zip(converters, parts))
+        if len(parts) == len(keys):
+            return {key: _CONVERTERS[key](part) for key, part in zip(keys, parts)}
     except ValueError:
         pass
     raise ConfigError(f"{usage}, got {v!r}")
@@ -219,20 +210,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config is not None:
         cfg = cfg._replace(**parse_config_file(args.config))
-    plain = {"kappa": "kappa", "tau": "tau", "rho0": "rho0",
-             "out": "out_dir", "units": "units"}
-    updates = {key: getattr(args, flag) for flag, key in plain.items()
-               if getattr(args, flag) is not None}
+    updates = {key: value for key in ("kappa", "tau", "rho0", "out_dir", "units")
+               if (value := getattr(args, key)) is not None}
     if args.grid is not None:
-        updates["n_s"], updates["n_phi"] = _parse_flag(
-            args.grid, "x", "--grid expects NxM", int, int
-        )
+        updates |= _parse_flag(args.grid, "x", "--grid expects NxM", "n_s", "n_phi")
     if args.kpath is not None:
-        usage = "--kpath expects start:end:count"
-        start, end, count = _parse_flag(
-            args.kpath, ":", usage, float, float, int
-        )
-        updates.update(kpath_start=start, kpath_end=end, kpath_count=count)
+        updates |= _parse_flag(args.kpath, ":", "--kpath expects start:end:count",
+                               "kpath_start", "kpath_end", "kpath_count")
     if args.eps_sweep is not None:
         try:
             updates["eps_sweep"] = _parse_eps_list(args.eps_sweep)
@@ -329,15 +313,16 @@ def cmd_geometry(cfg: RunConfig) -> int:
 
 def cmd_potential(cfg: RunConfig) -> int:
     from .geometry import grid_nodes, v_curv
-    from .operators import v_eff, v_kin
+    from .operators import v_kin
 
     spec = cfg.spec()
     out = Path(cfg.out_dir)
     S, P = grid_nodes(spec, cfg.n_s, cfg.n_phi)
+    vc, vk = v_curv(spec, S, P), v_kin(spec, S, P)
+    # v_eff is v_kin + v_curv, in that order (operators.v_eff)
     write_csv(
         out / "potential.csv", "s,phi,v_curv,v_kin,v_eff",
-        S, P, *_in_units(cfg, [v_curv(spec, S, P), v_kin(spec, S, P),
-                               v_eff(spec, S, P)]),
+        S, P, *_in_units(cfg, [vc, vk, vk + vc]),
     )
     print(f"wrote {out / 'potential.csv'} ({S.size} rows)")
     return 0
@@ -500,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="a negative start needs the form --kpath=a:b:n")
     parser.add_argument("--eps-sweep", default=None, dest="eps_sweep",
                         metavar="v1,v2,...")
-    parser.add_argument("--out", default=None, metavar="DIR")
+    parser.add_argument("--out", default=None, dest="out_dir", metavar="DIR")
     parser.add_argument("--units", default=None, metavar="natural|physical:<mu>")
     return parser
 

@@ -51,7 +51,8 @@ from .operators import apply_transformed_operator, spectral_offset, v_eff
 from .bloch import k_components, stated_table, zone_boundary_k
 
 _MAX_DIMENSION = 4096
-# continuum_levels solves at most this many sector pairs M = +-j per k-point
+# continuum_levels solves at most this many sector pairs M = +-j per k-point,
+# times min(1, (64/d)**3) for windows of d modes: the d^3 work of 2**16 of 64
 _MAX_SECTOR_PAIRS = 2**16
 
 
@@ -235,22 +236,25 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
     c = A B/(A tau^2 + B), B = rho0^-2: the pairs M = +-j are solved outward
     until the nearer one's bound is above the n_bands-th level found.  When,
     once the solved sectors (at least 3) number n_bands, that bound cannot
-    stop the loop within _MAX_SECTOR_PAIRS pairs (tiny tau), CapExceeded is
-    raised at once.
+    stop the loop within _MAX_SECTOR_PAIRS * min(1, (64/d)**3) pairs of
+    dimension d = 2 n_modes + 1 (tiny tau, or eps near 1, where min v_eff
+    falls as -1/(4 rho0^2 (1 - eps)^2)), CapExceeded is raised at once.
     """
     if spec.tau == 0.0:
         raise DegeneratePeriod("tau = 0: no helical momentum sectors")
     _check_path(ks)
     _check_count("n_bands", n_bands)
     n_modes = _n_modes(spec)
-    _check_storage(2, 2 * n_modes + 1)
+    d = 2 * n_modes + 1
+    _check_storage(2, d)
     table, floor = _exact_table(spec, n_modes)
     # the FFT's .real is even only to rounding: gathered on the ascending window
-    toeplitz = _toeplitz(table, 2 * n_modes + 1)
+    toeplitz = _toeplitz(table, d)
     A, B = (1.0 + spec.epsilon) ** -2, spec.rho0**-2
     c = A * B / (A * spec.tau**2 + B)
-    # as |k_s| <= |tau|/2, every pair beyond _MAX_SECTOR_PAIRS lies above this
-    far = c * ((_MAX_SECTOR_PAIRS - 0.5) * spec.tau) ** 2 + floor
+    pairs = int(_MAX_SECTOR_PAIRS * min(1.0, (64 / d) ** 3))
+    # as |k_s| <= |tau|/2, every pair beyond the cap lies above this
+    far = c * ((pairs - 0.5) * spec.tau) ** 2 + floor
     rows, sectors = [], []
     for k_s in ks:
         levels = np.full(n_bands, np.inf)
@@ -267,8 +271,9 @@ def continuum_levels(spec: HelixSpec, ks, n_bands: int) -> tuple[np.ndarray, dic
             # count far too large
             if j and 2 * j + 1 >= n_bands and far <= levels[-1] < np.inf:
                 raise CapExceeded(
-                    f"tau = {spec.tau!r} needs more than {_MAX_SECTOR_PAIRS} "
-                    "sector pairs per k-point, over the desk-scale cap"
+                    f"kappa = {spec.kappa!r}, tau = {spec.tau!r}, rho0 = "
+                    f"{spec.rho0!r} needs more than {pairs} sector pairs of "
+                    f"dimension {d} per k-point, over the desk-scale cap"
                 )
         rows.append(levels)
         sectors.append(2 * j - 1)

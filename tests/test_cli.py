@@ -627,6 +627,18 @@ def test_bands_sector_cap_is_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bands_near_eps_one_is_refused_by_the_sector_cap(tmp_path, capsys):
+    # eps = 0.999 needs about 23,000 pairs of windows of 877 per k-point; the
+    # cap scaled to that window (25 pairs) refuses it before a third solve
+    rc = main(["bands", "--kappa", "0.999", "--rho0", "1", "--kpath=0:-0.5:2",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "needs more than 25 sector pairs of dimension 877" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_identity_grid_cap_is_config_error(tmp_path, capsys):
     # eps = 0.97 needs a 560x560 grid to resolve the products with h
     rc = main(["verify", "--kappa", "9.7", "--rho0", "0.1", "--out", str(tmp_path)])
@@ -943,6 +955,31 @@ def test_config_file_comments_defaults_and_flag_override(tmp_path):
     assert body.shape[0] == 4 * 10  # flag wins over file
 
 
+def test_every_config_key_has_its_defaults_type(tmp_path):
+    # 8.0 == 8 and (0.1,) == [0.1]: equality alone cannot show the types
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(
+        "kappa = 2\ntau = -1\nrho0 = 0.25\nn_s = 8\nn_phi = 6\n"
+        "kpath_start = 0\nkpath_end = 0\nkpath_count = 3\n"
+        "eps_sweep = 0, 0.5\nout_dir = 7\nunits = natural\nvkin_offset = 0\n"
+    )
+    parser = cli._build_parser()
+    cfg = build_config(parser.parse_args(["bands", "--config", str(cfgfile)]))
+    assert cfg == RunConfig(2.0, -1.0, 0.25, 8, 6, 0.0, 0.0, 3, (0.0, 0.5), "7",
+                            "natural", 0.0)
+    assert {key: type(value) for key, value in cfg._asdict().items()} == dict(
+        kappa=float, tau=float, rho0=float, n_s=int, n_phi=int, kpath_start=float,
+        kpath_end=float, kpath_count=int, eps_sweep=tuple, out_dir=str, units=str,
+        vkin_offset=float)
+    assert [type(eps) for eps in cfg.eps_sweep] == [float, float]
+    # the compound flags convert their parts as the file's lines do
+    argv = ["bands", "--kappa", "2", "--tau", "-1", "--rho0", "0.25",
+            "--grid", "8x6", "--kpath=0:0:3", "--eps-sweep", "0,0.5", "--out", "7"]
+    flagged = build_config(parser.parse_args(argv))
+    assert flagged == cfg
+    assert [type(v) for v in flagged] == [type(v) for v in cfg]
+
+
 def test_config_error_exit_codes(tmp_path):
     assert main(["bands", "--rho0", "-1", "--out", str(tmp_path)]) == 2
     assert main(["bands", "--kpath", "0:-3:5", "--out", str(tmp_path)]) == 2
@@ -1028,6 +1065,8 @@ _MALFORMED_INPUT = [
     ("", "kappa\n", "{path}:1: expected 'key = value'"),
     ("", "kappa = abc\n",
      "{path}:1: bad value for kappa: could not convert string to float: 'abc'"),
+    ("", "n_s = 8.0\n",
+     "{path}:1: bad value for n_s: invalid literal for int() with base 10: '8.0'"),
 ]
 
 

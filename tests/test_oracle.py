@@ -607,6 +607,28 @@ def test_continuum_sector_cap_still_refuses_the_helix(monkeypatch):
     assert len(solves) == 4
 
 
+def test_continuum_sector_cap_scales_with_the_window(monkeypatch):
+    # at eps = 0.999 (rho0 = 1) min v_eff is -1.08e8 and the bound needs about
+    # 23,000 pairs of dimension 877 per k-point: over the scaled cap of 25
+    spec = HelixSpec(kappa=0.999, tau=1.0, rho0=1.0)
+    solves = []
+    right = oracle_module._dense_eigh
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return right(*args, **kwargs)
+
+    monkeypatch.setattr(oracle_module, "_dense_eigh", counted)
+    with pytest.raises(CapExceeded, match="25 sector pairs of dimension 877"):
+        continuum_levels(spec, [0.0, -0.5], 2)
+    assert len(solves) == 2
+    # control: eps = 0.98 needs 256 pairs of dimension 197, inside its cap of 2,247
+    levels, detail = continuum_levels(HelixSpec(1.0, 1.0, 0.98), [0.0], 2)
+    assert detail["n_modes"] == 98
+    assert detail["sectors_per_kpoint"][0] < 2 * 2247 + 1
+    assert np.all(np.isfinite(levels))
+
+
 def _exact_sector_matrices(spec, k_s):
     """The oracle's own sectors M = -2..2 at k_s, with the FFT table
     (before _toeplitz gathers it)."""
